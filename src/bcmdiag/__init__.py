@@ -11,6 +11,7 @@ from .errors import (
     LengthMismatch,
     MalformedBody,
     UnknownDiagCode,
+    UnknownDirection,
     UnknownH4Type,
     UnknownOpcode,
     UnknownVendorSubtype,
@@ -49,6 +50,7 @@ __all__ = [
     "MalformedBody",
     "MemAccessType",
     "UnknownDiagCode",
+    "UnknownDirection",
     "UnknownH4Type",
     "UnknownOpcode",
     "UnknownVendorSubtype",

@@ -40,7 +40,7 @@ from .diag import (
     message_direction,
     parse_diag,
 )
-from .errors import BcmDiagError
+from .errors import BcmDiagError, UnknownDirection
 from .h4 import (
     Direction,
     H4Frame,
@@ -221,7 +221,10 @@ class SniffStreamDecoder:
         self._buf += data
         out: list[tuple[Direction, H4Frame]] = []
         while len(self._buf) >= 2:
-            direction = Direction(self._buf[0])
+            try:
+                direction = Direction(self._buf[0])
+            except ValueError:
+                raise UnknownDirection(self._buf[0]) from None
             frame, consumed = decode_one(bytes(self._buf[1:]))
             if frame is None:
                 break
@@ -258,10 +261,9 @@ def _render_ll_record(msg: LmpLogRecord | LcpLogRecord) -> str:
         opcode = msg.payload[0] >> 1 if isinstance(msg, LmpLogRecord) else msg.payload[0]
         return f"DIAG LL {way} {mac} {kind}_unknown(0x{opcode:02x}) {msg.payload.hex()}"
 
-def _render_diag(frame: H4Frame) -> str:
-    try:
-        msg = parse_diag(frame.payload)
-    except BcmDiagError:
+def _render_diag(frame: H4Frame, msg) -> str:
+    """``msg`` is the parsed payload, None where it does not parse."""
+    if msg is None:
         return f"DIAG raw {frame.payload.rstrip(chr(0).encode()).hex() or '00'}"
     if isinstance(msg, ToggleLmpLogging):
         return f"DIAG LMP logging {'ON' if msg.enable else 'OFF'}"
@@ -294,19 +296,14 @@ def _render_diag(frame: H4Frame) -> str:
     return f"DIAG {frame.payload.hex()}"  # pragma: no cover
 
 
-def _direction_flag(record: CaptureRecord) -> str:
+def _direction_flag(record: CaptureRecord, msg) -> str:
     """Direction audit: note frames flowing against their legal
-    direction (a warning appended to the line, never a failure)."""
-    frame = record.frame
-    if not direction_legal(frame.h4_type, record.direction):
+    direction (a warning appended to the line, never a failure).
+    ``msg`` is the parsed diagnostic payload, if there is one."""
+    if not direction_legal(record.frame.h4_type, record.direction):
         return "  [direction violation]"
-    if frame.h4_type is H4Type.DIAG:
-        try:
-            msg = parse_diag(frame.payload)
-        except BcmDiagError:
-            return ""
-        if message_direction(msg) is not record.direction:
-            return "  [direction violation]"
+    if msg is not None and message_direction(msg) is not record.direction:
+        return "  [direction violation]"
     return ""
 
 
@@ -315,6 +312,7 @@ def render_live(record: CaptureRecord) -> str:
     frame summary.  Total over every frame kind -- undecodable content
     falls back to hex rather than raising."""
     frame = record.frame
+    msg = None
     try:
         if frame.h4_type is H4Type.HCI_COMMAND:
             summary = _render_hci_command(frame)
@@ -327,10 +325,14 @@ def render_live(record: CaptureRecord) -> str:
             handle = struct.unpack_from("<H", frame.payload)[0] & 0x0FFF
             summary = f"SCO handle=0x{handle:04x} len={frame.payload[2]}"
         elif frame.h4_type is H4Type.DIAG:
-            summary = _render_diag(frame)
+            try:
+                msg = parse_diag(frame.payload)
+            except BcmDiagError:
+                pass
+            summary = _render_diag(frame, msg)
         else:
             summary = f"{frame.h4_type.name} {frame.payload.rstrip(chr(0).encode()).hex() or '00'}"
-        summary += _direction_flag(record)
+        summary += _direction_flag(record, msg)
     except Exception:
         summary = f"{frame.h4_type.name} raw {frame.payload.hex()}"
     return f"{record.timestamp_us:>10} us {record.direction.arrow} {summary}"

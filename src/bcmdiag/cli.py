@@ -14,9 +14,10 @@ import os
 import socket
 import sys
 import threading
+import time
 
 from .capture import CaptureRecord, SniffStreamDecoder, render_live
-from .errors import SessionError
+from .errors import BcmDiagError, SessionError
 from .h4 import Direction, H4Frame, H4Type, encode_frame
 from .session import Session
 
@@ -43,14 +44,14 @@ class SocketSession(Session):
         out=sys.stdout,
         name: str | None = None,
     ):
-        super().__init__(name=name)
+        self._cond = threading.Condition()
+        super().__init__(name=name, lock=self._cond)
         self._out = out
         self._color = color
-        self._cond = threading.Condition()
-        self._pending: list[H4Frame] = []
         self._tick = 0
         self._inject_ok = True
-        self._sniff_ok = True
+        # Why the sniff stream stopped, once the reader has ended.
+        self._sniff_down: str | None = None
         self._closing = False
 
         self._inject_sock = socket.create_connection(inject, timeout=5.0)
@@ -79,6 +80,8 @@ class SocketSession(Session):
                 raise SessionError(f"inject stream lost during attach: {exc}") from None
             if self._probe_seen.wait(timeout=0.1):
                 return
+            if self._sniff_down is not None:
+                raise SessionError(self._sniff_down)
         raise SessionError("sniff stream never echoed the attach probe")
 
     # --- transport ----------------------------------------------------
@@ -105,10 +108,15 @@ class SocketSession(Session):
                 data = b""
             if not data:
                 if not self._closing:
-                    self._sniff_ok = False
-                    self._print("sniff stream disconnected; session continues")
+                    self._stream_down("sniff stream disconnected")
                 return
-            for direction, frame in decoder.feed(data):
+            try:
+                records = decoder.feed(data)
+            except BcmDiagError as exc:
+                self._stream_down(f"sniff stream undecodable: {exc}")
+                return
+            answers = []
+            for direction, frame in records:
                 if (
                     frame.h4_type is H4Type.MSG_QUEUE_PUT
                     and frame.payload.startswith(self._probe_nonce)
@@ -123,9 +131,18 @@ class SocketSession(Session):
                 if self.live_view:
                     self._print(self._render(record))
                 if direction is Direction.CONTROLLER_TO_HOST:
-                    with self._cond:
-                        self._pending.append(frame)
-                        self._cond.notify_all()
+                    answers.append(frame)
+            if answers:
+                with self._cond:
+                    self._queue_frames(answers)
+                    self._cond.notify_all()
+
+    def _stream_down(self, reason: str) -> None:
+        """The reader is ending: fail waits at once from now on."""
+        with self._cond:
+            self._sniff_down = reason
+            self._cond.notify_all()
+        self._print(f"{reason}; commands that wait for an answer now fail")
 
     def _render(self, record: CaptureRecord) -> str:
         line = render_live(record)
@@ -139,20 +156,22 @@ class SocketSession(Session):
         self._out.flush()
 
     def wait_frame(self, pred, timeout=None):
-        deadline = timeout if timeout is not None else self.default_timeout
+        deadline = time.monotonic() + (
+            timeout if timeout is not None else self.default_timeout
+        )
+        since = 0
         with self._cond:
-            result = [None]
-
-            def scan() -> bool:
-                for i, frame in enumerate(self._pending):
-                    if pred(frame):
-                        result[0] = self._pending.pop(i)
-                        return True
-                return False
-
-            if self._cond.wait_for(scan, timeout=deadline):
-                return result[0]
-            return None
+            while True:
+                frame = self._take_frame(pred, since)
+                if frame is not None:
+                    return frame
+                if self._sniff_down is not None:
+                    raise SessionError(self._sniff_down)
+                since = self._queued
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                self._cond.wait(remaining)
 
     def close(self) -> None:
         self._closing = True

@@ -779,10 +779,14 @@ class Controller:
     def _new_connection(
         self, peer: bytes, role: Role, transport: Transport, phase: Phase
     ) -> Connection:
-        handle = self._next_handle
-        if handle > MAX_HANDLE:
+        # Allocation wraps, so handles of dropped connections come back.
+        for _ in range(MAX_HANDLE - FIRST_HANDLE + 1):
+            handle = self._next_handle
+            self._next_handle = handle + 1 if handle < MAX_HANDLE else FIRST_HANDLE
+            if handle not in self.connections:
+                break
+        else:
             raise BcmDiagError("connection handles exhausted")
-        self._next_handle += 1
         conn = Connection(handle, peer, role, transport, phase)
         self.connections[handle] = conn
         return conn

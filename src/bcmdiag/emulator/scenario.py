@@ -61,32 +61,28 @@ class LocalSession(Session):
     waiting never blocks."""
 
     def __init__(self, world: World, name: str, on_line: Callable[[str], None] | None = None):
-        super().__init__(name=name)
-        self._world = world
+        super().__init__(name=name, lock=world.lock)
         self._controller = world[name]
-        self._pending: list[H4Frame] = []
         self._on_line = on_line
         self._controller.add_tap(self._tap)
 
     def _tap(self, direction: Direction, frame: H4Frame, tick: int) -> None:
         self.record_frame(direction, frame)
         if direction is Direction.CONTROLLER_TO_HOST:
-            self._pending.append(frame)
+            with self._lock:
+                self._queue_frames([frame])
         if self.live_view and self._on_line is not None:
             from ..capture import CaptureRecord, render_live
 
             self._on_line(render_live(CaptureRecord.at_tick(tick, direction, frame)))
 
     def _send(self, frame: H4Frame) -> None:
-        with self._world.lock:
+        with self._lock:
             self._controller.process_host_frame(frame)
 
     def wait_frame(self, pred, timeout=None):
-        with self._world.lock:
-            for i, frame in enumerate(self._pending):
-                if pred(frame):
-                    return self._pending.pop(i)
-        return None
+        with self._lock:
+            return self._take_frame(pred)
 
 
 def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:

@@ -14,6 +14,14 @@ class UnknownH4Type(BcmDiagError):
         self.offset = offset
 
 
+class UnknownDirection(BcmDiagError):
+    """Sniff-stream record prefix is not a known direction octet."""
+
+    def __init__(self, byte: int):
+        super().__init__(f"unknown direction octet 0x{byte:02x}")
+        self.byte = byte
+
+
 class InvariantViolation(BcmDiagError):
     """A value handed to an encoder violates its wire invariants."""
 

@@ -10,7 +10,9 @@ colon-separated hex, test parameters are decimal.
 
 from __future__ import annotations
 
+import itertools
 import struct
+from collections import deque
 from typing import Callable
 
 from . import capture, hci
@@ -53,6 +55,13 @@ USAGE = {
     "live": "live on|off",
 }
 
+# Controller-to-host frames a session holds for response matching.
+# Every send drops what earlier commands left unconsumed, so the queue
+# only ever holds one command's traffic plus what arrived after it.
+PENDING_MAX = 1024
+# Frames kept in Session.last_emitted, oldest first.
+EMITTED_MAX = 32
+
 _ACCESS = {"arm": MemAccessType.ARM, "bluerf": MemAccessType.BLUERF}
 
 _STATS_GETTERS = {
@@ -87,21 +96,28 @@ class Session:
     """One operator attachment to a controller's inject/sniff pair.
 
     Subclasses provide the transport: ``_send`` pushes one frame down
-    the inject path, ``wait_frame`` returns the next unconsumed
-    controller-to-host frame matching a predicate.  At most one capture
-    sink is active per session.
+    the inject path, and whatever delivers controller-to-host frames
+    hands them to ``_queue_frames``.  ``wait_frame`` returns the oldest
+    queued frame matching a predicate, taken with ``_take_frame``; both
+    helpers run under ``lock``, the subclass's transport lock.  A
+    command's answer is matched only against frames that arrive after
+    it was sent: ``send_frame`` drops what is still queued.  At most
+    one capture sink is active per session.
     """
 
     default_timeout = 2.0
 
-    def __init__(self, name: str | None = None) -> None:
+    def __init__(self, lock, name: str | None = None) -> None:
         self.name = name
         self.live_view = False
         self.capture_records: list[capture.CaptureRecord] | None = None
         self._capture_path: str | None = None
         self._capture_format = "pcap"
         self._capture_tick = 0
-        self.last_emitted: list[H4Frame] = []
+        self.last_emitted: deque[H4Frame] = deque(maxlen=EMITTED_MAX)
+        self._lock = lock
+        self._pending: deque[H4Frame] = deque(maxlen=PENDING_MAX)
+        self._queued = 0  # frames ever queued, evicted and taken ones too
 
     # transport hooks -------------------------------------------------
     def _send(self, frame: H4Frame) -> None:
@@ -120,8 +136,32 @@ class Session:
     def send_frame(self, frame: H4Frame) -> None:
         if not self.inject_up:
             raise SessionError("inject stream is down; command rejected")
+        with self._lock:
+            self._pending.clear()
         self.last_emitted.append(frame)
         self._send(frame)
+
+    def _queue_frames(self, frames: list[H4Frame]) -> None:
+        """Hold controller-to-host frames for response matching; the
+        oldest fall out once PENDING_MAX are held.  Caller holds the
+        session lock."""
+        self._pending.extend(frames)
+        self._queued += len(frames)
+
+    def _take_frame(
+        self, pred: Callable[[H4Frame], bool], since: int = 0
+    ) -> H4Frame | None:
+        """Remove and return the oldest queued frame matching ``pred``,
+        or None.  Only frames queued after the first ``since`` are
+        tried, so a waiter passing the ``_queued`` count of its last
+        miss tests each frame once.  Caller holds the session lock."""
+        pending = self._pending
+        start = max(0, len(pending) - (self._queued - since))
+        for i, frame in enumerate(itertools.islice(pending, start, None), start):
+            if pred(frame):
+                del pending[i]
+                return frame
+        return None
 
     def record_frame(self, direction: Direction, frame: H4Frame) -> None:
         """Feed one sniffed frame to the active capture sink, with a
@@ -173,14 +213,29 @@ class Session:
             raise SessionError(f"timeout waiting for command complete 0x{opcode:04x}")
         return HciEvent.from_frame(frame).params[3:]
 
-    def _await_event(self, event_code: int, timeout: float | None = None) -> HciEvent:
-        frame = self.wait_frame(
-            lambda f: f.h4_type is H4Type.HCI_EVENT and f.payload[0] == event_code,
-            timeout,
-        )
+    def _await_connection(
+        self, opcode: int, is_complete: Callable[[H4Frame], bool], what: str
+    ) -> tuple[int, int]:
+        """Wait for a connection command's final answer: the event that
+        ``is_complete`` accepts, or a Command Status refusing ``opcode``
+        (no completion follows a refusal).  Returns (status, handle)."""
+
+        def pred(f: H4Frame) -> bool:
+            if f.h4_type is not H4Type.HCI_EVENT:
+                return False
+            if f.payload[0] == hci.EVT_COMMAND_STATUS:
+                return f.payload[2] != 0 and struct.unpack_from("<H", f.payload, 4)[0] == opcode
+            return is_complete(f)
+
+        frame = self.wait_frame(pred, 5.0)
         if frame is None:
-            raise SessionError(f"timeout waiting for event 0x{event_code:02x}")
-        return HciEvent.from_frame(frame)
+            raise SessionError(f"timeout waiting for {what}")
+        params = HciEvent.from_frame(frame).params
+        if frame.payload[0] == hci.EVT_COMMAND_STATUS:
+            return params[0], 0
+        if frame.payload[0] == hci.EVT_LE_META:
+            params = params[1:]
+        return struct.unpack_from("<BH", params)
 
     # ----- commands -----------------------------------------------------
 
@@ -281,8 +336,11 @@ class Session:
         mac = _mac(args[0])
         params = hci.mac_to_wire(mac) + bytes(7)
         self.send_frame(HciCommand(hci.OPCODE_CREATE_CONNECTION, params).to_frame())
-        evt = self._await_event(hci.EVT_CONNECTION_COMPLETE, timeout=5.0)
-        status, handle = struct.unpack_from("<BH", evt.params)
+        status, handle = self._await_connection(
+            hci.OPCODE_CREATE_CONNECTION,
+            lambda f: f.payload[0] == hci.EVT_CONNECTION_COMPLETE,
+            f"event 0x{hci.EVT_CONNECTION_COMPLETE:02x}",
+        )
         if status != 0:
             return False, [f"connect failed: status 0x{status:02x}"]
         return True, [f"connected to {args[0]}: handle 0x{handle:04x}"]
@@ -293,16 +351,12 @@ class Session:
         mac = _mac(args[0])
         params = bytes(6) + hci.mac_to_wire(mac) + bytes(13)
         self.send_frame(HciCommand(hci.OPCODE_LE_CREATE_CONNECTION, params).to_frame())
-        frame = self.wait_frame(
-            lambda f: f.h4_type is H4Type.HCI_EVENT
-            and f.payload[0] == hci.EVT_LE_META
+        status, handle = self._await_connection(
+            hci.OPCODE_LE_CREATE_CONNECTION,
+            lambda f: f.payload[0] == hci.EVT_LE_META
             and f.payload[2] == hci.LE_SUBEVT_CONNECTION_COMPLETE,
-            5.0,
+            "LE connection complete",
         )
-        if frame is None:
-            raise SessionError("timeout waiting for LE connection complete")
-        params = HciEvent.from_frame(frame).params
-        status, handle = params[1], struct.unpack_from("<H", params, 2)[0]
         if status != 0:
             return False, [f"leconnect failed: status 0x{status:02x}"]
         return True, [f"LE connected to {args[0]}: handle 0x{handle:04x}"]

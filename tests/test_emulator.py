@@ -103,6 +103,19 @@ class TestHciSurface:
         assert not b.connections
         assert events_of(b.take_host_frames(), hci.EVT_DISCONNECTION_COMPLETE)
 
+    def test_handle_allocation_wraps_past_handles_in_use(self, linked_pair):
+        from bcmdiag.emulator.controller import FIRST_HANDLE, MAX_HANDLE
+
+        a, b = linked_pair
+        assert connect_pair(a, b) == FIRST_HANDLE  # stays connected
+        a._next_handle = MAX_HANDLE
+        top = connect_pair(a, b, transport="le")
+        assert top == MAX_HANDLE
+        a.process_host_frame(
+            HciCommand(hci.OPCODE_DISCONNECT, struct.pack("<HB", top, 0x13)).to_frame()
+        )
+        assert connect_pair(a, b, transport="le") == FIRST_HANDLE + 1
+
     def test_le_connect(self, linked_pair):
         a, b = linked_pair
         handle = connect_pair(a, b, transport="le")

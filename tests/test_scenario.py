@@ -189,3 +189,70 @@ class TestRunning:
         assert ok
         ok, lines = session.execute("capture stop")
         assert not ok and "no capture running" in lines[0]
+
+
+class TestSessionMatching:
+    PAIR = (
+        "controller A mac=00:11:22:33:44:01\n"
+        "controller B mac=00:11:22:33:44:02\n"
+        "link A B\n"
+    )
+
+    def test_refused_connect_answers_with_its_status(self):
+        world = build_world(self.PAIR)
+        session = LocalSession(world, "A")
+        for command in ("connect", "leconnect"):
+            ok, lines = session.execute(f"{command} 00:11:22:33:44:02")
+            assert ok, lines
+            ok, lines = session.execute(f"{command} 00:11:22:33:44:02")
+            assert not ok
+            assert lines == [f"{command} failed: status 0x0b"]
+
+    def test_answer_sent_by_another_host_is_not_taken(self):
+        """A peek response already queued before the command was sent
+        (here: a peek another host injected) must not answer it."""
+        from bcmdiag.diag import MemAccessType, MemoryPeek, build_diag
+        from bcmdiag.h4 import H4Frame
+
+        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        session = LocalSession(world, "A")
+        assert session.execute("poke arm 0x200000 11")[0]
+        assert session.execute("poke arm 0x200001 22")[0]
+        world["A"].process_host_frame(
+            H4Frame.diag(build_diag(MemoryPeek(MemAccessType.ARM, 0x200000)))
+        )
+        ok, lines = session.execute("peek arm 0x200001")
+        assert ok and lines == ["0x00200001 = 0x22"]
+
+    def test_sessions_stay_bounded_over_many_cycles(self):
+        """10^4 connect/disconnect cycles with logging on: the operator's
+        queue holds one cycle's leftovers, the peer's (which never sends)
+        holds at most PENDING_MAX frames, and both still answer."""
+        import struct
+
+        from bcmdiag import hci
+        from bcmdiag.h4 import HciCommand
+        from bcmdiag.session import EMITTED_MAX, PENDING_MAX
+
+        world = build_world(self.PAIR)
+        operator = LocalSession(world, "A")
+        peer = LocalSession(world, "B")
+        assert operator.execute("diag on")[0] and peer.execute("diag on")[0]
+        operator_max = peer_max = 0
+        for cycle in range(10_000):
+            command = "connect" if cycle % 2 == 0 else "leconnect"
+            ok, lines = operator.execute(f"{command} 00:11:22:33:44:02")
+            assert ok, (cycle, lines)
+            handle = int(lines[0].rsplit("0x", 1)[1], 16)
+            operator.send_frame(
+                HciCommand(
+                    hci.OPCODE_DISCONNECT,
+                    struct.pack("<HB", handle, hci.ERR_REMOTE_TERMINATED),
+                ).to_frame()
+            )
+            operator_max = max(operator_max, len(operator._pending))
+            peer_max = max(peer_max, len(peer._pending))
+        assert operator_max < 16
+        assert peer_max == PENDING_MAX
+        assert len(operator.last_emitted) == EMITTED_MAX
+        assert operator.execute("version")[0] and peer.execute("version")[0]

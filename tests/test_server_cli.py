@@ -1,7 +1,11 @@
 """Stream servers and the socket client, over real loopback TCP."""
 
 import io
+import os
+import random
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -11,7 +15,7 @@ from bcmdiag.capture import SniffStreamDecoder
 from bcmdiag.cli import SocketSession, run_batch
 from bcmdiag.emulator.scenario import build_world
 from bcmdiag.emulator.server import EmulatorServer
-from bcmdiag.h4 import Direction, H4Type, HciCommand, encode_frame
+from bcmdiag.h4 import Direction, H4Frame, H4Type, HciCommand, decode_one, encode_frame
 
 TOPOLOGY = """\
 controller A mac=00:11:22:33:44:01 profile=patched
@@ -144,6 +148,98 @@ class TestSocketSession:
         finally:
             session.close()
 
+    def test_refused_connect_answers_at_once(self, served_world):
+        _world, server = served_world
+        session = _session(server, "A")
+        try:
+            for command in ("connect", "leconnect"):
+                ok, lines = session.execute(f"{command} 00:11:22:33:44:02")
+                assert ok, lines
+                t0 = time.monotonic()
+                ok, lines = session.execute(f"{command} 00:11:22:33:44:02")
+                elapsed = time.monotonic() - t0
+                assert not ok
+                assert lines == [f"{command} failed: status 0x0b"]
+                assert elapsed < 1.0, elapsed  # the wait's timeout is 5 s
+        finally:
+            session.close()
+
+    def test_late_answer_of_timed_out_command_is_dropped(self, served_world):
+        _world, server = served_world
+        session = _session(server, "A")
+        try:
+            assert session.execute("poke arm 0x200000 11")[0]
+            assert session.execute("poke arm 0x200001 22")[0]
+            queued = session._queued
+            # Holding the session lock keeps the reader from queueing the
+            # answer, so the zero-timeout peek is sure to time out.
+            with session._cond:
+                session.default_timeout = 0.0
+                ok, lines = session.execute("peek arm 0x200000")
+            session.default_timeout = 2.0
+            assert not ok and "timeout" in lines[0]
+            deadline = time.monotonic() + 2.0
+            while session._queued == queued and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert session._queued > queued  # the stale answer is in
+            ok, lines = session.execute("peek arm 0x200001")
+            assert ok and lines == ["0x00200001 = 0x22"]
+        finally:
+            session.close()
+
+
+class TestConcurrentSessions:
+    def test_each_session_gets_its_own_answers(self, served_world):
+        """Two sessions on two controllers poke and peek from their own
+        threads while a third thread floods controller A with unrelated
+        commands; each peek must read the value its own poke wrote."""
+        _world, server = served_world
+        sessions = [_session(server, name) for name in ("A", "B")]
+        noise = socket.create_connection(("127.0.0.1", server.port_map()["A"][1]))
+        stop = threading.Event()
+        errors: list[str] = []
+
+        def drive(session: SocketSession, seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(150):
+                    address = 0x200000 + rng.randrange(4096)
+                    value = rng.randrange(256)
+                    ok, lines = session.execute(f"poke arm {address:x} {value:x}")
+                    ok2, lines2 = session.execute(f"peek arm {address:x}")
+                    if not (ok and ok2 and lines2 == [f"0x{address:08x} = 0x{value:02x}"]):
+                        errors.append(f"{lines} {lines2}")
+                        return
+            except Exception as exc:  # reported by the assertion below
+                errors.append(repr(exc))
+
+        def flood() -> None:
+            version = encode_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
+            while not stop.is_set():
+                noise.sendall(version * 4)
+                time.sleep(0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        flooder = threading.Thread(target=flood)
+        drivers = [threading.Thread(target=drive, args=(s, i)) for i, s in enumerate(sessions)]
+        try:
+            flooder.start()
+            for thread in drivers:
+                thread.start()
+            for thread in drivers:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in drivers)
+        finally:
+            stop.set()
+            flooder.join(timeout=5.0)
+            sys.setswitchinterval(interval)
+            noise.close()
+            for session in sessions:
+                session.close()
+        assert not flooder.is_alive()
+        assert errors == []
+
 
 class TestSniffStreamWire:
     def test_direction_prefixed_frames(self, served_world):
@@ -152,18 +248,104 @@ class TestSniffStreamWire:
         sniff = socket.create_connection(("127.0.0.1", sniff_port))
         inject = socket.create_connection(("127.0.0.1", inject_port))
         try:
+            decoder = SniffStreamDecoder()
+            nonce = _await_subscription(inject, sniff, decoder)
             inject.sendall(encode_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame()))
             sniff.settimeout(2.0)
-            decoder = SniffStreamDecoder()
             got = []
             while len(got) < 2:
-                got += decoder.feed(sniff.recv(4096))
+                got += [
+                    (d, f)
+                    for d, f in decoder.feed(sniff.recv(4096))
+                    if not _is_probe(f, nonce)
+                ]
             directions = [d for d, _f in got]
             assert directions[0] is Direction.HOST_TO_CONTROLLER
             assert Direction.CONTROLLER_TO_HOST in directions
         finally:
             sniff.close()
             inject.close()
+
+
+def _is_probe(frame: H4Frame, nonce: bytes) -> bool:
+    return frame.h4_type is H4Type.MSG_QUEUE_PUT and frame.payload.startswith(nonce)
+
+
+def _await_subscription(inject, sniff, decoder) -> bytes:
+    """Send opaque message-queue probes until one echoes back on the
+    sniff stream, so the subscription is known to be live; returns the
+    probes' nonce (later echoes of earlier probes may still arrive)."""
+    nonce = os.urandom(8)
+    probe = encode_frame(H4Frame.diag(nonce, h4_type=H4Type.MSG_QUEUE_PUT))
+    sniff.settimeout(0.1)
+    for _attempt in range(50):
+        inject.sendall(probe)
+        try:
+            records = decoder.feed(sniff.recv(4096))
+        except socket.timeout:
+            continue
+        if any(_is_probe(f, nonce) for _d, f in records):
+            return nonce
+    pytest.fail("sniff stream never echoed the probe")
+
+
+class _FakeController:
+    """Inject/sniff listener pair that echoes the attach probe, then
+    writes ``garbage`` to the sniff stream when told to."""
+
+    def __init__(self, garbage: bytes):
+        self.garbage = garbage
+        self.inject_srv = socket.create_server(("127.0.0.1", 0))
+        self.sniff_srv = socket.create_server(("127.0.0.1", 0))
+        self.send_garbage = threading.Event()
+        self.conns: list[socket.socket] = []
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    @property
+    def endpoints(self):
+        return self.inject_srv.getsockname(), self.sniff_srv.getsockname()
+
+    def _serve(self) -> None:
+        inject, _ = self.inject_srv.accept()
+        sniff, _ = self.sniff_srv.accept()
+        self.conns += [inject, sniff]
+        probe, _used = decode_one(inject.recv(4096))
+        sniff.sendall(bytes([Direction.HOST_TO_CONTROLLER]) + encode_frame(probe))
+        self.send_garbage.wait(5.0)
+        sniff.sendall(self.garbage)
+
+    def close(self) -> None:
+        for sock in self.conns + [self.inject_srv, self.sniff_srv]:
+            sock.close()
+
+
+class TestSniffStreamErrors:
+    @pytest.mark.parametrize(
+        "garbage, reason",
+        [
+            (b"\x02\x04\x0e", "unknown direction octet 0x02"),
+            (b"\x01\xff\x00", "unknown H4 type 0xff"),
+        ],
+    )
+    def test_undecodable_stream_fails_commands_at_once(self, garbage, reason):
+        fake = _FakeController(garbage)
+        inject, sniff = fake.endpoints
+        out = io.StringIO()
+        session = SocketSession(inject, sniff, color=False, out=out)
+        try:
+            fake.send_garbage.set()
+            session._reader.join(timeout=2.0)
+            assert not session._reader.is_alive()
+            assert reason in out.getvalue()
+            t0 = time.monotonic()
+            ok, lines = session.execute("version")
+            assert time.monotonic() - t0 < 0.5
+            assert not ok
+            assert len(lines) == 1 and reason in lines[0]
+        finally:
+            session.close()
+            fake.close()
 
 
 class TestLiveView:
