@@ -37,17 +37,17 @@ from .diag import (
     StatsResponse,
     TestCompleted,
     ToggleLmpLogging,
-    message_direction,
+    code_direction,
     parse_diag,
 )
-from .errors import BcmDiagError, UnknownDirection
+from .errors import BcmDiagError
 from .h4 import (
     Direction,
     H4Frame,
+    H4StreamDecoder,
     H4Type,
     HciCommand,
     HciEvent,
-    decode_one,
     direction_legal,
     encode_frame,
 )
@@ -211,26 +211,14 @@ def encode_sniff_record(direction: Direction, frame: H4Frame) -> bytes:
     return bytes([int(direction)]) + encode_frame(frame)
 
 
-class SniffStreamDecoder:
-    """Incremental decoder for the direction-prefixed sniff stream."""
+class SniffStreamDecoder(H4StreamDecoder):
+    """Incremental decoder for the direction-prefixed sniff stream;
+    ``feed`` returns ``(Direction, H4Frame)`` records."""
 
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[tuple[Direction, H4Frame]]:
-        self._buf += data
-        out: list[tuple[Direction, H4Frame]] = []
-        while len(self._buf) >= 2:
-            try:
-                direction = Direction(self._buf[0])
-            except ValueError:
-                raise UnknownDirection(self._buf[0]) from None
-            frame, consumed = decode_one(bytes(self._buf[1:]))
-            if frame is None:
-                break
-            out.append((direction, frame))
-            del self._buf[: 1 + consumed]
-        return out
+    _prefixed = True
+    # A class attribute of its own, so wrapping one decoder's feed (as
+    # the tracing harness does) leaves the other's alone.
+    feed = H4StreamDecoder.feed
 
 
 # ----- live rendering ---------------------------------------------------
@@ -302,7 +290,7 @@ def _direction_flag(record: CaptureRecord, msg) -> str:
     ``msg`` is the parsed diagnostic payload, if there is one."""
     if not direction_legal(record.frame.h4_type, record.direction):
         return "  [direction violation]"
-    if msg is not None and message_direction(msg) is not record.direction:
+    if msg is not None and code_direction(msg.code) is not record.direction:
         return "  [direction violation]"
     return ""
 

@@ -48,7 +48,6 @@ class SocketSession(Session):
         super().__init__(name=name, lock=self._cond)
         self._out = out
         self._color = color
-        self._tick = 0
         self._inject_ok = True
         # Why the sniff stream stopped, once the reader has ended.
         self._sniff_down: str | None = None
@@ -125,11 +124,10 @@ class SocketSession(Session):
                     # to captures, the live view and response matching.
                     self._probe_seen.set()
                     continue
-                record = CaptureRecord.at_tick(self._tick, direction, frame)
-                self._tick += 1
-                self.record_frame(direction, frame)
                 if self.live_view:
+                    record = CaptureRecord.at_tick(self._capture_tick, direction, frame)
                     self._print(self._render(record))
+                self.record_frame(direction, frame)
                 if direction is Direction.CONTROLLER_TO_HOST:
                     answers.append(frame)
             if answers:

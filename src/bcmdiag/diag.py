@@ -507,8 +507,3 @@ def parse_diag(payload: bytes) -> DiagMessage:
         return StatsRequest(code)
 
     raise UnknownDiagCode(raw_code)  # pragma: no cover - enum is total
-
-
-def message_direction(msg: DiagMessage) -> Direction:
-    """Table-driven direction audit used by capture rendering."""
-    return code_direction(msg.code)

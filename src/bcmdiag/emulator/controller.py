@@ -16,6 +16,7 @@ produce octet-identical event and diagnostic streams.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -36,6 +37,7 @@ from ..diag import (
     MemoryPoke,
     PeekResponse,
     PokeResponse,
+    RESPONSE_FOR_REQUEST,
     RunTest,
     STATS_FIELDS,
     StatsRequest,
@@ -55,6 +57,9 @@ from .profiles import HandlerAction, SecurityProfile, patched_profile
 
 FIRST_HANDLE = 0x000B
 MAX_HANDLE = 0x0EFF
+# Controller-to-host frames held until the host next sends something; a
+# controller that never gets host input keeps only the newest ones.
+HOST_OUT_MAX = 1024
 
 # Feature masks advertised during setup; arbitrary but fixed so streams
 # stay byte-stable.
@@ -258,7 +263,7 @@ class Controller:
         self.connections: dict[int, Connection] = {}
         self.stats = StatsStore()
         self.audit: list[str] = []
-        self._host_out: list[H4Frame] = []
+        self._host_out: deque[H4Frame] = deque(maxlen=HOST_OUT_MAX)
         self._taps: list[TapFn] = []
         self._next_handle = FIRST_HANDLE
 
@@ -284,7 +289,8 @@ class Controller:
         self._emit(H4Frame.diag(build_diag(msg)))
 
     def take_host_frames(self) -> list[H4Frame]:
-        out, self._host_out = self._host_out, []
+        out = list(self._host_out)
+        self._host_out.clear()
         return out
 
     def _note(self, text: str) -> None:
@@ -376,21 +382,7 @@ class Controller:
     # ----- HCI surface ----------------------------------------------------
 
     def _handle_hci_command(self, cmd: HciCommand) -> None:
-        handler = {
-            hci.OPCODE_READ_LOCAL_VERSION: self._cmd_read_local_version,
-            hci.OPCODE_RESET: self._cmd_reset,
-            hci.OPCODE_CREATE_CONNECTION: self._cmd_create_connection,
-            hci.OPCODE_DISCONNECT: self._cmd_disconnect,
-            hci.OPCODE_LE_CREATE_CONNECTION: self._cmd_le_create_connection,
-            hci.OPCODE_ENABLE_DUT_MODE: self._cmd_enable_dut,
-            hci.OPCODE_VSC_SEND_LMP_PDU: self._cmd_send_lmp_pdu,
-            hci.OPCODE_VSC_READ_RAM: self._cmd_read_ram,
-            hci.OPCODE_VSC_WRITE_RAM: self._cmd_write_ram,
-            hci.OPCODE_VSC_SUPER_DUPER_PEEK_POKE: self._cmd_super_duper_peek_poke,
-            hci.OPCODE_VSC_FIREWALL_ADD: self._cmd_firewall_add,
-            hci.OPCODE_VSC_FIREWALL_DEL: self._cmd_firewall_del,
-            hci.OPCODE_VSC_FIREWALL_SHOW: self._cmd_firewall_show,
-        }.get(cmd.opcode)
+        handler = self._HCI_HANDLERS.get(cmd.opcode)
         if handler is None:
             self._note(f"unknown HCI opcode 0x{cmd.opcode:04x}")
             self._emit_event(
@@ -398,7 +390,7 @@ class Controller:
                 hci.command_status(hci.ERR_UNKNOWN_COMMAND, cmd.opcode),
             )
             return
-        handler(cmd)
+        handler(self, cmd)
 
     def _complete(self, opcode: int, return_params: bytes = b"") -> None:
         self._emit_event(hci.EVT_COMMAND_COMPLETE, hci.command_complete(opcode, return_params))
@@ -575,6 +567,23 @@ class Controller:
             body += hci.mac_to_wire(mac)
         self._complete(cmd.opcode, body)
 
+    # opcode -> handler, built once with the class
+    _HCI_HANDLERS = {
+        hci.OPCODE_READ_LOCAL_VERSION: _cmd_read_local_version,
+        hci.OPCODE_RESET: _cmd_reset,
+        hci.OPCODE_CREATE_CONNECTION: _cmd_create_connection,
+        hci.OPCODE_DISCONNECT: _cmd_disconnect,
+        hci.OPCODE_LE_CREATE_CONNECTION: _cmd_le_create_connection,
+        hci.OPCODE_ENABLE_DUT_MODE: _cmd_enable_dut,
+        hci.OPCODE_VSC_SEND_LMP_PDU: _cmd_send_lmp_pdu,
+        hci.OPCODE_VSC_READ_RAM: _cmd_read_ram,
+        hci.OPCODE_VSC_WRITE_RAM: _cmd_write_ram,
+        hci.OPCODE_VSC_SUPER_DUPER_PEEK_POKE: _cmd_super_duper_peek_poke,
+        hci.OPCODE_VSC_FIREWALL_ADD: _cmd_firewall_add,
+        hci.OPCODE_VSC_FIREWALL_DEL: _cmd_firewall_del,
+        hci.OPCODE_VSC_FIREWALL_SHOW: _cmd_firewall_show,
+    }
+
     # ----- host ACL data ---------------------------------------------------
 
     def _handle_host_acl(self, frame: H4Frame) -> None:
@@ -636,39 +645,29 @@ class Controller:
         if kind is DiagCode.RESET_BR_ACL_STATS:
             self.stats.reset_br_acl()
             return []
-        if kind is DiagCode.GET_BR_ACL_STATS:
-            return [self.stats.response(DiagCode.BR_ACL_STATS)]
-        if kind is DiagCode.GET_EDR_ACL_STATS:
-            return [self.stats.response(DiagCode.EDR_ACL_STATS)]
-        if kind is DiagCode.GET_SCO_STATS:
-            return [self.stats.response(DiagCode.SCO_STATS)]
-        if kind is DiagCode.GET_ESCO_STATS:
-            return [self.stats.response(DiagCode.ESCO_STATS)]
-        if kind is DiagCode.GET_AUX_STATS:
-            return [self.stats.response(DiagCode.AUX_RESPONSE)]
-        if kind is DiagCode.GET_CONNECTION_STATS:
-            # One record per live connection; the CPU load piggybacks on
-            # this request because no dedicated getter code exists.
-            out: list[DiagMessage] = []
-            for conn in sorted(self.connections.values(), key=lambda c: c.handle):
-                out.append(
-                    StatsResponse(
-                        DiagCode.CONNECTION_RESPONSE,
-                        (
-                            conn.handle,
-                            struct.unpack("<I", hci.low_mac(conn.peer_mac))[0],
-                            conn.role.value,
-                            conn.phase.value,
-                        ),
-                    )
-                )
+        if kind is not DiagCode.GET_CONNECTION_STATS:
+            return [self.stats.response(RESPONSE_FOR_REQUEST[kind])]
+        # One record per live connection; the CPU load piggybacks on
+        # this request because no dedicated getter code exists.
+        out: list[DiagMessage] = []
+        for conn in sorted(self.connections.values(), key=lambda c: c.handle):
             out.append(
                 StatsResponse(
-                    DiagCode.CPU_LOAD_RESPONSE, (5 * len(self.connections),)
+                    DiagCode.CONNECTION_RESPONSE,
+                    (
+                        conn.handle,
+                        struct.unpack("<I", hci.low_mac(conn.peer_mac))[0],
+                        conn.role.value,
+                        conn.phase.value,
+                    ),
                 )
             )
-            return out
-        return []  # pragma: no cover - request set is total
+        out.append(
+            StatsResponse(
+                DiagCode.CPU_LOAD_RESPONSE, (5 * len(self.connections),)
+            )
+        )
+        return out
 
     def _run_test(self, msg: RunTest) -> TestCompleted:
         """Simulate a radio test run: one packet per tick for the
@@ -897,26 +896,11 @@ class Controller:
             self._consume_script_step(conn)
             return
 
-        handler = {
-            "LMP_features_req": self._lmp_features_req,
-            "LMP_version_req": self._lmp_version_req,
-            "LMP_IO_capability_req": self._lmp_io_capability_req,
-            "LMP_DHkey_Check": self._lmp_dhkey_check,
-            "LMP_start_encryption_req": self._lmp_start_encryption_req,
-            "LMP_detach": self._lmp_detach,
-            "LMP_accepted": self._lmp_accepted,
-            "LMP_not_accepted": self._lmp_ignore,
-            "LMP_accepted_ext": self._lmp_ignore,
-            "LMP_not_accepted_ext": self._lmp_ignore,
-            "LMP_setup_complete": self._lmp_ignore,
-            "LMP_features_res": self._lmp_ignore,
-            "LMP_version_res": self._lmp_ignore,
-            "LMP_IO_capability_res": self._lmp_ignore,
-        }.get(name)
+        handler = self._LMP_HANDLERS.get(name)
         if handler is None:
             self._reply_not_accepted(from_mac, pdu.opcode, conn=conn)
             return
-        handler(conn, pdu)
+        handler(self, conn, pdu)
 
     def _reply_not_accepted(
         self, from_mac: bytes, opcode: int, conn: Connection | None = None
@@ -1002,6 +986,18 @@ class Controller:
         accepted = pdu.params[0] if pdu.params else 0
         if accepted == ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]:
             conn.phase = Phase.ENCRYPTED
+
+    _LMP_HANDLERS = {
+        "LMP_features_req": _lmp_features_req,
+        "LMP_version_req": _lmp_version_req,
+        "LMP_IO_capability_req": _lmp_io_capability_req,
+        "LMP_DHkey_Check": _lmp_dhkey_check,
+        "LMP_start_encryption_req": _lmp_start_encryption_req,
+        "LMP_detach": _lmp_detach,
+        # Replies need no answer; only an accepted one changes state.
+        **dict.fromkeys(_LMP_NO_REPLY | {"LMP_IO_capability_res"}, _lmp_ignore),
+        "LMP_accepted": _lmp_accepted,
+    }
 
     def _handle_bpcs(
         self, from_mac: bytes, conn: Connection | None, pdu: ll.BpcsPdu

@@ -10,7 +10,6 @@ further controller instance offset by two ports.
 from __future__ import annotations
 
 import argparse
-import queue
 import socket
 import sys
 import threading
@@ -25,31 +24,65 @@ SNIFF_PORT_BASE = 8872
 INJECT_PORT_BASE = 8873
 
 
+# Octets a sniff client may fall behind before it is disconnected; a
+# client that silently lost records would mismatch answers instead.
+SNIFF_BACKLOG_MAX = 4 << 20
+
+
 class _SniffFanout:
-    """Broadcasts tap records to every connected sniff client through
-    per-client queues, so a slow reader never stalls the emulator or
-    the inject path."""
+    """Broadcasts tap records to every connected sniff client.  Each
+    client has its own byte backlog, which its sender drains with one
+    write, so a slow reader never stalls the emulator or the inject
+    path."""
 
     def __init__(self) -> None:
-        self._clients: list[queue.SimpleQueue] = []
-        self._lock = threading.Lock()
+        self._backlogs: dict[socket.socket, bytearray] = {}
+        self._cond = threading.Condition()
+        self.dropped = 0  # clients cut off for falling behind
 
-    def attach(self) -> queue.SimpleQueue:
-        q: queue.SimpleQueue = queue.SimpleQueue()
-        with self._lock:
-            self._clients.append(q)
-        return q
+    def __bool__(self) -> bool:  # any client attached
+        return bool(self._backlogs)
 
-    def detach(self, q: queue.SimpleQueue) -> None:
-        with self._lock:
-            if q in self._clients:
-                self._clients.remove(q)
+    def attach(self, client: socket.socket) -> None:
+        with self._cond:
+            self._backlogs[client] = bytearray()
+
+    def detach(self, client: socket.socket) -> None:
+        with self._cond:
+            self._backlogs.pop(client, None)
 
     def publish(self, data: bytes) -> None:
-        with self._lock:
-            clients = list(self._clients)
-        for q in clients:
-            q.put(data)
+        with self._cond:
+            wake = False
+            behind = []
+            for client, backlog in self._backlogs.items():
+                wake = wake or not backlog
+                backlog += data
+                if len(backlog) > SNIFF_BACKLOG_MAX:
+                    behind.append(client)
+            for client in behind:
+                # Its sender is blocked writing to a client that stopped
+                # reading; shutting the socket down unblocks it.
+                del self._backlogs[client]
+                self.dropped += 1
+                try:
+                    client.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+            if wake:
+                self._cond.notify_all()
+
+    def take(self, client: socket.socket, timeout: float) -> bytearray | None:
+        """Everything published for ``client`` since its last take,
+        after waiting up to ``timeout`` for something; None once it is
+        no longer attached."""
+        with self._cond:
+            if self._backlogs.get(client) == b"":  # attached, nothing pending
+                self._cond.wait(timeout)
+            backlog = self._backlogs.get(client)
+            if backlog is not None:
+                self._backlogs[client] = bytearray()
+            return backlog
 
 
 class ControllerEndpoint:
@@ -91,14 +124,17 @@ class ControllerEndpoint:
         return sock
 
     def _tap(self, direction: Direction, frame: H4Frame, tick: int) -> None:
-        self.fanout.publish(encode_sniff_record(direction, frame))
+        if self.fanout:
+            self.fanout.publish(encode_sniff_record(direction, frame))
 
     def start(self) -> None:
-        for target, sock in (
-            (self._sniff_accept_loop, self._sniff_sock),
-            (self._inject_accept_loop, self._inject_sock),
+        for listener, serve in (
+            (self._sniff_sock, self._sniff_client_loop),
+            (self._inject_sock, self._inject_client_loop),
         ):
-            thread = threading.Thread(target=target, args=(sock,), daemon=True)
+            thread = threading.Thread(
+                target=self._accept_loop, args=(listener, serve), daemon=True
+            )
             thread.start()
             self._threads.append(thread)
 
@@ -117,42 +153,30 @@ class ControllerEndpoint:
             except OSError:
                 pass
 
-    def _sniff_accept_loop(self, listener: socket.socket) -> None:
+    def _accept_loop(self, listener: socket.socket, serve) -> None:
         while not self._stop.is_set():
             try:
                 client, _addr = listener.accept()
             except OSError:
                 return
-            threading.Thread(
-                target=self._sniff_client_loop, args=(client,), daemon=True
-            ).start()
+            threading.Thread(target=serve, args=(client,), daemon=True).start()
 
     def _sniff_client_loop(self, client: socket.socket) -> None:
         self._track(client)
-        q = self.fanout.attach()
+        self.fanout.attach(client)
         try:
             while not self._stop.is_set():
-                try:
-                    data = q.get(timeout=0.25)
-                except queue.Empty:
-                    continue
-                client.sendall(data)
+                data = self.fanout.take(client, timeout=0.25)
+                if data is None:
+                    return  # cut off for falling behind
+                if data:
+                    client.sendall(data)
         except OSError:
             pass
         finally:
-            self.fanout.detach(q)
+            self.fanout.detach(client)
             self._untrack(client)
             client.close()
-
-    def _inject_accept_loop(self, listener: socket.socket) -> None:
-        while not self._stop.is_set():
-            try:
-                client, _addr = listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._inject_client_loop, args=(client,), daemon=True
-            ).start()
 
     def _inject_client_loop(self, client: socket.socket) -> None:
         self._track(client)

@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import InvariantViolation, UnknownH4Type
+from .errors import InvariantViolation, UnknownDirection, UnknownH4Type
 
 # Payload octets in one fixed-size vendor-channel envelope (type octet
 # excluded).  Total frame size on the wire is DIAG_FRAME_LEN.
@@ -46,31 +46,21 @@ class Direction(IntEnum):
         return ">>" if self is Direction.HOST_TO_CONTROLLER else "<<"
 
 
-# Octets needed beyond the type tag before the payload length is known.
-_HEADER_NEED = {
-    H4Type.HCI_COMMAND: 3,
-    H4Type.ACL_DATA: 4,
-    H4Type.SCO_DATA: 3,
-    H4Type.HCI_EVENT: 2,
-    H4Type.DIAG: DIAG_PAYLOAD_LEN,
-    H4Type.MSG_QUEUE_PUT: DIAG_PAYLOAD_LEN,
-    H4Type.WICED: DIAG_PAYLOAD_LEN,
+# Type tag -> (type, header octets after the tag, octets of the
+# little-endian length field ending the header).  The payload is the
+# header plus what that field counts; a vendor envelope has no length
+# field, its header is the whole envelope.
+_FRAMING: dict[int, tuple[H4Type, int, int]] = {
+    H4Type.HCI_COMMAND: (H4Type.HCI_COMMAND, 3, 1),
+    H4Type.ACL_DATA: (H4Type.ACL_DATA, 4, 2),
+    H4Type.SCO_DATA: (H4Type.SCO_DATA, 3, 1),
+    H4Type.HCI_EVENT: (H4Type.HCI_EVENT, 2, 1),
+    H4Type.DIAG: (H4Type.DIAG, DIAG_PAYLOAD_LEN, 0),
+    H4Type.MSG_QUEUE_PUT: (H4Type.MSG_QUEUE_PUT, DIAG_PAYLOAD_LEN, 0),
+    H4Type.WICED: (H4Type.WICED, DIAG_PAYLOAD_LEN, 0),
 }
 
-_VALID_TAGS = {int(t) for t in H4Type}
-
-
-def payload_length(h4_type: H4Type, header: bytes) -> int:
-    """Total payload length of a frame, given its first header octets."""
-    if h4_type is H4Type.HCI_COMMAND:
-        return 3 + header[2]
-    if h4_type is H4Type.HCI_EVENT:
-        return 2 + header[1]
-    if h4_type is H4Type.ACL_DATA:
-        return 4 + struct.unpack_from("<H", header, 2)[0]
-    if h4_type is H4Type.SCO_DATA:
-        return 3 + header[2]
-    return DIAG_PAYLOAD_LEN
+_DIRECTIONS = (Direction.HOST_TO_CONTROLLER, Direction.CONTROLLER_TO_HOST)
 
 
 @dataclass(frozen=True)
@@ -94,23 +84,13 @@ class H4Frame:
         return cls(h4_type, bytes(body).ljust(DIAG_PAYLOAD_LEN, b"\x00"))
 
     def validate(self) -> None:
-        expected = None
+        _type, need, width = _FRAMING[self.h4_type]
         p = self.payload
-        t = self.h4_type
-        if t is H4Type.HCI_COMMAND:
-            expected = 3 + p[2] if len(p) >= 3 else -1
-        elif t is H4Type.HCI_EVENT:
-            expected = 2 + p[1] if len(p) >= 2 else -1
-        elif t is H4Type.ACL_DATA:
-            expected = 4 + struct.unpack_from("<H", p, 2)[0] if len(p) >= 4 else -1
-        elif t is H4Type.SCO_DATA:
-            expected = 3 + p[2] if len(p) >= 3 else -1
-        else:
-            expected = DIAG_PAYLOAD_LEN
-        if expected != len(p):
+        expected = need + int.from_bytes(p[need - width : need], "little")
+        if len(p) < need or expected != len(p):
             raise InvariantViolation(
-                f"{t.name} payload of {len(p)} octets disagrees with its "
-                f"length field (expected {expected})"
+                f"{self.h4_type.name} payload of {len(p)} octets disagrees with "
+                f"its length field (expected {expected if len(p) >= need else need})"
             )
 
 
@@ -121,26 +101,42 @@ def encode_frame(frame: H4Frame) -> bytes:
 
 
 def _decode(
-    buf: bytes | bytearray, base_offset: int, limit: int | None = None
-) -> tuple[list[H4Frame], int]:
-    frames: list[H4Frame] = []
+    buf: bytes | bytearray, base: int, prefixed: bool = False, limit: int = -1
+) -> tuple[list, int]:
+    """Decode complete frames from ``buf``, copying each payload once;
+    returns them and the octets consumed.  ``base`` is the stream offset
+    of ``buf[0]``.  With ``prefixed`` each frame follows a direction
+    octet and comes back as ``(Direction, H4Frame)``; a bad direction
+    octet raises as soon as it is in ``buf``."""
+    out: list = []
     i = 0
     n = len(buf)
-    while i < n and (limit is None or len(frames) < limit):
-        tag = buf[i]
-        if tag not in _VALID_TAGS:
-            raise UnknownH4Type(tag, base_offset + i)
-        h4_type = H4Type(tag)
-        need = _HEADER_NEED[h4_type]
-        if n - i - 1 < need:
-            break  # partial header, wait for more octets
-        header = bytes(buf[i + 1 : i + 1 + need])
-        total = payload_length(h4_type, header)
-        if n - i - 1 < total:
-            break  # partial body
-        frames.append(H4Frame(h4_type, bytes(buf[i + 1 : i + 1 + total])))
-        i += 1 + total
-    return frames, i
+    framing = _FRAMING
+    with memoryview(buf) as view:
+        while i < n and limit != len(out):
+            p = i + prefixed
+            if prefixed:
+                if buf[i] > 1:
+                    raise UnknownDirection(buf[i])
+                if p == n:
+                    break
+            entry = framing.get(buf[p])
+            if entry is None:
+                raise UnknownH4Type(buf[p], base + p)
+            h4_type, need, width = entry
+            end = p + 1 + need
+            if end > n:
+                break  # partial header, wait for more octets
+            if width == 1:
+                end += buf[end - 1]
+            elif width:
+                end += buf[end - 2] | buf[end - 1] << 8
+            if end > n:
+                break  # partial body
+            frame = H4Frame(h4_type, view[p + 1 : end].tobytes())
+            out.append((_DIRECTIONS[buf[i]], frame) if prefixed else frame)
+            i = end
+    return out, i
 
 
 def decode_stream(buffer: bytes) -> tuple[list[H4Frame], int]:
@@ -156,8 +152,7 @@ def decode_stream(buffer: bytes) -> tuple[list[H4Frame], int]:
 
 
 def decode_one(buffer: bytes) -> tuple[H4Frame | None, int]:
-    """Decode at most one frame; returns (frame or None, consumed).
-    Needed where frames are interleaved with out-of-band octets."""
+    """Decode at most one frame; returns (frame or None, consumed)."""
     frames, consumed = _decode(buffer, 0, limit=1)
     return (frames[0] if frames else None), consumed
 
@@ -167,8 +162,10 @@ class H4StreamDecoder:
 
     Carries explicit buffer state and must be owned by exactly one
     stream consumer at a time; the pure functions above are safe for
-    unrestricted concurrent use.
+    unrestricted concurrent use.  A feed costs time linear in its octets.
     """
+
+    _prefixed = False  # subclasses set it for direction-prefixed streams
 
     def __init__(self) -> None:
         self._buf = bytearray()
@@ -176,11 +173,12 @@ class H4StreamDecoder:
 
     def feed(self, data: bytes) -> list[H4Frame]:
         """Append octets and return every newly completed frame."""
-        self._buf += data
-        frames, used = _decode(self._buf, self._base)
-        del self._buf[:used]
+        buf = self._buf
+        buf += data
+        out, used = _decode(buf, self._base, self._prefixed)
+        del buf[:used]
         self._base += used
-        return frames
+        return out
 
     @property
     def pending(self) -> bytes:

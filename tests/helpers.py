@@ -59,6 +59,16 @@ def random_h4_frame(rng: random.Random) -> H4Frame:
     return H4Frame(h4_type, payload)
 
 
+def feed_in_pieces(decoder, stream: bytes, cuts: list[int]) -> list:
+    """Feed ``stream`` to a stream decoder split at ``cuts`` (taken
+    modulo the stream length, in any order); returns all it decoded."""
+    points = sorted({c % (len(stream) + 1) for c in cuts})
+    out = []
+    for start, end in zip([0] + points, points + [len(stream)]):
+        out += decoder.feed(stream[start:end])
+    return out
+
+
 def random_test_params(rng: random.Random) -> TestParams:
     return TestParams(
         scenario=rng.randint(0, 255),

@@ -2,6 +2,10 @@
 independent readers, plus live-line rendering totality."""
 
 import random
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcmdiag import hci
 from bcmdiag.capture import (
@@ -16,10 +20,11 @@ from bcmdiag.capture import (
     write_pcap,
 )
 from bcmdiag.diag import LmpLogRecord, ToggleLmpLogging, build_diag
+from bcmdiag.errors import UnknownDirection, UnknownH4Type
 from bcmdiag.h4 import Direction, H4Frame, H4Type, HciCommand, encode_frame
 
 from conftest import connect_pair
-from helpers import read_btsnoop, read_pcapng, random_h4_frame
+from helpers import feed_in_pieces, read_btsnoop, read_pcapng, random_h4_frame
 
 H2C = Direction.HOST_TO_CONTROLLER
 C2H = Direction.CONTROLLER_TO_HOST
@@ -159,6 +164,59 @@ class TestSniffStream:
             for i in range(0, len(stream), chunk):
                 got += decoder.feed(stream[i : i + chunk])
             assert got == items
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 12),
+        cuts=st.lists(st.integers(0, 2**16), max_size=16),
+    )
+    def test_any_split_yields_the_records_of_one_feed(self, seed, count, cuts):
+        rng = random.Random(seed)
+        items = [(rng.choice((H2C, C2H)), random_h4_frame(rng)) for _ in range(count)]
+        stream = b"".join(encode_sniff_record(d, f) for d, f in items)
+        assert SniffStreamDecoder().feed(stream) == items
+        decoder = SniffStreamDecoder()
+        assert feed_in_pieces(decoder, stream, cuts) == items
+        assert decoder.pending == b""
+
+    def test_unknown_type_reports_stream_offset(self):
+        record = encode_sniff_record(H2C, HciCommand(0x1001).to_frame())  # 5 octets
+        decoder = SniffStreamDecoder()
+        assert len(decoder.feed(record + record[:3])) == 1
+        with pytest.raises(UnknownH4Type) as excinfo:
+            decoder.feed(record[3:] + b"\x01\x55")
+        assert excinfo.value.offset == 11
+        assert excinfo.value.byte == 0x55
+
+    def test_bad_direction_fails_before_its_frame_arrives(self):
+        decoder = SniffStreamDecoder()
+        assert len(decoder.feed(encode_sniff_record(H2C, HciCommand(0x1001).to_frame()))) == 1
+        with pytest.raises(UnknownDirection):
+            decoder.feed(b"\x02")
+
+    def test_one_feed_costs_time_linear_in_its_records(self):
+        """Four times the records may cost at most twice the linear
+        share (8x); a decoder that copies its buffer per record takes
+        about 16x."""
+        rng = random.Random(0x51F1)
+        records = [
+            encode_sniff_record(rng.choice((H2C, C2H)), random_h4_frame(rng))
+            for _ in range(1000)
+        ]
+
+        def cost(n: int) -> float:
+            stream = b"".join(records[i % 1000] for i in range(n))
+            best = float("inf")
+            for _ in range(3):
+                decoder = SniffStreamDecoder()
+                start = time.process_time()
+                decoded = decoder.feed(stream)
+                best = min(best, time.process_time() - start)
+                assert len(decoded) == n
+            return best
+
+        assert cost(80_000) < 8 * cost(20_000)
 
 
 class TestRenderLive:

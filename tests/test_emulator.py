@@ -116,6 +116,26 @@ class TestHciSurface:
         )
         assert connect_pair(a, b, transport="le") == FIRST_HANDLE + 1
 
+    def test_passive_peer_holds_a_bounded_backlog(self, linked_pair):
+        """B never gets host input during 1,000 logged connect+disconnect
+        cycles driven from A; it keeps only its newest frames and still
+        answers."""
+        from bcmdiag.emulator.controller import HOST_OUT_MAX
+
+        a, b = linked_pair
+        toggle = H4Frame.diag(build_diag(ToggleLmpLogging(True)))
+        a.process_host_frame(toggle)
+        b.process_host_frame(toggle)
+        for _ in range(1000):
+            handle = connect_pair(a, b)
+            a.process_host_frame(
+                HciCommand(hci.OPCODE_DISCONNECT, struct.pack("<HB", handle, 0x13)).to_frame()
+            )
+        assert not a.connections and not b.connections
+        assert len(b.take_host_frames()) == HOST_OUT_MAX
+        version = b.process_host_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
+        assert [HciEvent.from_frame(f).event_code for f in version] == [hci.EVT_COMMAND_COMPLETE]
+
     def test_le_connect(self, linked_pair):
         a, b = linked_pair
         handle = connect_pair(a, b, transport="le")

@@ -4,6 +4,7 @@ decoding, direction audit."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcmdiag.errors import InvariantViolation, UnknownH4Type
 from bcmdiag.h4 import (
@@ -21,7 +22,7 @@ from bcmdiag.h4 import (
     encode_frame,
 )
 
-from helpers import random_h4_frame
+from helpers import feed_in_pieces, random_h4_frame
 
 
 READ_LOCAL_VERSION = bytes.fromhex("01011000")
@@ -76,6 +77,16 @@ class TestErrors:
         with pytest.raises(UnknownH4Type) as excinfo:
             decoder.feed(b"\xaa")
         assert excinfo.value.offset == 4
+
+    def test_unknown_type_offset_after_partial_frame(self):
+        """The bad tag arrives two feeds later, behind a frame that was
+        split across them; its offset counts from the stream start."""
+        decoder = H4StreamDecoder()
+        assert decoder.feed(READ_LOCAL_VERSION + READ_LOCAL_VERSION[:2]) != []
+        with pytest.raises(UnknownH4Type) as excinfo:
+            decoder.feed(READ_LOCAL_VERSION[2:] + b"\x55")
+        assert excinfo.value.offset == 8
+        assert excinfo.value.byte == 0x55
 
     def test_length_field_mismatch_rejected(self):
         bad = H4Frame(H4Type.HCI_COMMAND, bytes.fromhex("0110" + "05" + "00"))
@@ -141,6 +152,21 @@ class TestIncremental:
         for i in range(len(stream)):
             got += decoder.feed(stream[i : i + 1])
         assert got == frames
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 12),
+        cuts=st.lists(st.integers(0, 2**16), max_size=16),
+    )
+    def test_any_split_yields_the_frames_of_one_feed(self, seed, count, cuts):
+        rng = random.Random(seed)
+        frames = [random_h4_frame(rng) for _ in range(count)]
+        stream = b"".join(encode_frame(f) for f in frames)
+        assert H4StreamDecoder().feed(stream) == frames
+        decoder = H4StreamDecoder()
+        assert feed_in_pieces(decoder, stream, cuts) == frames
+        assert decoder.pending == b""
 
     def test_partial_frame_left_unconsumed(self):
         stream = READ_LOCAL_VERSION + b"\x04\x0e"  # event header incomplete

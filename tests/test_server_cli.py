@@ -4,6 +4,7 @@ import io
 import os
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -11,11 +12,15 @@ import time
 import pytest
 
 from bcmdiag import hci
-from bcmdiag.capture import SniffStreamDecoder
+from bcmdiag.capture import SniffStreamDecoder, encode_sniff_record
 from bcmdiag.cli import SocketSession, run_batch
+from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag
+from bcmdiag.emulator.memory import ARM_BASE
 from bcmdiag.emulator.scenario import build_world
-from bcmdiag.emulator.server import EmulatorServer
+from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout
 from bcmdiag.h4 import Direction, H4Frame, H4Type, HciCommand, decode_one, encode_frame
+
+from helpers import read_pcapng
 
 TOPOLOGY = """\
 controller A mac=00:11:22:33:44:01 profile=patched
@@ -267,6 +272,129 @@ class TestSniffStreamWire:
             inject.close()
 
 
+class TestSniffFanout:
+    def test_records_in_order_and_a_stalled_client_is_cut_off(self):
+        fanout = _SniffFanout()
+        pairs = [socket.socketpair() for _ in range(2)]
+        try:
+            drained, stalled = pairs[0][0], pairs[1][0]
+            fanout.attach(drained)
+            fanout.attach(stalled)
+            first = [struct.pack("<I", i) * 16 for i in range(10)]
+            for record in first:
+                fanout.publish(record)
+            assert fanout.take(drained, 0) == fanout.take(stalled, 0) == b"".join(first)
+
+            # The stalled subscriber is never drained again; the other
+            # takes its backlog every few records.
+            sent, got = bytearray(), bytearray()
+            i = 0
+            while len(sent) <= SNIFF_BACKLOG_MAX + 64 * 1024:
+                record = struct.pack("<I", i) * 256
+                fanout.publish(record)
+                sent += record
+                i += 1
+                if i % 7 == 0:
+                    got += fanout.take(drained, 0)
+            got += fanout.take(drained, 0)
+            assert got == sent
+            assert fanout.take(stalled, 0) is None
+            assert fanout.dropped == 1
+            pairs[1][1].settimeout(2.0)
+            assert pairs[1][1].recv(1) == b""  # its socket was shut down
+            fanout.detach(drained)
+            fanout.detach(stalled)
+            assert not fanout
+        finally:
+            for pair in pairs:
+                for sock in pair:
+                    sock.close()
+
+    def test_concurrent_takers_lose_nothing(self):
+        """Four senders drain while one thread publishes, with thread
+        switches forced often; each gets every record once, in order."""
+        fanout = _SniffFanout()
+        pairs = [socket.socketpair() for _ in range(4)]
+        records = [struct.pack("<I", i) * 4 for i in range(20_000)]
+        got = {sock: bytearray() for sock, _peer in pairs}
+        published = threading.Event()
+
+        def drain(sock) -> None:
+            while True:
+                finished = published.is_set()
+                data = fanout.take(sock, 0.01)
+                got[sock] += data
+                if finished and not data:
+                    return
+
+        for sock in got:
+            fanout.attach(sock)
+        takers = [threading.Thread(target=drain, args=(sock,)) for sock in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in takers:
+                thread.start()
+            for record in records:
+                fanout.publish(record)
+            published.set()
+            for thread in takers:
+                thread.join(timeout=30.0)
+        finally:
+            published.set()
+            sys.setswitchinterval(interval)
+            for pair in pairs:
+                for sock in pair:
+                    sock.close()
+        assert not any(thread.is_alive() for thread in takers)
+        assert all(data == b"".join(records) for data in got.values())
+        assert fanout.dropped == 0
+
+    def test_two_clients_get_the_bytes_of_one(self, served_world):
+        """A 256-frame burst reaches each of two sniff clients as the
+        same bytes a single client receives."""
+        _world, server = served_world
+        sniff_port, inject_port = server.port_map()["A"]
+        rng = random.Random(0xFA00)
+        frames = []
+        for kind in rng.choices(("version", "peek", "dump"), k=256):
+            address = ARM_BASE + rng.randrange(0x1000)
+            if kind == "version":
+                frames.append(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
+            elif kind == "peek":
+                frames.append(H4Frame.diag(build_diag(MemoryPeek(MemAccessType.ARM, address))))
+            else:
+                frames.append(H4Frame.diag(build_diag(MemoryHexdump(address))))
+        burst = b"".join(encode_frame(f) for f in frames)
+
+        def run(clients: int) -> list[bytes]:
+            inject = socket.create_connection(("127.0.0.1", inject_port))
+            sniffs = [socket.create_connection(("127.0.0.1", sniff_port)) for _ in range(clients)]
+            try:
+                decoders = [SniffStreamDecoder() for _ in sniffs]
+                for sniff, decoder in zip(sniffs, decoders):
+                    _await_subscription(inject, sniff, decoder)
+                inject.sendall(burst)
+                out = []
+                for sniff, decoder in zip(sniffs, decoders):
+                    sniff.settimeout(5.0)
+                    records = []
+                    while len(records) < 2 * len(frames):
+                        records += [
+                            encode_sniff_record(d, f)
+                            for d, f in decoder.feed(sniff.recv(4096))
+                            if f.h4_type is not H4Type.MSG_QUEUE_PUT
+                        ]
+                    out.append(b"".join(records))
+                return out
+            finally:
+                for sock in [inject] + sniffs:
+                    sock.close()
+
+        (single,) = run(1)
+        assert run(2) == [single, single]
+
+
 def _is_probe(frame: H4Frame, nonce: bytes) -> bool:
     return frame.h4_type is H4Type.MSG_QUEUE_PUT and frame.payload.startswith(nonce)
 
@@ -386,6 +514,27 @@ class TestLiveView:
                     assert "Command_Complete" in line, index
         finally:
             session.close()
+
+    def test_timestamps_match_the_capture(self, served_world, tmp_path):
+        """A capture started mid-session restarts the tick count, and
+        the live view shows the same timestamps as the capture file."""
+        _world, server = served_world
+        out = io.StringIO()
+        session = _session(server, "A", out=out)
+        session.live_view = True
+        path = tmp_path / "live.pcapng"
+        try:
+            assert session.execute("version")[0]
+            assert session.execute(f"capture start {path}")[0]
+            for line in ("version", f"peek arm 0x{ARM_BASE:x}", f"dump 0x{ARM_BASE:x}"):
+                assert session.execute(line)[0]
+            assert session.execute("capture stop")[0]
+        finally:
+            session.close()
+        lines = out.getvalue().splitlines()
+        _ifaces, packets = read_pcapng(str(path))
+        assert len(lines) == 2 + len(packets) == 8
+        assert [int(line.split()[0]) for line in lines[2:]] == [ts for _i, ts, _d in packets]
 
     def test_peer_connect_renders_setup_sequence(self, served_world):
         _world, server = served_world
