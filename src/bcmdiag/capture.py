@@ -21,25 +21,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from . import hci, ll
-from .diag import (
-    DiagCode,
-    HexdumpResponse,
-    LcpLogRecord,
-    LmpLogRecord,
-    MemoryHexdump,
-    MemoryPeek,
-    MemoryPoke,
-    PeekResponse,
-    PokeResponse,
-    RunTest,
-    StatsRequest,
-    StatsResponse,
-    TestCompleted,
-    ToggleLmpLogging,
-    code_direction,
-    parse_diag,
-)
+from . import diag, hci, ll
+from .diag import DiagCode, code_direction, parse_diag
 from .errors import BcmDiagError
 from .h4 import (
     Direction,
@@ -205,10 +188,15 @@ def write_btsnoop(records: list[CaptureRecord], path: str) -> int:
 
 # ----- sniff stream framing ----------------------------------------------
 
+# (direction, H4 type) -> the two octets that open a sniff record.
+_SNIFF_PREFIX = {(d, t): bytes([d, t]) for d in Direction for t in H4Type}
+
+
 def encode_sniff_record(direction: Direction, frame: H4Frame) -> bytes:
     """Wire form of one sniff-port record: a 1-octet direction prefix,
     then the self-delimiting H4 frame."""
-    return bytes([int(direction)]) + encode_frame(frame)
+    frame.validate()
+    return _SNIFF_PREFIX[direction, frame[0]] + frame[1]
 
 
 class SniffStreamDecoder(H4StreamDecoder):
@@ -235,53 +223,49 @@ def _render_hci_event(frame: H4Frame) -> str:
     params = evt.params.hex() if evt.params else "-"
     return f"HCI evt {name} {params}"
 
-def _render_ll_record(msg: LmpLogRecord | LcpLogRecord) -> str:
-    mac = hci.format_mac(msg.full_mac) if isinstance(msg, LcpLogRecord) else msg.low_mac.hex()
+def _render_ll_record(msg: diag.LmpLogRecord | diag.LcpLogRecord) -> str:
+    mac = hci.format_mac(msg.full_mac) if isinstance(msg, diag.LcpLogRecord) else msg.low_mac.hex()
     way = "TX" if msg.sent else "RX"
     try:
-        if isinstance(msg, LmpLogRecord):
+        if isinstance(msg, diag.LmpLogRecord):
             pdu = ll.dissect_lmp(msg.payload, padded_to_17=True)
         else:
             pdu = ll.dissect_lcp(msg.payload)
         return f"DIAG LL {way} {ll.render_text(pdu, mac=mac)}"
     except BcmDiagError:
-        kind = "LMP" if isinstance(msg, LmpLogRecord) else "LCP"
-        opcode = msg.payload[0] >> 1 if isinstance(msg, LmpLogRecord) else msg.payload[0]
+        kind = "LMP" if isinstance(msg, diag.LmpLogRecord) else "LCP"
+        opcode = msg.payload[0] >> 1 if isinstance(msg, diag.LmpLogRecord) else msg.payload[0]
         return f"DIAG LL {way} {mac} {kind}_unknown(0x{opcode:02x}) {msg.payload.hex()}"
+
+def _render_stats(msg: diag.StatsResponse) -> str:
+    fields = " ".join(f"{k}={v}" for k, v in msg.as_dict().items())
+    return f"DIAG stats {DiagCode(msg.kind).name} {fields}"
+
+# message class -> its live-view summary
+_DIAG_RENDERERS = {
+    diag.ToggleLmpLogging: lambda m: f"DIAG LMP logging {'ON' if m.enable else 'OFF'}",
+    diag.LmpLogRecord: _render_ll_record,
+    diag.LcpLogRecord: _render_ll_record,
+    diag.MemoryPeek: lambda m: f"DIAG peek {m.access.name.lower()} 0x{m.address:08x}",
+    diag.MemoryPoke: lambda m: f"DIAG poke {m.access.name.lower()} 0x{m.address:08x} = 0x{m.value:02x}",
+    diag.MemoryHexdump: lambda m: f"DIAG hexdump 0x{m.address:08x}",
+    diag.PeekResponse: lambda m: f"DIAG peek -> status={m.status} value=0x{m.value:02x}",
+    diag.PokeResponse: lambda m: f"DIAG poke -> status={m.status}",
+    diag.HexdumpResponse: lambda m: f"DIAG hexdump 0x{m.address:08x} -> {m.data.hex()}",
+    diag.RunTest: lambda m: f"DIAG run test {m.body().hex()}",
+    diag.TestCompleted: lambda m: (
+        f"DIAG test completed status={m.status} tx={m.tx_count} "
+        f"rx={m.rx_count} reserved={m.reserved}"
+    ),
+    diag.StatsResponse: _render_stats,
+    diag.StatsRequest: lambda m: f"DIAG stats request {DiagCode(m.kind).name}",
+}
 
 def _render_diag(frame: H4Frame, msg) -> str:
     """``msg`` is the parsed payload, None where it does not parse."""
     if msg is None:
         return f"DIAG raw {frame.payload.rstrip(chr(0).encode()).hex() or '00'}"
-    if isinstance(msg, ToggleLmpLogging):
-        return f"DIAG LMP logging {'ON' if msg.enable else 'OFF'}"
-    if isinstance(msg, (LmpLogRecord, LcpLogRecord)):
-        return _render_ll_record(msg)
-    if isinstance(msg, MemoryPeek):
-        return f"DIAG peek {msg.access.name.lower()} 0x{msg.address:08x}"
-    if isinstance(msg, MemoryPoke):
-        return f"DIAG poke {msg.access.name.lower()} 0x{msg.address:08x} = 0x{msg.value:02x}"
-    if isinstance(msg, MemoryHexdump):
-        return f"DIAG hexdump 0x{msg.address:08x}"
-    if isinstance(msg, PeekResponse):
-        return f"DIAG peek -> status={msg.status} value=0x{msg.value:02x}"
-    if isinstance(msg, PokeResponse):
-        return f"DIAG poke -> status={msg.status}"
-    if isinstance(msg, HexdumpResponse):
-        return f"DIAG hexdump 0x{msg.address:08x} -> {msg.data.hex()}"
-    if isinstance(msg, RunTest):
-        return f"DIAG run test {msg.params.pack().hex()}"
-    if isinstance(msg, TestCompleted):
-        return (
-            f"DIAG test completed status={msg.status} tx={msg.tx_count} "
-            f"rx={msg.rx_count} reserved={msg.reserved}"
-        )
-    if isinstance(msg, StatsResponse):
-        fields = " ".join(f"{k}={v}" for k, v in msg.as_dict().items())
-        return f"DIAG stats {DiagCode(msg.kind).name} {fields}"
-    if isinstance(msg, StatsRequest):
-        return f"DIAG stats request {DiagCode(msg.kind).name}"
-    return f"DIAG {frame.payload.hex()}"  # pragma: no cover
+    return _DIAG_RENDERERS[msg.__class__](msg)
 
 
 def _direction_flag(record: CaptureRecord, msg) -> str:

@@ -72,16 +72,22 @@ class SocketSession(Session):
         probe = encode_frame(
             H4Frame.diag(self._probe_nonce, h4_type=H4Type.MSG_QUEUE_PUT)
         )
-        for _attempt in range(50):
+        # A probe sent before the subscriber is wired up is lost: probe
+        # again after 1 ms, doubling the wait up to 100 ms, for 5 s.
+        deadline = time.monotonic() + 5.0
+        wait = 0.001
+        while True:
             try:
                 self._inject_sock.sendall(probe)
             except OSError as exc:
                 raise SessionError(f"inject stream lost during attach: {exc}") from None
-            if self._probe_seen.wait(timeout=0.1):
+            if self._probe_seen.wait(timeout=wait):
                 return
             if self._sniff_down is not None:
                 raise SessionError(self._sniff_down)
-        raise SessionError("sniff stream never echoed the attach probe")
+            if time.monotonic() >= deadline:
+                raise SessionError("sniff stream never echoed the attach probe")
+            wait = min(2 * wait, 0.1)
 
     # --- transport ----------------------------------------------------
 
@@ -114,25 +120,21 @@ class SocketSession(Session):
             except BcmDiagError as exc:
                 self._stream_down(f"sniff stream undecodable: {exc}")
                 return
-            answers = []
             for direction, frame in records:
                 if (
                     frame.h4_type is H4Type.MSG_QUEUE_PUT
                     and frame.payload.startswith(self._probe_nonce)
                 ):
                     # Our own attach probe (or a duplicate); invisible
-                    # to captures, the live view and response matching.
+                    # to captures and the live view.
                     self._probe_seen.set()
                     continue
                 if self.live_view:
                     record = CaptureRecord.at_tick(self._capture_tick, direction, frame)
                     self._print(self._render(record))
                 self.record_frame(direction, frame)
-                if direction is Direction.CONTROLLER_TO_HOST:
-                    answers.append(frame)
-            if answers:
-                with self._cond:
-                    self._queue_frames(answers)
+            with self._cond:
+                if self._queue_records(records):
                     self._cond.notify_all()
 
     def _stream_down(self, reason: str) -> None:

@@ -12,9 +12,11 @@ envelope.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import IntEnum
+from typing import Callable
 
 from .errors import InvariantViolation, MalformedBody, UnknownDiagCode
 from .h4 import Direction
@@ -95,18 +97,6 @@ STATS_FIELDS: dict[DiagCode, tuple[str, ...]] = {
     DiagCode.CONNECTION_RESPONSE: ("handle", "low_mac", "role", "state"),
 }
 
-STATS_REQUEST_CODES = frozenset(
-    {
-        DiagCode.RESET_BR_ACL_STATS,
-        DiagCode.GET_BR_ACL_STATS,
-        DiagCode.GET_EDR_ACL_STATS,
-        DiagCode.GET_AUX_STATS,
-        DiagCode.GET_SCO_STATS,
-        DiagCode.GET_ESCO_STATS,
-        DiagCode.GET_CONNECTION_STATS,
-    }
-)
-
 # Which statistics response answers which getter.
 RESPONSE_FOR_REQUEST: dict[DiagCode, DiagCode] = {
     DiagCode.GET_BR_ACL_STATS: DiagCode.BR_ACL_STATS,
@@ -116,6 +106,64 @@ RESPONSE_FOR_REQUEST: dict[DiagCode, DiagCode] = {
     DiagCode.GET_ESCO_STATS: DiagCode.ESCO_STATS,
     DiagCode.GET_CONNECTION_STATS: DiagCode.CONNECTION_RESPONSE,
 }
+
+STATS_REQUEST_CODES = frozenset(RESPONSE_FOR_REQUEST) | {DiagCode.RESET_BR_ACL_STATS}
+
+
+# Raw code octet -> parser of a whole payload; @_message fills it.
+_PARSERS: dict[int, Callable[[bytes], "DiagMessage"]] = {}
+
+
+def _message(*codes: DiagCode, layout: str | None = None):
+    """Declare a message: a frozen dataclass with its code(s) and body
+    layout, given once.  ``layout`` is the struct format of a fixed body,
+    which parsing unpacks and hands with the code to ``_from_fields``
+    (by default the constructor) and ``body()`` packs.  A variable body
+    is cut by the class's own ``_parse(code, payload)``."""
+
+    def declare(cls):
+        cls = dataclass(frozen=True)(cls)
+        if len(codes) == 1:
+            cls.code = codes[0]
+        if layout is None:
+            parse = cls._parse
+        else:
+            cls._layout = struct.Struct(layout)
+            make = getattr(cls, "_from_fields", lambda _code, *fields: cls(*fields))
+            parse = functools.partial(_parse_fixed, cls._layout, make)
+        for code in codes:
+            _PARSERS[code] = functools.partial(parse, code)
+        return cls
+
+    return declare
+
+
+def _require(code: DiagCode, payload: bytes, n: int) -> None:
+    """Demand an n-octet body after the code octet, with everything past
+    it zero padding from the envelope."""
+    if len(payload) <= n:
+        raise MalformedBody(code, f"body shorter than {n} octets")
+    if payload.count(0, n + 1) != len(payload) - n - 1:
+        raise MalformedBody(code, "nonzero octets past the defined body")
+
+
+def _parse_fixed(layout: struct.Struct, make, code: DiagCode, payload: bytes):
+    _require(code, payload, layout.size)
+    return make(code, *layout.unpack_from(payload, 1))
+
+
+_PEEK_POKE_ACCESS = {a: a for a in (MemAccessType.ARM, MemAccessType.BLUERF)}  # octet -> member
+
+
+def _access_type(code: DiagCode, access: int) -> MemAccessType:
+    if access not in _PEEK_POKE_ACCESS:
+        raise MalformedBody(code, f"bad access type 0x{access:02x}")
+    return _PEEK_POKE_ACCESS[access]
+
+
+def _check_access(access: MemAccessType, what: str) -> None:
+    if access not in _PEEK_POKE_ACCESS:
+        raise InvariantViolation(f"{what} access type {access!r} not allowed")
 
 
 @dataclass(frozen=True)
@@ -150,100 +198,88 @@ class TestParams:
             and 0 <= self.payload_length <= self.MAX_PAYLOAD
         )
 
-    def pack(self) -> bytes:
-        return struct.pack(
-            "<BBBBBBH",
-            self.scenario,
-            self.hopping_mode,
-            self.tx_frequency,
-            self.rx_frequency,
-            self.power_level,
-            self.packet_type,
-            self.payload_length,
-        )
 
-    @classmethod
-    def unpack(cls, body: bytes) -> "TestParams":
-        return cls(*struct.unpack("<BBBBBBH", body))
-
-
-@dataclass(frozen=True)
+@_message(DiagCode.TOGGLE_LMP_LOGGING, layout="<B")
 class ToggleLmpLogging:
     enable: bool
-
-    code = DiagCode.TOGGLE_LMP_LOGGING
 
     def body(self) -> bytes:
         return b"\x01" if self.enable else b"\x00"
 
+    @classmethod
+    def _from_fields(cls, code: DiagCode, flag: int) -> "ToggleLmpLogging":
+        if flag > 1:
+            raise MalformedBody(code, f"logging flag must be 0x00/0x01, got 0x{flag:02x}")
+        return cls(bool(flag))
 
-@dataclass(frozen=True)
+
+@_message(DiagCode.MEMORY_PEEK, layout="<BI")
 class MemoryPeek:
     access: MemAccessType
     address: int
 
-    code = DiagCode.MEMORY_PEEK
-
     def body(self) -> bytes:
-        if self.access not in (MemAccessType.ARM, MemAccessType.BLUERF):
-            raise InvariantViolation(f"peek access type {self.access!r} not allowed")
-        return struct.pack("<BI", self.access, self.address)
+        _check_access(self.access, "peek")
+        return self._layout.pack(self.access, self.address)
+
+    @classmethod
+    def _from_fields(cls, code: DiagCode, access: int, address: int) -> "MemoryPeek":
+        return cls(_access_type(code, access), address)
 
 
-@dataclass(frozen=True)
+@_message(DiagCode.MEMORY_POKE, layout="<BIB")
 class MemoryPoke:
     access: MemAccessType
     address: int
     value: int
 
-    code = DiagCode.MEMORY_POKE
-
     def body(self) -> bytes:
-        if self.access not in (MemAccessType.ARM, MemAccessType.BLUERF):
-            raise InvariantViolation(f"poke access type {self.access!r} not allowed")
-        return struct.pack("<BIB", self.access, self.address, self.value)
+        _check_access(self.access, "poke")
+        return self._layout.pack(self.access, self.address, self.value)
+
+    @classmethod
+    def _from_fields(cls, code: DiagCode, access: int, address: int, value: int) -> "MemoryPoke":
+        return cls(_access_type(code, access), address, value)
 
 
-@dataclass(frozen=True)
+@_message(DiagCode.MEMORY_HEXDUMP, layout="<BI")
 class MemoryHexdump:
     address: int
 
-    code = DiagCode.MEMORY_HEXDUMP
-
     def body(self) -> bytes:
         # Hexdump always carries the ARM access tag 0x04.
-        return struct.pack("<BI", MemAccessType.HEXDUMP_ARM, self.address)
+        return self._layout.pack(MemAccessType.HEXDUMP_ARM, self.address)
+
+    @classmethod
+    def _from_fields(cls, code: DiagCode, access: int, address: int) -> "MemoryHexdump":
+        if access != MemAccessType.HEXDUMP_ARM:
+            raise MalformedBody(code, f"hexdump access type must be 0x04, got 0x{access:02x}")
+        return cls(address)
 
 
-@dataclass(frozen=True)
+@_message(DiagCode.PEEK_RESPONSE, layout="<BB")
 class PeekResponse:
     """Peek answer: status octet (0 = success) followed by the value."""
 
     status: int
     value: int
 
-    code = DiagCode.PEEK_RESPONSE
-
     def body(self) -> bytes:
-        return bytes([self.status, self.value])
+        return self._layout.pack(self.status, self.value)
 
 
-@dataclass(frozen=True)
+@_message(DiagCode.POKE_RESPONSE, layout="<B")
 class PokeResponse:
     status: int
 
-    code = DiagCode.POKE_RESPONSE
-
     def body(self) -> bytes:
-        return bytes([self.status])
+        return self._layout.pack(self.status)
 
 
-@dataclass(frozen=True)
+@_message(DiagCode.HEXDUMP_RESPONSE, layout=f"<I{HEXDUMP_DATA_LEN}s")
 class HexdumpResponse:
     address: int
     data: bytes
-
-    code = DiagCode.HEXDUMP_RESPONSE
 
     def body(self) -> bytes:
         if len(self.data) != HEXDUMP_DATA_LEN:
@@ -251,20 +287,22 @@ class HexdumpResponse:
                 f"hexdump data must be exactly {HEXDUMP_DATA_LEN} octets, "
                 f"got {len(self.data)}"
             )
-        return struct.pack("<I", self.address) + self.data
+        return self._layout.pack(self.address, self.data)
 
 
-@dataclass(frozen=True)
+@_message(DiagCode.RUN_TEST, layout="<BBBBBBH")
 class RunTest:
     params: TestParams
 
-    code = DiagCode.RUN_TEST
-
     def body(self) -> bytes:
-        return self.params.pack()
+        return self._layout.pack(*astuple(self.params))
+
+    @classmethod
+    def _from_fields(cls, _code: DiagCode, *fields: int) -> "RunTest":
+        return cls(TestParams(*fields))
 
 
-@dataclass(frozen=True)
+@_message(DiagCode.TEST_COMPLETED, layout="<BHHH")
 class TestCompleted:
     """Test summary: status, transmitted and received packet counts.
 
@@ -279,13 +317,19 @@ class TestCompleted:
     rx_count: int
     reserved: int = 0
 
-    code = DiagCode.TEST_COMPLETED
-
     def body(self) -> bytes:
-        return struct.pack("<BHHH", self.status, self.tx_count, self.reserved, self.rx_count)
+        return self._layout.pack(self.status, self.tx_count, self.reserved, self.rx_count)
+
+    @classmethod
+    def _from_fields(cls, _code: DiagCode, status: int, tx: int, reserved: int, rx: int):
+        return cls(status, tx, rx, reserved)
 
 
-@dataclass(frozen=True)
+@_message(
+    DiagCode.LMP_SENT,
+    DiagCode.LMP_RECEIVED,
+    layout=f"<{LMP_RECORD_MAC_LEN}s{LMP_RECORD_PAYLOAD_LEN}s",
+)
 class LmpLogRecord:
     """One Classic link-layer PDU mirrored to the host.
 
@@ -314,8 +358,12 @@ class LmpLogRecord:
             )
         return self.low_mac + self.payload
 
+    @classmethod
+    def _from_fields(cls, code: DiagCode, low_mac: bytes, payload: bytes) -> "LmpLogRecord":
+        return cls(code == DiagCode.LMP_SENT, low_mac, payload)
 
-@dataclass(frozen=True)
+
+@_message(DiagCode.LCP_SENT, DiagCode.LCP_RECEIVED)
 class LcpLogRecord:
     """One BLE link-layer PDU mirrored to the host, with the peer's full
     6-octet MAC.  Wire form: MAC + payload length octet + payload."""
@@ -342,8 +390,24 @@ class LcpLogRecord:
             )
         return self.full_mac + bytes([len(self.payload)]) + self.payload
 
+    @classmethod
+    def _parse(cls, code: DiagCode, payload: bytes) -> "LcpLogRecord":
+        header = 1 + LCP_RECORD_MAC_LEN  # code octet and MAC; the length octet follows
+        if len(payload) <= header:
+            raise MalformedBody(code, "LCP record header truncated")
+        length = payload[header]
+        _require(code, payload, header + length)
+        body = payload[header + 1 : header + 1 + length]
+        return cls(code == DiagCode.LCP_SENT, payload[1:header], body)
 
-@dataclass(frozen=True)
+
+# Body layout per statistics response: its counters, 32 bits each.
+_STATS_LAYOUTS = {
+    kind: struct.Struct(f"<{len(fields)}I") for kind, fields in STATS_FIELDS.items()
+}
+
+
+@_message(*STATS_FIELDS)
 class StatsResponse:
     """Counter blob for one statistics kind, decoded per STATS_FIELDS."""
 
@@ -365,10 +429,16 @@ class StatsResponse:
             raise InvariantViolation(
                 f"{self.kind.name} takes {len(fields)} counters, got {len(self.values)}"
             )
-        return struct.pack(f"<{len(self.values)}I", *self.values)
+        return _STATS_LAYOUTS[self.kind].pack(*self.values)
+
+    @classmethod
+    def _parse(cls, code: DiagCode, payload: bytes) -> "StatsResponse":
+        layout = _STATS_LAYOUTS[code]
+        _require(code, payload, layout.size)
+        return cls(code, layout.unpack_from(payload, 1))
 
 
-@dataclass(frozen=True)
+@_message(*sorted(STATS_REQUEST_CODES), layout="")
 class StatsRequest:
     kind: DiagCode
 
@@ -380,6 +450,10 @@ class StatsRequest:
         if self.kind not in STATS_REQUEST_CODES:
             raise InvariantViolation(f"{self.kind!r} is not a statistics request")
         return b""
+
+    @classmethod
+    def _from_fields(cls, code: DiagCode) -> "StatsRequest":
+        return cls(code)
 
 
 DiagMessage = (
@@ -405,16 +479,6 @@ def build_diag(msg: DiagMessage) -> bytes:
     return bytes([msg.code]) + msg.body()
 
 
-def _require(code: DiagCode, body: bytes, n: int) -> bytes:
-    """Cut an n-octet body, demanding that everything past it is zero
-    padding from the envelope."""
-    if len(body) < n:
-        raise MalformedBody(code, f"body shorter than {n} octets")
-    if any(body[n:]):
-        raise MalformedBody(code, "nonzero octets past the defined body")
-    return body[:n]
-
-
 def parse_diag(payload: bytes) -> DiagMessage:
     """Decode one diagnostic message from an envelope payload.
 
@@ -422,88 +486,7 @@ def parse_diag(payload: bytes) -> DiagMessage:
     """
     if not payload:
         raise MalformedBody(-1, "empty diagnostic payload")
-    raw_code = payload[0]
-    try:
-        code = DiagCode(raw_code)
-    except ValueError:
-        raise UnknownDiagCode(raw_code) from None
-    body = payload[1:]
-
-    if code is DiagCode.TOGGLE_LMP_LOGGING:
-        (flag,) = _require(code, body, 1)
-        if flag not in (0, 1):
-            raise MalformedBody(code, f"logging flag must be 0x00/0x01, got 0x{flag:02x}")
-        return ToggleLmpLogging(bool(flag))
-
-    if code is DiagCode.MEMORY_PEEK:
-        cut = _require(code, body, 5)
-        access, address = struct.unpack("<BI", cut)
-        if access not in (MemAccessType.ARM, MemAccessType.BLUERF):
-            raise MalformedBody(code, f"bad access type 0x{access:02x}")
-        return MemoryPeek(MemAccessType(access), address)
-
-    if code is DiagCode.MEMORY_POKE:
-        cut = _require(code, body, 6)
-        access, address, value = struct.unpack("<BIB", cut)
-        if access not in (MemAccessType.ARM, MemAccessType.BLUERF):
-            raise MalformedBody(code, f"bad access type 0x{access:02x}")
-        return MemoryPoke(MemAccessType(access), address, value)
-
-    if code is DiagCode.MEMORY_HEXDUMP:
-        cut = _require(code, body, 5)
-        access, address = struct.unpack("<BI", cut)
-        if access != MemAccessType.HEXDUMP_ARM:
-            raise MalformedBody(
-                code, f"hexdump access type must be 0x04, got 0x{access:02x}"
-            )
-        return MemoryHexdump(address)
-
-    if code is DiagCode.PEEK_RESPONSE:
-        status, value = _require(code, body, 2)
-        return PeekResponse(status, value)
-
-    if code is DiagCode.POKE_RESPONSE:
-        (status,) = _require(code, body, 1)
-        return PokeResponse(status)
-
-    if code is DiagCode.HEXDUMP_RESPONSE:
-        cut = _require(code, body, 4 + HEXDUMP_DATA_LEN)
-        (address,) = struct.unpack_from("<I", cut)
-        return HexdumpResponse(address, cut[4:])
-
-    if code is DiagCode.RUN_TEST:
-        return RunTest(TestParams.unpack(_require(code, body, 8)))
-
-    if code is DiagCode.TEST_COMPLETED:
-        status, tx, reserved, rx = struct.unpack("<BHHH", _require(code, body, 7))
-        return TestCompleted(status, tx, rx, reserved)
-
-    if code in (DiagCode.LMP_SENT, DiagCode.LMP_RECEIVED):
-        cut = _require(code, body, LMP_RECORD_MAC_LEN + LMP_RECORD_PAYLOAD_LEN)
-        return LmpLogRecord(
-            sent=code is DiagCode.LMP_SENT,
-            low_mac=cut[:LMP_RECORD_MAC_LEN],
-            payload=cut[LMP_RECORD_MAC_LEN:],
-        )
-
-    if code in (DiagCode.LCP_SENT, DiagCode.LCP_RECEIVED):
-        if len(body) < LCP_RECORD_MAC_LEN + 1:
-            raise MalformedBody(code, "LCP record header truncated")
-        length = body[LCP_RECORD_MAC_LEN]
-        cut = _require(code, body, LCP_RECORD_MAC_LEN + 1 + length)
-        return LcpLogRecord(
-            sent=code is DiagCode.LCP_SENT,
-            full_mac=cut[:LCP_RECORD_MAC_LEN],
-            payload=cut[LCP_RECORD_MAC_LEN + 1 :],
-        )
-
-    if code in STATS_FIELDS:
-        fields = STATS_FIELDS[code]
-        cut = _require(code, body, 4 * len(fields))
-        return StatsResponse(code, struct.unpack(f"<{len(fields)}I", cut))
-
-    if code in STATS_REQUEST_CODES:
-        _require(code, body, 0)
-        return StatsRequest(code)
-
-    raise UnknownDiagCode(raw_code)  # pragma: no cover - enum is total
+    parse = _PARSERS.get(payload[0])
+    if parse is None:
+        raise UnknownDiagCode(payload[0])
+    return parse(payload)

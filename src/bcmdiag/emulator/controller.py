@@ -22,35 +22,21 @@ from enum import Enum
 from importlib import resources
 from typing import Callable
 
-from .. import hci
+from .. import diag, hci, ll
 from ..diag import (
-    DiagCode,
-    DiagMessage,
-    HexdumpResponse,
     HEXDUMP_DATA_LEN,
     LMP_RECORD_PAYLOAD_LEN,
-    LcpLogRecord,
-    LmpLogRecord,
-    MemAccessType,
-    MemoryHexdump,
-    MemoryPeek,
-    MemoryPoke,
-    PeekResponse,
-    PokeResponse,
     RESPONSE_FOR_REQUEST,
-    RunTest,
     STATS_FIELDS,
-    StatsRequest,
-    StatsResponse,
-    TestCompleted,
-    ToggleLmpLogging,
+    DiagCode,
+    DiagMessage,
+    MemAccessType,
     build_diag,
     code_direction,
     parse_diag,
 )
 from ..errors import BcmDiagError
 from ..h4 import Direction, H4Frame, H4Type, HciCommand, HciEvent
-from .. import ll
 from .link import KIND_ACL, KIND_LCP, KIND_LMP, KIND_RESET, VirtualLink
 from .memory import MemoryImage
 from .profiles import HandlerAction, SecurityProfile, patched_profile
@@ -60,16 +46,23 @@ MAX_HANDLE = 0x0EFF
 # Controller-to-host frames held until the host next sends something; a
 # controller that never gets host input keeps only the newest ones.
 HOST_OUT_MAX = 1024
+# Audit notes kept, newest last; older ones fall out.
+AUDIT_MAX = 1024
 
 # Feature masks advertised during setup; arbitrary but fixed so streams
 # stay byte-stable.
 CLASSIC_FEATURES = bytes.fromhex("bffecffedbff7b87")
 LE_FEATURES = bytes.fromhex("1f00000000000000")
+# Version, company and subversion, the same for LMP and LL.
 LMP_VERSION_PARAMS = struct.pack("<BHH", 0x09, 0x000F, 0x2209)
-LL_VERSION_PARAMS = struct.pack("<BHH", 0x09, 0x000F, 0x2209)
 IO_CAPABILITY_PARAMS = b"\x01\x00\x03"  # display yes/no, no OOB, MITM+bonding
 
 TapFn = Callable[[Direction, H4Frame, int], None]
+
+# Members read per frame, as plain names: a read through the enum class
+# takes the enum metaclass's __getattr__ hook, about 0.15 us on 3.11.
+_TO_CONTROLLER, _TO_HOST = Direction
+_HCI_COMMAND, _DIAG = H4Type.HCI_COMMAND, H4Type.DIAG
 
 
 class Role(Enum):
@@ -134,7 +127,7 @@ _LMP_SCRIPT_PARAMS = {
 _LCP_SCRIPT_PARAMS = {
     "LL_FEATURE_REQ": LE_FEATURES,
     "LL_FEATURE_RSP": LE_FEATURES,
-    "LL_VERSION_IND": LL_VERSION_PARAMS,
+    "LL_VERSION_IND": LMP_VERSION_PARAMS,
 }
 
 
@@ -224,8 +217,8 @@ class StatsStore:
     def bump(self, kind: DiagCode, field: str, delta: int = 1) -> None:
         self._counters[kind][STATS_FIELDS[kind].index(field)] += delta
 
-    def response(self, kind: DiagCode) -> StatsResponse:
-        return StatsResponse(kind, tuple(self._counters[kind]))
+    def response(self, kind: DiagCode) -> diag.StatsResponse:
+        return diag.StatsResponse(kind, tuple(self._counters[kind]))
 
     def reset_br_acl(self) -> None:
         self._counters[DiagCode.BR_ACL_STATS] = [0] * len(
@@ -262,7 +255,7 @@ class Controller:
         self.test_mode_active = False
         self.connections: dict[int, Connection] = {}
         self.stats = StatsStore()
-        self.audit: list[str] = []
+        self.audit: deque[str] = deque(maxlen=AUDIT_MAX)
         self._host_out: deque[H4Frame] = deque(maxlen=HOST_OUT_MAX)
         self._taps: list[TapFn] = []
         self._next_handle = FIRST_HANDLE
@@ -274,13 +267,17 @@ class Controller:
         boundary, both directions, with its logical tick."""
         self._taps.append(fn)
 
+    def remove_tap(self, fn: TapFn) -> None:
+        if fn in self._taps:
+            self._taps.remove(fn)
+
     def _tap(self, direction: Direction, frame: H4Frame) -> None:
         for fn in self._taps:
             fn(direction, frame, self.clock)
 
     def _emit(self, frame: H4Frame) -> None:
         self._host_out.append(frame)
-        self._tap(Direction.CONTROLLER_TO_HOST, frame)
+        self._tap(_TO_HOST, frame)
 
     def _emit_event(self, code: int, params: bytes) -> None:
         self._emit(HciEvent(code, params).to_frame())
@@ -359,10 +356,10 @@ class Controller:
 
     def handle_host_frame(self, frame: H4Frame) -> None:
         self.clock += 1
-        self._tap(Direction.HOST_TO_CONTROLLER, frame)
-        if frame.h4_type is H4Type.HCI_COMMAND:
+        self._tap(_TO_CONTROLLER, frame)
+        if frame.h4_type is _HCI_COMMAND:
             self._handle_hci_command(HciCommand.from_frame(frame))
-        elif frame.h4_type is H4Type.DIAG:
+        elif frame.h4_type is _DIAG:
             try:
                 msg = parse_diag(frame.payload)
             except BcmDiagError as exc:
@@ -605,43 +602,38 @@ class Controller:
     # ----- diagnostic surface ------------------------------------------------
 
     def handle_diag(self, msg: DiagMessage) -> list[DiagMessage]:
+        handler = self._DIAG_HANDLERS.get(msg.__class__)
+        if handler is not None:
+            return handler(self, msg)
         if code_direction(msg.code) is not Direction.HOST_TO_CONTROLLER:
             self._note(f"host sent controller->host diag code 0x{msg.code:02x}")
-            return []
-
-        if isinstance(msg, ToggleLmpLogging):
-            self.diag_log_enabled = msg.enable
-            return []
-
-        if isinstance(msg, MemoryPeek):
-            value = self.memory.read(msg.access, msg.address)
-            if value is None:
-                return [PeekResponse(status=0x01, value=0)]
-            return [PeekResponse(status=0x00, value=value)]
-
-        if isinstance(msg, MemoryPoke):
-            ok = self.memory.write(msg.access, msg.address, msg.value)
-            return [PokeResponse(status=0x00 if ok else 0x01)]
-
-        if isinstance(msg, MemoryHexdump):
-            data = self.memory.read_block(
-                MemAccessType.HEXDUMP_ARM, msg.address, HEXDUMP_DATA_LEN
-            )
-            if data is None:
-                self._note(f"hexdump outside ARM regions: 0x{msg.address:08x}")
-                data = bytes(HEXDUMP_DATA_LEN)
-            return [HexdumpResponse(msg.address, data)]
-
-        if isinstance(msg, StatsRequest):
-            return self._handle_stats_request(msg.kind)
-
-        if isinstance(msg, RunTest):
-            return [self._run_test(msg)]
-
-        self._note(f"unhandled diag code 0x{msg.code:02x}")
+        else:
+            self._note(f"unhandled diag code 0x{msg.code:02x}")
         return []
 
-    def _handle_stats_request(self, kind: DiagCode) -> list[DiagMessage]:
+    def _diag_toggle_logging(self, msg: diag.ToggleLmpLogging) -> list[DiagMessage]:
+        self.diag_log_enabled = msg.enable
+        return []
+
+    def _diag_peek(self, msg: diag.MemoryPeek) -> list[DiagMessage]:
+        value = self.memory.read(msg.access, msg.address)
+        if value is None:
+            return [diag.PeekResponse(status=0x01, value=0)]
+        return [diag.PeekResponse(status=0x00, value=value)]
+
+    def _diag_poke(self, msg: diag.MemoryPoke) -> list[DiagMessage]:
+        ok = self.memory.write(msg.access, msg.address, msg.value)
+        return [diag.PokeResponse(status=0x00 if ok else 0x01)]
+
+    def _diag_hexdump(self, msg: diag.MemoryHexdump) -> list[DiagMessage]:
+        data = self.memory.read_block(MemAccessType.HEXDUMP_ARM, msg.address, HEXDUMP_DATA_LEN)
+        if data is None:
+            self._note(f"hexdump outside ARM regions: 0x{msg.address:08x}")
+            data = bytes(HEXDUMP_DATA_LEN)
+        return [diag.HexdumpResponse(msg.address, data)]
+
+    def _diag_stats(self, msg: diag.StatsRequest) -> list[DiagMessage]:
+        kind = msg.kind
         if kind is DiagCode.RESET_BR_ACL_STATS:
             self.stats.reset_br_acl()
             return []
@@ -649,38 +641,37 @@ class Controller:
             return [self.stats.response(RESPONSE_FOR_REQUEST[kind])]
         # One record per live connection; the CPU load piggybacks on
         # this request because no dedicated getter code exists.
-        out: list[DiagMessage] = []
-        for conn in sorted(self.connections.values(), key=lambda c: c.handle):
-            out.append(
-                StatsResponse(
-                    DiagCode.CONNECTION_RESPONSE,
-                    (
-                        conn.handle,
-                        struct.unpack("<I", hci.low_mac(conn.peer_mac))[0],
-                        conn.role.value,
-                        conn.phase.value,
-                    ),
-                )
+        out: list[DiagMessage] = [
+            diag.StatsResponse(
+                DiagCode.CONNECTION_RESPONSE,
+                (c.handle, struct.unpack("<I", hci.low_mac(c.peer_mac))[0], c.role.value, c.phase.value),
             )
-        out.append(
-            StatsResponse(
-                DiagCode.CPU_LOAD_RESPONSE, (5 * len(self.connections),)
-            )
-        )
+            for c in sorted(self.connections.values(), key=lambda c: c.handle)
+        ]
+        out.append(diag.StatsResponse(DiagCode.CPU_LOAD_RESPONSE, (5 * len(self.connections),)))
         return out
 
-    def _run_test(self, msg: RunTest) -> TestCompleted:
+    def _diag_run_test(self, msg: diag.RunTest) -> list[DiagMessage]:
         """Simulate a radio test run: one packet per tick for the
         configured packet budget.  A linked peer loops every packet
         back; with no peer on the air nothing is received."""
         if not msg.params.is_valid:
-            return TestCompleted(status=0x01, tx_count=0, rx_count=0)
+            return [diag.TestCompleted(status=0x01, tx_count=0, rx_count=0)]
         count = self.test_packet_count
-        linked = self.link is not None
         self.clock += count
-        return TestCompleted(
-            status=0x00, tx_count=count, rx_count=count if linked else 0
-        )
+        rx_count = count if self.link is not None else 0
+        return [diag.TestCompleted(status=0x00, tx_count=count, rx_count=rx_count)]
+
+    # Host-to-controller message class -> handler, built once with the
+    # class; the host may not send the other classes.
+    _DIAG_HANDLERS = {
+        diag.ToggleLmpLogging: _diag_toggle_logging,
+        diag.MemoryPeek: _diag_peek,
+        diag.MemoryPoke: _diag_poke,
+        diag.MemoryHexdump: _diag_hexdump,
+        diag.StatsRequest: _diag_stats,
+        diag.RunTest: _diag_run_test,
+    }
 
     # ----- air link ------------------------------------------------------------
 
@@ -742,12 +733,12 @@ class Controller:
         # the documented chip quirk, and the fixed envelope leaves no
         # way to carry a true length for sent PDUs either.
         padded = pdu.ljust(LMP_RECORD_PAYLOAD_LEN, b"\x00")[:LMP_RECORD_PAYLOAD_LEN]
-        self._emit_diag(LmpLogRecord(sent=sent, low_mac=hci.low_mac(peer_mac), payload=padded))
+        self._emit_diag(diag.LmpLogRecord(sent=sent, low_mac=hci.low_mac(peer_mac), payload=padded))
 
     def _log_lcp(self, sent: bool, peer_mac: bytes, pdu: bytes) -> None:
         if not self.diag_log_enabled:
             return
-        self._emit_diag(LcpLogRecord(sent=sent, full_mac=peer_mac, payload=pdu))
+        self._emit_diag(diag.LcpLogRecord(sent=sent, full_mac=peer_mac, payload=pdu))
 
     # ----- sending ---------------------------------------------------------------
 

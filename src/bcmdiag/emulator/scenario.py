@@ -68,9 +68,8 @@ class LocalSession(Session):
 
     def _tap(self, direction: Direction, frame: H4Frame, tick: int) -> None:
         self.record_frame(direction, frame)
-        if direction is Direction.CONTROLLER_TO_HOST:
-            with self._lock:
-                self._queue_frames([frame])
+        with self._lock:
+            self._queue_records([(direction, frame)])
         if self.live_view and self._on_line is not None:
             from ..capture import CaptureRecord, render_live
 

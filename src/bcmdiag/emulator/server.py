@@ -37,7 +37,9 @@ class _SniffFanout:
 
     def __init__(self) -> None:
         self._backlogs: dict[socket.socket, bytearray] = {}
-        self._cond = threading.Condition()
+        # publish enters the lock itself, cheaper than the Condition's __enter__
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self.dropped = 0  # clients cut off for falling behind
 
     def __bool__(self) -> bool:  # any client attached
@@ -52,7 +54,7 @@ class _SniffFanout:
             self._backlogs.pop(client, None)
 
     def publish(self, data: bytes) -> None:
-        with self._cond:
+        with self._lock:
             wake = False
             behind = []
             for client, backlog in self._backlogs.items():
@@ -100,13 +102,19 @@ class ControllerEndpoint:
         self.sniff_port = sniff_port
         self.inject_port = inject_port
         self.fanout = _SniffFanout()
-        controller.add_tap(self._tap)
-        self._sniff_sock = self._listen(sniff_port)
-        self._inject_sock = self._listen(inject_port)
+        # create_server closes its socket when the bind fails.
+        self._sniff_sock = socket.create_server((host, sniff_port), backlog=8)
+        try:
+            self._inject_sock = socket.create_server((host, inject_port), backlog=8)
+        except OSError:
+            self._sniff_sock.close()
+            raise
         self._threads: list[threading.Thread] = []
         self._clients: set[socket.socket] = set()
         self._clients_lock = threading.Lock()
         self._stop = threading.Event()
+        # Last, so a failed bind leaves the controller untouched.
+        controller.add_tap(self._tap)
 
     def _track(self, client: socket.socket) -> None:
         with self._clients_lock:
@@ -116,15 +124,8 @@ class ControllerEndpoint:
         with self._clients_lock:
             self._clients.discard(client)
 
-    def _listen(self, port: int) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, port))
-        sock.listen(8)
-        return sock
-
     def _tap(self, direction: Direction, frame: H4Frame, tick: int) -> None:
-        if self.fanout:
+        if self.fanout._backlogs:  # any client attached
             self.fanout.publish(encode_sniff_record(direction, frame))
 
     def start(self) -> None:
@@ -140,6 +141,7 @@ class ControllerEndpoint:
 
     def stop(self) -> None:
         self._stop.set()
+        self.controller.remove_tap(self._tap)
         for sock in (self._sniff_sock, self._inject_sock):
             try:
                 sock.close()
@@ -206,14 +208,13 @@ class EmulatorServer:
     def __init__(self, world: World, host: str = "127.0.0.1", base_port: int = SNIFF_PORT_BASE):
         self.world = world
         self.endpoints: dict[str, ControllerEndpoint] = {}
-        for index, name in enumerate(world.order):
-            self.endpoints[name] = ControllerEndpoint(
-                world,
-                world[name],
-                host,
-                sniff_port=base_port + 2 * index,
-                inject_port=base_port + 2 * index + 1,
-            )
+        try:
+            for index, name in enumerate(world.order):
+                port = base_port + 2 * index
+                self.endpoints[name] = ControllerEndpoint(world, world[name], host, port, port + 1)
+        except OSError:
+            self.stop()  # release the endpoints already bound
+            raise
 
     def start(self) -> None:
         for endpoint in self.endpoints.values():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 
 from .errors import InvariantViolation, UnknownDirection, UnknownH4Type
 
@@ -43,7 +44,7 @@ class Direction(IntEnum):
 
     @property
     def arrow(self) -> str:
-        return ">>" if self is Direction.HOST_TO_CONTROLLER else "<<"
+        return "<<" if self else ">>"  # CONTROLLER_TO_HOST is 1
 
 
 # Type tag -> (type, header octets after the tag, octets of the
@@ -60,36 +61,58 @@ _FRAMING: dict[int, tuple[H4Type, int, int]] = {
     H4Type.WICED: (H4Type.WICED, DIAG_PAYLOAD_LEN, 0),
 }
 
+_ENVELOPE_TYPES = frozenset(t for t, (_t, _need, width) in _FRAMING.items() if not width)
 _DIRECTIONS = (Direction.HOST_TO_CONTROLLER, Direction.CONTROLLER_TO_HOST)
 
 
-@dataclass(frozen=True)
-class H4Frame:
-    """One transport-framed unit crossing the host/controller boundary."""
+class H4Frame(tuple):
+    """One transport-framed unit crossing the host/controller boundary: an
+    immutable (h4_type, payload) tuple, one allocation to make, equal only to frames."""
 
-    h4_type: H4Type
-    payload: bytes
+    __slots__ = ()
+
+    def __new__(cls, h4_type: H4Type, payload: bytes) -> "H4Frame":
+        return tuple.__new__(cls, (h4_type, payload))
+
+    h4_type = property(itemgetter(0))
+    payload = property(itemgetter(1))
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is H4Frame and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"H4Frame(h4_type={self[0]!r}, payload={self[1]!r})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     @classmethod
     def diag(cls, body: bytes, h4_type: H4Type = H4Type.DIAG) -> "H4Frame":
         """Wrap a diagnostic (or other vendor-channel) body, zero padding
         it to the fixed envelope size."""
-        if h4_type not in (H4Type.DIAG, H4Type.MSG_QUEUE_PUT, H4Type.WICED):
+        if h4_type not in _ENVELOPE_TYPES:
             raise InvariantViolation(f"{h4_type!r} is not an envelope channel")
         if len(body) > DIAG_PAYLOAD_LEN:
             raise InvariantViolation(
                 f"vendor-channel body of {len(body)} octets exceeds "
                 f"the {DIAG_PAYLOAD_LEN}-octet envelope"
             )
-        return cls(h4_type, bytes(body).ljust(DIAG_PAYLOAD_LEN, b"\x00"))
+        return tuple.__new__(cls, (h4_type, bytes(body).ljust(DIAG_PAYLOAD_LEN, b"\x00")))
 
     def validate(self) -> None:
-        _type, need, width = _FRAMING[self.h4_type]
-        p = self.payload
+        h4_type, p = self
+        _type, need, width = _FRAMING[h4_type]
+        if not width and len(p) == need:
+            return  # a full envelope
         expected = need + int.from_bytes(p[need - width : need], "little")
         if len(p) < need or expected != len(p):
             raise InvariantViolation(
-                f"{self.h4_type.name} payload of {len(p)} octets disagrees with "
+                f"{h4_type.name} payload of {len(p)} octets disagrees with "
                 f"its length field (expected {expected if len(p) >= need else need})"
             )
 
@@ -112,6 +135,7 @@ def _decode(
     i = 0
     n = len(buf)
     framing = _FRAMING
+    new_frame = tuple.__new__
     with memoryview(buf) as view:
         while i < n and limit != len(out):
             p = i + prefixed
@@ -133,7 +157,7 @@ def _decode(
                 end += buf[end - 2] | buf[end - 1] << 8
             if end > n:
                 break  # partial body
-            frame = H4Frame(h4_type, view[p + 1 : end].tobytes())
+            frame = new_frame(H4Frame, (h4_type, view[p + 1 : end].tobytes()))
             out.append((_DIRECTIONS[buf[i]], frame) if prefixed else frame)
             i = end
     return out, i

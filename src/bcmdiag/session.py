@@ -61,6 +61,7 @@ USAGE = {
 PENDING_MAX = 1024
 # Frames kept in Session.last_emitted, oldest first.
 EMITTED_MAX = 32
+UNECHOED_MAX = 64  # sent frames whose echo a session still waits for
 
 _ACCESS = {"arm": MemAccessType.ARM, "bluerf": MemAccessType.BLUERF}
 
@@ -97,12 +98,14 @@ class Session:
 
     Subclasses provide the transport: ``_send`` pushes one frame down
     the inject path, and whatever delivers controller-to-host frames
-    hands them to ``_queue_frames``.  ``wait_frame`` returns the oldest
-    queued frame matching a predicate, taken with ``_take_frame``; both
-    helpers run under ``lock``, the subclass's transport lock.  A
-    command's answer is matched only against frames that arrive after
-    it was sent: ``send_frame`` drops what is still queued.  At most
-    one capture sink is active per session.
+    hands every sniffed record to ``_queue_records``.  ``wait_frame``
+    returns the oldest queued frame matching a predicate, taken with
+    ``_take_frame``; both helpers run under ``lock``, the subclass's
+    transport lock.  A command's answer is matched only against the
+    controller-to-host frames that follow the echo of one of this
+    session's sends (other sessions may share the controller) and that
+    arrive after it was sent: ``send_frame`` drops what is still queued.
+    At most one capture sink is active per session.
     """
 
     default_timeout = 2.0
@@ -118,6 +121,8 @@ class Session:
         self._lock = lock
         self._pending: deque[H4Frame] = deque(maxlen=PENDING_MAX)
         self._queued = 0  # frames ever queued, evicted and taken ones too
+        self._unechoed: deque[H4Frame] = deque(maxlen=UNECHOED_MAX)
+        self._answering = False  # the latest echo was one of our sends
 
     # transport hooks -------------------------------------------------
     def _send(self, frame: H4Frame) -> None:
@@ -138,15 +143,26 @@ class Session:
             raise SessionError("inject stream is down; command rejected")
         with self._lock:
             self._pending.clear()
+            self._unechoed.append(frame)
         self.last_emitted.append(frame)
         self._send(frame)
 
-    def _queue_frames(self, frames: list[H4Frame]) -> None:
-        """Hold controller-to-host frames for response matching; the
-        oldest fall out once PENDING_MAX are held.  Caller holds the
-        session lock."""
-        self._pending.extend(frames)
-        self._queued += len(frames)
+    def _queue_records(self, records: list[tuple[Direction, H4Frame]]) -> int:
+        """Queue for response matching the controller-to-host frames that
+        follow the echo of one of this session's sends, the oldest falling
+        out past PENDING_MAX; returns how many.  Caller holds the lock."""
+        before = self._queued
+        for direction, frame in records:
+            if direction is Direction.HOST_TO_CONTROLLER:
+                # Echoes come back in send order; sends whose echo was
+                # missed go with the first later one seen.
+                self._answering = frame in self._unechoed
+                while self._answering and self._unechoed.popleft() != frame:
+                    pass
+            elif self._answering:
+                self._pending.append(frame)
+                self._queued += 1
+        return self._queued - before
 
     def _take_frame(
         self, pred: Callable[[H4Frame], bool], since: int = 0

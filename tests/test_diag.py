@@ -4,6 +4,7 @@ vocabulary, round trips, malformed input."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcmdiag.diag import (
     DiagCode,
@@ -28,9 +29,10 @@ from bcmdiag.diag import (
     code_direction,
     parse_diag,
 )
-from bcmdiag.errors import InvariantViolation, MalformedBody, UnknownDiagCode
-from bcmdiag.h4 import Direction
+from bcmdiag.errors import BcmDiagError, InvariantViolation, MalformedBody, UnknownDiagCode
+from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction
 
+from diag_reference import reference_parse_diag
 from helpers import random_diag_message
 
 ALL_CODES = sorted(DiagCode)
@@ -216,3 +218,66 @@ class TestSemanticValidity:
     def test_valid_range(self):
         assert TestParams(tx_frequency=78, rx_frequency=0, payload_length=1021).is_valid
         assert not TestParams(payload_length=1022).is_valid
+
+
+def _outcome(parse, payload: bytes):
+    """The message ``parse`` returns, or the class, text and code of what
+    it raises."""
+    try:
+        return parse(payload)
+    except BcmDiagError as exc:
+        return type(exc), str(exc), exc.code
+
+
+def _padded(payload: bytes, padding: bytes) -> bytes:
+    return payload + padding[: max(0, DIAG_PAYLOAD_LEN - len(payload))]
+
+
+# No padding, zero padding to the envelope, or random octets past the body.
+_PADDING = st.one_of(
+    st.just(b""), st.just(bytes(DIAG_PAYLOAD_LEN)), st.binary(min_size=62, max_size=62)
+)
+
+
+class TestRegistryMatchesLadder:
+    """The code -> layout registry behind parse_diag against the if-ladder
+    it replaced (tests/diag_reference.py)."""
+
+    def test_empty_payload(self):
+        assert _outcome(parse_diag, b"") == _outcome(reference_parse_diag, b"")
+
+    def test_every_body_length(self):
+        """Each code with every body length, a small first octet and the
+        rest zero or repeating it: the length and value boundaries."""
+        for code in ALL_CODES + [0x02, 0x7F, 0xEE, 0xFF]:
+            for length in range(63):
+                for first in (0x00, 0x01, 0x02, 0x03, 0x04, 0x06, 0xFF):
+                    for rest in (0x00, first):
+                        payload = bytes([code, first] + [rest] * (length - 1))[: length + 1]
+                        assert _outcome(parse_diag, payload) == _outcome(
+                            reference_parse_diag, payload
+                        ), payload.hex()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        code=st.one_of(st.sampled_from(ALL_CODES), st.integers(0, 255)),
+        body=st.binary(max_size=62),
+        padding=_PADDING,
+    )
+    def test_any_code_and_body(self, code, body, padding):
+        payload = _padded(bytes([code]) + body, padding)
+        assert _outcome(parse_diag, payload) == _outcome(reference_parse_diag, payload)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        octet=st.integers(0, 255),
+        position=st.integers(0, 62),
+        padding=_PADDING,
+    )
+    def test_one_octet_off_a_valid_message(self, seed, octet, position, padding):
+        wire = bytearray(_padded(build_diag(random_diag_message(random.Random(seed))), padding))
+        if position < len(wire):
+            wire[position] = octet
+        payload = bytes(wire)
+        assert _outcome(parse_diag, payload) == _outcome(reference_parse_diag, payload)

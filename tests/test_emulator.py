@@ -271,6 +271,16 @@ class TestDiagSurface:
         assert ctrl.snapshot() == before
         assert any("WICED" in note for note in ctrl.audit)
 
+    def test_audit_keeps_the_newest_notes(self):
+        from bcmdiag.emulator.controller import AUDIT_MAX
+
+        ctrl = Controller(MAC_A)
+        frame = H4Frame.diag(b"\x01", h4_type=H4Type.MSG_QUEUE_PUT)
+        for _ in range(10_000):
+            ctrl.process_host_frame(frame)
+        assert len(ctrl.audit) <= AUDIT_MAX
+        assert ctrl.audit[-1] == f"[{ctrl.clock}] opaque MSG_QUEUE_PUT frame (63 octets)"
+
     def test_hexdump_partially_out_of_region_is_zeros(self):
         from bcmdiag.emulator.memory import ARM_SIZE
 

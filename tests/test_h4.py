@@ -63,6 +63,44 @@ class TestFixtures:
         assert encode_frame(frame)[:3] == b"\x07\xf0\x01"
 
 
+class TestFrameValue:
+    """H4Frame is an immutable value: equal frames hash equal, it equals
+    only other frames, and its repr names its fields."""
+
+    def test_equal_frames_hash_equal(self):
+        a = H4Frame(H4Type.DIAG, bytes(63))
+        b = decode_stream(encode_frame(a))[0][0]
+        assert a == b and not a != b
+        assert hash(a) == hash(b) == hash((H4Type.DIAG, bytes(63)))
+        assert len({a, b}) == 1
+        assert a != H4Frame(H4Type.DIAG, bytes(62) + b"\x01")
+
+    def test_not_equal_to_its_fields(self):
+        frame = H4Frame(H4Type.HCI_EVENT, b"\x0e\x00")
+        for other in ((H4Type.HCI_EVENT, b"\x0e\x00"), [H4Type.HCI_EVENT, b"\x0e\x00"], None):
+            assert frame != other and other != frame
+            assert not frame == other and not other == frame
+
+    def test_attributes_are_read_only(self):
+        frame = H4Frame(H4Type.HCI_EVENT, b"\x0e\x00")
+        for attr in ("h4_type", "payload", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(frame, attr, b"")
+        assert frame.payload == b"\x0e\x00"
+
+    def test_repr(self):
+        assert repr(H4Frame(H4Type.DIAG, b"\x01")) == (
+            "H4Frame(h4_type=<H4Type.DIAG: 7>, payload=b'\\x01')"
+        )
+
+    def test_copies_and_keywords(self):
+        import copy
+        import pickle
+
+        frame = H4Frame(payload=b"\x0e\x00", h4_type=H4Type.HCI_EVENT)
+        assert copy.copy(frame) == pickle.loads(pickle.dumps(frame)) == frame
+
+
 class TestErrors:
     def test_unknown_type_offset(self):
         stream = READ_LOCAL_VERSION + b"\x55"

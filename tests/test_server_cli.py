@@ -1,5 +1,6 @@
 """Stream servers and the socket client, over real loopback TCP."""
 
+import gc
 import io
 import os
 import random
@@ -8,6 +9,7 @@ import struct
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -18,7 +20,14 @@ from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag
 from bcmdiag.emulator.memory import ARM_BASE
 from bcmdiag.emulator.scenario import build_world
 from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout
-from bcmdiag.h4 import Direction, H4Frame, H4Type, HciCommand, decode_one, encode_frame
+from bcmdiag.h4 import (
+    Direction,
+    H4Frame,
+    H4StreamDecoder,
+    H4Type,
+    HciCommand,
+    encode_frame,
+)
 
 from helpers import read_pcapng
 
@@ -246,6 +255,77 @@ class TestConcurrentSessions:
         assert errors == []
 
 
+class TestSessionsShareAController:
+    def test_each_session_matches_only_its_own_answers(self, served_world):
+        """Two sessions on one controller each poke their own address and
+        peek it from their own threads; every controller-to-host frame
+        reaches both sniff streams, and each must match only the answers
+        that follow the echo of its own command."""
+        _world, server = served_world
+        sessions = [_session(server, "A") for _ in range(2)]
+        wrong = [0, 0]
+        errors: list[str] = []
+
+        def drive(index: int) -> None:
+            session = sessions[index]
+            address, value = 0x200100 + index, 0x11 * (index + 1)
+            try:
+                assert session.execute(f"poke arm {address:x} {value:x}")[0]
+                for _ in range(300):
+                    ok, lines = session.execute(f"peek arm {address:x}")
+                    wrong[index] += lines != [f"0x{address:08x} = 0x{value:02x}"]
+            except Exception as exc:  # reported by the assertion below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            for session in sessions:
+                session.close()
+        assert errors == []
+        assert wrong == [0, 0]
+
+
+class TestEndpointBinding:
+    @pytest.mark.parametrize("taken", [1, 3])
+    def test_failed_bind_releases_everything(self, taken):
+        """With port base+taken in use, building the server fails and
+        leaves every port free and no controller tapped."""
+        world = build_world(TOPOLOGY)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _attempt in range(20):
+                blocker = socket.create_server(("127.0.0.1", 0))
+                base = blocker.getsockname()[1] - taken
+                try:
+                    for port in range(base, base + taken):
+                        socket.create_server(("127.0.0.1", port)).close()
+                except OSError:
+                    blocker.close()
+                    continue
+                break
+            else:
+                pytest.fail("no free port window")
+            try:
+                with pytest.raises(OSError):
+                    EmulatorServer(world, base_port=base)
+                for port in range(base, base + taken):
+                    socket.create_server(("127.0.0.1", port)).close()
+            finally:
+                blocker.close()
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert all(world[name]._taps == [] for name in world.order)
+
+
 class TestSniffStreamWire:
     def test_direction_prefixed_frames(self, served_world):
         world, server = served_world
@@ -418,11 +498,14 @@ def _await_subscription(inject, sniff, decoder) -> bytes:
 
 
 class _FakeController:
-    """Inject/sniff listener pair that echoes the attach probe, then
-    writes ``garbage`` to the sniff stream when told to."""
+    """Inject/sniff listener pair that echoes an attach probe, then
+    writes ``garbage`` to the sniff stream when told to.  The first
+    ``lost_probes`` probes get no echo, as when a server has not yet
+    wired its sniff subscriber up."""
 
-    def __init__(self, garbage: bytes):
+    def __init__(self, garbage: bytes, lost_probes: int = 0):
         self.garbage = garbage
+        self.lost_probes = lost_probes
         self.inject_srv = socket.create_server(("127.0.0.1", 0))
         self.sniff_srv = socket.create_server(("127.0.0.1", 0))
         self.send_garbage = threading.Event()
@@ -438,7 +521,10 @@ class _FakeController:
         inject, _ = self.inject_srv.accept()
         sniff, _ = self.sniff_srv.accept()
         self.conns += [inject, sniff]
-        probe, _used = decode_one(inject.recv(4096))
+        decoder, probes = H4StreamDecoder(), []
+        while len(probes) <= self.lost_probes:
+            probes += decoder.feed(inject.recv(4096))
+        probe = probes[self.lost_probes]
         sniff.sendall(bytes([Direction.HOST_TO_CONTROLLER]) + encode_frame(probe))
         self.send_garbage.wait(5.0)
         sniff.sendall(self.garbage)
@@ -446,6 +532,23 @@ class _FakeController:
     def close(self) -> None:
         for sock in self.conns + [self.inject_srv, self.sniff_srv]:
             sock.close()
+
+
+class TestAttach:
+    def test_lost_first_probe_costs_milliseconds(self):
+        fake = _FakeController(b"", lost_probes=1)
+        inject, sniff = fake.endpoints
+        try:
+            t0 = time.monotonic()
+            session = SocketSession(inject, sniff, color=False, out=io.StringIO())
+            elapsed = time.monotonic() - t0
+            session.close()
+        finally:
+            fake.send_garbage.set()
+            fake.thread.join(timeout=5.0)
+            fake.close()
+        assert not fake.thread.is_alive()
+        assert elapsed < 0.05, elapsed
 
 
 class TestSniffStreamErrors:
