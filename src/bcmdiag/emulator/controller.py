@@ -39,7 +39,7 @@ from ..errors import BcmDiagError
 from ..h4 import Direction, H4Frame, H4Type, HciCommand, HciEvent
 from .link import KIND_ACL, KIND_LCP, KIND_LMP, KIND_RESET, VirtualLink
 from .memory import MemoryImage
-from .profiles import HandlerAction, SecurityProfile, patched_profile
+from .profiles import FIREWALL_ALLOWLIST_MAX, HandlerAction, SecurityProfile, patched_profile
 
 FIRST_HANDLE = 0x000B
 MAX_HANDLE = 0x0EFF
@@ -540,9 +540,14 @@ class Controller:
         if len(cmd.params) != 6:
             self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
             return
-        if self.profile.firewall_allowlist is None:
-            self.profile.firewall_allowlist = set()
-        self.profile.firewall_allowlist.add(hci.mac_from_wire(cmd.params))
+        mac = hci.mac_from_wire(cmd.params)
+        allow = self.profile.firewall_allowlist
+        if allow is None:
+            allow = self.profile.firewall_allowlist = set()
+        if mac not in allow and len(allow) >= FIREWALL_ALLOWLIST_MAX:
+            self._complete(cmd.opcode, bytes([hci.ERR_MEMORY_CAPACITY_EXCEEDED]))
+            return
+        allow.add(mac)
         self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
 
     def _cmd_firewall_del(self, cmd: HciCommand) -> None:

@@ -30,6 +30,10 @@ class HandlerAction(Enum):
 
 BPCS_DUT_SUBTYPE = 0x95
 
+# MACs the firewall holds: `firewall show` answers 3 + 3 + 6n octets of
+# event parameters, and an HCI event carries at most 255.
+FIREWALL_ALLOWLIST_MAX = 41
+
 
 @dataclass
 class SecurityProfile:

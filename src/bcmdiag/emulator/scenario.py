@@ -28,7 +28,7 @@ from ..session import Session
 from .controller import Controller
 from .link import attach_air_link
 from .memory import MemoryImage
-from .profiles import PROFILE_FACTORIES
+from .profiles import FIREWALL_ALLOWLIST_MAX, PROFILE_FACTORIES
 
 
 class World:
@@ -79,6 +79,10 @@ class LocalSession(Session):
         with self._lock:
             self._controller.process_host_frame(frame)
 
+    def close(self) -> None:
+        """Stop listening to the controller; a live view or capture ends."""
+        self._controller.remove_tap(self._tap)
+
     def wait_frame(self, pred, timeout=None):
         with self._lock:
             return self._take_frame(pred)
@@ -110,6 +114,8 @@ def build_controller(name: str, opts: dict[str, str], lineno: int = 0) -> Contro
         profile.firewall_allowlist = {
             hci.parse_mac(m) for m in opts.pop("allowlist").split(",") if m
         }
+        if len(profile.firewall_allowlist) > FIREWALL_ALLOWLIST_MAX:
+            raise ScenarioError(lineno, f"allowlist holds at most {FIREWALL_ALLOWLIST_MAX} MACs")
     memory = None
     if "memory" in opts:
         memory = MemoryImage.from_file(opts.pop("memory"))
@@ -178,17 +184,23 @@ def run_scenario(
     sessions: dict[str, LocalSession] = {}
     transcript: list[str] = []
     ok = True
-    for lineno, target, command in commands:
-        if target not in world.controllers:
-            raise ScenarioError(lineno, f"unknown controller {target!r}")
-        session = sessions.get(target)
-        if session is None:
-            session = sessions[target] = LocalSession(world, target, on_line=on_line)
-        line_ok, lines = session.execute(command)
-        ok = ok and line_ok
-        for out in lines:
-            entry = f"{target}: {out}"
-            transcript.append(entry)
-            if on_line is not None:
-                on_line(entry)
+    try:
+        for lineno, target, command in commands:
+            if target not in world.controllers:
+                raise ScenarioError(lineno, f"unknown controller {target!r}")
+            session = sessions.get(target)
+            if session is None:
+                session = sessions[target] = LocalSession(world, target, on_line=on_line)
+            line_ok, lines = session.execute(command)
+            ok = ok and line_ok
+            for out in lines:
+                entry = f"{target}: {out}"
+                transcript.append(entry)
+                if on_line is not None:
+                    on_line(entry)
+    finally:
+        # The controllers outlive the run; its sessions must not keep
+        # listening to every frame they process.
+        for session in sessions.values():
+            session.close()
     return ok, world, transcript

@@ -10,6 +10,9 @@ further controller instance offset by two ports.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import selectors
 import socket
 import sys
 import threading
@@ -21,84 +24,68 @@ from .controller import Controller
 from .scenario import World, run_scenario
 
 SNIFF_PORT_BASE = 8872
-INJECT_PORT_BASE = 8873
-
 
 # Octets a sniff client may fall behind before it is disconnected; a
 # client that silently lost records would mismatch answers instead.
 SNIFF_BACKLOG_MAX = 4 << 20
 
+# Octets one inject read takes, so one busy client cannot starve others.
+RECV_MAX = 64 << 10
+
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+
 
 class _SniffFanout:
     """Broadcasts tap records to every connected sniff client.  Each
-    client has its own byte backlog, which its sender drains with one
-    write, so a slow reader never stalls the emulator or the inject
-    path."""
+    client has its own byte backlog, sent once per flush on a
+    non-blocking socket, so a slow reader never stalls the emulator."""
 
     def __init__(self) -> None:
         self._backlogs: dict[socket.socket, bytearray] = {}
-        # publish enters the lock itself, cheaper than the Condition's __enter__
-        self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
         self.dropped = 0  # clients cut off for falling behind
 
-    def __bool__(self) -> bool:  # any client attached
-        return bool(self._backlogs)
-
     def attach(self, client: socket.socket) -> None:
-        with self._cond:
-            self._backlogs[client] = bytearray()
+        self._backlogs[client] = bytearray()
 
     def detach(self, client: socket.socket) -> None:
-        with self._cond:
-            self._backlogs.pop(client, None)
+        self._backlogs.pop(client, None)
 
     def publish(self, data: bytes) -> None:
-        with self._lock:
-            wake = False
-            behind = []
-            for client, backlog in self._backlogs.items():
-                wake = wake or not backlog
-                backlog += data
-                if len(backlog) > SNIFF_BACKLOG_MAX:
-                    behind.append(client)
-            for client in behind:
-                # Its sender is blocked writing to a client that stopped
-                # reading; shutting the socket down unblocks it.
+        for backlog in self._backlogs.values():
+            backlog += data
+
+    def flush(self) -> list[socket.socket]:
+        """Send each pending backlog once; return the clients left with
+        octets the kernel did not take.  A client left more than
+        SNIFF_BACKLOG_MAX behind is detached, counted and shut down,
+        which its reader sees as the end of the stream."""
+        left = []
+        for client, backlog in list(self._backlogs.items()):
+            if not backlog:
+                continue
+            try:
+                del backlog[: client.send(backlog)]
+            except BlockingIOError:
+                pass
+            except OSError:  # the peer is gone; the loop reads its end
+                backlog.clear()
+            if len(backlog) > SNIFF_BACKLOG_MAX:
                 del self._backlogs[client]
                 self.dropped += 1
-                try:
+                with contextlib.suppress(OSError):
                     client.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-            if wake:
-                self._cond.notify_all()
-
-    def take(self, client: socket.socket, timeout: float) -> bytearray | None:
-        """Everything published for ``client`` since its last take,
-        after waiting up to ``timeout`` for something; None once it is
-        no longer attached."""
-        with self._cond:
-            if self._backlogs.get(client) == b"":  # attached, nothing pending
-                self._cond.wait(timeout)
-            backlog = self._backlogs.get(client)
-            if backlog is not None:
-                self._backlogs[client] = bytearray()
-            return backlog
+            elif backlog:
+                left.append(client)
+        return left
 
 
 class ControllerEndpoint:
-    def __init__(
-        self,
-        world: World,
-        controller: Controller,
-        host: str,
-        sniff_port: int,
-        inject_port: int,
-    ):
-        self.world = world
+    """One controller's sniff and inject listeners and sniff fan-out."""
+
+    def __init__(self, server: EmulatorServer, controller: Controller, host: str,
+                 sniff_port: int, inject_port: int):
+        self.server = server
         self.controller = controller
-        self.host = host
         self.sniff_port = sniff_port
         self.inject_port = inject_port
         self.fanout = _SniffFanout()
@@ -109,125 +96,140 @@ class ControllerEndpoint:
         except OSError:
             self._sniff_sock.close()
             raise
-        self._threads: list[threading.Thread] = []
-        self._clients: set[socket.socket] = set()
-        self._clients_lock = threading.Lock()
-        self._stop = threading.Event()
         # Last, so a failed bind leaves the controller untouched.
         controller.add_tap(self._tap)
-
-    def _track(self, client: socket.socket) -> None:
-        with self._clients_lock:
-            self._clients.add(client)
-
-    def _untrack(self, client: socket.socket) -> None:
-        with self._clients_lock:
-            self._clients.discard(client)
 
     def _tap(self, direction: Direction, frame: H4Frame, tick: int) -> None:
         if self.fanout._backlogs:  # any client attached
             self.fanout.publish(encode_sniff_record(direction, frame))
-
-    def start(self) -> None:
-        for listener, serve in (
-            (self._sniff_sock, self._sniff_client_loop),
-            (self._inject_sock, self._inject_client_loop),
-        ):
-            thread = threading.Thread(
-                target=self._accept_loop, args=(listener, serve), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+            if not self.server._in_pass:  # an in-process session, not the loop
+                self.server._wake()
 
     def stop(self) -> None:
-        self._stop.set()
         self.controller.remove_tap(self._tap)
-        for sock in (self._sniff_sock, self._inject_sock):
-            try:
-                sock.close()
-            except OSError:
-                pass
-        with self._clients_lock:
-            clients = list(self._clients)
-        for client in clients:
-            try:
-                client.close()
-            except OSError:
-                pass
-
-    def _accept_loop(self, listener: socket.socket, serve) -> None:
-        while not self._stop.is_set():
-            try:
-                client, _addr = listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=serve, args=(client,), daemon=True).start()
-
-    def _sniff_client_loop(self, client: socket.socket) -> None:
-        self._track(client)
-        self.fanout.attach(client)
-        try:
-            while not self._stop.is_set():
-                data = self.fanout.take(client, timeout=0.25)
-                if data is None:
-                    return  # cut off for falling behind
-                if data:
-                    client.sendall(data)
-        except OSError:
-            pass
-        finally:
-            self.fanout.detach(client)
-            self._untrack(client)
-            client.close()
-
-    def _inject_client_loop(self, client: socket.socket) -> None:
-        self._track(client)
-        decoder = H4StreamDecoder()
-        try:
-            while not self._stop.is_set():
-                data = client.recv(4096)
-                if not data:
-                    return
-                try:
-                    frames = decoder.feed(data)
-                except BcmDiagError:
-                    # A framing error on a lossless stream means a broken
-                    # client; drop the connection rather than resync.
-                    return
-                for frame in frames:
-                    with self.world.lock:
-                        self.controller.process_host_frame(frame)
-        except OSError:
-            pass
-        finally:
-            self._untrack(client)
-            client.close()
+        self._sniff_sock.close()
+        self._inject_sock.close()
 
 
 class EmulatorServer:
+    """Serves every endpoint from one thread.  Each pass of its loop
+    handles the ready sockets, then sends each sniff client's backlog
+    once, so records leave in the pass that read their frames; a client
+    left with octets gets write interest until its backlog drains."""
+
     def __init__(self, world: World, host: str = "127.0.0.1", base_port: int = SNIFF_PORT_BASE):
         self.world = world
         self.endpoints: dict[str, ControllerEndpoint] = {}
+        self._selector: selectors.BaseSelector | None = None
+        self._wake_pair: tuple[socket.socket, ...] = ()
+        self._thread: threading.Thread | None = None
+        self._in_pass = self._stopping = False
         try:
             for index, name in enumerate(world.order):
                 port = base_port + 2 * index
-                self.endpoints[name] = ControllerEndpoint(world, world[name], host, port, port + 1)
+                self.endpoints[name] = ControllerEndpoint(self, world[name], host, port, port + 1)
+            # After the binds, so a failed one leaves nothing more to close.
+            self._selector = selectors.DefaultSelector()
+            self._wake_pair = socket.socketpair()
         except OSError:
             self.stop()  # release the endpoints already bound
             raise
+        self._wake_pair[1].setblocking(False)
+        self._selector.register(self._wake_pair[0], _READ, lambda sock, _mask: sock.recv(4096))
+        for ep in self.endpoints.values():
+            for listener, sniff in ((ep._sniff_sock, True), (ep._inject_sock, False)):
+                listener.setblocking(False)
+                self._selector.register(listener, _READ, functools.partial(self._accept, ep, sniff))
 
     def start(self) -> None:
-        for endpoint in self.endpoints.values():
-            endpoint.start()
+        self._thread = threading.Thread(target=self._serve, name="bcmdiag-emu", daemon=True)
+        self._thread.start()
 
     def stop(self) -> None:
+        if self._thread is not None:
+            self._stopping = True
+            self._wake()
+            self._thread.join()
         for endpoint in self.endpoints.values():
             endpoint.stop()
+        if self._selector is not None:
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._selector = None
+        for sock in self._wake_pair:
+            sock.close()
 
     def port_map(self) -> dict[str, tuple[int, int]]:
-        return {
-            name: (ep.sniff_port, ep.inject_port) for name, ep in self.endpoints.items()
-        }
+        return {name: (ep.sniff_port, ep.inject_port) for name, ep in self.endpoints.items()}
+
+    def _serve(self) -> None:
+        select, fanouts = self._selector.select, [ep.fanout for ep in self.endpoints.values()]
+        while not self._stopping:
+            events = select()
+            with self.world.lock:
+                self._in_pass = True
+                for key, mask in events:
+                    key.data(key.fileobj, mask)
+                for fanout in fanouts:
+                    if fanout._backlogs:
+                        for client in fanout.flush():  # write interest until drained
+                            key = self._selector.get_key(client)
+                            if not key.events & _WRITE:
+                                self._selector.modify(client, _READ | _WRITE, key.data)
+                self._in_pass = False
+
+    def _wake(self) -> None:
+        with contextlib.suppress(OSError):  # full, so a wake is pending anyway; or closed
+            self._wake_pair[1].send(b"\0")
+
+    def _accept(self, endpoint: ControllerEndpoint, sniff: bool, listener, _mask) -> None:
+        try:
+            client, _addr = listener.accept()
+        except OSError:  # e.g. the peer reset before the accept
+            return
+        client.setblocking(False)
+        if sniff:
+            endpoint.fanout.attach(client)
+            serve = functools.partial(self._sniff_ready, endpoint.fanout)
+        else:
+            serve = functools.partial(self._inject_ready, endpoint.controller, H4StreamDecoder())
+        self._selector.register(client, _READ, serve)
+
+    def _sniff_ready(self, fanout: _SniffFanout, client: socket.socket, mask: int) -> None:
+        if mask & _WRITE:  # the pass's flush sends, and asks again while octets are left
+            self._selector.modify(client, _READ, self._selector.get_key(client).data)
+        try:
+            if not mask & _READ or client.recv(4096):
+                return  # a sniff client has nothing to say
+        except BlockingIOError:
+            return
+        except OSError:
+            pass
+        fanout.detach(client)
+        self._close(client)
+
+    def _inject_ready(self, controller: Controller, decoder, client: socket.socket, _mask) -> None:
+        try:
+            data = client.recv(RECV_MAX)
+            # A framing error on a lossless stream means a broken client;
+            # drop the connection rather than resync.
+            frames = decoder.feed(data) if data else None
+        except BlockingIOError:
+            return
+        except (OSError, BcmDiagError):
+            frames = None
+        if frames is None:
+            return self._close(client)
+        for frame in frames:
+            try:
+                controller.process_host_frame(frame)
+            except BcmDiagError as exc:  # must not end the loop that serves every client
+                controller._note(f"host frame failed: {exc}")
+
+    def _close(self, client: socket.socket) -> None:
+        self._selector.unregister(client)
+        client.close()
 
 
 _DEFAULT_SCENARIO = """\
@@ -250,15 +252,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    text = _DEFAULT_SCENARIO
     if args.scenario:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
-    else:
-        text = _DEFAULT_SCENARIO
 
-    ok, world, transcript = run_scenario(
-        text, on_line=lambda line: print(line, flush=True)
-    )
+    ok, world, _transcript = run_scenario(text, on_line=lambda line: print(line, flush=True))
     server = EmulatorServer(world, host=args.host, base_port=args.base_port)
     server.start()
     for name, (sniff, inject) in server.port_map().items():

@@ -81,6 +81,7 @@ ERR_SUCCESS = 0x00
 ERR_UNKNOWN_COMMAND = 0x01
 ERR_UNKNOWN_CONNECTION = 0x02
 ERR_PAGE_TIMEOUT = 0x04
+ERR_MEMORY_CAPACITY_EXCEEDED = 0x07
 ERR_CONNECTION_TIMEOUT = 0x08
 ERR_ACL_ALREADY_EXISTS = 0x0B
 ERR_INVALID_PARAMETERS = 0x12

@@ -67,6 +67,12 @@ class TestWorldBuilding:
         )
         assert world["A"].profile.firewall_allowlist == {MAC_B}
 
+    def test_allowlist_past_the_firewall_cap_is_refused(self):
+        macs = ",".join(f"02:00:00:00:00:{i:02x}" for i in range(42))
+        with pytest.raises(ScenarioError, match="at most 41"):
+            build_world(f"controller A mac=00:11:22:33:44:01 allowlist={macs}\n")
+        build_world(f"controller A mac=00:11:22:33:44:01 allowlist={macs.rsplit(',', 1)[0]}\n")
+
     def test_memory_option_loads_json_image(self, tmp_path):
         import json
 
@@ -112,6 +118,19 @@ class TestRunning:
         assert any("firewall allowlist (1)" in line for line in transcript)
         assert any("tx=25 rx=25" in line for line in transcript)
         assert world["A"].profile.firewall_allowlist == {MAC_B}
+
+    def test_sessions_release_their_taps(self, tmp_path):
+        """The controllers outlive the run; a live view or capture the
+        scenario started ends with it."""
+        text = TOPOLOGY + (
+            f"A: capture start {tmp_path / 'run.pcapng'}\n"
+            "A: live on\n"
+            "A: connect 00:11:22:33:44:02\n"
+            "B: version\n"
+        )
+        ok, world, _transcript = run_scenario(text)
+        assert ok
+        assert world["A"]._taps == [] and world["B"]._taps == []
 
     def test_scenario_run_command_nests(self, tmp_path):
         inner = tmp_path / "inner.scenario"

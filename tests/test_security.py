@@ -8,11 +8,13 @@ from bcmdiag import hci, ll
 from bcmdiag.diag import DiagCode, parse_diag
 from bcmdiag.emulator import Controller, Phase, attach_air_link
 from bcmdiag.emulator.profiles import (
+    FIREWALL_ALLOWLIST_MAX,
     HandlerAction,
     SecurityProfile,
     patched_profile,
     vulnerable_profile,
 )
+from bcmdiag.emulator.scenario import LocalSession, build_world
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent
 
 from conftest import connect_pair
@@ -307,6 +309,27 @@ class TestFirewall:
         handle = connect_pair(a, victim)
         assert victim.connections
         assert a.connections[handle].phase is Phase.CONNECTED
+
+
+class TestFirewallCapacity:
+    """`firewall show` answers with one HCI event, whose 255 parameter
+    octets hold 41 MACs, so the allowlist stops there."""
+
+    def test_add_past_the_cap_is_refused_and_show_still_answers(self):
+        session = LocalSession(build_world("controller A mac=00:11:22:33:44:01\n"), "A")
+        macs = [f"02:00:00:00:00:{i:02x}" for i in range(FIREWALL_ALLOWLIST_MAX + 1)]
+        for mac in macs[:-1]:
+            assert session.execute(f"firewall add {mac}") == (True, [f"firewall add {mac}"])
+        assert session.execute(f"firewall add {macs[-1]}") == (
+            False,
+            [f"firewall add failed: status 0x{hci.ERR_MEMORY_CAPACITY_EXCEEDED:02x}"],
+        )
+        assert session.execute(f"firewall add {macs[0]}")[0]  # already held: no new entry
+        ok, lines = session.execute("firewall show")
+        assert ok and lines == [f"firewall allowlist ({FIREWALL_ALLOWLIST_MAX}):"] + [
+            f"  {mac}" for mac in macs[:-1]
+        ]
+        assert session.execute("version")[0]
 
 
 class TestProfileMonotonicity:

@@ -17,9 +17,11 @@ from bcmdiag import hci
 from bcmdiag.capture import SniffStreamDecoder, encode_sniff_record
 from bcmdiag.cli import SocketSession, run_batch
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag
+from bcmdiag.emulator import Controller
 from bcmdiag.emulator.memory import ARM_BASE
-from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.scenario import LocalSession, build_world
 from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout
+from bcmdiag.errors import InvariantViolation
 from bcmdiag.h4 import (
     Direction,
     H4Frame,
@@ -352,83 +354,129 @@ class TestSniffStreamWire:
             inject.close()
 
 
+def _drain(sock: socket.socket) -> bytes:
+    """Everything a non-blocking socket holds right now."""
+    out = bytearray()
+    while True:
+        try:
+            data = sock.recv(1 << 16)
+        except BlockingIOError:
+            return bytes(out)
+        if not data:
+            return bytes(out)
+        out += data
+
+
+def _burst(rng: random.Random, n: int) -> bytes:
+    """``n`` encoded version and peek frames; each makes two sniff
+    records, its echo and one answer."""
+    frames = []
+    for kind in rng.choices(("version", "peek"), k=n):
+        if kind == "version":
+            frames.append(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
+        else:
+            address = ARM_BASE + rng.randrange(0x1000)
+            frames.append(H4Frame.diag(build_diag(MemoryPeek(MemAccessType.ARM, address))))
+    return b"".join(encode_frame(f) for f in frames)
+
+
+def _records(sniff: socket.socket, decoder: SniffStreamDecoder, n: int) -> bytes:
+    """The next ``n`` non-probe records of a sniff stream, re-encoded."""
+    sniff.settimeout(5.0)
+    records: list[bytes] = []
+    while len(records) < n:
+        records += [
+            encode_sniff_record(d, f)
+            for d, f in decoder.feed(sniff.recv(1 << 16))
+            if f.h4_type is not H4Type.MSG_QUEUE_PUT
+        ]
+    assert len(records) == n
+    return b"".join(records)
+
+
 class TestSniffFanout:
     def test_records_in_order_and_a_stalled_client_is_cut_off(self):
         fanout = _SniffFanout()
         pairs = [socket.socketpair() for _ in range(2)]
         try:
-            drained, stalled = pairs[0][0], pairs[1][0]
+            for sock in (s for pair in pairs for s in pair):
+                sock.setblocking(False)
+            (drained, drained_peer), (stalled, stalled_peer) = pairs
             fanout.attach(drained)
             fanout.attach(stalled)
             first = [struct.pack("<I", i) * 16 for i in range(10)]
             for record in first:
                 fanout.publish(record)
-            assert fanout.take(drained, 0) == fanout.take(stalled, 0) == b"".join(first)
+            assert fanout.flush() == []
+            assert _drain(drained_peer) == _drain(stalled_peer) == b"".join(first)
 
-            # The stalled subscriber is never drained again; the other
-            # takes its backlog every few records.
+            # The stalled peer never reads again; the other drains after
+            # every few records, as the loop's passes would.  Whatever
+            # the kernel buffers, the stalled backlog passes the bound.
             sent, got = bytearray(), bytearray()
             i = 0
-            while len(sent) <= SNIFF_BACKLOG_MAX + 64 * 1024:
+            while stalled in fanout._backlogs:
+                assert len(sent) < 2 * SNIFF_BACKLOG_MAX
                 record = struct.pack("<I", i) * 256
                 fanout.publish(record)
                 sent += record
                 i += 1
                 if i % 7 == 0:
-                    got += fanout.take(drained, 0)
-            got += fanout.take(drained, 0)
+                    left = fanout.flush()
+                    assert drained not in left
+                    got += _drain(drained_peer)
+            assert len(sent) > SNIFF_BACKLOG_MAX
+            fanout.flush()
+            got += _drain(drained_peer)
             assert got == sent
-            assert fanout.take(stalled, 0) is None
             assert fanout.dropped == 1
-            pairs[1][1].settimeout(2.0)
-            assert pairs[1][1].recv(1) == b""  # its socket was shut down
+            # Its socket was shut down: the peer reads a prefix, then EOF.
+            stalled_peer.setblocking(True)
+            stalled_peer.settimeout(2.0)
+            prefix = bytearray()
+            while data := stalled_peer.recv(1 << 16):
+                prefix += data
+            assert prefix and sent.startswith(prefix)
             fanout.detach(drained)
-            fanout.detach(stalled)
-            assert not fanout
+            assert not fanout._backlogs
         finally:
             for pair in pairs:
                 for sock in pair:
                     sock.close()
 
-    def test_concurrent_takers_lose_nothing(self):
-        """Four senders drain while one thread publishes, with thread
-        switches forced often; each gets every record once, in order."""
-        fanout = _SniffFanout()
-        pairs = [socket.socketpair() for _ in range(4)]
-        records = [struct.pack("<I", i) * 4 for i in range(20_000)]
-        got = {sock: bytearray() for sock, _peer in pairs}
-        published = threading.Event()
-
-        def drain(sock) -> None:
-            while True:
-                finished = published.is_set()
-                data = fanout.take(sock, 0.01)
-                got[sock] += data
-                if finished and not data:
-                    return
-
-        for sock in got:
-            fanout.attach(sock)
-        takers = [threading.Thread(target=drain, args=(sock,)) for sock in got]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+    def test_four_sniff_clients_and_two_injectors_get_the_same_bytes(self, served_world):
+        """Two inject connections each send 256-frame bursts at once;
+        all four sniff clients get the same records in the same order."""
+        _world, server = served_world
+        sniff_port, inject_port = server.port_map()["A"]
+        rng = random.Random(0x4C2)
+        bursts = [_burst(rng, 256) for _ in range(4)]
+        injects = [socket.create_connection(("127.0.0.1", inject_port)) for _ in range(2)]
+        sniffs = [socket.create_connection(("127.0.0.1", sniff_port)) for _ in range(4)]
         try:
-            for thread in takers:
+            decoders = [SniffStreamDecoder() for _ in sniffs]
+            for sniff, decoder in zip(sniffs, decoders):
+                _await_subscription(injects[0], sniff, decoder)
+
+            def send(inject: socket.socket, mine: list[bytes]) -> None:
+                for burst in mine:
+                    inject.sendall(burst)
+
+            senders = [
+                threading.Thread(target=send, args=(inject, bursts[i::2]))
+                for i, inject in enumerate(injects)
+            ]
+            for thread in senders:
                 thread.start()
-            for record in records:
-                fanout.publish(record)
-            published.set()
-            for thread in takers:
-                thread.join(timeout=30.0)
+            got = [_records(sniff, decoder, 2 * 256 * 4) for sniff, decoder in zip(sniffs, decoders)]
+            for thread in senders:
+                thread.join(timeout=10.0)
         finally:
-            published.set()
-            sys.setswitchinterval(interval)
-            for pair in pairs:
-                for sock in pair:
-                    sock.close()
-        assert not any(thread.is_alive() for thread in takers)
-        assert all(data == b"".join(records) for data in got.values())
-        assert fanout.dropped == 0
+            for sock in injects + sniffs:
+                sock.close()
+        assert not any(thread.is_alive() for thread in senders)
+        assert got[1:] == got[:1] * 3
+        assert server.endpoints["A"].fanout.dropped == 0
 
     def test_two_clients_get_the_bytes_of_one(self, served_world):
         """A 256-frame burst reaches each of two sniff clients as the
@@ -473,6 +521,100 @@ class TestSniffFanout:
 
         (single,) = run(1)
         assert run(2) == [single, single]
+
+
+class TestServerLoop:
+    def test_one_thread_serves_every_client(self):
+        world = build_world(TOPOLOGY)
+        server = EmulatorServer(world, base_port=_free_base_port())
+        before = threading.active_count()
+        server.start()
+        socks = []
+        try:
+            assert threading.active_count() == before + 1
+            version = encode_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
+            for name in ("A", "B"):
+                sniff_port, inject_port = server.port_map()[name]
+                for _ in range(3):
+                    inject = socket.create_connection(("127.0.0.1", inject_port))
+                    sniff = socket.create_connection(("127.0.0.1", sniff_port))
+                    socks += [inject, sniff]
+                    decoder = SniffStreamDecoder()
+                    _await_subscription(inject, sniff, decoder)
+                    inject.sendall(version)
+                    _records(sniff, decoder, 2)
+            assert threading.active_count() == before + 1
+        finally:
+            for sock in socks:
+                sock.close()
+            server.stop()
+        assert threading.active_count() == before
+
+    def test_in_process_session_records_reach_sniff_clients(self, served_world):
+        """Frames a session in this process runs through a served
+        controller leave for its sniff clients without waiting for
+        socket traffic to wake the loop."""
+        world, server = served_world
+        sniff_port, inject_port = server.port_map()["A"]
+        with socket.create_connection(("127.0.0.1", inject_port)) as inject, \
+                socket.create_connection(("127.0.0.1", sniff_port)) as sniff:
+            decoder = SniffStreamDecoder()
+            _await_subscription(inject, sniff, decoder)
+            session = LocalSession(world, "A")
+            try:
+                assert session.execute("version")[0]
+                _records(sniff, decoder, 2)
+            finally:
+                session.close()
+
+    def test_random_bytes_close_only_that_connection(self, served_world):
+        _world, server = served_world
+        session = _session(server, "A")
+        _sniff_port, inject_port = server.port_map()["A"]
+        junk = random.Random(0x1D1E).randbytes(1 << 20)
+        try:
+            with socket.create_connection(("127.0.0.1", inject_port)) as inject:
+                try:
+                    inject.sendall(junk)
+                except OSError:
+                    pass  # closed by the server part way through
+                inject.settimeout(5.0)
+                try:
+                    assert inject.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            ok, lines = session.execute("version")
+            assert ok, lines
+        finally:
+            session.close()
+
+    def test_a_failing_frame_is_noted_and_serving_goes_on(self, served_world, monkeypatch):
+        world, server = served_world
+        calls = []
+        original = Controller._HCI_HANDLERS[hci.OPCODE_READ_LOCAL_VERSION]
+
+        def fail_once(controller, cmd):
+            calls.append(controller.name)
+            if len(calls) == 1:
+                raise InvariantViolation("injected fault")
+            original(controller, cmd)
+
+        monkeypatch.setitem(Controller._HCI_HANDLERS, hci.OPCODE_READ_LOCAL_VERSION, fail_once)
+        sessions = {name: _session(server, name) for name in ("A", "B")}
+        try:
+            sessions["A"].default_timeout = 0.3
+            ok, lines = sessions["A"].execute("version")
+            assert not ok and "timeout" in lines[0]
+            assert "host frame failed: injected fault" in world["A"].audit[-1]
+            sessions["A"].default_timeout = 2.0
+            for name, session in sessions.items():
+                start = time.monotonic()
+                ok, lines = session.execute("version")
+                assert ok, (name, lines)
+                assert time.monotonic() - start < 1.0
+        finally:
+            for session in sessions.values():
+                session.close()
 
 
 def _is_probe(frame: H4Frame, nonce: bytes) -> bool:
