@@ -121,9 +121,9 @@ class SocketSession(Session):
                 self._stream_down(f"sniff stream undecodable: {exc}")
                 return
             for direction, frame in records:
-                if (
-                    frame.h4_type is H4Type.MSG_QUEUE_PUT
-                    and frame.payload.startswith(self._probe_nonce)
+                if (  # the nonce test first: it is cheaper than an enum class read
+                    frame.payload.startswith(self._probe_nonce)
+                    and frame.h4_type is H4Type.MSG_QUEUE_PUT
                 ):
                     # Our own attach probe (or a duplicate); invisible
                     # to captures and the live view.

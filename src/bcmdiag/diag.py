@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import astuple, dataclass
 from enum import IntEnum
 from typing import Callable
 
 from .errors import InvariantViolation, MalformedBody, UnknownDiagCode
-from .h4 import Direction
+from .h4 import Direction, value_class
 
 
 class DiagCode(IntEnum):
@@ -115,27 +114,39 @@ _PARSERS: dict[int, Callable[[bytes], "DiagMessage"]] = {}
 
 
 def _message(*codes: DiagCode, layout: str | None = None):
-    """Declare a message: a frozen dataclass with its code(s) and body
-    layout, given once.  ``layout`` is the struct format of a fixed body,
-    which parsing unpacks and hands with the code to ``_from_fields``
-    (by default the constructor) and ``body()`` packs.  A variable body
-    is cut by the class's own ``_parse(code, payload)``."""
+    """Declare a message: an immutable value (h4.value_class) with its
+    code(s) and body layout, given once.  ``layout`` is the struct format
+    of a fixed body, which ``body()`` packs and parsing unpacks into the
+    fields, or hands with the code to ``_from_fields`` where the class
+    has one.  A variable body is cut by the class's ``_parse(code, payload)``."""
 
     def declare(cls):
-        cls = dataclass(frozen=True)(cls)
+        cls = value_class(cls)
         if len(codes) == 1:
             cls.code = codes[0]
-        if layout is None:
-            parse = cls._parse
-        else:
+        if layout is not None:
             cls._layout = struct.Struct(layout)
-            make = getattr(cls, "_from_fields", lambda _code, *fields: cls(*fields))
-            parse = functools.partial(_parse_fixed, cls._layout, make)
         for code in codes:
-            _PARSERS[code] = functools.partial(parse, code)
+            _PARSERS[code] = _parser(cls, code)
         return cls
 
     return declare
+
+
+def _parser(cls, code: DiagCode) -> Callable[[bytes], "DiagMessage"]:
+    """One code's parser; a fixed body's checks, unpacks and builds in one call."""
+    if not hasattr(cls, "_layout"):
+        return functools.partial(cls._parse, code)
+    size, unpack = cls._layout.size, cls._layout.unpack_from
+    make = getattr(cls, "_from_fields", None)
+
+    def parse(payload: bytes):
+        _require(code, payload, size)
+        if make is None:
+            return tuple.__new__(cls, unpack(payload, 1))
+        return make(code, *unpack(payload, 1))
+
+    return parse
 
 
 def _require(code: DiagCode, payload: bytes, n: int) -> None:
@@ -145,11 +156,6 @@ def _require(code: DiagCode, payload: bytes, n: int) -> None:
         raise MalformedBody(code, f"body shorter than {n} octets")
     if payload.count(0, n + 1) != len(payload) - n - 1:
         raise MalformedBody(code, "nonzero octets past the defined body")
-
-
-def _parse_fixed(layout: struct.Struct, make, code: DiagCode, payload: bytes):
-    _require(code, payload, layout.size)
-    return make(code, *layout.unpack_from(payload, 1))
 
 
 _PEEK_POKE_ACCESS = {a: a for a in (MemAccessType.ARM, MemAccessType.BLUERF)}  # octet -> member
@@ -166,7 +172,7 @@ def _check_access(access: MemAccessType, what: str) -> None:
         raise InvariantViolation(f"{what} access type {access!r} not allowed")
 
 
-@dataclass(frozen=True)
+@value_class
 class TestParams:
     """Radio test configuration, mirroring the over-the-air test control
     parameter set."""
@@ -295,7 +301,7 @@ class RunTest:
     params: TestParams
 
     def body(self) -> bytes:
-        return self._layout.pack(*astuple(self.params))
+        return self._layout.pack(*self.params)
 
     @classmethod
     def _from_fields(cls, _code: DiagCode, *fields: int) -> "RunTest":

@@ -62,7 +62,14 @@ TapFn = Callable[[Direction, H4Frame, int], None]
 # Members read per frame, as plain names: a read through the enum class
 # takes the enum metaclass's __getattr__ hook, about 0.15 us on 3.11.
 _TO_CONTROLLER, _TO_HOST = Direction
-_HCI_COMMAND, _DIAG = H4Type.HCI_COMMAND, H4Type.DIAG
+_HCI_COMMAND, _ACL_DATA, _DIAG = H4Type.HCI_COMMAND, H4Type.ACL_DATA, H4Type.DIAG
+_OPAQUE = frozenset({H4Type.MSG_QUEUE_PUT, H4Type.WICED})
+_HEXDUMP_ARM = MemAccessType.HEXDUMP_ARM
+
+# The answer to Read Local Version, which never changes.
+_LOCAL_VERSION_COMPLETE = HciEvent(hci.EVT_COMMAND_COMPLETE, hci.command_complete(
+    hci.OPCODE_READ_LOCAL_VERSION, hci.local_version_params())).to_frame()
+READ_RAM_MAX = 255 - 4  # RAM octets in one Command Complete: 255 less header and status
 
 
 class Role(Enum):
@@ -271,13 +278,10 @@ class Controller:
         if fn in self._taps:
             self._taps.remove(fn)
 
-    def _tap(self, direction: Direction, frame: H4Frame) -> None:
-        for fn in self._taps:
-            fn(direction, frame, self.clock)
-
     def _emit(self, frame: H4Frame) -> None:
         self._host_out.append(frame)
-        self._tap(_TO_HOST, frame)
+        for fn in self._taps:
+            fn(_TO_HOST, frame, self.clock)
 
     def _emit_event(self, code: int, params: bytes) -> None:
         self._emit(HciEvent(code, params).to_frame())
@@ -349,45 +353,39 @@ class Controller:
     def process_host_frame(self, frame: H4Frame) -> list[H4Frame]:
         """Public entry: handle one host frame, run the air link to
         quiescence, and return the frames this controller emitted."""
-        self.handle_host_frame(frame)
-        if self.link is not None:
-            self.link.pump()
-        return self.take_host_frames()
-
-    def handle_host_frame(self, frame: H4Frame) -> None:
-        self.clock += 1
-        self._tap(_TO_CONTROLLER, frame)
-        if frame.h4_type is _HCI_COMMAND:
-            self._handle_hci_command(HciCommand.from_frame(frame))
-        elif frame.h4_type is _DIAG:
+        self.clock = clock = self.clock + 1
+        for fn in self._taps:
+            fn(_TO_CONTROLLER, frame, clock)
+        h4_type = frame.h4_type
+        if h4_type is _DIAG:
             try:
                 msg = parse_diag(frame.payload)
             except BcmDiagError as exc:
                 self._note(f"undecodable diagnostic frame: {exc}")
-                return
-            for response in self.handle_diag(msg):
-                self._emit_diag(response)
-        elif frame.h4_type is H4Type.ACL_DATA:
+            else:
+                for response in self.handle_diag(msg):
+                    self._emit(H4Frame.diag(build_diag(response)))
+        elif h4_type is _HCI_COMMAND:
+            cmd = HciCommand.from_frame(frame)
+            handler = self._HCI_HANDLERS.get(cmd.opcode)
+            if handler is not None:
+                handler(self, cmd)
+            else:
+                self._note(f"unknown HCI opcode 0x{cmd.opcode:04x}")
+                self._status(cmd.opcode, hci.ERR_UNKNOWN_COMMAND)
+        elif h4_type is _ACL_DATA:
             self._handle_host_acl(frame)
-        elif frame.h4_type in (H4Type.MSG_QUEUE_PUT, H4Type.WICED):
+        elif h4_type in _OPAQUE:
             # Documented to exist, not documented to do anything we can
             # model: acknowledge by logging only.
-            self._note(f"opaque {frame.h4_type.name} frame ({len(frame.payload)} octets)")
+            self._note(f"opaque {h4_type.name} frame ({len(frame.payload)} octets)")
         else:
-            self._note(f"host sent {frame.h4_type.name}; ignored")
+            self._note(f"host sent {h4_type.name}; ignored")
+        if self.link is not None:
+            self.link.pump()
+        return self.take_host_frames()
 
     # ----- HCI surface ----------------------------------------------------
-
-    def _handle_hci_command(self, cmd: HciCommand) -> None:
-        handler = self._HCI_HANDLERS.get(cmd.opcode)
-        if handler is None:
-            self._note(f"unknown HCI opcode 0x{cmd.opcode:04x}")
-            self._emit_event(
-                hci.EVT_COMMAND_STATUS,
-                hci.command_status(hci.ERR_UNKNOWN_COMMAND, cmd.opcode),
-            )
-            return
-        handler(self, cmd)
 
     def _complete(self, opcode: int, return_params: bytes = b"") -> None:
         self._emit_event(hci.EVT_COMMAND_COMPLETE, hci.command_complete(opcode, return_params))
@@ -396,7 +394,7 @@ class Controller:
         self._emit_event(hci.EVT_COMMAND_STATUS, hci.command_status(status, opcode))
 
     def _cmd_read_local_version(self, cmd: HciCommand) -> None:
-        self._complete(cmd.opcode, hci.local_version_params())
+        self._emit(_LOCAL_VERSION_COMPLETE)
 
     def _cmd_reset(self, cmd: HciCommand) -> None:
         self.reset()
@@ -497,7 +495,7 @@ class Controller:
             return
         address, length = struct.unpack("<IB", cmd.params)
         data = self.memory.read_block(MemAccessType.ARM, address, length)
-        if data is None:
+        if data is None or length > READ_RAM_MAX:
             self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
             return
         self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]) + data)
@@ -622,16 +620,14 @@ class Controller:
 
     def _diag_peek(self, msg: diag.MemoryPeek) -> list[DiagMessage]:
         value = self.memory.read(msg.access, msg.address)
-        if value is None:
-            return [diag.PeekResponse(status=0x01, value=0)]
-        return [diag.PeekResponse(status=0x00, value=value)]
+        return [diag.PeekResponse(0x01, 0) if value is None else diag.PeekResponse(0x00, value)]
 
     def _diag_poke(self, msg: diag.MemoryPoke) -> list[DiagMessage]:
         ok = self.memory.write(msg.access, msg.address, msg.value)
-        return [diag.PokeResponse(status=0x00 if ok else 0x01)]
+        return [diag.PokeResponse(0x00 if ok else 0x01)]
 
     def _diag_hexdump(self, msg: diag.MemoryHexdump) -> list[DiagMessage]:
-        data = self.memory.read_block(MemAccessType.HEXDUMP_ARM, msg.address, HEXDUMP_DATA_LEN)
+        data = self.memory.read_block(_HEXDUMP_ARM, msg.address, HEXDUMP_DATA_LEN)
         if data is None:
             self._note(f"hexdump outside ARM regions: 0x{msg.address:08x}")
             data = bytes(HEXDUMP_DATA_LEN)

@@ -38,9 +38,6 @@ class Region:
     kind: str
     data: bytearray
 
-    def contains(self, address: int, length: int = 1) -> bool:
-        return self.base <= address and address + length <= self.base + len(self.data)
-
 
 @dataclass
 class MemoryImage:
@@ -91,9 +88,9 @@ class MemoryImage:
                     raise ValueError(f"overlapping {kind} regions at 0x{s1:08x}")
 
     def _region_for(self, kind: str, address: int, length: int = 1) -> Region | None:
-        for region in self.regions:
-            if region.kind == kind and region.contains(address, length):
-                return region
+        for r in self.regions:
+            if r.kind == kind and r.base <= address <= r.base + len(r.data) - length:
+                return r
         return None
 
     def read(self, access: MemAccessType, address: int) -> int | None:

@@ -97,13 +97,16 @@ class ControllerEndpoint:
             self._sniff_sock.close()
             raise
         # Last, so a failed bind leaves the controller untouched.
-        controller.add_tap(self._tap)
+        fanout, attached = self.fanout, self.fanout._backlogs
 
-    def _tap(self, direction: Direction, frame: H4Frame, tick: int) -> None:
-        if self.fanout._backlogs:  # any client attached
-            self.fanout.publish(encode_sniff_record(direction, frame))
-            if not self.server._in_pass:  # an in-process session, not the loop
-                self.server._wake()
+        def tap(direction: Direction, frame: H4Frame, _tick: int) -> None:
+            if attached:  # any client attached
+                fanout.publish(encode_sniff_record(direction, frame))
+                if not server._in_pass:  # an in-process session, not the loop
+                    server._wake()
+
+        self._tap = tap  # a closure: a record costs few attribute loads
+        controller.add_tap(tap)
 
     def stop(self) -> None:
         self.controller.remove_tap(self._tap)

@@ -30,7 +30,7 @@ from bcmdiag.diag import (
     parse_diag,
 )
 from bcmdiag.errors import BcmDiagError, InvariantViolation, MalformedBody, UnknownDiagCode
-from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction
+from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, HciCommand, HciEvent
 
 from diag_reference import reference_parse_diag
 from helpers import random_diag_message
@@ -218,6 +218,132 @@ class TestSemanticValidity:
     def test_valid_range(self):
         assert TestParams(tx_frequency=78, rx_frequency=0, payload_length=1021).is_valid
         assert not TestParams(payload_length=1022).is_valid
+
+
+# (class, fields by keyword, repr): one value of every message class and
+# of both HCI records, with the repr each had as a frozen dataclass.
+_VALUES = [
+    (ToggleLmpLogging, {"enable": True}, "ToggleLmpLogging(enable=True)"),
+    (
+        MemoryPeek,
+        {"access": MemAccessType.ARM, "address": 0x200000},
+        "MemoryPeek(access=<MemAccessType.ARM: 2>, address=2097152)",
+    ),
+    (
+        MemoryPoke,
+        {"access": MemAccessType.BLUERF, "address": 0x318, "value": 0xAA},
+        "MemoryPoke(access=<MemAccessType.BLUERF: 3>, address=792, value=170)",
+    ),
+    (MemoryHexdump, {"address": 0x200000}, "MemoryHexdump(address=2097152)"),
+    (PeekResponse, {"status": 0, "value": 0x42}, "PeekResponse(status=0, value=66)"),
+    (PokeResponse, {"status": 1}, "PokeResponse(status=1)"),
+    (
+        HexdumpResponse,
+        {"address": 0x200000, "data": bytes(2) + b"A" * 30},
+        "HexdumpResponse(address=2097152, data=b'\\x00\\x00" + "A" * 30 + "')",
+    ),
+    (
+        RunTest,
+        {"params": TestParams()},
+        "RunTest(params=TestParams(scenario=1, hopping_mode=0, tx_frequency=0, "
+        "rx_frequency=0, power_level=0, packet_type=0, payload_length=0))",
+    ),
+    (
+        TestCompleted,
+        {"status": 0, "tx_count": 10, "rx_count": 9, "reserved": 0},
+        "TestCompleted(status=0, tx_count=10, rx_count=9, reserved=0)",
+    ),
+    (
+        LmpLogRecord,
+        {"sent": True, "low_mac": b"\x01\x02\x03\x04", "payload": bytes(17)},
+        "LmpLogRecord(sent=True, low_mac=b'\\x01\\x02\\x03\\x04', payload=b'"
+        + "\\x00" * 17 + "')",
+    ),
+    (
+        LcpLogRecord,
+        {"sent": False, "full_mac": bytes(6), "payload": b"\x12"},
+        "LcpLogRecord(sent=False, full_mac=b'" + "\\x00" * 6 + "', payload=b'\\x12')",
+    ),
+    (
+        StatsResponse,
+        {"kind": DiagCode.SCO_STATS, "values": (1, 2, 3)},
+        "StatsResponse(kind=<DiagCode.SCO_STATS: 26>, values=(1, 2, 3))",
+    ),
+    (
+        StatsRequest,
+        {"kind": DiagCode.GET_AUX_STATS},
+        "StatsRequest(kind=<DiagCode.GET_AUX_STATS: 195>)",
+    ),
+    (HciCommand, {"opcode": 0x1001, "params": b""}, "HciCommand(opcode=4097, params=b'')"),
+    (
+        HciEvent,
+        {"event_code": 0x0E, "params": b"\x01\x01\x10\x00"},
+        "HciEvent(event_code=14, params=b'\\x01\\x01\\x10\\x00')",
+    ),
+]
+_VALUE_IDS = [cls.__name__ for cls, _fields, _repr in _VALUES]
+
+
+class TestMessageValue:
+    """Messages and HCI records are immutable values: equal only to the
+    same class with equal fields, hashed alike when equal, read-only,
+    with a repr that names their fields."""
+
+    def test_every_message_class_is_covered(self):
+        covered = {cls for cls, _fields, _repr in _VALUES}
+        assert {type(_sample_message(code)) for code in ALL_CODES} <= covered
+
+    @pytest.mark.parametrize("cls, fields, text", _VALUES, ids=_VALUE_IDS)
+    def test_equal_values_hash_equal(self, cls, fields, text):
+        a, b = cls(*fields.values()), cls(**fields)
+        assert a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+    @pytest.mark.parametrize("cls, fields, text", _VALUES, ids=_VALUE_IDS)
+    def test_equal_only_to_its_own_class(self, cls, fields, text):
+        msg = cls(**fields)
+        values = tuple(fields.values())
+        for other in (values, list(values), None):
+            assert msg != other and other != msg
+            assert not msg == other and not other == msg
+        for other_cls, other_fields, _text in _VALUES:
+            if other_cls is not cls and len(other_fields) == len(fields):
+                twin = other_cls(*values)
+                assert msg != twin and twin != msg and not msg == twin
+
+    @pytest.mark.parametrize("cls, fields, text", _VALUES, ids=_VALUE_IDS)
+    def test_attributes_are_read_only(self, cls, fields, text):
+        msg = cls(**fields)
+        for attr in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(msg, attr, 0)
+        assert [getattr(msg, name) for name in fields] == list(fields.values())
+
+    @pytest.mark.parametrize("cls, fields, text", _VALUES, ids=_VALUE_IDS)
+    def test_repr(self, cls, fields, text):
+        assert repr(cls(**fields)) == text
+
+    @pytest.mark.parametrize("cls, fields, text", _VALUES, ids=_VALUE_IDS)
+    def test_copy_and_pickle_round_trip(self, cls, fields, text):
+        import copy
+        import pickle
+
+        msg = cls(**fields)
+        for twin in (copy.copy(msg), copy.deepcopy(msg), pickle.loads(pickle.dumps(msg))):
+            assert twin == msg and type(twin) is cls and repr(twin) == text
+
+    def test_keywords_and_defaults(self):
+        assert TestCompleted(status=1, tx_count=2, rx_count=3).reserved == 0
+        assert TestCompleted(1, 2, 3) == TestCompleted(1, 2, 3, reserved=0)
+        assert HciCommand(0x0C03).params == HciCommand(opcode=0x0C03).params == b""
+        assert HciEvent(event_code=0x10).params == b""
+        assert MemoryPeek(address=5, access=MemAccessType.BLUERF) == MemoryPeek(
+            MemAccessType.BLUERF, 5
+        )
+        with pytest.raises(TypeError):
+            PeekResponse(0)
+        with pytest.raises(TypeError):
+            PokeResponse(0, bogus=1)
 
 
 def _outcome(parse, payload: bytes):

@@ -176,6 +176,21 @@ class TestVendorHci:
         (evt,) = events_of(out, hci.EVT_COMMAND_COMPLETE)
         assert evt.params[3] == hci.ERR_INVALID_PARAMETERS
 
+    @pytest.mark.parametrize("length", [240, 251, 252, 255])
+    def test_read_ram_answers_every_length(self, length):
+        """Command Complete holds 255 parameter octets: its 4-octet header
+        leaves room for 251 octets of RAM, and longer reads are refused."""
+        ctrl = Controller(MAC_A)
+        out = ctrl.process_host_frame(
+            HciCommand(hci.OPCODE_VSC_READ_RAM, struct.pack("<IB", ARM_BASE, length)).to_frame()
+        )
+        (evt,) = events_of(out, hci.EVT_COMMAND_COMPLETE)
+        if length <= 251:
+            assert evt.params[3:] == b"\x00" + VERSION_STRING + bytes(length - len(VERSION_STRING))
+        else:
+            assert evt.params[3:] == bytes([hci.ERR_INVALID_PARAMETERS])
+        assert not ctrl.audit
+
     def test_super_duper_peek_poke_bluerf(self):
         ctrl = Controller(MAC_A)
         poke = HciCommand(
