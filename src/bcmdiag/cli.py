@@ -129,9 +129,6 @@ class SocketSession(Session):
                     # to captures and the live view.
                     self._probe_seen.set()
                     continue
-                if self.live_view:
-                    record = CaptureRecord.at_tick(self._capture_tick, direction, frame)
-                    self._print(self._render(record))
                 self.record_frame(direction, frame)
             with self._cond:
                 if self._queue_records(records):
@@ -144,12 +141,12 @@ class SocketSession(Session):
             self._cond.notify_all()
         self._print(f"{reason}; commands that wait for an answer now fail")
 
-    def _render(self, record: CaptureRecord) -> str:
+    def _show_live(self, record: CaptureRecord) -> None:
         line = render_live(record)
-        if not self._color:
-            return line
-        tint = _CYAN if record.direction is Direction.CONTROLLER_TO_HOST else _GREEN
-        return f"{tint}{line}{_RESET}"
+        if self._color:
+            tint = _CYAN if record.direction is Direction.CONTROLLER_TO_HOST else _GREEN
+            line = f"{tint}{line}{_RESET}"
+        self._print(line)
 
     def _print(self, line: str) -> None:
         self._out.write(line + "\n")

@@ -43,9 +43,6 @@ from .profiles import FIREWALL_ALLOWLIST_MAX, HandlerAction, SecurityProfile, pa
 
 FIRST_HANDLE = 0x000B
 MAX_HANDLE = 0x0EFF
-# Controller-to-host frames held until the host next sends something; a
-# controller that never gets host input keeps only the newest ones.
-HOST_OUT_MAX = 1024
 # Audit notes kept, newest last; older ones fall out.
 AUDIT_MAX = 1024
 
@@ -65,6 +62,9 @@ _TO_CONTROLLER, _TO_HOST = Direction
 _HCI_COMMAND, _ACL_DATA, _DIAG = H4Type.HCI_COMMAND, H4Type.ACL_DATA, H4Type.DIAG
 _OPAQUE = frozenset({H4Type.MSG_QUEUE_PUT, H4Type.WICED})
 _HEXDUMP_ARM = MemAccessType.HEXDUMP_ARM
+# Where _emit puts frames while no process_host_frame call is running:
+# it keeps none, so they reach only the taps.
+_NO_CALL: deque[H4Frame] = deque(maxlen=0)
 
 # The answer to Read Local Version, which never changes.
 _LOCAL_VERSION_COMPLETE = HciEvent(hci.EVT_COMMAND_COMPLETE, hci.command_complete(
@@ -73,6 +73,7 @@ READ_RAM_MAX = 255 - 4  # RAM octets in one Command Complete: 255 less header an
 
 
 class Role(Enum):
+    # Values double as the LMP transaction ID of exchanges each role starts.
     MASTER = 0
     SLAVE = 1
 
@@ -103,7 +104,7 @@ class Connection:
 
 @dataclass(frozen=True)
 class ScriptStep:
-    role: str  # "master" | "slave"
+    role: Role  # the end that sends it
     pdu_name: str
     arg: str | None = None
 
@@ -116,77 +117,44 @@ def _load_script(filename: str) -> tuple[ScriptStep, ...]:
         if not line:
             continue
         parts = line.split()
-        steps.append(ScriptStep(parts[0], parts[1], parts[2] if len(parts) > 2 else None))
+        steps.append(ScriptStep(Role[parts[0].upper()], parts[1], parts[2] if len(parts) > 2 else None))
     return tuple(steps)
 
 
 CLASSIC_SETUP = _load_script("classic_setup.script")
 LE_SETUP = _load_script("le_setup.script")
 
-# Default parameter bodies for scripted PDUs; anything unlisted gets a
-# zero body of the table length.
-_LMP_SCRIPT_PARAMS = {
+# Bodies of the PDUs this controller sends by name (LMP and LCP names
+# never collide); anything unlisted gets a zero body of its table length.
+_PDU_PARAMS = {
     "LMP_features_req": CLASSIC_FEATURES,
     "LMP_features_res": CLASSIC_FEATURES,
     "LMP_version_req": LMP_VERSION_PARAMS,
     "LMP_version_res": LMP_VERSION_PARAMS,
-}
-_LCP_SCRIPT_PARAMS = {
     "LL_FEATURE_REQ": LE_FEATURES,
     "LL_FEATURE_RSP": LE_FEATURES,
     "LL_VERSION_IND": LMP_VERSION_PARAMS,
 }
 
 
-def _script_pdu(step: ScriptStep, transport: Transport, tid: int) -> bytes:
-    if transport is Transport.CLASSIC:
-        opcode = ll.LMP_NAME_TO_OPCODE[step.pdu_name]
-        if step.arg is not None:
-            params = bytes([ll.LMP_NAME_TO_OPCODE[step.arg]])
-        else:
-            params = _LMP_SCRIPT_PARAMS.get(
-                step.pdu_name, bytes(ll.LMP_OPCODES[opcode].param_len)
-            )
-        return ll.build_lmp(ll.LmpPdu(opcode, tid=tid, params=params))
-    opcode = ll.LCP_NAME_TO_OPCODE[step.pdu_name]
-    params = _LCP_SCRIPT_PARAMS.get(step.pdu_name, bytes(ll.LCP_OPCODES[opcode].param_len))
-    return ll.build_lcp(ll.LcpPdu(opcode, params))
+def _lmp_log_record(sent: bool, peer_mac: bytes, pdu: bytes) -> diag.LmpLogRecord:
+    # Records always carry the 17-octet maximum; receive padding is the
+    # documented chip quirk, and the fixed envelope leaves no way to
+    # carry a true length for sent PDUs either.
+    padded = pdu.ljust(LMP_RECORD_PAYLOAD_LEN, b"\x00")[:LMP_RECORD_PAYLOAD_LEN]
+    return diag.LmpLogRecord(sent=sent, low_mac=hci.low_mac(peer_mac), payload=padded)
 
 
-def _script_first_opcode(script: tuple[ScriptStep, ...], transport: Transport) -> int:
-    name = script[0].pdu_name
-    if transport is Transport.CLASSIC:
-        return ll.LMP_NAME_TO_OPCODE[name]
-    return ll.LCP_NAME_TO_OPCODE[name]
-
-
-# PDUs that are replies/rejections themselves and must never be answered
-# (answering them could bounce between two ends indefinitely).
-_LMP_NO_REPLY = frozenset(
-    {
-        "LMP_accepted",
-        "LMP_not_accepted",
-        "LMP_accepted_ext",
-        "LMP_not_accepted_ext",
-        "LMP_features_res",
-        "LMP_version_res",
-        "LMP_setup_complete",
-    }
-)
-_LCP_NO_REPLY = frozenset(
-    {
-        "LL_REJECT_IND",
-        "LL_REJECT_EXT_IND",
-        "LL_UNKNOWN_RSP",
-        "LL_FEATURE_RSP",
-        "LL_VERSION_IND",
-        "LL_PING_RSP",
-        "LL_TERMINATE_IND",
-    }
-)
+def _lmp_not_accepted(opcode: int, tid: int = 0) -> bytes:
+    return ll.build_lmp(ll.LmpPdu(
+        ll.LMP_NAME_TO_OPCODE["LMP_not_accepted"], tid,
+        bytes([opcode & 0x7F, hci.ERR_LMP_PDU_NOT_ALLOWED]),
+    ))
 
 
 def _is_lmp_reject(raw: bytes) -> bool:
+    if not raw:
+        return False
     opcode = raw[0] >> 1
     if opcode == ll.LMP_NAME_TO_OPCODE["LMP_not_accepted"]:
         return True
@@ -197,11 +165,109 @@ def _is_lmp_reject(raw: bytes) -> bool:
     )
 
 
-def _is_lcp_reject(raw: bytes) -> bool:
-    return bool(raw) and raw[0] in (
-        ll.LCP_NAME_TO_OPCODE["LL_REJECT_IND"],
-        ll.LCP_NAME_TO_OPCODE["LL_REJECT_EXT_IND"],
-    )
+@dataclass(frozen=True)
+class LinkLayer:
+    """Everything the Classic (LMP) and LE (LCP) link layers do
+    differently; the controller runs one path over either record."""
+
+    transport: Transport
+    kind: str  # air-link traffic kind; upper-cased in audit notes
+    dissect: Callable[[bytes], object]
+    build: Callable[[int, int, bytes], bytes]  # (opcode, tid, params) -> octets
+    name_to_opcode: dict[str, int]
+    opcodes: dict[int, ll.OpcodeEntry]
+    log_record: Callable[[bool, bytes, bytes], DiagMessage]  # (sent, peer MAC, octets)
+    is_reject: Callable[[bytes], bool]
+    # The refusal of a PDU's octets, or None when they name nothing to refuse.
+    reject: Callable[[bytes], bytes | None]
+    refuse_undissectable: bool
+    # The answer on a live link to a PDU no handler takes: (opcode, tid) -> octets.
+    unhandled: Callable[[int, int], bytes]
+    # PDUs that are replies/rejections themselves and must never be
+    # answered (answering them could bounce between two ends forever).
+    no_reply: frozenset[str]
+    script: tuple[ScriptStep, ...]  # the connection setup; its first step opens it
+    detach: str  # the PDU that ends a connection
+    # (status, handle, role, peer MAC on the wire) -> (event code, parameters)
+    connection_complete: Callable[[int, int, int, bytes], tuple[int, bytes]]
+
+
+CLASSIC_LINK = LinkLayer(
+    transport=Transport.CLASSIC,
+    kind=KIND_LMP,
+    dissect=ll.dissect_lmp,
+    build=lambda opcode, tid, params: ll.build_lmp(ll.LmpPdu(opcode, tid, params)),
+    name_to_opcode=ll.LMP_NAME_TO_OPCODE,
+    opcodes=ll.LMP_OPCODES,
+    log_record=_lmp_log_record,
+    is_reject=_is_lmp_reject,
+    reject=lambda raw: _lmp_not_accepted(raw[0] >> 1) if raw else None,
+    refuse_undissectable=True,
+    unhandled=_lmp_not_accepted,
+    no_reply=frozenset(
+        {
+            "LMP_accepted",
+            "LMP_not_accepted",
+            "LMP_accepted_ext",
+            "LMP_not_accepted_ext",
+            "LMP_features_res",
+            "LMP_version_res",
+            "LMP_setup_complete",
+        }
+    ),
+    script=CLASSIC_SETUP,
+    detach="LMP_detach",
+    connection_complete=lambda status, handle, _role, wire: (
+        hci.EVT_CONNECTION_COMPLETE, hci.connection_complete(status, handle, wire)
+    ),
+)
+
+LE_LINK = LinkLayer(
+    transport=Transport.LE,
+    kind=KIND_LCP,
+    dissect=ll.dissect_lcp,
+    build=lambda opcode, _tid, params: ll.build_lcp(ll.LcpPdu(opcode, params)),
+    name_to_opcode=ll.LCP_NAME_TO_OPCODE,
+    opcodes=ll.LCP_OPCODES,
+    log_record=lambda sent, peer_mac, pdu: diag.LcpLogRecord(
+        sent=sent, full_mac=peer_mac, payload=pdu
+    ),
+    is_reject=lambda raw: bool(raw) and raw[0] in (
+        ll.LCP_NAME_TO_OPCODE["LL_REJECT_IND"], ll.LCP_NAME_TO_OPCODE["LL_REJECT_EXT_IND"]
+    ),
+    reject=lambda _raw: ll.build_lcp(
+        ll.LcpPdu(ll.LCP_NAME_TO_OPCODE["LL_REJECT_IND"], bytes([hci.ERR_LMP_PDU_NOT_ALLOWED]))
+    ),
+    refuse_undissectable=False,
+    unhandled=lambda opcode, _tid: ll.build_lcp(
+        ll.LcpPdu(ll.LCP_NAME_TO_OPCODE["LL_UNKNOWN_RSP"], bytes([opcode]))
+    ),
+    no_reply=frozenset(
+        {
+            "LL_REJECT_IND",
+            "LL_REJECT_EXT_IND",
+            "LL_UNKNOWN_RSP",
+            "LL_FEATURE_RSP",
+            "LL_VERSION_IND",
+            "LL_PING_RSP",
+            "LL_TERMINATE_IND",
+        }
+    ),
+    script=LE_SETUP,
+    detach="LL_TERMINATE_IND",
+    connection_complete=lambda status, handle, role, wire: (
+        hci.EVT_LE_META, hci.le_connection_complete(status, handle, role, wire)
+    ),
+)
+
+LINK_LAYERS = {Transport.CLASSIC: CLASSIC_LINK, Transport.LE: LE_LINK}
+_LINK_BY_KIND = {KIND_LMP: CLASSIC_LINK, KIND_LCP: LE_LINK}
+# Connection-creating HCI opcode -> its transport and where the peer's
+# MAC starts in its parameters.
+_CREATE_CONNECTION = {
+    hci.OPCODE_CREATE_CONNECTION: (Transport.CLASSIC, 0),
+    hci.OPCODE_LE_CREATE_CONNECTION: (Transport.LE, 6),
+}
 
 
 class StatsStore:
@@ -263,7 +329,7 @@ class Controller:
         self.connections: dict[int, Connection] = {}
         self.stats = StatsStore()
         self.audit: deque[str] = deque(maxlen=AUDIT_MAX)
-        self._host_out: deque[H4Frame] = deque(maxlen=HOST_OUT_MAX)
+        self._out = _NO_CALL  # the running process_host_frame call's frames
         self._taps: list[TapFn] = []
         self._next_handle = FIRST_HANDLE
 
@@ -279,20 +345,12 @@ class Controller:
             self._taps.remove(fn)
 
     def _emit(self, frame: H4Frame) -> None:
-        self._host_out.append(frame)
+        self._out.append(frame)
         for fn in self._taps:
             fn(_TO_HOST, frame, self.clock)
 
     def _emit_event(self, code: int, params: bytes) -> None:
         self._emit(HciEvent(code, params).to_frame())
-
-    def _emit_diag(self, msg: DiagMessage) -> None:
-        self._emit(H4Frame.diag(build_diag(msg)))
-
-    def take_host_frames(self) -> list[H4Frame]:
-        out = list(self._host_out)
-        self._host_out.clear()
-        return out
 
     def _note(self, text: str) -> None:
         self.audit.append(f"[{self.clock}] {text}")
@@ -352,38 +410,44 @@ class Controller:
 
     def process_host_frame(self, frame: H4Frame) -> list[H4Frame]:
         """Public entry: handle one host frame, run the air link to
-        quiescence, and return the frames this controller emitted."""
+        quiescence, and return the frames this controller emitted
+        meanwhile.  Frames it emits outside such a call, driven by its
+        peer, reach only its taps."""
         self.clock = clock = self.clock + 1
         for fn in self._taps:
             fn(_TO_CONTROLLER, frame, clock)
-        h4_type = frame.h4_type
-        if h4_type is _DIAG:
-            try:
-                msg = parse_diag(frame.payload)
-            except BcmDiagError as exc:
-                self._note(f"undecodable diagnostic frame: {exc}")
+        self._out = out = []
+        try:
+            h4_type = frame.h4_type
+            if h4_type is _DIAG:
+                try:
+                    msg = parse_diag(frame.payload)
+                except BcmDiagError as exc:
+                    self._note(f"undecodable diagnostic frame: {exc}")
+                else:
+                    for response in self.handle_diag(msg):
+                        self._emit(H4Frame.diag(build_diag(response)))
+            elif h4_type is _HCI_COMMAND:
+                cmd = HciCommand.from_frame(frame)
+                handler = self._HCI_HANDLERS.get(cmd.opcode)
+                if handler is not None:
+                    handler(self, cmd)
+                else:
+                    self._note(f"unknown HCI opcode 0x{cmd.opcode:04x}")
+                    self._status(cmd.opcode, hci.ERR_UNKNOWN_COMMAND)
+            elif h4_type is _ACL_DATA:
+                self._handle_host_acl(frame)
+            elif h4_type in _OPAQUE:
+                # Documented to exist, not documented to do anything we
+                # can model: acknowledge by logging only.
+                self._note(f"opaque {h4_type.name} frame ({len(frame.payload)} octets)")
             else:
-                for response in self.handle_diag(msg):
-                    self._emit(H4Frame.diag(build_diag(response)))
-        elif h4_type is _HCI_COMMAND:
-            cmd = HciCommand.from_frame(frame)
-            handler = self._HCI_HANDLERS.get(cmd.opcode)
-            if handler is not None:
-                handler(self, cmd)
-            else:
-                self._note(f"unknown HCI opcode 0x{cmd.opcode:04x}")
-                self._status(cmd.opcode, hci.ERR_UNKNOWN_COMMAND)
-        elif h4_type is _ACL_DATA:
-            self._handle_host_acl(frame)
-        elif h4_type in _OPAQUE:
-            # Documented to exist, not documented to do anything we can
-            # model: acknowledge by logging only.
-            self._note(f"opaque {h4_type.name} frame ({len(frame.payload)} octets)")
-        else:
-            self._note(f"host sent {h4_type.name}; ignored")
-        if self.link is not None:
-            self.link.pump()
-        return self.take_host_frames()
+                self._note(f"host sent {h4_type.name}; ignored")
+            if self.link is not None:
+                self.link.pump()
+        finally:
+            self._out = _NO_CALL
+        return out
 
     # ----- HCI surface ----------------------------------------------------
 
@@ -405,42 +469,25 @@ class Controller:
         self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
 
     def _cmd_create_connection(self, cmd: HciCommand) -> None:
-        if len(cmd.params) < 6:
+        """Create Connection and LE Create Connection."""
+        transport, at = _CREATE_CONNECTION[cmd.opcode]
+        if len(cmd.params) < at + 6:
             self._status(cmd.opcode, hci.ERR_INVALID_PARAMETERS)
             return
-        peer = hci.mac_from_wire(cmd.params[:6])
-        self._start_connection(cmd.opcode, peer, Transport.CLASSIC)
-
-    def _cmd_le_create_connection(self, cmd: HciCommand) -> None:
-        if len(cmd.params) < 12:
-            self._status(cmd.opcode, hci.ERR_INVALID_PARAMETERS)
-            return
-        peer = hci.mac_from_wire(cmd.params[6:12])
-        self._start_connection(cmd.opcode, peer, Transport.LE)
-
-    def _start_connection(self, opcode: int, peer: bytes, transport: Transport) -> None:
+        wire = cmd.params[at : at + 6]
+        peer = hci.mac_from_wire(wire)
         if self._find_connection(peer, transport) is not None:
-            self._status(opcode, hci.ERR_ACL_ALREADY_EXISTS)
+            self._status(cmd.opcode, hci.ERR_ACL_ALREADY_EXISTS)
             return
-        self._status(opcode, hci.ERR_SUCCESS)
+        self._status(cmd.opcode, hci.ERR_SUCCESS)
         linked_peer = self.link.peer_of(self) if self.link is not None else None
         if linked_peer is None or linked_peer.mac != peer:
             # Nobody on the air answers the page.
-            self._connection_failed(peer, transport, hci.ERR_PAGE_TIMEOUT)
+            layer = LINK_LAYERS[transport]
+            self._emit_event(*layer.connection_complete(hci.ERR_PAGE_TIMEOUT, 0, 0, wire))
             return
         conn = self._new_connection(peer, Role.MASTER, transport, Phase.PAGING)
         self._advance_script(conn)
-
-    def _connection_failed(self, peer: bytes, transport: Transport, status: int) -> None:
-        wire = hci.mac_to_wire(peer)
-        if transport is Transport.CLASSIC:
-            self._emit_event(
-                hci.EVT_CONNECTION_COMPLETE, hci.connection_complete(status, 0, wire)
-            )
-        else:
-            self._emit_event(
-                hci.EVT_LE_META, hci.le_connection_complete(status, 0, 0, wire)
-            )
 
     def _cmd_disconnect(self, cmd: HciCommand) -> None:
         if len(cmd.params) < 3:
@@ -452,10 +499,7 @@ class Controller:
             self._status(cmd.opcode, hci.ERR_UNKNOWN_CONNECTION)
             return
         self._status(cmd.opcode, hci.ERR_SUCCESS)
-        if conn.transport is Transport.CLASSIC:
-            self._send_lmp(conn, ll.LmpPdu(ll.LMP_NAME_TO_OPCODE["LMP_detach"], params=bytes([reason])))
-        else:
-            self._send_lcp(conn, ll.LcpPdu(ll.LCP_NAME_TO_OPCODE["LL_TERMINATE_IND"], bytes([reason])))
+        self._send_pdu(conn, LINK_LAYERS[conn.transport].detach, 0, bytes([reason]))
         self._drop_connection(conn, reason)
 
     def _cmd_send_lmp_pdu(self, cmd: HciCommand) -> None:
@@ -471,7 +515,7 @@ class Controller:
         if not self._lmp_injectable(raw):
             self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
             return
-        self._send_raw_lmp(conn.peer_mac, raw)
+        self._send(conn, raw)
         self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
 
     @staticmethod
@@ -481,8 +525,6 @@ class Controller:
         missing range check is exactly the published bug."""
         if not raw or len(raw) > ll.LMP_MAX_PDU:
             return False
-        if raw[0] >> 1 == ll.BPCS_OPCODE:
-            return len(raw) >= 2
         try:
             ll.dissect_lmp(raw)
         except BcmDiagError:
@@ -573,7 +615,7 @@ class Controller:
         hci.OPCODE_RESET: _cmd_reset,
         hci.OPCODE_CREATE_CONNECTION: _cmd_create_connection,
         hci.OPCODE_DISCONNECT: _cmd_disconnect,
-        hci.OPCODE_LE_CREATE_CONNECTION: _cmd_le_create_connection,
+        hci.OPCODE_LE_CREATE_CONNECTION: _cmd_create_connection,
         hci.OPCODE_ENABLE_DUT_MODE: _cmd_enable_dut,
         hci.OPCODE_VSC_SEND_LMP_PDU: _cmd_send_lmp_pdu,
         hci.OPCODE_VSC_READ_RAM: _cmd_read_ram,
@@ -690,24 +732,16 @@ class Controller:
             self._deliver_air_acl(from_mac, data)
             return
         raw = bytes(data)  # type: ignore[arg-type]
-        if kind == KIND_LMP:
-            self._log_lmp(sent=False, peer_mac=from_mac, pdu=raw)
-            if not self.profile.firewall_allows(from_mac):
-                self._note(f"firewall rejected LMP from {hci.format_mac(from_mac)}")
-                # Replying to a rejection with a rejection would ping-pong
-                # between two firewalled ends forever.
-                if not _is_lmp_reject(raw):
-                    self._reply_not_accepted(from_mac, raw[0] >> 1)
-                return
-            self._handle_lmp(from_mac, raw)
-        elif kind == KIND_LCP:
-            self._log_lcp(sent=False, peer_mac=from_mac, pdu=raw)
-            if not self.profile.firewall_allows(from_mac):
-                self._note(f"firewall rejected LCP from {hci.format_mac(from_mac)}")
-                if not _is_lcp_reject(raw):
-                    self._reply_lcp_reject(from_mac)
-                return
-            self._handle_lcp(from_mac, raw)
+        layer = _LINK_BY_KIND[kind]
+        self._log(layer, False, from_mac, raw)
+        if not self.profile.firewall_allows(from_mac):
+            self._note(f"firewall rejected {layer.kind.upper()} from {hci.format_mac(from_mac)}")
+            # Replying to a rejection with a rejection would ping-pong
+            # between two firewalled ends forever.
+            if not layer.is_reject(raw):
+                self._refuse(layer, from_mac, raw)
+            return
+        self._handle_link_pdu(layer, from_mac, raw)
 
     def _peer_vanished(self, from_mac: bytes) -> None:
         for conn in [c for c in self.connections.values() if c.peer_mac == from_mac]:
@@ -725,39 +759,36 @@ class Controller:
         header = struct.pack("<HH", conn.handle | (flags << 12), len(payload))
         self._emit(H4Frame(H4Type.ACL_DATA, header + payload))
 
-    # ----- link-layer log records ---------------------------------------------
+    # ----- link-layer log records and sending ------------------------------------
 
-    def _log_lmp(self, sent: bool, peer_mac: bytes, pdu: bytes) -> None:
-        if not self.diag_log_enabled:
-            return
-        # Records always carry the 17-octet maximum; receive padding is
-        # the documented chip quirk, and the fixed envelope leaves no
-        # way to carry a true length for sent PDUs either.
-        padded = pdu.ljust(LMP_RECORD_PAYLOAD_LEN, b"\x00")[:LMP_RECORD_PAYLOAD_LEN]
-        self._emit_diag(diag.LmpLogRecord(sent=sent, low_mac=hci.low_mac(peer_mac), payload=padded))
+    def _log(self, layer: LinkLayer, sent: bool, peer_mac: bytes, pdu: bytes) -> None:
+        if self.diag_log_enabled:
+            self._emit(H4Frame.diag(build_diag(layer.log_record(sent, peer_mac, pdu))))
 
-    def _log_lcp(self, sent: bool, peer_mac: bytes, pdu: bytes) -> None:
-        if not self.diag_log_enabled:
-            return
-        self._emit_diag(diag.LcpLogRecord(sent=sent, full_mac=peer_mac, payload=pdu))
-
-    # ----- sending ---------------------------------------------------------------
-
-    def _send_raw_lmp(self, peer_mac: bytes, raw: bytes) -> None:
-        self._log_lmp(sent=True, peer_mac=peer_mac, pdu=raw)
+    def _send_raw(self, layer: LinkLayer, peer_mac: bytes, raw: bytes) -> None:
+        self._log(layer, True, peer_mac, raw)
         if self.link is not None:
-            self.link.transmit(self, KIND_LMP, raw)
+            self.link.transmit(self, layer.kind, raw)
+
+    def _send(self, conn: Connection, raw: bytes) -> None:
+        self._send_raw(LINK_LAYERS[conn.transport], conn.peer_mac, raw)
+
+    def _send_pdu(self, conn: Connection, name: str, tid: int, params: bytes | None = None) -> None:
+        """Send the standard PDU ``name`` on ``conn``, by default with
+        its _PDU_PARAMS body."""
+        layer = LINK_LAYERS[conn.transport]
+        opcode = layer.name_to_opcode[name]
+        if params is None:
+            params = _PDU_PARAMS.get(name, bytes(layer.opcodes[opcode].param_len))
+        self._send(conn, layer.build(opcode, tid, params))
 
     def _send_lmp(self, conn: Connection, pdu: ll.LmpPdu | ll.BpcsPdu) -> None:
-        self._send_raw_lmp(conn.peer_mac, ll.build_lmp(pdu))
+        self._send(conn, ll.build_lmp(pdu))
 
-    def _send_raw_lcp(self, peer_mac: bytes, raw: bytes) -> None:
-        self._log_lcp(sent=True, peer_mac=peer_mac, pdu=raw)
-        if self.link is not None:
-            self.link.transmit(self, KIND_LCP, raw)
-
-    def _send_lcp(self, conn: Connection, pdu: ll.LcpPdu) -> None:
-        self._send_raw_lcp(conn.peer_mac, ll.build_lcp(pdu))
+    def _refuse(self, layer: LinkLayer, peer_mac: bytes, raw: bytes) -> None:
+        reject = layer.reject(raw)
+        if reject is not None:
+            self._send_raw(layer, peer_mac, reject)
 
     # ----- connection bookkeeping ---------------------------------------------
 
@@ -789,78 +820,37 @@ class Controller:
             hci.disconnection_complete(hci.ERR_SUCCESS, conn.handle, reason),
         )
 
-    def _setup_script(self, transport: Transport) -> tuple[ScriptStep, ...]:
-        return CLASSIC_SETUP if transport is Transport.CLASSIC else LE_SETUP
-
-    def _my_script_role(self, conn: Connection) -> str:
-        return "master" if conn.role is Role.MASTER else "slave"
-
     def _advance_script(self, conn: Connection) -> None:
-        """Send every consecutive script step owned by our role, then
-        wait for the peer (or finish)."""
-        script = self._setup_script(conn.transport)
-        mine = self._my_script_role(conn)
-        while conn.script_cursor < len(script) and script[conn.script_cursor].role == mine:
+        """Send every consecutive script step owned by our role, so the
+        cursor rests on a step of the peer's; past the last step the
+        connection is up."""
+        layer = LINK_LAYERS[conn.transport]
+        script = layer.script
+        while conn.script_cursor < len(script) and script[conn.script_cursor].role is conn.role:
             step = script[conn.script_cursor]
             conn.script_cursor += 1
             if conn.phase is Phase.PAGING:
                 conn.phase = Phase.LMP_SETUP
-            tid = 0 if conn.role is Role.MASTER else 1
-            raw = _script_pdu(step, conn.transport, tid if conn.transport is Transport.CLASSIC else 0)
-            if conn.transport is Transport.CLASSIC:
-                self._send_raw_lmp(conn.peer_mac, raw)
-            else:
-                self._send_raw_lcp(conn.peer_mac, raw)
+            arg = None if step.arg is None else bytes([layer.name_to_opcode[step.arg]])
+            self._send_pdu(conn, step.pdu_name, conn.role.value, arg)
         if conn.script_cursor >= len(script):
-            self._finish_setup(conn)
-
-    def _script_expectation(self, conn: Connection) -> ScriptStep | None:
-        script = self._setup_script(conn.transport)
-        if conn.phase not in (Phase.PAGING, Phase.LMP_SETUP):
-            return None
-        if conn.script_cursor >= len(script):
-            return None
-        step = script[conn.script_cursor]
-        return step if step.role != self._my_script_role(conn) else None
-
-    def _script_matches(self, conn: Connection, opcode_name: str) -> bool:
-        expected = self._script_expectation(conn)
-        return expected is not None and expected.pdu_name == opcode_name
-
-    def _consume_script_step(self, conn: Connection) -> None:
-        conn.script_cursor += 1
-        if conn.phase is Phase.PAGING:
-            conn.phase = Phase.LMP_SETUP
-        self._advance_script(conn)
-
-    def _finish_setup(self, conn: Connection) -> None:
-        if conn.phase in (Phase.PAGING, Phase.LMP_SETUP):
             conn.phase = Phase.CONNECTED
-            wire = hci.mac_to_wire(conn.peer_mac)
-            if conn.transport is Transport.CLASSIC:
-                self._emit_event(
-                    hci.EVT_CONNECTION_COMPLETE,
-                    hci.connection_complete(hci.ERR_SUCCESS, conn.handle, wire),
-                )
-            else:
-                self._emit_event(
-                    hci.EVT_LE_META,
-                    hci.le_connection_complete(
-                        hci.ERR_SUCCESS, conn.handle, conn.role.value, wire
-                    ),
-                )
+            self._emit_event(*layer.connection_complete(
+                hci.ERR_SUCCESS, conn.handle, conn.role.value, hci.mac_to_wire(conn.peer_mac)
+            ))
 
     # ----- inbound link-layer handling ------------------------------------------
 
-    def _handle_lmp(self, from_mac: bytes, raw: bytes) -> None:
+    def _handle_link_pdu(self, layer: LinkLayer, from_mac: bytes, raw: bytes) -> None:
         try:
-            pdu = ll.dissect_lmp(raw)
+            pdu = layer.dissect(raw)
         except BcmDiagError as exc:
-            self._note(f"undissectable LMP from {hci.format_mac(from_mac)}: {exc}")
-            self._reply_not_accepted(from_mac, raw[0] >> 1)
+            self._note(f"undissectable {layer.kind.upper()} from {hci.format_mac(from_mac)}: {exc}")
+            if layer.refuse_undissectable:
+                self._refuse(layer, from_mac, raw)
             return
 
-        conn = self._find_connection(from_mac, Transport.CLASSIC)
+        conn = self._find_connection(from_mac, layer.transport)
 
         if isinstance(pdu, ll.BpcsPdu):
             self._handle_bpcs(from_mac, conn, pdu)
@@ -873,55 +863,45 @@ class Controller:
             # anything else has no connection to live on.  Responses and
             # rejections are dropped rather than rejected back, so two
             # connectionless ends can never bounce replies forever.
-            if pdu.opcode == _script_first_opcode(CLASSIC_SETUP, Transport.CLASSIC):
-                conn = self._new_connection(
-                    from_mac, Role.SLAVE, Transport.CLASSIC, Phase.LMP_SETUP
-                )
-                self._consume_script_step(conn)
-            elif name in _LMP_NO_REPLY:
-                self._note(f"{name} from unconnected {hci.format_mac(from_mac)}")
-            else:
-                self._reply_not_accepted(from_mac, pdu.opcode)
+            if name != layer.script[0].pdu_name:
+                if name in layer.no_reply:
+                    self._note(f"{name} from unconnected {hci.format_mac(from_mac)}")
+                else:
+                    self._refuse(layer, from_mac, raw)
+                return
+            conn = self._new_connection(from_mac, Role.SLAVE, layer.transport, Phase.LMP_SETUP)
+
+        script = layer.script
+        if conn.script_cursor < len(script) and script[conn.script_cursor].pdu_name == name:
+            # The peer's next setup step.
+            conn.script_cursor += 1
+            self._advance_script(conn)
             return
 
-        if self._script_matches(conn, name):
-            self._consume_script_step(conn)
-            return
-
-        handler = self._LMP_HANDLERS.get(name)
+        handler = self._LINK_HANDLERS.get(name)
         if handler is None:
-            self._reply_not_accepted(from_mac, pdu.opcode, conn=conn)
+            self._send(conn, layer.unhandled(pdu.opcode, conn.role.value))
             return
         handler(self, conn, pdu)
 
-    def _reply_not_accepted(
-        self, from_mac: bytes, opcode: int, conn: Connection | None = None
-    ) -> None:
-        self._send_raw_lmp(
-            from_mac,
-            ll.build_lmp(
-                ll.LmpPdu(
-                    ll.LMP_NAME_TO_OPCODE["LMP_not_accepted"],
-                    tid=0 if conn is None or conn.role is Role.MASTER else 1,
-                    params=bytes([opcode & 0x7F, hci.ERR_LMP_PDU_NOT_ALLOWED]),
-                )
-            ),
-        )
-
-    def _lmp_ignore(self, conn: Connection, pdu: ll.LmpPdu) -> None:
+    def _ignore(self, conn: Connection, pdu: ll.LinkPdu) -> None:
         self._note(f"ignored {pdu.name} on handle 0x{conn.handle:04x}")
 
+    def _detach(self, conn: Connection, pdu: ll.LmpPdu | ll.LcpPdu) -> None:
+        reason = pdu.params[0] if pdu.params else hci.ERR_REMOTE_TERMINATED
+        self._drop_connection(conn, reason)
+
     def _lmp_features_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
-        self._send_lmp(
-            conn,
-            ll.LmpPdu(ll.LMP_NAME_TO_OPCODE["LMP_features_res"], pdu.tid, CLASSIC_FEATURES),
-        )
+        self._send_pdu(conn, "LMP_features_res", pdu.tid)
 
     def _lmp_version_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
-        self._send_lmp(
-            conn,
-            ll.LmpPdu(ll.LMP_NAME_TO_OPCODE["LMP_version_res"], pdu.tid, LMP_VERSION_PARAMS),
-        )
+        self._send_pdu(conn, "LMP_version_res", pdu.tid)
+
+    def _lcp_feature_req(self, conn: Connection, pdu: ll.LcpPdu) -> None:
+        self._send_pdu(conn, "LL_FEATURE_RSP", 0)
+
+    def _lcp_ping_req(self, conn: Connection, pdu: ll.LcpPdu) -> None:
+        self._send_pdu(conn, "LL_PING_RSP", 0)
 
     def _lmp_io_capability_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         # Pairing starts: the connection waits for a user decision it
@@ -943,52 +923,47 @@ class Controller:
     def _lmp_dhkey_check(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         if conn.phase is Phase.SSP_PENDING:
             conn.ssp_confirmed = True
-        self._send_lmp(
-            conn,
-            ll.LmpPdu(
-                ll.LMP_NAME_TO_OPCODE["LMP_accepted"],
-                pdu.tid,
-                bytes([ll.LMP_NAME_TO_OPCODE["LMP_DHkey_Check"]]),
-            ),
-        )
+        accepted = bytes([ll.LMP_NAME_TO_OPCODE["LMP_DHkey_Check"]])
+        self._send_pdu(conn, "LMP_accepted", pdu.tid, accepted)
 
     def _lmp_start_encryption_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         opcode = ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]
         if conn.phase is Phase.SSP_PENDING and conn.ssp_confirmed:
             conn.phase = Phase.ENCRYPTED
-            self._send_lmp(
-                conn,
-                ll.LmpPdu(
-                    ll.LMP_NAME_TO_OPCODE["LMP_accepted"], pdu.tid, bytes([opcode])
-                ),
-            )
+            self._send_pdu(conn, "LMP_accepted", pdu.tid, bytes([opcode]))
             return
         if conn.phase is Phase.SSP_PENDING and not self.profile.encryption_order_check:
             # Out-of-order encryption setup: the key calculation runs on
             # uninitialized pairing state and the firmware dies.
             self.crash("encryption start during pending pairing")
             return
-        self._reply_not_accepted(conn.peer_mac, opcode, conn=conn)
-
-    def _lmp_detach(self, conn: Connection, pdu: ll.LmpPdu) -> None:
-        reason = pdu.params[0] if pdu.params else hci.ERR_REMOTE_TERMINATED
-        self._drop_connection(conn, reason)
+        self._send(conn, _lmp_not_accepted(opcode, conn.role.value))
 
     def _lmp_accepted(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         accepted = pdu.params[0] if pdu.params else 0
         if accepted == ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]:
             conn.phase = Phase.ENCRYPTED
 
-    _LMP_HANDLERS = {
+    # PDU name -> handler, for both link layers (their names never
+    # collide); a PDU without one gets its layer's ``unhandled`` answer.
+    _LINK_HANDLERS = {
+        # Replies and vendor LCPs need no answer; only an accepted one
+        # changes state and only a terminate ends the link.
+        **dict.fromkeys(
+            CLASSIC_LINK.no_reply | LE_LINK.no_reply | {"LMP_IO_capability_res"}
+            | {ll.vendor_lcp(subtype).name for subtype in ll.LCP_VENDOR_NAMES},
+            _ignore,
+        ),
+        "LMP_accepted": _lmp_accepted,
         "LMP_features_req": _lmp_features_req,
         "LMP_version_req": _lmp_version_req,
         "LMP_IO_capability_req": _lmp_io_capability_req,
         "LMP_DHkey_Check": _lmp_dhkey_check,
         "LMP_start_encryption_req": _lmp_start_encryption_req,
-        "LMP_detach": _lmp_detach,
-        # Replies need no answer; only an accepted one changes state.
-        **dict.fromkeys(_LMP_NO_REPLY | {"LMP_IO_capability_res"}, _lmp_ignore),
-        "LMP_accepted": _lmp_accepted,
+        "LMP_detach": _detach,
+        "LL_TERMINATE_IND": _detach,
+        "LL_FEATURE_REQ": _lcp_feature_req,
+        "LL_PING_REQ": _lcp_ping_req,
     }
 
     def _handle_bpcs(
@@ -996,7 +971,7 @@ class Controller:
     ) -> None:
         if conn is None:
             if pdu.subtype in (ll.BPCS_FEATURES_REQUEST, ll.BPCS_BFC_SUSPEND, ll.BPCS_BFC_RESUME):
-                self._reply_not_accepted(from_mac, ll.BPCS_OPCODE)
+                self._send_raw(CLASSIC_LINK, from_mac, _lmp_not_accepted(ll.BPCS_OPCODE))
             else:
                 self._note(f"{pdu.name} from unconnected {hci.format_mac(from_mac)}")
             return
@@ -1028,76 +1003,18 @@ class Controller:
         self.test_mode_active = True
         self._emit_event(hci.EVT_VENDOR, hci.DUT_EVENT_PARAMS)
 
-    def _reply_lcp_reject(self, peer_mac: bytes) -> None:
-        self._send_raw_lcp(
-            peer_mac,
-            ll.build_lcp(
-                ll.LcpPdu(
-                    ll.LCP_NAME_TO_OPCODE["LL_REJECT_IND"],
-                    bytes([hci.ERR_LMP_PDU_NOT_ALLOWED]),
-                )
-            ),
-        )
-
-    def _handle_lcp(self, from_mac: bytes, raw: bytes) -> None:
-        try:
-            pdu = ll.dissect_lcp(raw)
-        except BcmDiagError as exc:
-            self._note(f"undissectable LCP from {hci.format_mac(from_mac)}: {exc}")
-            return
-
-        conn = self._find_connection(from_mac, Transport.LE)
-        if conn is None:
-            if pdu.opcode == _script_first_opcode(LE_SETUP, Transport.LE):
-                conn = self._new_connection(from_mac, Role.SLAVE, Transport.LE, Phase.LMP_SETUP)
-                self._consume_script_step(conn)
-            elif pdu.name in _LCP_NO_REPLY:
-                self._note(f"{pdu.name} from unconnected {hci.format_mac(from_mac)}")
-            else:
-                self._reply_lcp_reject(from_mac)
-            return
-
-        if self._script_matches(conn, pdu.name):
-            self._consume_script_step(conn)
-            return
-
-        if pdu.name == "LL_TERMINATE_IND":
-            reason = pdu.params[0] if pdu.params else hci.ERR_REMOTE_TERMINATED
-            self._drop_connection(conn, reason)
-            return
-        if pdu.name == "LL_FEATURE_REQ":
-            self._send_lcp(conn, ll.LcpPdu(ll.LCP_NAME_TO_OPCODE["LL_FEATURE_RSP"], LE_FEATURES))
-            return
-        if pdu.name == "LL_PING_REQ":
-            self._send_lcp(conn, ll.LcpPdu(ll.LCP_NAME_TO_OPCODE["LL_PING_RSP"]))
-            return
-        if pdu.name in _LCP_NO_REPLY or pdu.vendor is not None:
-            self._note(f"ignored {pdu.name} on handle 0x{conn.handle:04x}")
-            return
-        self._send_lcp(
-            conn,
-            ll.LcpPdu(
-                ll.LCP_NAME_TO_OPCODE["LL_UNKNOWN_RSP"], bytes([pdu.opcode])
-            ),
-        )
-
     # ----- raw injection (attack tooling / harnesses) ---------------------------
 
     def inject_lmp(self, raw: bytes) -> None:
         """Transmit raw Classic PDU octets over the link, bypassing any
         connection.  This is the radio-level attacker primitive."""
-        self._log_lmp(sent=True, peer_mac=self._linked_peer_mac(), pdu=raw)
-        if self.link is not None:
-            self.link.transmit(self, KIND_LMP, bytes(raw))
-            self.link.pump()
+        self._inject(CLASSIC_LINK, raw)
 
     def inject_lcp(self, raw: bytes) -> None:
-        self._log_lcp(sent=True, peer_mac=self._linked_peer_mac(), pdu=raw)
-        if self.link is not None:
-            self.link.transmit(self, KIND_LCP, bytes(raw))
-            self.link.pump()
+        self._inject(LE_LINK, raw)
 
-    def _linked_peer_mac(self) -> bytes:
-        if self.link is None:
-            return bytes(6)
-        return self.link.peer_of(self).mac
+    def _inject(self, layer: LinkLayer, raw: bytes) -> None:
+        peer_mac = self.link.peer_of(self).mac if self.link is not None else bytes(6)
+        self._send_raw(layer, peer_mac, bytes(raw))
+        if self.link is not None:
+            self.link.pump()

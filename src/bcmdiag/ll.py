@@ -338,10 +338,7 @@ def render_text(pdu: LinkPdu, direction: str | None = None, mac: str | None = No
     subtypes render with a hex fallback name instead of raising."""
     if not isinstance(pdu, (LmpPdu, BpcsPdu, LcpPdu)):
         raise TypeError(f"not a link-layer PDU: {type(pdu).__name__}")
-    if isinstance(pdu, LmpPdu):
-        detail = f"tid={pdu.tid}"
-        params = pdu.params
-    elif isinstance(pdu, BpcsPdu):
+    if isinstance(pdu, (LmpPdu, BpcsPdu)):
         detail = f"tid={pdu.tid}"
         params = pdu.params
     else:

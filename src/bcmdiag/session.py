@@ -181,13 +181,22 @@ class Session:
                 return frame
         return None
 
+    # Shows one record on the live view; None in a session whose live
+    # view stamps records with a clock of its own.
+    _show_live: Callable[[capture.CaptureRecord], None] | None = None
+
     def record_frame(self, direction: Direction, frame: H4Frame) -> None:
-        """Feed one sniffed frame to the active capture sink, with a
-        session-local logical tick so exports are reproducible."""
-        if self.capture_records is not None:
-            self.capture_records.append(
-                capture.CaptureRecord.at_tick(self._capture_tick, direction, frame)
-            )
+        """Hand one sniffed frame to the live view and the active capture
+        sink as one record, with a session-local logical tick so exports
+        are reproducible; build none when neither wants it."""
+        show = self._show_live if self.live_view else None
+        records = self.capture_records
+        if show is not None or records is not None:
+            record = capture.CaptureRecord.at_tick(self._capture_tick, direction, frame)
+            if show is not None:
+                show(record)
+            if records is not None:
+                records.append(record)
         self._capture_tick += 1
 
     # ------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Shared test plumbing: seeded random frame/message/PDU generators and
-independent capture-file readers.
+"""Shared test plumbing: seeded random frame/message/PDU generators, a
+recorder of controller-to-host frames and independent capture-file
+readers.
 
 The readers are deliberately written from the file-format definitions,
 not from the writer code, so export tests check two separate routes.
@@ -31,11 +32,28 @@ from bcmdiag.diag import (
     TestParams,
     ToggleLmpLogging,
 )
-from bcmdiag.h4 import DIAG_PAYLOAD_LEN, H4Frame, H4Type
+from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type
 
 MAC_A = hci.parse_mac("00:11:22:33:44:01")
 MAC_B = hci.parse_mac("00:11:22:33:44:02")
 MAC_EVIL = hci.parse_mac("66:55:44:33:22:11")
+
+
+class HostRecorder:
+    """Tap on one controller that keeps every frame it sends its host,
+    its own calls' answers included, until taken."""
+
+    def __init__(self, controller) -> None:
+        self.frames: list[H4Frame] = []
+        controller.add_tap(self)
+
+    def __call__(self, direction: Direction, frame: H4Frame, _tick: int) -> None:
+        if direction is Direction.CONTROLLER_TO_HOST:
+            self.frames.append(frame)
+
+    def take(self) -> list[H4Frame]:
+        out, self.frames = self.frames, []
+        return out
 
 
 # ----- random generators -------------------------------------------------

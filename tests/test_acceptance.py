@@ -52,6 +52,7 @@ from helpers import (
     MAC_A,
     MAC_B,
     MAC_EVIL,
+    HostRecorder,
     random_diag_message,
     random_h4_frame,
     random_lcp_pdu,
@@ -250,17 +251,16 @@ def test_criterion_05_bpcs_overflow_regression():
         victim = Controller(MAC_B, profile=vulnerable_profile())
         attach_air_link(attacker, victim)
         handle, _ = connect(attacker, victim)
-        victim.take_host_frames()
+        host = HostRecorder(victim)
         send_lmp(attacker, handle, attack)
         assert victim.test_mode_active
-        (evt,) = events_of(victim.take_host_frames(), hci.EVT_VENDOR)
+        (evt,) = events_of(host.take(), hci.EVT_VENDOR)
         assert evt.params == hci.DUT_EVENT_PARAMS
 
         attacker2 = Controller(MAC_A)
         victim2 = Controller(MAC_B, profile=patched_profile())
         attach_air_link(attacker2, victim2)
         handle2, _ = connect(attacker2, victim2)
-        victim2.take_host_frames()
         before = victim2.snapshot()
         out = send_lmp(attacker2, handle2, attack)
         assert victim2.snapshot() == before
@@ -299,9 +299,9 @@ def test_criterion_06_encryption_order_regression():
         send_lmp(attacker, handle, io_cap)
         (conn,) = victim.connections.values()
         assert conn.phase is Phase.SSP_PENDING
-        victim.take_host_frames()
+        host = HostRecorder(victim)
         send_lmp(attacker, handle, start_enc)
-        (hw,) = events_of(victim.take_host_frames(), hci.EVT_HARDWARE_ERROR)
+        (hw,) = events_of(host.take(), hci.EVT_HARDWARE_ERROR)
         assert hw.params == bytes([hci.HW_ERR_FIRMWARE_FAULT])
         # Reset: version works again, old handles invalid.
         out = victim.process_host_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
@@ -314,10 +314,11 @@ def test_criterion_06_encryption_order_regression():
         victim2 = Controller(MAC_B, profile=patched_profile())
         attach_air_link(attacker2, victim2)
         handle2, _ = connect(attacker2, victim2)
+        host2 = HostRecorder(victim2)
         send_lmp(attacker2, handle2, io_cap)
         attacker2.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
         out = send_lmp(attacker2, handle2, start_enc)
-        assert events_of(victim2.take_host_frames(), hci.EVT_HARDWARE_ERROR) == []
+        assert events_of(host2.take(), hci.EVT_HARDWARE_ERROR) == []
         replies = [
             ll.dissect_lmp(parse_diag(f.payload).payload, padded_to_17=True)
             for f in out

@@ -24,11 +24,12 @@ from bcmdiag.diag import (
 )
 from bcmdiag.emulator import Controller, Phase, Role, Transport, attach_air_link
 from bcmdiag.emulator.memory import ARM_BASE, VERSION_STRING
+from bcmdiag.emulator.profiles import patched_profile, vulnerable_profile
 from bcmdiag.errors import AlreadyLinked
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent
 
 from conftest import connect_pair
-from helpers import MAC_A, MAC_B, MAC_EVIL
+from helpers import MAC_A, MAC_B, MAC_EVIL, HostRecorder
 
 
 def events_of(frames, code):
@@ -72,13 +73,14 @@ class TestHciSurface:
 
     def test_connect_success_both_sides(self, linked_pair):
         a, b = linked_pair
+        host_b = HostRecorder(b)
         handle = connect_pair(a, b)
         assert a.connections[handle].phase is Phase.CONNECTED
         assert a.connections[handle].role is Role.MASTER
         (conn_b,) = b.connections.values()
         assert conn_b.role is Role.SLAVE
         assert conn_b.peer_mac == MAC_A
-        (evt,) = events_of(b.take_host_frames(), hci.EVT_CONNECTION_COMPLETE)
+        (evt,) = events_of(host_b.take(), hci.EVT_CONNECTION_COMPLETE)
         assert evt.params[0] == hci.ERR_SUCCESS
 
     def test_duplicate_connect_rejected(self, linked_pair):
@@ -92,8 +94,9 @@ class TestHciSurface:
 
     def test_disconnect(self, linked_pair):
         a, b = linked_pair
+        host_b = HostRecorder(b)
         handle = connect_pair(a, b)
-        b.take_host_frames()
+        host_b.take()
         out = a.process_host_frame(
             HciCommand(hci.OPCODE_DISCONNECT, struct.pack("<HB", handle, 0x13)).to_frame()
         )
@@ -101,7 +104,7 @@ class TestHciSurface:
         assert struct.unpack_from("<H", evt.params, 1)[0] == handle
         assert not a.connections
         assert not b.connections
-        assert events_of(b.take_host_frames(), hci.EVT_DISCONNECTION_COMPLETE)
+        assert events_of(host_b.take(), hci.EVT_DISCONNECTION_COMPLETE)
 
     def test_handle_allocation_wraps_past_handles_in_use(self, linked_pair):
         from bcmdiag.emulator.controller import FIRST_HANDLE, MAX_HANDLE
@@ -116,12 +119,10 @@ class TestHciSurface:
         )
         assert connect_pair(a, b, transport="le") == FIRST_HANDLE + 1
 
-    def test_passive_peer_holds_a_bounded_backlog(self, linked_pair):
+    def test_passive_peer_holds_nothing(self, linked_pair):
         """B never gets host input during 1,000 logged connect+disconnect
-        cycles driven from A; it keeps only its newest frames and still
-        answers."""
-        from bcmdiag.emulator.controller import HOST_OUT_MAX
-
+        cycles driven from A; it keeps none of the frames they made it
+        emit, and its next answer is its own alone."""
         a, b = linked_pair
         toggle = H4Frame.diag(build_diag(ToggleLmpLogging(True)))
         a.process_host_frame(toggle)
@@ -132,8 +133,21 @@ class TestHciSurface:
                 HciCommand(hci.OPCODE_DISCONNECT, struct.pack("<HB", handle, 0x13)).to_frame()
             )
         assert not a.connections and not b.connections
-        assert len(b.take_host_frames()) == HOST_OUT_MAX
         version = b.process_host_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
+        assert [HciEvent.from_frame(f).event_code for f in version] == [hci.EVT_COMMAND_COMPLETE]
+
+    def test_return_holds_only_the_calls_own_frames(self, linked_pair):
+        """Frames A emits while B handles a host frame reach A's taps,
+        not A's next return."""
+        a, b = linked_pair
+        connect_pair(a, b)
+        (handle,) = b.connections
+        host_a = HostRecorder(a)
+        b.process_host_frame(
+            HciCommand(hci.OPCODE_DISCONNECT, struct.pack("<HB", handle, 0x13)).to_frame()
+        )
+        assert events_of(host_a.take(), hci.EVT_DISCONNECTION_COMPLETE)
+        version = a.process_host_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
         assert [HciEvent.from_frame(f).event_code for f in version] == [hci.EVT_COMMAND_COMPLETE]
 
     def test_le_connect(self, linked_pair):
@@ -210,7 +224,7 @@ class TestVendorHci:
         a, b = linked_pair
         handle = connect_pair(a, b)
         b.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
-        b.take_host_frames()
+        host_b = HostRecorder(b)
         pdu = bytes([0x4E]) + bytes(8)  # LMP_features_req
         out = a.process_host_frame(
             HciCommand(
@@ -221,7 +235,7 @@ class TestVendorHci:
         assert evt.params[3] == hci.ERR_SUCCESS
         records = [
             m
-            for m in diag_messages(b.take_host_frames())
+            for m in diag_messages(host_b.take())
             if m.code is DiagCode.LMP_RECEIVED
         ]
         assert any(r.payload[: len(pdu)] == pdu for r in records)
@@ -400,7 +414,7 @@ class TestStatistics:
     def test_acl_counts_both_sides(self, linked_pair):
         a, b = linked_pair
         handle = connect_pair(a, b)
-        b.take_host_frames()
+        host_b = HostRecorder(b)
         sent = 0  # independent tally
         for _ in range(25):
             self._send_acl(a, handle)
@@ -412,16 +426,16 @@ class TestStatistics:
         assert stats_b.as_dict()["rx_packets"] == sent
         # Data actually reached B's host.
         acl_frames = [
-            f for f in b.take_host_frames() if f.h4_type is H4Type.ACL_DATA
+            f for f in host_b.take() if f.h4_type is H4Type.ACL_DATA
         ]
         assert len(acl_frames) == sent
 
     def test_acl_data_payload_preserved(self, linked_pair):
         a, b = linked_pair
         handle = connect_pair(a, b)
-        b.take_host_frames()
+        host_b = HostRecorder(b)
         self._send_acl(a, handle, b"\x01\x02\x03\x04\x05")
-        (frame,) = [f for f in b.take_host_frames() if f.h4_type is H4Type.ACL_DATA]
+        (frame,) = [f for f in host_b.take() if f.h4_type is H4Type.ACL_DATA]
         assert frame.payload[4:] == b"\x01\x02\x03\x04\x05"
 
     def test_sender_gets_completed_packets_event(self, linked_pair):
@@ -497,11 +511,11 @@ class TestAirLink:
         a, b = linked_pair
         a.process_host_frame(H4Frame.diag(bytes([0xF0, 0x01])))
         b.process_host_frame(H4Frame.diag(bytes([0xF0, 0x01])))
-        a.take_host_frames(), b.take_host_frames()
+        host_b = HostRecorder(b)
         handle = connect_pair(a, b)
         sent_a = [m for m in diag_messages(handle.frames) if m.code is DiagCode.LMP_SENT]
         received_b = [
-            m for m in diag_messages(b.take_host_frames()) if m.code is DiagCode.LMP_RECEIVED
+            m for m in diag_messages(host_b.take()) if m.code is DiagCode.LMP_RECEIVED
         ]
         assert sent_a and received_b
         assert all(m.low_mac == hci.low_mac(MAC_B) for m in sent_a)
@@ -511,7 +525,6 @@ class TestAirLink:
         a, b = linked_pair
         a.process_host_frame(H4Frame.diag(bytes([0xF0, 0x01])))
         b.process_host_frame(H4Frame.diag(bytes([0xF0, 0x01])))
-        a.take_host_frames(), b.take_host_frames()
         handle = connect_pair(a, b, transport="le")
         lcp_a = [
             m
@@ -523,9 +536,10 @@ class TestAirLink:
 
     def test_no_records_when_logging_off(self, linked_pair):
         a, b = linked_pair
+        host_b = HostRecorder(b)
         handle = connect_pair(a, b)
         assert diag_messages(handle.frames) == []
-        assert diag_messages(b.take_host_frames()) == []
+        assert diag_messages(host_b.take()) == []
 
 
 class TestReplyLoopSafety:
@@ -559,6 +573,29 @@ class TestReplyLoopSafety:
         a.inject_lcp(bytes([0x03]) + bytes(22))  # enc_req
         assert any("ignored LL_UNKNOWN_RSP" in note for note in a.audit)
 
+    @pytest.mark.parametrize("firewall", [False, True], ids=["open", "firewalled"])
+    @pytest.mark.parametrize("profile", [patched_profile, vulnerable_profile])
+    def test_empty_lmp_is_noted_not_answered(self, profile, firewall):
+        """An empty LMP PDU names no opcode to refuse."""
+        a, b = Controller(MAC_A), Controller(MAC_B, profile=profile())
+        attach_air_link(a, b)
+        for ctrl in (a, b):
+            ctrl.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
+        if firewall:
+            b.profile.firewall_allowlist = set()
+        host_a, host_b = HostRecorder(a), HostRecorder(b)
+        a.inject_lmp(b"")
+        assert [m.sent for m in diag_messages(host_a.take())] == [True]
+        assert [m.sent for m in diag_messages(host_b.take())] == [False]
+        mac = hci.format_mac(MAC_A)
+        note = (
+            f"firewall rejected LMP from {mac}"
+            if firewall
+            else f"undissectable LMP from {mac}: empty LMP PDU"
+        )
+        assert [n.split("] ", 1)[1] for n in b.audit] == [note]
+        assert not a.audit and not a.connections and not b.connections
+
     def test_clock_monotonic_across_crash(self, linked_pair_vulnerable):
         attacker, victim = linked_pair_vulnerable
         handle = connect_pair(attacker, victim)
@@ -573,6 +610,152 @@ class TestReplyLoopSafety:
         victim.process_host_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
         assert ticks == sorted(ticks)
         assert victim.clock > 0
+
+
+def _lmp(name, params=None):
+    opcode = ll.LMP_NAME_TO_OPCODE[name]
+    if params is None:
+        params = bytes(ll.LMP_OPCODES[opcode].param_len)
+    return bytes([opcode << 1]) + params
+
+
+def _lcp(name, params=None):
+    opcode = ll.LCP_NAME_TO_OPCODE[name]
+    if params is None:
+        params = bytes(ll.LCP_OPCODES[opcode].param_len)
+    return bytes([opcode]) + params
+
+
+_MAC_A, _MAC_B = hci.format_mac(MAC_A), hci.format_mac(MAC_B)
+_NOT_ACCEPTED_39 = "0827240000000000000000000000000000"  # features_req refused, tid 0
+
+# One row per link-layer branch that Classic and LE both take: what A
+# sends over the air (None: HCI Disconnect of the live link), whether
+# the pair is connected first and whether B's firewall shuts A out;
+# then both ends' log records (direction and octets) and the audit
+# notes each end adds.
+_BRANCHES = [
+    ("undissectable", "classic", False, False, _lmp("LMP_features_req", bytes(3)),
+     ["tx 4e00000000000000000000000000000000", "rx " + _NOT_ACCEPTED_39],
+     [f"LMP_not_accepted from unconnected {_MAC_B}"],
+     ["rx 4e00000000000000000000000000000000", "tx " + _NOT_ACCEPTED_39],
+     [f"undissectable LMP from {_MAC_A}: LMP_features_req must be 9 octets, got 4"]),
+    ("undissectable", "le", False, False, _lcp("LL_FEATURE_REQ", bytes(2)),
+     ["tx 080000"], [],
+     ["rx 080000"],
+     [f"undissectable LCP from {_MAC_A}: LL_FEATURE_REQ carries 8 CtrData octets, got 2"]),
+    ("firewalled", "classic", False, True, _lmp("LMP_features_req"),
+     ["tx 4e00000000000000000000000000000000", "rx " + _NOT_ACCEPTED_39],
+     [f"LMP_not_accepted from unconnected {_MAC_B}"],
+     ["rx 4e00000000000000000000000000000000", "tx " + _NOT_ACCEPTED_39],
+     [f"firewall rejected LMP from {_MAC_A}"]),
+    ("firewalled", "le", False, True, _lcp("LL_FEATURE_REQ"),
+     ["tx 080000000000000000", "rx 0d24"], [f"LL_REJECT_IND from unconnected {_MAC_B}"],
+     ["rx 080000000000000000", "tx 0d24"], [f"firewall rejected LCP from {_MAC_A}"]),
+    ("reject at firewall", "classic", False, True, _lmp("LMP_not_accepted", bytes([39, 0x24])),
+     ["tx " + _NOT_ACCEPTED_39], [],
+     ["rx " + _NOT_ACCEPTED_39], [f"firewall rejected LMP from {_MAC_A}"]),
+    ("reject at firewall", "le", False, True, _lcp("LL_REJECT_IND", b"\x24"),
+     ["tx 0d24"], [],
+     ["rx 0d24"], [f"firewall rejected LCP from {_MAC_A}"]),
+    ("unconnected request", "classic", False, False, _lmp("LMP_au_rand"),
+     ["tx 1600000000000000000000000000000000", "rx 080b240000000000000000000000000000"],
+     [f"LMP_not_accepted from unconnected {_MAC_B}"],
+     ["rx 1600000000000000000000000000000000", "tx 080b240000000000000000000000000000"], []),
+    ("unconnected request", "le", False, False, _lcp("LL_PING_REQ"),
+     ["tx 12", "rx 0d24"], [f"LL_REJECT_IND from unconnected {_MAC_B}"],
+     ["rx 12", "tx 0d24"], []),
+    ("unconnected reply", "classic", False, False, _lmp("LMP_accepted", bytes([39])),
+     ["tx 0627000000000000000000000000000000"], [],
+     ["rx 0627000000000000000000000000000000"], [f"LMP_accepted from unconnected {_MAC_A}"]),
+    ("unconnected reply", "le", False, False, _lcp("LL_PING_RSP"),
+     ["tx 13"], [],
+     ["rx 13"], [f"LL_PING_RSP from unconnected {_MAC_A}"]),
+    ("unknown opcode", "classic", True, False, bytes([70 << 1, 0, 0]),
+     ["tx 8c00000000000000000000000000000000", "rx 0846240000000000000000000000000000"],
+     ["ignored LMP_not_accepted on handle 0x000b"],
+     ["rx 8c00000000000000000000000000000000", "tx 0846240000000000000000000000000000"],
+     [f"undissectable LMP from {_MAC_A}: unknown LMP opcode 0x46"]),
+    ("unknown opcode", "le", True, False, bytes([0x40, 0]),
+     ["tx 4000"], [],
+     ["rx 4000"], [f"undissectable LCP from {_MAC_A}: unknown LCP opcode 0x40"]),
+    ("unhandled", "classic", True, False, _lmp("LMP_au_rand"),
+     ["tx 1600000000000000000000000000000000", "rx 090b240000000000000000000000000000"],
+     ["ignored LMP_not_accepted on handle 0x000b"],
+     ["rx 1600000000000000000000000000000000", "tx 090b240000000000000000000000000000"], []),
+    ("unhandled", "le", True, False, _lcp("LL_ENC_REQ"),
+     ["tx 0300000000000000000000000000000000000000000000", "rx 0703"],
+     ["ignored LL_UNKNOWN_RSP on handle 0x000b"],
+     ["rx 0300000000000000000000000000000000000000000000", "tx 0703"], []),
+    ("features", "classic", True, False, _lmp("LMP_features_req"),
+     ["tx 4e00000000000000000000000000000000", "rx 50bffecffedbff7b870000000000000000"],
+     ["ignored LMP_features_res on handle 0x000b"],
+     ["rx 4e00000000000000000000000000000000", "tx 50bffecffedbff7b870000000000000000"], []),
+    ("features", "le", True, False, _lcp("LL_FEATURE_REQ"),
+     ["tx 080000000000000000", "rx 091f00000000000000"],
+     ["ignored LL_FEATURE_RSP on handle 0x000b"],
+     ["rx 080000000000000000", "tx 091f00000000000000"], []),
+    ("version", "classic", True, False, _lmp("LMP_version_req"),
+     ["tx 4a00000000000000000000000000000000", "rx 4c090f0009220000000000000000000000"],
+     ["ignored LMP_version_res on handle 0x000b"],
+     ["rx 4a00000000000000000000000000000000", "tx 4c090f0009220000000000000000000000"], []),
+    ("version", "le", True, False, _lcp("LL_VERSION_IND"),
+     ["tx 0c0000000000"], [],
+     ["rx 0c0000000000"], ["ignored LL_VERSION_IND on handle 0x000b"]),
+    ("ping", "le", True, False, _lcp("LL_PING_REQ"),
+     ["tx 12", "rx 13"], ["ignored LL_PING_RSP on handle 0x000b"],
+     ["rx 12", "tx 13"], []),
+    ("vendor", "classic", True, False, ll.build_lmp(ll.BpcsPdu(ll.BPCS_FEATURES_REQUEST)),
+     ["tx 0000000000000000000000000000000000", "rx 0001000000000000000000000000000000"], [],
+     ["rx 0000000000000000000000000000000000", "tx 0001000000000000000000000000000000"], []),
+    ("vendor", "le", True, False, ll.build_lcp(ll.vendor_lcp(1, b"\x01")),
+     ["tx ff0101"], [],
+     ["rx ff0101"], ["ignored LCP Vendor Feature Request on handle 0x000b"]),
+    ("disconnect", "classic", True, False, None,
+     ["tx 0e13000000000000000000000000000000"], [],
+     ["rx 0e13000000000000000000000000000000"], []),
+    ("disconnect", "le", True, False, None,
+     ["tx 0213"], [],
+     ["rx 0213"], []),
+]
+
+
+class TestLinkLayerBranches:
+    """Each Classic/LE branch of the air path, pinned by what both
+    ends log and note."""
+
+    @pytest.mark.parametrize(
+        "transport, connected, firewall, raw, log_a, notes_a, log_b, notes_b",
+        [row[1:] for row in _BRANCHES],
+        ids=[f"{row[0]}-{row[1]}" for row in _BRANCHES],
+    )
+    def test_branch(self, transport, connected, firewall, raw, log_a, notes_a, log_b, notes_b):
+        a, b = Controller(MAC_A), Controller(MAC_B)
+        attach_air_link(a, b)
+        for ctrl in (a, b):
+            ctrl.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
+        handle = connect_pair(a, b, transport) if connected else None
+        if firewall:
+            b.profile.firewall_allowlist = set()
+        host_a, host_b = HostRecorder(a), HostRecorder(b)
+        seen_a, seen_b = len(a.audit), len(b.audit)
+        if raw is None:
+            a.process_host_frame(
+                HciCommand(hci.OPCODE_DISCONNECT, struct.pack("<HB", handle, 0x13)).to_frame()
+            )
+        elif transport == "classic":
+            a.inject_lmp(raw)
+        else:
+            a.inject_lcp(raw)
+
+        def log(host):
+            return [("tx " if m.sent else "rx ") + m.payload.hex() for m in diag_messages(host.take())]
+
+        def notes(ctrl, seen):
+            return [note.split("] ", 1)[1] for note in list(ctrl.audit)[seen:]]
+
+        assert (log(host_a), notes(a, seen_a)) == (log_a, notes_a)
+        assert (log(host_b), notes(b, seen_b)) == (log_b, notes_b)
 
 
 class TestDeterminism:

@@ -18,7 +18,7 @@ from bcmdiag.emulator.scenario import LocalSession, build_world
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent
 
 from conftest import connect_pair
-from helpers import MAC_A, MAC_B, MAC_EVIL
+from helpers import MAC_A, MAC_B, MAC_EVIL, HostRecorder
 
 
 def events_of(frames, code):
@@ -70,27 +70,25 @@ class TestBpcsBoundsCheck:
     def test_vulnerable_enters_dut_mode(self, linked_pair_vulnerable):
         attacker, victim = linked_pair_vulnerable
         handle = connect_pair(attacker, victim)
-        victim.take_host_frames()
+        host = HostRecorder(victim)
         send_lmp(attacker, handle, bpcs_0x95())
         assert victim.test_mode_active
-        (vendor,) = events_of(victim.take_host_frames(), hci.EVT_VENDOR)
+        (vendor,) = events_of(host.take(), hci.EVT_VENDOR)
         assert vendor.params == hci.DUT_EVENT_PARAMS
 
     def test_dut_mode_jams_traffic(self, linked_pair_vulnerable):
         attacker, victim = linked_pair_vulnerable
         handle = connect_pair(attacker, victim)
         send_lmp(attacker, handle, bpcs_0x95())
-        victim.take_host_frames()
+        host = HostRecorder(victim)
         before = victim.snapshot()
         send_lmp(attacker, handle, ll.build_lmp(ll.LmpPdu(39, params=bytes(8))))
-        assert victim.take_host_frames() == []  # nothing processed, no reply
+        assert host.take() == []  # nothing processed, no reply
         assert victim.snapshot() == before
 
     def test_patched_replies_not_accept_and_state_unchanged(self, linked_pair):
         attacker, victim = linked_pair
         handle = connect_pair(attacker, victim)
-        victim.take_host_frames()
-        attacker.take_host_frames()
         before = victim.snapshot()
         send_lmp(attacker, handle, bpcs_0x95())
         after = victim.snapshot()
@@ -114,10 +112,10 @@ class TestBpcsBoundsCheck:
     def test_other_overflow_subtypes_crash_by_default(self, linked_pair_vulnerable):
         attacker, victim = linked_pair_vulnerable
         handle = connect_pair(attacker, victim)
-        victim.take_host_frames()
+        host = HostRecorder(victim)
         raw = ll.build_lmp(ll.BpcsPdu(subtype=0x33), allow_nonconformant=True)
         send_lmp(attacker, handle, raw)
-        (hw,) = events_of(victim.take_host_frames(), hci.EVT_HARDWARE_ERROR)
+        (hw,) = events_of(host.take(), hci.EVT_HARDWARE_ERROR)
         assert hw.params == bytes([hci.HW_ERR_FIRMWARE_FAULT])
         assert not victim.connections
 
@@ -128,7 +126,6 @@ class TestBpcsBoundsCheck:
         victim = Controller(MAC_B, profile=profile)
         attach_air_link(attacker, victim)
         handle = connect_pair(attacker, victim)
-        victim.take_host_frames()
         before = victim.snapshot()
         send_lmp(attacker, handle, ll.build_lmp(ll.BpcsPdu(subtype=0x33), allow_nonconformant=True))
         assert victim.snapshot() == before
@@ -139,20 +136,21 @@ class TestEncryptionOrder:
     builds (CVE-2019-6994)."""
 
     def _pair_pending(self, attacker, victim):
+        """Returns the attacker's handle and a recorder of what the
+        victim sends its host from then on."""
         handle = connect_pair(attacker, victim)
         send_lmp(attacker, handle, io_capability_req())
         (conn,) = victim.connections.values()
         assert conn.phase is Phase.SSP_PENDING
-        victim.take_host_frames()
-        return handle
+        return handle, HostRecorder(victim)
 
     def test_vulnerable_crashes_and_resets(self, linked_pair_vulnerable):
         attacker, victim = linked_pair_vulnerable
         old_handles = None
-        handle = self._pair_pending(attacker, victim)
+        handle, host = self._pair_pending(attacker, victim)
         old_handles = list(victim.connections)
         send_lmp(attacker, handle, start_encryption_req())
-        frames = victim.take_host_frames()
+        frames = host.take()
         (hw,) = events_of(frames, hci.EVT_HARDWARE_ERROR)
         assert hw.params == bytes([hci.HW_ERR_FIRMWARE_FAULT])
         # Fresh state: version query succeeds, old handles are gone.
@@ -169,11 +167,11 @@ class TestEncryptionOrder:
 
     def test_patched_replies_not_accepted(self, linked_pair):
         attacker, victim = linked_pair
-        handle = self._pair_pending(attacker, victim)
+        handle, host = self._pair_pending(attacker, victim)
         attacker.process_host_frame(H4Frame.diag(bytes([0xF0, 0x01])))
         before = victim.snapshot()
         out = send_lmp(attacker, handle, start_encryption_req())
-        assert events_of(victim.take_host_frames(), hci.EVT_HARDWARE_ERROR) == []
+        assert events_of(host.take(), hci.EVT_HARDWARE_ERROR) == []
         (conn,) = victim.connections.values()
         assert conn.phase is Phase.SSP_PENDING
         records = [
@@ -194,7 +192,7 @@ class TestEncryptionOrder:
 
     def test_legal_path_reaches_encrypted(self, linked_pair):
         attacker, victim = linked_pair
-        handle = self._pair_pending(attacker, victim)
+        handle, _host = self._pair_pending(attacker, victim)
         send_lmp(attacker, handle, dhkey_check())
         send_lmp(attacker, handle, start_encryption_req())
         (conn,) = victim.connections.values()
@@ -230,6 +228,7 @@ class TestFirewall:
 
     def test_connection_attempt_blocked(self):
         attacker, victim = self._firewalled_victim()
+        host = HostRecorder(victim)
         out = attacker.process_host_frame(
             HciCommand(
                 hci.OPCODE_CREATE_CONNECTION, hci.mac_to_wire(MAC_B) + bytes(7)
@@ -238,7 +237,7 @@ class TestFirewall:
         assert victim.connections == {}
         # No host events surfaced on the victim.
         assert [
-            f for f in victim.take_host_frames() if f.h4_type is H4Type.HCI_EVENT
+            f for f in host.take() if f.h4_type is H4Type.HCI_EVENT
         ] == []
 
     def test_initial_request_answered_not_accepted(self):
@@ -353,7 +352,6 @@ class TestProfileMonotonicity:
                 )
             attacker.inject_lmp(raw)
             assert not victim.test_mode_active
-        victim.take_host_frames()
         # Only the explicit HCI route may enter device-under-test mode.
         victim.process_host_frame(HciCommand(hci.OPCODE_ENABLE_DUT_MODE).to_frame())
         assert victim.test_mode_active
