@@ -19,7 +19,6 @@ File formats:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from . import diag, hci, ll
 from .diag import DiagCode, code_direction, parse_diag
@@ -33,6 +32,7 @@ from .h4 import (
     HciEvent,
     direction_legal,
     encode_frame,
+    value_class,
 )
 
 TICK_US = 625
@@ -48,15 +48,17 @@ _HCI_TYPES = frozenset(
 _BTSNOOP_EPOCH_2000 = 0x00E03AB44A676000
 
 
-@dataclass(frozen=True)
+@value_class
 class CaptureRecord:
+    """One sniffed frame, stamped with its logical tick in microseconds."""
+
     timestamp_us: int
     direction: Direction
     frame: H4Frame
 
     @classmethod
     def at_tick(cls, tick: int, direction: Direction, frame: H4Frame) -> "CaptureRecord":
-        return cls(tick * TICK_US, direction, frame)
+        return tuple.__new__(cls, (tick * TICK_US, direction, frame))
 
 
 def _pcapng_block(block_type: int, body: bytes) -> bytes:
@@ -79,111 +81,78 @@ _SHB_COMMENT = (
 )
 
 
-class PcapngWriter:
-    """Writes records into a two-interface pcapng file.
+def write_pcap(records: list[CaptureRecord], path: str) -> int:
+    """Export a capture as pcapng, one block at a time; returns the
+    record count.
 
     Interfaces are created lazily in first-use order, so an HCI-only
     capture carries a single link type.
     """
-
-    def __init__(self, path: str):
-        self._fh = open(path, "wb")
-        self._iface_ids: dict[int, int] = {}
+    iface_ids: dict[int, int] = {}
+    with open(path, "wb") as fh:
         body = (
             struct.pack("<IHHq", 0x1A2B3C4D, 1, 0, -1)
             + _pcapng_option(1, _SHB_COMMENT)
             + _pcapng_option(0, b"")
         )
-        self._fh.write(_pcapng_block(0x0A0D0D0A, body))
-
-    def _iface(self, linktype: int, name: bytes) -> int:
-        iface = self._iface_ids.get(linktype)
-        if iface is None:
-            iface = len(self._iface_ids)
-            self._iface_ids[linktype] = iface
-            body = (
-                struct.pack("<HHI", linktype, 0, 0)
-                + _pcapng_option(2, name)  # if_name
-                + _pcapng_option(0, b"")
-            )
-            self._fh.write(_pcapng_block(0x00000001, body))
-        return iface
-
-    def write_record(self, record: CaptureRecord) -> None:
-        if record.frame.h4_type in _HCI_TYPES:
-            iface = self._iface(LINKTYPE_H4_WITH_PHDR, b"hci")
-            data = struct.pack(">I", int(record.direction)) + encode_frame(record.frame)
-        else:
-            iface = self._iface(LINKTYPE_DIAG, b"diag")
-            data = bytes([int(record.direction)]) + encode_frame(record.frame)
-        body = (
-            struct.pack(
-                "<IIIII",
-                iface,
-                record.timestamp_us >> 32,
-                record.timestamp_us & 0xFFFFFFFF,
-                len(data),
-                len(data),
-            )
-            + data
-        )
-        self._fh.write(_pcapng_block(0x00000006, body))
-
-    def close(self) -> None:
-        self._fh.close()
-
-
-def write_pcap(records: list[CaptureRecord], path: str) -> int:
-    """Export a capture as pcapng; returns the record count."""
-    writer = PcapngWriter(path)
-    try:
+        fh.write(_pcapng_block(0x0A0D0D0A, body))
         for record in records:
-            writer.write_record(record)
-    finally:
-        writer.close()
+            if record.frame.h4_type in _HCI_TYPES:
+                linktype, name = LINKTYPE_H4_WITH_PHDR, b"hci"
+                data = struct.pack(">I", int(record.direction)) + encode_frame(record.frame)
+            else:
+                linktype, name = LINKTYPE_DIAG, b"diag"
+                data = bytes([int(record.direction)]) + encode_frame(record.frame)
+            iface = iface_ids.get(linktype)
+            if iface is None:
+                iface = iface_ids[linktype] = len(iface_ids)
+                body = (
+                    struct.pack("<HHI", linktype, 0, 0)
+                    + _pcapng_option(2, name)  # if_name
+                    + _pcapng_option(0, b"")
+                )
+                fh.write(_pcapng_block(0x00000001, body))
+            body = (
+                struct.pack(
+                    "<IIIII",
+                    iface,
+                    record.timestamp_us >> 32,
+                    record.timestamp_us & 0xFFFFFFFF,
+                    len(data),
+                    len(data),
+                )
+                + data
+            )
+            fh.write(_pcapng_block(0x00000006, body))
     return len(records)
 
 
-class BtsnoopWriter:
-    def __init__(self, path: str):
-        self._fh = open(path, "wb")
-        self._fh.write(struct.pack(">8sII", b"btsnoop\x00", 1, 1002))
-        self.skipped = 0
-
-    def write_record(self, record: CaptureRecord) -> None:
-        if record.frame.h4_type not in _HCI_TYPES:
-            self.skipped += 1
-            return
-        data = encode_frame(record.frame)
-        flags = int(record.direction)
-        if record.frame.h4_type in (H4Type.HCI_COMMAND, H4Type.HCI_EVENT):
-            flags |= 0x02
-        self._fh.write(
-            struct.pack(
-                ">IIIIq",
-                len(data),
-                len(data),
-                flags,
-                0,
-                _BTSNOOP_EPOCH_2000 + record.timestamp_us,
-            )
-        )
-        self._fh.write(data)
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 def write_btsnoop(records: list[CaptureRecord], path: str) -> int:
-    """Export the HCI subset of a capture; returns how many non-HCI
-    records were skipped."""
-    writer = BtsnoopWriter(path)
-    try:
+    """Export the HCI subset of a capture, one record at a time; returns
+    how many non-HCI records were skipped."""
+    skipped = 0
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">8sII", b"btsnoop\x00", 1, 1002))
         for record in records:
-            writer.write_record(record)
-    finally:
-        writer.close()
-    return writer.skipped
+            if record.frame.h4_type not in _HCI_TYPES:
+                skipped += 1
+                continue
+            data = encode_frame(record.frame)
+            flags = int(record.direction)
+            if record.frame.h4_type in (H4Type.HCI_COMMAND, H4Type.HCI_EVENT):
+                flags |= 0x02
+            fh.write(
+                struct.pack(
+                    ">IIIIq",
+                    len(data),
+                    len(data),
+                    flags,
+                    0,
+                    _BTSNOOP_EPOCH_2000 + record.timestamp_us,
+                )
+            )
+            fh.write(data)
+    return skipped
 
 
 # ----- sniff stream framing ----------------------------------------------

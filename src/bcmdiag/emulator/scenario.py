@@ -1,7 +1,8 @@
 """Declarative scenarios: a line-oriented text format describing
 controller profiles, link topology and operator command sequences.
 
-Grammar (``#`` starts a comment):
+Grammar (``#`` starts a comment; ``bcmdiag.session.scenario_lines``
+holds the line rule):
 
     controller <name> mac=<mac> [profile=vulnerable|patched|default]
                [allowlist=<mac>[,<mac>...]] [test-packets=<n>]
@@ -22,9 +23,10 @@ import threading
 from typing import Callable
 
 from .. import hci
+from ..capture import CaptureRecord, render_live
 from ..errors import ScenarioError
 from ..h4 import Direction, H4Frame
-from ..session import Session
+from ..session import Session, scenario_lines
 from .controller import Controller
 from .link import attach_air_link
 from .memory import MemoryImage
@@ -70,10 +72,10 @@ class LocalSession(Session):
         self.record_frame(direction, frame)
         with self._lock:
             self._queue_records([(direction, frame)])
-        if self.live_view and self._on_line is not None:
-            from ..capture import CaptureRecord, render_live
 
-            self._on_line(render_live(CaptureRecord.at_tick(tick, direction, frame)))
+    def _show_live(self, record: CaptureRecord) -> None:
+        if self._on_line is not None:
+            self._on_line(render_live(record))
 
     def _send(self, frame: H4Frame) -> None:
         with self._lock:
@@ -133,27 +135,25 @@ def parse_scenario(text: str) -> tuple[list[tuple[int, str, list[str]]], list[tu
     """
     directives: list[tuple[int, str, list[str]]] = []
     commands: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        first, _, rest = line.partition(" ")
-        if first in ("controller", "link"):
-            directives.append((lineno, first, rest.split()))
-            continue
-        if first.endswith(":"):
-            commands.append((lineno, first[:-1], rest.strip()))
-            continue
-        raise ScenarioError(
-            lineno, f"expected a directive or '<name>: <command>', got {line!r}"
-        )
+    for lineno, directive, target, rest in scenario_lines(text):
+        if directive is not None:
+            directives.append((lineno, directive, rest.split()))
+        elif target is not None:
+            commands.append((lineno, target, rest))
+        else:
+            raise ScenarioError(
+                lineno, f"expected a directive or '<name>: <command>', got {rest!r}"
+            )
     return directives, commands
 
 
 def build_world(text: str) -> World:
     """Create controllers and links from a scenario's directives."""
+    return _world_from(parse_scenario(text)[0])
+
+
+def _world_from(directives: list[tuple[int, str, list[str]]]) -> World:
     world = World()
-    directives, _ = parse_scenario(text)
     for lineno, directive, args in directives:
         if directive == "controller":
             if not args:
@@ -171,16 +171,13 @@ def build_world(text: str) -> World:
 
 
 def run_scenario(
-    text: str,
-    world: World | None = None,
-    on_line: Callable[[str], None] | None = None,
+    text: str, on_line: Callable[[str], None] | None = None
 ) -> tuple[bool, World, list[str]]:
-    """Execute a full scenario: build the topology (unless a prebuilt
-    world is supplied), then run every command line through a local
-    session on its controller.  Returns (ok, world, transcript)."""
-    if world is None:
-        world = build_world(text)
-    _, commands = parse_scenario(text)
+    """Execute a full scenario: build the topology, then run every
+    command line through a local session on its controller.  Returns
+    (ok, world, transcript)."""
+    directives, commands = parse_scenario(text)
+    world = _world_from(directives)
     sessions: dict[str, LocalSession] = {}
     transcript: list[str] = []
     ok = True

@@ -261,14 +261,6 @@ class HciCommand:
     opcode: int
     params: bytes = b""
 
-    @property
-    def ogf(self) -> int:
-        return self.opcode >> 10
-
-    @property
-    def ocf(self) -> int:
-        return self.opcode & 0x3FF
-
     def to_frame(self) -> H4Frame:
         if not 0 <= self.opcode <= 0xFFFF:
             raise InvariantViolation(f"opcode 0x{self.opcode:x} out of range")

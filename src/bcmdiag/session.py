@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import deque
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import capture, hci
 from .diag import (
@@ -99,8 +99,9 @@ class Session:
     """One operator attachment to a controller's inject/sniff pair.
 
     Subclasses provide the transport: ``_send`` pushes one frame down
-    the inject path, and whatever delivers controller-to-host frames
-    hands every sniffed record to ``_queue_records``.  ``wait_frame``
+    the inject path, whatever delivers controller-to-host frames hands
+    every sniffed record to ``record_frame`` and ``_queue_records``, and
+    ``_show_live`` puts one record on the live view.  ``wait_frame``
     returns the oldest queued frame matching a predicate, taken with
     ``_take_frame``; both helpers run under ``lock``, the subclass's
     transport lock.  A command's answer is matched only against the
@@ -133,6 +134,10 @@ class Session:
     def wait_frame(
         self, pred: Callable[[H4Frame], bool], timeout: float | None = None
     ) -> H4Frame | None:
+        raise NotImplementedError
+
+    def _show_live(self, record: capture.CaptureRecord) -> None:
+        """Show one record on the live view."""
         raise NotImplementedError
 
     @property
@@ -181,20 +186,15 @@ class Session:
                 return frame
         return None
 
-    # Shows one record on the live view; None in a session whose live
-    # view stamps records with a clock of its own.
-    _show_live: Callable[[capture.CaptureRecord], None] | None = None
-
     def record_frame(self, direction: Direction, frame: H4Frame) -> None:
         """Hand one sniffed frame to the live view and the active capture
         sink as one record, with a session-local logical tick so exports
         are reproducible; build none when neither wants it."""
-        show = self._show_live if self.live_view else None
         records = self.capture_records
-        if show is not None or records is not None:
+        if self.live_view or records is not None:
             record = capture.CaptureRecord.at_tick(self._capture_tick, direction, frame)
-            if show is not None:
-                show(record)
+            if self.live_view:
+                self._show_live(record)
             if records is not None:
                 records.append(record)
         self._capture_tick += 1
@@ -454,13 +454,19 @@ class Session:
                 return False, ["no capture running"]
             records = self.capture_records
             self.capture_records = None
-            if self._capture_format == "btsnoop":
-                skipped = capture.write_btsnoop(records, self._capture_path)
-                return True, [
-                    f"wrote {len(records) - skipped} HCI records to "
-                    f"{self._capture_path} (skipped {skipped} non-HCI)"
-                ]
-            capture.write_pcap(records, self._capture_path)
+            try:
+                if self._capture_format == "btsnoop":
+                    skipped = capture.write_btsnoop(records, self._capture_path)
+                    return True, [
+                        f"wrote {len(records) - skipped} HCI records to "
+                        f"{self._capture_path} (skipped {skipped} non-HCI)"
+                    ]
+                capture.write_pcap(records, self._capture_path)
+            except OSError as exc:
+                # Keep the records, so a stop can be retried once the
+                # path is writable.
+                self.capture_records = records
+                return False, [f"{exc} (capture still running)"]
             return True, [f"wrote {len(records)} records to {self._capture_path}"]
         if len(args) < 2 or args[0] != "start":
             raise CommandError("expected start <path> [pcap|btsnoop] or stop")
@@ -492,24 +498,37 @@ class Session:
             return False, [str(exc)]
         ok = True
         out: list[str] = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        for lineno, directive, target, line in scenario_lines(text):
+            if directive is not None:
+                out.append(f"line {lineno}: skipped emulator directive {directive!r}")
                 continue
-            first = line.split()[0]
-            if first in ("controller", "link"):
-                out.append(f"line {lineno}: skipped emulator directive {first!r}")
+            if target is not None and self.name is not None and target != self.name:
+                out.append(f"line {lineno}: skipped (for controller {target!r})")
                 continue
-            if ":" in first:
-                target, _, rest = line.partition(":")
-                if self.name is not None and target.strip() != self.name:
-                    out.append(f"line {lineno}: skipped (for controller {target.strip()!r})")
-                    continue
-                line = rest.strip()
             line_ok, lines = self.execute(line)
             ok = ok and line_ok
             out.extend(lines)
         return ok, out
+
+
+def scenario_lines(text: str) -> Iterator[tuple[int, str | None, str | None, str]]:
+    """The one scenario-line grammar, read by the scenario runner and by
+    ``scenario run``.  Yields ``(lineno, directive, target, rest)`` per
+    line left after its ``#`` comment, words split on any whitespace: a
+    first word ``controller`` or ``link`` is a directive, one ending in
+    ``:`` names the target, and any other line is a bare command."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        first = line.split(None, 1)[0]
+        rest = line[len(first) :].lstrip()
+        if first in ("controller", "link"):
+            yield lineno, first, None, rest
+        elif first.endswith(":"):
+            yield lineno, None, first[:-1], rest
+        else:
+            yield lineno, None, None, line
 
 
 def _format_stats(msg: StatsResponse) -> str:

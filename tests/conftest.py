@@ -1,3 +1,4 @@
+import socket
 import sys
 from pathlib import Path
 
@@ -8,6 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bcmdiag import hci
 from bcmdiag.emulator import Controller, attach_air_link
 from bcmdiag.emulator.profiles import patched_profile, vulnerable_profile
+from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.server import EmulatorServer
 
 from helpers import MAC_A, MAC_B
 
@@ -27,6 +30,40 @@ def linked_pair_vulnerable():
     b = Controller(MAC_B, profile=vulnerable_profile(), name="B")
     attach_air_link(a, b)
     return a, b
+
+
+SERVED_TOPOLOGY = """\
+controller A mac=00:11:22:33:44:01 profile=patched
+controller B mac=00:11:22:33:44:02 profile=patched
+link A B
+"""
+
+
+def free_base_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@pytest.fixture
+def served_world():
+    """SERVED_TOPOLOGY behind an EmulatorServer on a free loopback port
+    window; yields (world, server)."""
+    world = build_world(SERVED_TOPOLOGY)
+    server = None
+    for _attempt in range(5):
+        base = free_base_port()
+        try:
+            server = EmulatorServer(world, base_port=base)
+            break
+        except OSError:
+            continue
+    assert server is not None, "no free port window"
+    server.start()
+    try:
+        yield world, server
+    finally:
+        server.stop()
 
 
 def connect_pair(a: Controller, b: Controller, transport: str = "classic"):

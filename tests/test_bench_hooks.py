@@ -1,12 +1,16 @@
-"""The benchmark's tracing hooks still find every name they wrap.
+"""The benchmark's tracing hooks still find every name they wrap, and
+the client's calls still go through them.
 
 ``perfbench/tracing.py`` replaces methods and functions of ``bcmdiag``
 by name, reading class attributes from the class's own ``__dict__``, so
 renaming or moving one of them breaks the benchmark.  Installing both
-tracers here makes such a change fail this suite as well.
+tracers here makes such a change fail this suite as well.  A caller
+that binds a wrapped function before the wrapper is installed would
+leave its layer's figures at zero, so the client hooks are also driven.
 """
 
 import importlib.util
+import io
 import socket
 from pathlib import Path
 
@@ -48,3 +52,30 @@ def test_both_tracers_install_and_uninstall():
         capture.SniffStreamDecoder.__dict__["feed"],
         socket.create_connection,
     ) == originals
+
+
+def test_client_hooks_are_reached(served_world, tmp_path):
+    """With ClientTracing installed, a capture stop records one pcapng
+    write span and each SocketSession live line one render span."""
+    tracing = _load_tracing()
+    _world, emulator = served_world
+    sniff, inject = emulator.port_map()["A"]
+    tracer = tracing.Tracer()
+    try:
+        tracing.ClientTracing(tracer).install()
+        out = io.StringIO()
+        session = cli.SocketSession(
+            ("127.0.0.1", inject), ("127.0.0.1", sniff), color=False, out=out
+        )
+        try:
+            for line in (f"capture start {tmp_path / 'c.pcapng'}", "version", "capture stop"):
+                assert session.execute(line)[0], line
+            session.live_view = True
+            assert session.execute("version")[0]
+        finally:
+            session.close()
+    finally:
+        tracer.uninstall()
+    write = tracer.agg["capture.pcapng_write"]
+    assert (write[tracing.CALLS], write[tracing.ITEMS]) == (1, 2)
+    assert len(out.getvalue().splitlines()) == tracer.agg["capture.render"][tracing.CALLS] == 2

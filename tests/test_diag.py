@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bcmdiag.capture import CaptureRecord
 from bcmdiag.diag import (
     DiagCode,
     HexdumpResponse,
@@ -30,7 +31,7 @@ from bcmdiag.diag import (
     parse_diag,
 )
 from bcmdiag.errors import BcmDiagError, InvariantViolation, MalformedBody, UnknownDiagCode
-from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, HciCommand, HciEvent
+from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciCommand, HciEvent
 
 from diag_reference import reference_parse_diag
 from helpers import random_diag_message
@@ -220,8 +221,9 @@ class TestSemanticValidity:
         assert not TestParams(payload_length=1022).is_valid
 
 
-# (class, fields by keyword, repr): one value of every message class and
-# of both HCI records, with the repr each had as a frozen dataclass.
+# (class, fields by keyword, repr): one value of every message class, of
+# both HCI records and of a capture record, with the repr each had as a
+# frozen dataclass.
 _VALUES = [
     (ToggleLmpLogging, {"enable": True}, "ToggleLmpLogging(enable=True)"),
     (
@@ -279,6 +281,16 @@ _VALUES = [
         HciEvent,
         {"event_code": 0x0E, "params": b"\x01\x01\x10\x00"},
         "HciEvent(event_code=14, params=b'\\x01\\x01\\x10\\x00')",
+    ),
+    (
+        CaptureRecord,
+        {
+            "timestamp_us": 625,
+            "direction": Direction.CONTROLLER_TO_HOST,
+            "frame": H4Frame(H4Type.HCI_EVENT, b"\x0e\x04\x01\x01\x10\x00"),
+        },
+        "CaptureRecord(timestamp_us=625, direction=<Direction.CONTROLLER_TO_HOST: 1>, "
+        "frame=H4Frame(h4_type=<H4Type.HCI_EVENT: 4>, payload=b'\\x0e\\x04\\x01\\x01\\x10\\x00'))",
     ),
 ]
 _VALUE_IDS = [cls.__name__ for cls, _fields, _repr in _VALUES]

@@ -11,7 +11,7 @@ from bcmdiag.emulator.scenario import (
 )
 from bcmdiag.errors import ScenarioError
 
-from helpers import MAC_A, MAC_B
+from helpers import MAC_A, MAC_B, read_pcapng
 
 TOPOLOGY = """\
 # two chips on one air link
@@ -50,6 +50,56 @@ class TestParsing:
     def test_link_unknown_controller_rejected(self):
         with pytest.raises(ScenarioError):
             build_world("controller A mac=00:11:22:33:44:01\nlink A B\n")
+
+
+# One line each and how both readers of the scenario grammar classify
+# it: ("directive", word), ("command", target), "bare", or None when
+# nothing is left of it.
+_GRAMMAR = [
+    pytest.param("controller A mac=00:11:22:33:44:01", ("directive", "controller"), id="directive"),
+    pytest.param("controller\tA mac=00:11:22:33:44:01", ("directive", "controller"), id="directive-tab"),
+    pytest.param("A: version", ("command", "A"), id="target"),
+    pytest.param("A:\tversion", ("command", "A"), id="target-tab"),
+    pytest.param("A:version", "bare", id="target-no-space"),
+    pytest.param("version", "bare", id="bare"),
+    pytest.param("   # only a comment", None, id="comment"),
+    pytest.param("", None, id="blank"),
+]
+
+
+def _runner_reads(line: str):
+    try:
+        directives, commands = parse_scenario(line + "\n")
+    except ScenarioError:
+        return "bare"  # the runner needs a target on every command line
+    if directives:
+        return "directive", directives[0][1]
+    if commands:
+        assert commands[0][2] == "version", line
+        return "command", commands[0][1]
+    return None
+
+
+def _client_reads(session: LocalSession, path, line: str):
+    path.write_text(line + "\n")
+    _ok, out = session.run_script_file(str(path))
+    if not out:
+        return None
+    if "skipped emulator directive" in out[0]:
+        return "directive", out[0].split("'")[1]
+    if "skipped (for controller" in out[0]:
+        return "command", out[0].split("'")[1]
+    return "bare"  # the client ran the whole line
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("line, expected", _GRAMMAR)
+    def test_runner_and_client_classify_alike(self, tmp_path, line, expected):
+        """parse_scenario and ``scenario run`` read one grammar; a session
+        named B skips what is addressed to A and runs bare lines."""
+        session = LocalSession(build_world("controller B mac=00:11:22:33:44:02\n"), "B")
+        path = tmp_path / "one.scenario"
+        assert _runner_reads(line) == _client_reads(session, path, line) == expected
 
 
 class TestWorldBuilding:
@@ -195,6 +245,38 @@ class TestRunning:
         assert lines and lines[0].startswith("usage: peek")
         ok, lines = session.execute("warp 9")
         assert not ok and "unknown command" in lines[0]
+
+    def test_live_line_carries_the_capture_timestamp(self, tmp_path):
+        """An in-process live view stamps a frame with the tick its
+        capture gives it, not with the controller's clock."""
+        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        lines: list[str] = []
+        session = LocalSession(world, "A", on_line=lines.append)
+        for _ in range(20):
+            assert session.execute("version")[0]
+        path = tmp_path / "live.pcapng"
+        for line in ("live on", f"capture start {path}", "version", "capture stop"):
+            assert session.execute(line)[0], line
+        _ifaces, packets = read_pcapng(str(path))
+        assert [int(line.split()[0]) for line in lines] == [ts for _i, ts, _d in packets]
+        assert [ts for _i, ts, _d in packets] == [0, 625]
+
+    @pytest.mark.parametrize("fmt", ["pcap", "btsnoop"])
+    def test_unwritable_capture_path_fails_the_stop(self, tmp_path, fmt):
+        """The stop answers with the reason and keeps the records, so it
+        can be retried once the path is writable."""
+        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        session = LocalSession(world, "A")
+        path = tmp_path / "missing" / "x.cap"
+        assert session.execute(f"capture start {path} {fmt}")[0]
+        assert session.execute("version")[0]
+        ok, lines = session.execute("capture stop")
+        assert not ok and len(lines) == 1 and str(path) in lines[0]
+        assert session.execute("version")[0]
+        path.parent.mkdir()
+        ok, lines = session.execute("capture stop")
+        assert ok and "wrote 4" in lines[0] and path.stat().st_size > 0
+        assert session.execute("capture stop") == (False, ["no capture running"])
 
     def test_one_capture_sink_per_session(self, tmp_path):
         world = build_world("controller A mac=00:11:22:33:44:01\n")

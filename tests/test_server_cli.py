@@ -31,39 +31,8 @@ from bcmdiag.h4 import (
     encode_frame,
 )
 
+from conftest import SERVED_TOPOLOGY as TOPOLOGY, free_base_port
 from helpers import read_pcapng
-
-TOPOLOGY = """\
-controller A mac=00:11:22:33:44:01 profile=patched
-controller B mac=00:11:22:33:44:02 profile=patched
-link A B
-"""
-
-
-def _free_base_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-@pytest.fixture
-def served_world():
-    world = build_world(TOPOLOGY)
-    server = None
-    for _attempt in range(5):
-        base = _free_base_port()
-        try:
-            server = EmulatorServer(world, base_port=base)
-            break
-        except OSError:
-            continue
-    assert server is not None, "no free port window"
-    server.start()
-    try:
-        yield world, server
-    finally:
-        server.stop()
-
 
 def _session(server: EmulatorServer, controller: str, **kwargs) -> SocketSession:
     sniff, inject = server.port_map()[controller]
@@ -526,7 +495,7 @@ class TestSniffFanout:
 class TestServerLoop:
     def test_one_thread_serves_every_client(self):
         world = build_world(TOPOLOGY)
-        server = EmulatorServer(world, base_port=_free_base_port())
+        server = EmulatorServer(world, base_port=free_base_port())
         before = threading.active_count()
         server.start()
         socks = []

@@ -48,7 +48,7 @@ DIGESTS = {
     "pcapng": "aba311cf2736772ddb3cff1588d8b449262e06605af2f03bb78b44c5e077dfb2",
     "btsnoop": "0fbcb3ce0209a7ab18d9f545d1593973f527b02041a3f12060a89d20af718be2",
     "transcript": "8d167c90b695df0f1bf5a8352d4e23fbeeee7be7021fac215eec19ff70415775",
-    "live": "1f542991bbd9b2aec42f4557e1c29c002c19ecba6eec75e33092e6cafe995054",
+    "live": "3b135916a855e73a5988d39d42e0291bb7557db0490783521f59173b822d5b3e",
 }
 
 
