@@ -206,10 +206,6 @@ def _render_ll_record(msg: diag.LmpLogRecord | diag.LcpLogRecord) -> str:
         opcode = msg.payload[0] >> 1 if isinstance(msg, diag.LmpLogRecord) else msg.payload[0]
         return f"DIAG LL {way} {mac} {kind}_unknown(0x{opcode:02x}) {msg.payload.hex()}"
 
-def _render_stats(msg: diag.StatsResponse) -> str:
-    fields = " ".join(f"{k}={v}" for k, v in msg.as_dict().items())
-    return f"DIAG stats {DiagCode(msg.kind).name} {fields}"
-
 # message class -> its live-view summary
 _DIAG_RENDERERS = {
     diag.ToggleLmpLogging: lambda m: f"DIAG LMP logging {'ON' if m.enable else 'OFF'}",
@@ -226,7 +222,7 @@ _DIAG_RENDERERS = {
         f"DIAG test completed status={m.status} tx={m.tx_count} "
         f"rx={m.rx_count} reserved={m.reserved}"
     ),
-    diag.StatsResponse: _render_stats,
+    diag.StatsResponse: lambda m: f"DIAG stats {m.text()}",
     diag.StatsRequest: lambda m: f"DIAG stats request {DiagCode(m.kind).name}",
 }
 

@@ -427,6 +427,11 @@ class StatsResponse:
     def as_dict(self) -> dict[str, int]:
         return dict(zip(STATS_FIELDS[self.kind], self.values))
 
+    def text(self, sep: str = " ") -> str:
+        """The kind's name, ``sep``, then each counter as ``name=value``."""
+        fields = " ".join(f"{k}={v}" for k, v in self.as_dict().items())
+        return f"{DiagCode(self.kind).name}{sep}{fields}"
+
     def body(self) -> bytes:
         fields = STATS_FIELDS.get(self.kind)
         if fields is None:

@@ -262,11 +262,19 @@ LE_LINK = LinkLayer(
 
 LINK_LAYERS = {Transport.CLASSIC: CLASSIC_LINK, Transport.LE: LE_LINK}
 _LINK_BY_KIND = {KIND_LMP: CLASSIC_LINK, KIND_LCP: LE_LINK}
-# Connection-creating HCI opcode -> its transport and where the peer's
-# MAC starts in its parameters.
-_CREATE_CONNECTION = {
-    hci.OPCODE_CREATE_CONNECTION: (Transport.CLASSIC, 0),
-    hci.OPCODE_LE_CREATE_CONNECTION: (Transport.LE, 6),
+# Connection-creating HCI opcode -> its transport.
+_CREATE_TRANSPORT = {
+    hci.OPCODE_CREATE_CONNECTION: Transport.CLASSIC,
+    hci.OPCODE_LE_CREATE_CONNECTION: Transport.LE,
+}
+# Commands whose outcome follows in an event of its own: they answer with
+# a Command Status, every other command with a Command Complete.
+_ANSWERED_BY_STATUS = frozenset(_CREATE_TRANSPORT) | {hci.OPCODE_DISCONNECT}
+# Parameter lengths an HCI command can carry (its length field is one
+# octet), and those of a create-connection command that hold the peer's MAC.
+_ANY_LENGTH = range(256)
+_HOLDS_PEER_MAC = {
+    opcode: range(at + 6, 256) for opcode, (at, _sent) in hci.CREATE_CONNECTION_LAYOUT.items()
 }
 
 
@@ -429,12 +437,16 @@ class Controller:
                         self._emit(H4Frame.diag(build_diag(response)))
             elif h4_type is _HCI_COMMAND:
                 cmd = HciCommand.from_frame(frame)
-                handler = self._HCI_HANDLERS.get(cmd.opcode)
-                if handler is not None:
-                    handler(self, cmd)
-                else:
+                entry = self._HCI_HANDLERS.get(cmd.opcode)
+                if entry is None:
                     self._note(f"unknown HCI opcode 0x{cmd.opcode:04x}")
                     self._status(cmd.opcode, hci.ERR_UNKNOWN_COMMAND)
+                elif len(cmd.params) in entry[1]:
+                    entry[0](self, cmd)
+                elif cmd.opcode in _ANSWERED_BY_STATUS:
+                    self._status(cmd.opcode, hci.ERR_INVALID_PARAMETERS)
+                else:
+                    self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
             elif h4_type is _ACL_DATA:
                 self._handle_host_acl(frame)
             elif h4_type in _OPAQUE:
@@ -470,10 +482,8 @@ class Controller:
 
     def _cmd_create_connection(self, cmd: HciCommand) -> None:
         """Create Connection and LE Create Connection."""
-        transport, at = _CREATE_CONNECTION[cmd.opcode]
-        if len(cmd.params) < at + 6:
-            self._status(cmd.opcode, hci.ERR_INVALID_PARAMETERS)
-            return
+        transport = _CREATE_TRANSPORT[cmd.opcode]
+        at = hci.CREATE_CONNECTION_LAYOUT[cmd.opcode][0]
         wire = cmd.params[at : at + 6]
         peer = hci.mac_from_wire(wire)
         if self._find_connection(peer, transport) is not None:
@@ -490,9 +500,6 @@ class Controller:
         self._advance_script(conn)
 
     def _cmd_disconnect(self, cmd: HciCommand) -> None:
-        if len(cmd.params) < 3:
-            self._status(cmd.opcode, hci.ERR_INVALID_PARAMETERS)
-            return
         handle, reason = struct.unpack_from("<HB", cmd.params)
         conn = self.connections.get(handle)
         if conn is None:
@@ -503,9 +510,6 @@ class Controller:
         self._drop_connection(conn, reason)
 
     def _cmd_send_lmp_pdu(self, cmd: HciCommand) -> None:
-        if len(cmd.params) < 3:
-            self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
-            return
         (handle,) = struct.unpack_from("<H", cmd.params)
         raw = cmd.params[2:]
         conn = self.connections.get(handle)
@@ -532,9 +536,6 @@ class Controller:
         return True
 
     def _cmd_read_ram(self, cmd: HciCommand) -> None:
-        if len(cmd.params) != 5:
-            self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
-            return
         address, length = struct.unpack("<IB", cmd.params)
         data = self.memory.read_block(MemAccessType.ARM, address, length)
         if data is None or length > READ_RAM_MAX:
@@ -543,9 +544,6 @@ class Controller:
         self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]) + data)
 
     def _cmd_write_ram(self, cmd: HciCommand) -> None:
-        if len(cmd.params) < 5:
-            self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
-            return
         (address,) = struct.unpack_from("<I", cmd.params)
         ok = self.memory.write_block(MemAccessType.ARM, address, cmd.params[4:])
         self._complete(
@@ -556,9 +554,6 @@ class Controller:
     def _cmd_super_duper_peek_poke(self, cmd: HciCommand) -> None:
         # Layout (toolkit convention): mode octet (0 peek / 1 poke),
         # 32-bit address, one value octet for poke.  BlueRF space only.
-        if len(cmd.params) < 5:
-            self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
-            return
         mode = cmd.params[0]
         (address,) = struct.unpack_from("<I", cmd.params, 1)
         if mode == 0:
@@ -577,9 +572,6 @@ class Controller:
             self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
 
     def _cmd_firewall_add(self, cmd: HciCommand) -> None:
-        if len(cmd.params) != 6:
-            self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
-            return
         mac = hci.mac_from_wire(cmd.params)
         allow = self.profile.firewall_allowlist
         if allow is None:
@@ -591,9 +583,6 @@ class Controller:
         self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
 
     def _cmd_firewall_del(self, cmd: HciCommand) -> None:
-        if len(cmd.params) != 6:
-            self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
-            return
         mac = hci.mac_from_wire(cmd.params)
         if self.profile.firewall_allowlist is not None:
             self.profile.firewall_allowlist.discard(mac)
@@ -609,21 +598,26 @@ class Controller:
             body += hci.mac_to_wire(mac)
         self._complete(cmd.opcode, body)
 
-    # opcode -> handler, built once with the class
+    # opcode -> (handler, the parameter lengths it takes), built once with
+    # the class; process_host_frame refuses every other length.
     _HCI_HANDLERS = {
-        hci.OPCODE_READ_LOCAL_VERSION: _cmd_read_local_version,
-        hci.OPCODE_RESET: _cmd_reset,
-        hci.OPCODE_CREATE_CONNECTION: _cmd_create_connection,
-        hci.OPCODE_DISCONNECT: _cmd_disconnect,
-        hci.OPCODE_LE_CREATE_CONNECTION: _cmd_create_connection,
-        hci.OPCODE_ENABLE_DUT_MODE: _cmd_enable_dut,
-        hci.OPCODE_VSC_SEND_LMP_PDU: _cmd_send_lmp_pdu,
-        hci.OPCODE_VSC_READ_RAM: _cmd_read_ram,
-        hci.OPCODE_VSC_WRITE_RAM: _cmd_write_ram,
-        hci.OPCODE_VSC_SUPER_DUPER_PEEK_POKE: _cmd_super_duper_peek_poke,
-        hci.OPCODE_VSC_FIREWALL_ADD: _cmd_firewall_add,
-        hci.OPCODE_VSC_FIREWALL_DEL: _cmd_firewall_del,
-        hci.OPCODE_VSC_FIREWALL_SHOW: _cmd_firewall_show,
+        hci.OPCODE_READ_LOCAL_VERSION: (_cmd_read_local_version, _ANY_LENGTH),
+        hci.OPCODE_RESET: (_cmd_reset, _ANY_LENGTH),
+        hci.OPCODE_CREATE_CONNECTION: (
+            _cmd_create_connection, _HOLDS_PEER_MAC[hci.OPCODE_CREATE_CONNECTION]
+        ),
+        hci.OPCODE_DISCONNECT: (_cmd_disconnect, range(3, 256)),
+        hci.OPCODE_LE_CREATE_CONNECTION: (
+            _cmd_create_connection, _HOLDS_PEER_MAC[hci.OPCODE_LE_CREATE_CONNECTION]
+        ),
+        hci.OPCODE_ENABLE_DUT_MODE: (_cmd_enable_dut, _ANY_LENGTH),
+        hci.OPCODE_VSC_SEND_LMP_PDU: (_cmd_send_lmp_pdu, range(3, 256)),
+        hci.OPCODE_VSC_READ_RAM: (_cmd_read_ram, (5,)),
+        hci.OPCODE_VSC_WRITE_RAM: (_cmd_write_ram, range(5, 256)),
+        hci.OPCODE_VSC_SUPER_DUPER_PEEK_POKE: (_cmd_super_duper_peek_poke, range(5, 256)),
+        hci.OPCODE_VSC_FIREWALL_ADD: (_cmd_firewall_add, (6,)),
+        hci.OPCODE_VSC_FIREWALL_DEL: (_cmd_firewall_del, (6,)),
+        hci.OPCODE_VSC_FIREWALL_SHOW: (_cmd_firewall_show, _ANY_LENGTH),
     }
 
     # ----- host ACL data ---------------------------------------------------

@@ -140,9 +140,7 @@ def encode_frame(frame: H4Frame) -> bytes:
     return bytes([frame.h4_type]) + frame.payload
 
 
-def _decode(
-    buf: bytes | bytearray, base: int, prefixed: bool = False, limit: int = -1
-) -> tuple[list, int]:
+def _decode(buf: bytes | bytearray, base: int, prefixed: bool = False) -> tuple[list, int]:
     """Decode complete frames from ``buf``, slicing each payload from one
     bytes copy of it, taken once a frame is complete; returns them and
     the octets consumed.  ``base`` is the stream offset of ``buf[0]``.
@@ -154,7 +152,7 @@ def _decode(
     data, n = buf, len(buf)
     framing = _FRAMING
     new_frame = tuple.__new__
-    while i < n and limit != len(out):
+    while i < n:
         p = i + prefixed
         if prefixed:
             if data[i] > 1:
@@ -192,12 +190,6 @@ def decode_stream(buffer: bytes) -> tuple[list[H4Frame], int]:
     is never silently resynchronized.
     """
     return _decode(buffer, 0)
-
-
-def decode_one(buffer: bytes) -> tuple[H4Frame | None, int]:
-    """Decode at most one frame; returns (frame or None, consumed)."""
-    frames, consumed = _decode(buffer, 0, limit=1)
-    return (frames[0] if frames else None), consumed
 
 
 class H4StreamDecoder:
@@ -238,20 +230,6 @@ _ONE_WAY = {
 
 def direction_legal(h4_type: H4Type, direction: Direction) -> bool:
     return _ONE_WAY.get(h4_type, direction) is direction
-
-
-def audit_direction(frame: H4Frame, direction: Direction) -> str | None:
-    """Return a warning line for an illegal-direction frame, else None.
-
-    This is an audit, not a decode failure: misdirected frames still
-    parse so they can be inspected.
-    """
-    if direction_legal(frame.h4_type, direction):
-        return None
-    return (
-        f"direction violation: {frame.h4_type.name} seen "
-        f"{'controller->host' if direction else 'host->controller'}"
-    )
 
 
 @value_class

@@ -49,6 +49,13 @@ OPCODE_NAMES = {
     OPCODE_VSC_FIREWALL_SHOW: "VSC_Firewall_Show",
 }
 
+# Create-connection opcode -> (where the peer's MAC starts in its
+# parameters, the parameter length the client sends).
+CREATE_CONNECTION_LAYOUT = {
+    OPCODE_CREATE_CONNECTION: (0, 13),
+    OPCODE_LE_CREATE_CONNECTION: (6, 25),
+}
+
 # --- event codes ------------------------------------------------------
 
 EVT_CONNECTION_COMPLETE = 0x03

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import deque
+from functools import partialmethod
 from typing import Callable, Iterator
 
 from . import capture, hci
@@ -75,17 +76,44 @@ _STATS_GETTERS = {
     "aux": DiagCode.GET_AUX_STATS,
     "conn": DiagCode.GET_CONNECTION_STATS,
 }
+# Diag codes of the records that answer `stats conn`.
+_CONNECTION_STATS = (DiagCode.CONNECTION_RESPONSE, DiagCode.CPU_LOAD_RESPONSE)
+# Octets of each `test` parameter in a RunTest body.
+_TEST_OCTETS = (1, 1, 1, 1, 1, 1, 2)
+
+# Per connect command: its opcode, the event (and LE sub-event) that
+# completes it, where status and handle start in that event's payload
+# past its code and length, and the words of its timeout and success lines.
+_CONNECT = {
+    "connect": (
+        hci.OPCODE_CREATE_CONNECTION, hci.EVT_CONNECTION_COMPLETE, None, 0,
+        f"event 0x{hci.EVT_CONNECTION_COMPLETE:02x}", "connected to",
+    ),
+    "leconnect": (
+        hci.OPCODE_LE_CREATE_CONNECTION, hci.EVT_LE_META, hci.LE_SUBEVT_CONNECTION_COMPLETE, 1,
+        "LE connection complete", "LE connected to",
+    ),
+}
 
 
 class CommandError(Exception):
     """Bad command line; the message is the usage string."""
 
 
-def _hex_int(text: str, what: str) -> int:
+def _in_range(value: int, what: str, octets: int) -> int:
+    """``value``, if it is an unsigned number of ``octets`` octets."""
+    if not 0 <= value < 1 << 8 * octets:
+        size = "a single octet" if octets == 1 else f"at most {octets} octets"
+        raise CommandError(f"{what} is {size}")
+    return value
+
+
+def _hex_int(text: str, what: str, octets: int = 4) -> int:
     try:
-        return int(text.removeprefix("0x"), 16)
+        value = int(text.removeprefix("0x"), 16)
     except ValueError:
         raise CommandError(f"{what} must be hex (got {text!r})") from None
+    return _in_range(value, what, octets)
 
 
 def _mac(text: str) -> bytes:
@@ -218,66 +246,55 @@ class Session:
         except SessionError as exc:
             return False, [str(exc)]
 
-    # ----- response helpers -------------------------------------------
+    # ----- requests -----------------------------------------------------
 
-    def _await_diag(self, code: DiagCode, timeout: float | None = None):
-        frame = self.wait_frame(
-            lambda f: f.h4_type is _DIAG and f.payload[0] == code,
-            timeout,
-        )
-        if frame is None:
-            raise SessionError(f"timeout waiting for diag 0x{code:02x}")
-        return parse_diag(frame.payload)
-
-    def _await_command_complete(self, opcode: int, timeout: float | None = None) -> bytes:
-        def pred(f: H4Frame) -> bool:
-            if f.h4_type is not _HCI_EVENT or f.payload[0] != hci.EVT_COMMAND_COMPLETE:
-                return False
-            return struct.unpack_from("<H", f.payload, 3)[0] == opcode
-
+    def _await(
+        self, pred: Callable[[H4Frame], bool], what: str, timeout: float | None = None
+    ) -> H4Frame:
+        """The one wait for an answer: the oldest frame ``pred`` accepts."""
         frame = self.wait_frame(pred, timeout)
         if frame is None:
-            raise SessionError(f"timeout waiting for command complete 0x{opcode:04x}")
-        return HciEvent.from_frame(frame).params[3:]
-
-    def _await_connection(
-        self, opcode: int, is_complete: Callable[[H4Frame], bool], what: str
-    ) -> tuple[int, int]:
-        """Wait for a connection command's final answer: the event that
-        ``is_complete`` accepts, or a Command Status refusing ``opcode``
-        (no completion follows a refusal).  Returns (status, handle)."""
-
-        def pred(f: H4Frame) -> bool:
-            if f.h4_type is not _HCI_EVENT:
-                return False
-            if f.payload[0] == hci.EVT_COMMAND_STATUS:
-                return f.payload[2] != 0 and struct.unpack_from("<H", f.payload, 4)[0] == opcode
-            return is_complete(f)
-
-        frame = self.wait_frame(pred, 5.0)
-        if frame is None:
             raise SessionError(f"timeout waiting for {what}")
-        params = HciEvent.from_frame(frame).params
-        if frame.payload[0] == hci.EVT_COMMAND_STATUS:
-            return params[0], 0
-        if frame.payload[0] == hci.EVT_LE_META:
-            params = params[1:]
-        return struct.unpack_from("<BH", params)
+        return frame
+
+    def _diag(self, msg, code: DiagCode | None = None, timeout: float | None = None):
+        """Send one diagnostic request; with ``code``, return the parsed
+        response of that code."""
+        self.send_frame(H4Frame.diag(build_diag(msg)))
+        if code is not None:
+            frame = self._await(
+                lambda f: f.h4_type is _DIAG and f.payload[0] == code,
+                f"diag 0x{code:02x}",
+                timeout,
+            )
+            return parse_diag(frame.payload)
+
+    def _hci(self, opcode: int, params: bytes = b"") -> bytes:
+        """Send one HCI command; return its Command Complete's return values."""
+        self.send_frame(HciCommand(opcode, params).to_frame())
+        frame = self._await(
+            lambda f: f.h4_type is _HCI_EVENT
+            and f.payload[0] == hci.EVT_COMMAND_COMPLETE
+            and struct.unpack_from("<H", f.payload, 3)[0] == opcode,
+            f"command complete 0x{opcode:04x}",
+        )
+        return HciEvent.from_frame(frame).params[3:]
 
     # ----- commands -----------------------------------------------------
 
     def _cmd_diag(self, args: list[str]) -> tuple[bool, list[str]]:
         if len(args) != 1 or args[0] not in ("on", "off"):
             raise CommandError("expected on|off")
-        self.send_frame(H4Frame.diag(build_diag(ToggleLmpLogging(args[0] == "on"))))
+        self._diag(ToggleLmpLogging(args[0] == "on"))
         return True, [f"LMP logging {args[0]}"]
 
     def _cmd_peek(self, args: list[str]) -> tuple[bool, list[str]]:
         if len(args) != 2 or args[0] not in _ACCESS:
             raise CommandError("expected <arm|bluerf> <addr>")
         address = _hex_int(args[1], "address")
-        self.send_frame(H4Frame.diag(build_diag(MemoryPeek(_ACCESS[args[0]], address))))
-        msg: PeekResponse = self._await_diag(DiagCode.PEEK_RESPONSE)
+        msg: PeekResponse = self._diag(
+            MemoryPeek(_ACCESS[args[0]], address), DiagCode.PEEK_RESPONSE
+        )
         if msg.status != 0:
             return False, [f"peek failed: controller status 0x{msg.status:02x}"]
         return True, [f"0x{address:08x} = 0x{msg.value:02x}"]
@@ -286,13 +303,10 @@ class Session:
         if len(args) != 3 or args[0] not in _ACCESS:
             raise CommandError("expected <arm|bluerf> <addr> <val>")
         address = _hex_int(args[1], "address")
-        value = _hex_int(args[2], "value")
-        if not 0 <= value <= 0xFF:
-            raise CommandError("value is a single octet")
-        self.send_frame(
-            H4Frame.diag(build_diag(MemoryPoke(_ACCESS[args[0]], address, value)))
+        value = _hex_int(args[2], "value", 1)
+        msg: PokeResponse = self._diag(
+            MemoryPoke(_ACCESS[args[0]], address, value), DiagCode.POKE_RESPONSE
         )
-        msg: PokeResponse = self._await_diag(DiagCode.POKE_RESPONSE)
         if msg.status != 0:
             return False, [f"poke failed: controller status 0x{msg.status:02x}"]
         return True, [f"0x{address:08x} <- 0x{value:02x}"]
@@ -301,8 +315,7 @@ class Session:
         if len(args) != 1:
             raise CommandError("expected <addr>")
         address = _hex_int(args[0], "address")
-        self.send_frame(H4Frame.diag(build_diag(MemoryHexdump(address))))
-        msg: HexdumpResponse = self._await_diag(DiagCode.HEXDUMP_RESPONSE)
+        msg: HexdumpResponse = self._diag(MemoryHexdump(address), DiagCode.HEXDUMP_RESPONSE)
         lines = []
         for off in range(0, len(msg.data), 16):
             chunk = msg.data[off : off + 16]
@@ -315,29 +328,24 @@ class Session:
         if len(args) > 1:
             if args[0] != "br" or args[1] != "reset":
                 raise CommandError("only 'stats br reset' resets")
-            self.send_frame(
-                H4Frame.diag(build_diag(StatsRequest(DiagCode.RESET_BR_ACL_STATS)))
-            )
+            self._diag(StatsRequest(DiagCode.RESET_BR_ACL_STATS))
             return True, ["BR ACL statistics reset"]
         getter = _STATS_GETTERS[args[0]]
-        self.send_frame(H4Frame.diag(build_diag(StatsRequest(getter))))
-        if args[0] == "conn":
-            # One record per connection, CPU load always last.
-            lines = []
-            while True:
-                frame = self.wait_frame(
-                    lambda f: f.h4_type is _DIAG
-                    and f.payload[0]
-                    in (DiagCode.CONNECTION_RESPONSE, DiagCode.CPU_LOAD_RESPONSE)
-                )
-                if frame is None:
-                    raise SessionError("timeout waiting for connection stats")
-                msg = parse_diag(frame.payload)
-                lines.append(_format_stats(msg))
-                if msg.kind is DiagCode.CPU_LOAD_RESPONSE:
-                    return True, lines
-        msg: StatsResponse = self._await_diag(RESPONSE_FOR_REQUEST[getter])
-        return True, [_format_stats(msg)]
+        if args[0] != "conn":
+            msg: StatsResponse = self._diag(StatsRequest(getter), RESPONSE_FOR_REQUEST[getter])
+            return True, [msg.text(": ")]
+        # One record per connection, CPU load always last.
+        self._diag(StatsRequest(getter))
+        lines = []
+        while True:
+            frame = self._await(
+                lambda f: f.h4_type is _DIAG and f.payload[0] in _CONNECTION_STATS,
+                "connection stats",
+            )
+            msg = parse_diag(frame.payload)
+            lines.append(msg.text(": "))
+            if msg.kind is DiagCode.CPU_LOAD_RESPONSE:
+                return True, lines
 
     def _cmd_test(self, args: list[str]) -> tuple[bool, list[str]]:
         try:
@@ -346,59 +354,56 @@ class Session:
             raise CommandError("test parameters are decimal") from None
         if len(numbers) > 7:
             raise CommandError("at most 7 parameters")
-        defaults = [1, 0, 0, 0, 0, 0, 0]
-        defaults[: len(numbers)] = numbers
-        params = TestParams(*defaults)
-        self.send_frame(H4Frame.diag(build_diag(RunTest(params))))
-        msg: TestCompleted = self._await_diag(DiagCode.TEST_COMPLETED, timeout=10.0)
+        params = TestParams(*map(_in_range, numbers, TestParams._fields, _TEST_OCTETS))
+        msg: TestCompleted = self._diag(RunTest(params), DiagCode.TEST_COMPLETED, timeout=10.0)
         line = (
             f"test completed: status={msg.status} tx={msg.tx_count} "
             f"rx={msg.rx_count} reserved={msg.reserved}"
         )
         return msg.status == 0, [line]
 
-    def _cmd_connect(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _connect(self, name: str, args: list[str]) -> tuple[bool, list[str]]:
+        """``connect`` and ``leconnect``, one _CONNECT row each."""
         if len(args) != 1:
             raise CommandError("expected <mac>")
-        mac = _mac(args[0])
-        params = hci.mac_to_wire(mac) + bytes(7)
-        self.send_frame(HciCommand(hci.OPCODE_CREATE_CONNECTION, params).to_frame())
-        status, handle = self._await_connection(
-            hci.OPCODE_CREATE_CONNECTION,
-            lambda f: f.payload[0] == hci.EVT_CONNECTION_COMPLETE,
-            f"event 0x{hci.EVT_CONNECTION_COMPLETE:02x}",
-        )
-        if status != 0:
-            return False, [f"connect failed: status 0x{status:02x}"]
-        return True, [f"connected to {args[0]}: handle 0x{handle:04x}"]
+        opcode, event, subevent, status_at, waiting_for, connected = _CONNECT[name]
+        # Zero parameters but for the peer's MAC.
+        mac_at, length = hci.CREATE_CONNECTION_LAYOUT[opcode]
+        params = bytes(mac_at) + hci.mac_to_wire(_mac(args[0])) + bytes(length - mac_at - 6)
+        self.send_frame(HciCommand(opcode, params).to_frame())
 
-    def _cmd_leconnect(self, args: list[str]) -> tuple[bool, list[str]]:
-        if len(args) != 1:
-            raise CommandError("expected <mac>")
-        mac = _mac(args[0])
-        params = bytes(6) + hci.mac_to_wire(mac) + bytes(13)
-        self.send_frame(HciCommand(hci.OPCODE_LE_CREATE_CONNECTION, params).to_frame())
-        status, handle = self._await_connection(
-            hci.OPCODE_LE_CREATE_CONNECTION,
-            lambda f: f.payload[0] == hci.EVT_LE_META
-            and f.payload[2] == hci.LE_SUBEVT_CONNECTION_COMPLETE,
-            "LE connection complete",
-        )
+        # The completion event, or a Command Status refusing the command:
+        # no completion follows a refusal.
+        def answers(f: H4Frame) -> bool:
+            if f.h4_type is not _HCI_EVENT:
+                return False
+            if f.payload[0] == hci.EVT_COMMAND_STATUS:
+                return f.payload[2] != 0 and struct.unpack_from("<H", f.payload, 4)[0] == opcode
+            return f.payload[0] == event and (subevent is None or f.payload[2] == subevent)
+
+        frame = self._await(answers, waiting_for, 5.0)
+        if frame.payload[0] == hci.EVT_COMMAND_STATUS:
+            status, handle = frame.payload[2], 0
+        else:
+            status, handle = struct.unpack_from("<BH", frame.payload, 2 + status_at)
         if status != 0:
-            return False, [f"leconnect failed: status 0x{status:02x}"]
-        return True, [f"LE connected to {args[0]}: handle 0x{handle:04x}"]
+            return False, [f"{name} failed: status 0x{status:02x}"]
+        return True, [f"{connected} {args[0]}: handle 0x{handle:04x}"]
+
+    _cmd_connect = partialmethod(_connect, "connect")
+    _cmd_leconnect = partialmethod(_connect, "leconnect")
 
     def _cmd_sendlmp(self, args: list[str]) -> tuple[bool, list[str]]:
         if len(args) < 2:
             raise CommandError("expected <handle> <hex-octets>")
-        handle = _hex_int(args[0], "handle")
+        handle = _hex_int(args[0], "handle", 2)
         try:
             pdu = bytes.fromhex("".join(args[1:]))
         except ValueError:
             raise CommandError("PDU octets must be hex") from None
-        params = struct.pack("<H", handle) + pdu
-        self.send_frame(HciCommand(hci.OPCODE_VSC_SEND_LMP_PDU, params).to_frame())
-        ret = self._await_command_complete(hci.OPCODE_VSC_SEND_LMP_PDU)
+        if len(pdu) > 255 - 2:
+            raise CommandError("at most 253 PDU octets")
+        ret = self._hci(hci.OPCODE_VSC_SEND_LMP_PDU, struct.pack("<H", handle) + pdu)
         if ret and ret[0] != 0:
             return False, [f"sendlmp rejected: status 0x{ret[0]:02x}"]
         return True, [f"injected {len(pdu)} LMP octets on handle 0x{handle:04x}"]
@@ -408,8 +413,7 @@ class Session:
             raise CommandError("expected add|del|show")
         action = args[0]
         if action == "show":
-            self.send_frame(HciCommand(hci.OPCODE_VSC_FIREWALL_SHOW).to_frame())
-            ret = self._await_command_complete(hci.OPCODE_VSC_FIREWALL_SHOW)
+            ret = self._hci(hci.OPCODE_VSC_FIREWALL_SHOW)
             enabled, count = ret[1], ret[2]
             if not enabled:
                 return True, ["firewall disabled (all peers allowed)"]
@@ -423,8 +427,7 @@ class Session:
         opcode = (
             hci.OPCODE_VSC_FIREWALL_ADD if action == "add" else hci.OPCODE_VSC_FIREWALL_DEL
         )
-        self.send_frame(HciCommand(opcode, hci.mac_to_wire(_mac(args[1]))).to_frame())
-        ret = self._await_command_complete(opcode)
+        ret = self._hci(opcode, hci.mac_to_wire(_mac(args[1])))
         if ret and ret[0] != 0:
             return False, [f"firewall {action} failed: status 0x{ret[0]:02x}"]
         return True, [f"firewall {action} {args[1]}"]
@@ -432,9 +435,7 @@ class Session:
     def _cmd_version(self, args: list[str]) -> tuple[bool, list[str]]:
         if args:
             raise CommandError("takes no arguments")
-        self.send_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
-        ret = self._await_command_complete(hci.OPCODE_READ_LOCAL_VERSION)
-        info = hci.parse_local_version(ret)
+        info = hci.parse_local_version(self._hci(hci.OPCODE_READ_LOCAL_VERSION))
         line = (
             f"hci {info['hci_version']}.{info['hci_revision']:#06x} "
             f"lmp {info['lmp_version']}.{info['lmp_subversion']:#06x} "
@@ -529,8 +530,3 @@ def scenario_lines(text: str) -> Iterator[tuple[int, str | None, str | None, str
             yield lineno, None, first[:-1], rest
         else:
             yield lineno, None, None, line
-
-
-def _format_stats(msg: StatsResponse) -> str:
-    fields = " ".join(f"{k}={v}" for k, v in msg.as_dict().items())
-    return f"{DiagCode(msg.kind).name}: {fields}"

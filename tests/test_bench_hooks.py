@@ -18,6 +18,20 @@ from bcmdiag import capture, cli
 from bcmdiag.emulator import controller, server
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+# Commands that wait for one answer each, over every wait path of the
+# client: diag, HCI Command Complete, the connection-stats records (one
+# CPU load record while no connection is up) and connect.
+ANSWERED = (
+    "peek arm 200000",
+    "dump 200000",
+    "test",
+    "firewall show",
+    "stats br",
+    "stats conn",
+    "connect 00:11:22:33:44:02",
+    "sendlmp 0b 62",  # LMP_setup_complete on the new connection
+    "leconnect 00:11:22:33:44:02",
+)
 
 
 def _load_tracing():
@@ -56,7 +70,8 @@ def test_both_tracers_install_and_uninstall():
 
 def test_client_hooks_are_reached(served_world, tmp_path):
     """With ClientTracing installed, a capture stop records one pcapng
-    write span and each SocketSession live line one render span."""
+    write span, each SocketSession live line one render span and each
+    answered command one wait span (one per record for ``stats conn``)."""
     tracing = _load_tracing()
     _world, emulator = served_world
     sniff, inject = emulator.port_map()["A"]
@@ -70,6 +85,8 @@ def test_client_hooks_are_reached(served_world, tmp_path):
         try:
             for line in (f"capture start {tmp_path / 'c.pcapng'}", "version", "capture stop"):
                 assert session.execute(line)[0], line
+            for line in ANSWERED:
+                assert session.execute(line)[0], line
             session.live_view = True
             assert session.execute("version")[0]
         finally:
@@ -79,3 +96,6 @@ def test_client_hooks_are_reached(served_world, tmp_path):
     write = tracer.agg["capture.pcapng_write"]
     assert (write[tracing.CALLS], write[tracing.ITEMS]) == (1, 2)
     assert len(out.getvalue().splitlines()) == tracer.agg["capture.render"][tracing.CALLS] == 2
+    # Both versions, then one wait per answer of ANSWERED.
+    assert tracer.agg["session.wait"][tracing.CALLS] == 2 + len(ANSWERED)
+    assert tracer.counts.get("session.timeouts", 0) == 0

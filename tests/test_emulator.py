@@ -26,7 +26,7 @@ from bcmdiag.emulator import Controller, Phase, Role, Transport, attach_air_link
 from bcmdiag.emulator.memory import ARM_BASE, VERSION_STRING
 from bcmdiag.emulator.profiles import patched_profile, vulnerable_profile
 from bcmdiag.errors import AlreadyLinked
-from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent
+from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent, encode_frame
 
 from conftest import connect_pair
 from helpers import MAC_A, MAC_B, MAC_EVIL, HostRecorder
@@ -289,6 +289,121 @@ class TestVendorHci:
             HciCommand(hci.OPCODE_VSC_FIREWALL_DEL, hci.mac_to_wire(MAC_B)).to_frame()
         )
         assert ctrl.profile.firewall_allowlist == set()
+
+
+# What each HCI command answers at the edges of the lengths it takes,
+# recorded on a linked pair with a Classic connection up (handle 0x000b).
+# A command's parameters are its _HCI_HEADS octets and zeros after them,
+# cut to the length tried: 0, each end of the accepted range +-1, 254
+# and 255.  Rows: (opcode, length, frames emitted as H4 hex, audit notes).
+_UNKNOWN_OPCODE = 0x0999
+_HCI_HEADS = {
+    hci.OPCODE_CREATE_CONNECTION: hci.mac_to_wire(MAC_B),
+    hci.OPCODE_LE_CREATE_CONNECTION: bytes(6) + hci.mac_to_wire(MAC_B),
+    hci.OPCODE_DISCONNECT: struct.pack("<HB", 0x000B, hci.ERR_REMOTE_TERMINATED),
+    hci.OPCODE_VSC_SEND_LMP_PDU: struct.pack(
+        "<HB", 0x000B, ll.LMP_NAME_TO_OPCODE["LMP_setup_complete"] << 1
+    ),
+    hci.OPCODE_VSC_READ_RAM: struct.pack("<IB", ARM_BASE, 4),
+    hci.OPCODE_VSC_WRITE_RAM: struct.pack("<I", ARM_BASE),
+}
+_HCI_ANSWERS = [
+    (0x1001, 0, ["040e0c01011000090010090f000922"], []),
+    (0x1001, 1, ["040e0c01011000090010090f000922"], []),
+    (0x1001, 254, ["040e0c01011000090010090f000922"], []),
+    (0x1001, 255, ["040e0c01011000090010090f000922"], []),
+    (0x0c03, 0, ["040e0401030c00"], []),
+    (0x0c03, 1, ["040e0401030c00"], []),
+    (0x0c03, 254, ["040e0401030c00"], []),
+    (0x0c03, 255, ["040e0401030c00"], []),
+    (0x1803, 0, ["04ff0444555401", "040e0401031800"], []),
+    (0x1803, 1, ["04ff0444555401", "040e0401031800"], []),
+    (0x1803, 254, ["04ff0444555401", "040e0401031800"], []),
+    (0x1803, 255, ["04ff0444555401", "040e0401031800"], []),
+    (0xfce2, 0, ["040e0601e2fc000000"], []),
+    (0xfce2, 1, ["040e0601e2fc000000"], []),
+    (0xfce2, 254, ["040e0601e2fc000000"], []),
+    (0xfce2, 255, ["040e0601e2fc000000"], []),
+    (0x0405, 0, ["040f0412010504"], []),
+    (0x0405, 5, ["040f0412010504"], []),
+    (0x0405, 6, ["040f040b010504"], []),
+    (0x0405, 7, ["040f040b010504"], []),
+    (0x0405, 254, ["040f040b010504"], []),
+    (0x0405, 255, ["040f040b010504"], []),
+    (0x200d, 0, ["040f0412010d20"], []),
+    (0x200d, 11, ["040f0412010d20"], []),
+    (0x200d, 12, ["040f0400010d20", "043e1301000c000000024433221100280000002a0000"], []),
+    (0x200d, 13, ["040f0400010d20", "043e1301000c000000024433221100280000002a0000"], []),
+    (0x200d, 254, ["040f0400010d20", "043e1301000c000000024433221100280000002a0000"], []),
+    (0x200d, 255, ["040f0400010d20", "043e1301000c000000024433221100280000002a0000"], []),
+    (0x0406, 0, ["040f0412010604"], []),
+    (0x0406, 2, ["040f0412010604"], []),
+    (0x0406, 3, ["040f0400010604", "040504000b0013"], []),
+    (0x0406, 4, ["040f0400010604", "040504000b0013"], []),
+    (0x0406, 254, ["040f0400010604", "040504000b0013"], []),
+    (0x0406, 255, ["040f0400010604", "040504000b0013"], []),
+    (0xfc58, 0, ["040e040158fc12"], []),
+    (0xfc58, 2, ["040e040158fc12"], []),
+    (0xfc58, 3, ["040e040158fc00"], []),
+    (0xfc58, 4, ["040e040158fc12"], []),
+    (0xfc58, 254, ["040e040158fc12"], []),
+    (0xfc58, 255, ["040e040158fc12"], []),
+    (0xfc4d, 0, ["040e04014dfc12"], []),
+    (0xfc4d, 4, ["040e04014dfc12"], []),
+    (0xfc4d, 5, ["040e08014dfc0042434d2d"], []),
+    (0xfc4d, 6, ["040e04014dfc12"], []),
+    (0xfc4d, 254, ["040e04014dfc12"], []),
+    (0xfc4d, 255, ["040e04014dfc12"], []),
+    (0xfc4c, 0, ["040e04014cfc12"], []),
+    (0xfc4c, 4, ["040e04014cfc12"], []),
+    (0xfc4c, 5, ["040e04014cfc00"], []),
+    (0xfc4c, 6, ["040e04014cfc00"], []),
+    (0xfc4c, 254, ["040e04014cfc00"], []),
+    (0xfc4c, 255, ["040e04014cfc00"], []),
+    (0xfc0c, 0, ["040e04010cfc12"], []),
+    (0xfc0c, 4, ["040e04010cfc12"], []),
+    (0xfc0c, 5, ["040e05010cfc0000"], []),
+    (0xfc0c, 6, ["040e05010cfc0000"], []),
+    (0xfc0c, 254, ["040e05010cfc0000"], []),
+    (0xfc0c, 255, ["040e05010cfc0000"], []),
+    (0xfce0, 0, ["040e0401e0fc12"], []),
+    (0xfce0, 5, ["040e0401e0fc12"], []),
+    (0xfce0, 6, ["040e0401e0fc00"], []),
+    (0xfce0, 7, ["040e0401e0fc12"], []),
+    (0xfce0, 254, ["040e0401e0fc12"], []),
+    (0xfce0, 255, ["040e0401e0fc12"], []),
+    (0xfce1, 0, ["040e0401e1fc12"], []),
+    (0xfce1, 5, ["040e0401e1fc12"], []),
+    (0xfce1, 6, ["040e0401e1fc00"], []),
+    (0xfce1, 7, ["040e0401e1fc12"], []),
+    (0xfce1, 254, ["040e0401e1fc12"], []),
+    (0xfce1, 255, ["040e0401e1fc12"], []),
+    (0x0999, 0, ["040f0401019909"], ["unknown HCI opcode 0x0999"]),
+    (0x0999, 1, ["040f0401019909"], ["unknown HCI opcode 0x0999"]),
+    (0x0999, 254, ["040f0401019909"], ["unknown HCI opcode 0x0999"]),
+    (0x0999, 255, ["040f0401019909"], ["unknown HCI opcode 0x0999"]),
+]
+
+
+class TestHciParameterLengths:
+    def test_every_handled_opcode_is_tried(self):
+        tried = {row[0] for row in _HCI_ANSWERS}
+        assert tried == set(Controller._HCI_HANDLERS) | {_UNKNOWN_OPCODE}
+
+    @pytest.mark.parametrize(
+        "opcode, length, frames, notes",
+        _HCI_ANSWERS,
+        ids=[f"0x{row[0]:04x}-{row[1]}" for row in _HCI_ANSWERS],
+    )
+    def test_answer(self, opcode, length, frames, notes):
+        a, b = Controller(MAC_A), Controller(MAC_B)
+        attach_air_link(a, b)
+        connect_pair(a, b)
+        seen = len(a.audit)
+        params = (_HCI_HEADS.get(opcode, b"") + bytes(length))[:length]
+        out = a.process_host_frame(HciCommand(opcode, params).to_frame())
+        assert [encode_frame(f).hex() for f in out] == frames
+        assert [note.split("] ", 1)[1] for note in list(a.audit)[seen:]] == notes
 
 
 class TestDiagSurface:

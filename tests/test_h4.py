@@ -15,8 +15,6 @@ from bcmdiag.h4 import (
     H4Type,
     HciCommand,
     HciEvent,
-    audit_direction,
-    decode_one,
     decode_stream,
     direction_legal,
     encode_frame,
@@ -161,14 +159,6 @@ class TestRoundTrip:
         assert decoded == frames
         assert consumed == len(stream)
 
-    def test_decode_one(self):
-        rng = random.Random(0xB7C2)
-        frames = [random_h4_frame(rng) for _ in range(3)]
-        stream = b"".join(encode_frame(f) for f in frames)
-        first, consumed = decode_one(stream)
-        assert first == frames[0]
-        assert consumed == 1 + len(frames[0].payload)
-
 
 class TestIncremental:
     def test_every_split_point(self):
@@ -229,9 +219,3 @@ class TestDirectionAudit:
     )
     def test_legality_table(self, h4_type, direction, legal):
         assert direction_legal(h4_type, direction) is legal
-
-    def test_audit_flags_but_does_not_fail(self):
-        frame = HciCommand(0x1001).to_frame()
-        warning = audit_direction(frame, Direction.CONTROLLER_TO_HOST)
-        assert warning is not None and "HCI_COMMAND" in warning
-        assert audit_direction(frame, Direction.HOST_TO_CONTROLLER) is None

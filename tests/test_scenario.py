@@ -10,6 +10,7 @@ from bcmdiag.emulator.scenario import (
     run_scenario,
 )
 from bcmdiag.errors import ScenarioError
+from bcmdiag.session import USAGE, Session
 
 from helpers import MAC_A, MAC_B, read_pcapng
 
@@ -246,6 +247,39 @@ class TestRunning:
         ok, lines = session.execute("warp 9")
         assert not ok and "unknown command" in lines[0]
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "sendlmp 10000 00",
+            "test 300",
+            "test 1 0 0 0 0 0 70000",
+            "peek arm 100000000",
+            "poke arm 100000000 1",
+            "dump 1ffffffff",
+            "peek arm -1",
+            "sendlmp 0b " + "00" * 300,
+        ],
+        ids=[
+            "sendlmp-handle",
+            "test-scenario",
+            "test-payload-length",
+            "peek-address",
+            "poke-address",
+            "dump-address",
+            "peek-negative",
+            "sendlmp-pdu",
+        ],
+    )
+    def test_out_of_range_operand_echoes_usage(self, line):
+        """An operand too wide for its field is a usage error, caught
+        before anything is sent."""
+        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        session = LocalSession(world, "A")
+        ok, lines = session.execute(line)
+        assert not ok and len(lines) == 1
+        assert lines[0].startswith(f"usage: {USAGE[line.split()[0]]}  (")
+        assert not session.last_emitted
+
     def test_live_line_carries_the_capture_timestamp(self, tmp_path):
         """An in-process live view stamps a frame with the tick its
         capture gives it, not with the controller's clock."""
@@ -292,6 +326,17 @@ class TestRunning:
         assert not ok and "no capture running" in lines[0]
 
 
+class TestVocabulary:
+    def test_usage_and_handlers_agree(self):
+        """Every USAGE entry names a command whose handler answers a bad
+        argument with that entry, and every handler has an entry."""
+        handlers = {name[len("_cmd_") :] for name in dir(Session) if name.startswith("_cmd_")}
+        assert handlers == set(USAGE)
+        session = LocalSession(build_world("controller A mac=00:11:22:33:44:01\n"), "A")
+        for name, usage in USAGE.items():
+            ok, lines = session.execute(f"{name} !")
+            assert not ok and lines[0].startswith(f"usage: {usage}  ("), (name, lines)
+
 class TestSessionMatching:
     PAIR = (
         "controller A mac=00:11:22:33:44:01\n"
@@ -308,6 +353,26 @@ class TestSessionMatching:
             ok, lines = session.execute(f"{command} 00:11:22:33:44:02")
             assert not ok
             assert lines == [f"{command} failed: status 0x0b"]
+
+    @pytest.mark.parametrize(
+        "command, case, expected",
+        [
+            ("connect", "success", (True, ["connected to 00:11:22:33:44:02: handle 0x000b"])),
+            ("connect", "refused", (False, ["connect failed: status 0x0b"])),
+            ("connect", "page-timeout", (False, ["connect failed: status 0x04"])),
+            ("leconnect", "success", (True, ["LE connected to 00:11:22:33:44:02: handle 0x000b"])),
+            ("leconnect", "refused", (False, ["leconnect failed: status 0x0b"])),
+            ("leconnect", "page-timeout", (False, ["leconnect failed: status 0x04"])),
+        ],
+    )
+    def test_connect_output(self, command, case, expected):
+        """Success; refusal of a peer already connected; nobody on the
+        air answering the page."""
+        session = LocalSession(build_world(self.PAIR), "A")
+        mac = "00:11:22:33:44:03" if case == "page-timeout" else "00:11:22:33:44:02"
+        if case == "refused":
+            assert session.execute(f"{command} {mac}")[0]
+        assert session.execute(f"{command} {mac}") == expected
 
     def test_answer_sent_by_another_host_is_not_taken(self):
         """A peek response already queued before the command was sent

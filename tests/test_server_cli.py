@@ -560,7 +560,7 @@ class TestServerLoop:
     def test_a_failing_frame_is_noted_and_serving_goes_on(self, served_world, monkeypatch):
         world, server = served_world
         calls = []
-        original = Controller._HCI_HANDLERS[hci.OPCODE_READ_LOCAL_VERSION]
+        original, lengths = Controller._HCI_HANDLERS[hci.OPCODE_READ_LOCAL_VERSION]
 
         def fail_once(controller, cmd):
             calls.append(controller.name)
@@ -568,7 +568,9 @@ class TestServerLoop:
                 raise InvariantViolation("injected fault")
             original(controller, cmd)
 
-        monkeypatch.setitem(Controller._HCI_HANDLERS, hci.OPCODE_READ_LOCAL_VERSION, fail_once)
+        monkeypatch.setitem(
+            Controller._HCI_HANDLERS, hci.OPCODE_READ_LOCAL_VERSION, (fail_once, lengths)
+        )
         sessions = {name: _session(server, name) for name in ("A", "B")}
         try:
             sessions["A"].default_timeout = 0.3
