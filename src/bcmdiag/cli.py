@@ -2,18 +2,19 @@
 
 Attaches to one emulated controller over its stream ports: commands go
 down the inject port, everything the controller sees or says comes back
-direction-prefixed on the sniff port.  A reader thread renders the live
-view and records captures, so heavy sniff traffic never blocks the
-prompt or the inject path.
+direction-prefixed on the sniff port.  One thread reads both: a session
+reads its sniff socket while it waits for an answer or a prompt line, so
+a record arriving after an answer shows at the next wait.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import select
 import socket
 import sys
-import threading
 import time
 
 from .capture import CaptureRecord, SniffStreamDecoder, render_live
@@ -44,22 +45,18 @@ class SocketSession(Session):
         out=sys.stdout,
         name: str | None = None,
     ):
-        self._cond = threading.Condition()
-        super().__init__(name=name, lock=self._cond)
+        super().__init__(name=name, lock=contextlib.nullcontext())
         self._out = out
         self._color = color
         self._inject_ok = True
-        # Why the sniff stream stopped, once the reader has ended.
+        # Why the sniff stream stopped, once it has.
         self._sniff_down: str | None = None
-        self._closing = False
 
         self._inject_sock = socket.create_connection(inject, timeout=5.0)
         self._sniff_sock = socket.create_connection(sniff, timeout=5.0)
-        self._sniff_sock.settimeout(0.25)
+        self._decoder = SniffStreamDecoder()
         self._probe_nonce = os.urandom(8)
-        self._probe_seen = threading.Event()
-        self._reader = threading.Thread(target=self._reader_loop, daemon=True)
-        self._reader.start()
+        self._probe_seen = False
         self._synchronize()
 
     def _synchronize(self) -> None:
@@ -75,19 +72,18 @@ class SocketSession(Session):
         # A probe sent before the subscriber is wired up is lost: probe
         # again after 1 ms, doubling the wait up to 100 ms, for 5 s.
         deadline = time.monotonic() + 5.0
-        wait = 0.001
-        while True:
-            try:
-                self._inject_sock.sendall(probe)
-            except OSError as exc:
-                raise SessionError(f"inject stream lost during attach: {exc}") from None
-            if self._probe_seen.wait(timeout=wait):
-                return
-            if self._sniff_down is not None:
-                raise SessionError(self._sniff_down)
-            if time.monotonic() >= deadline:
+        resend, wait = 0.0, 0.001
+        while not self._probe_seen:
+            now = time.monotonic()
+            if now >= deadline:
                 raise SessionError("sniff stream never echoed the attach probe")
-            wait = min(2 * wait, 0.1)
+            if now >= resend:
+                try:
+                    self._inject_sock.sendall(probe)
+                except OSError as exc:
+                    raise SessionError(f"inject stream lost during attach: {exc}") from None
+                resend, wait = now + wait, min(2 * wait, 0.1)
+            self._pump(min(resend, deadline) - now)
 
     # --- transport ----------------------------------------------------
 
@@ -102,24 +98,26 @@ class SocketSession(Session):
             self._inject_ok = False
             raise SessionError(f"inject stream lost: {exc}") from None
 
-    def _reader_loop(self) -> None:
-        decoder = SniffStreamDecoder()
-        while not self._closing:
+    def _pump(self, timeout: float | None, fd=None) -> bool:
+        """Wait up to ``timeout`` s (None: no limit) for the sniff socket or
+        ``fd``; hand what one ``recv`` brings to ``record_frame`` and
+        ``_queue_records``.  Returns whether ``fd`` is readable; raises
+        SessionError once the sniff stream is down."""
+        if self._sniff_down is not None:
+            raise SessionError(self._sniff_down)
+        watched = [self._sniff_sock] if fd is None else [self._sniff_sock, fd]
+        ready = select.select(watched, [], [], timeout)[0]
+        if self._sniff_sock in ready:
             try:
                 data = self._sniff_sock.recv(4096)
-            except socket.timeout:
-                continue
             except OSError:
                 data = b""
             if not data:
-                if not self._closing:
-                    self._stream_down("sniff stream disconnected")
-                return
+                raise self._stream_down("sniff stream disconnected")
             try:
-                records = decoder.feed(data)
+                records = self._decoder.feed(data)
             except BcmDiagError as exc:
-                self._stream_down(f"sniff stream undecodable: {exc}")
-                return
+                raise self._stream_down(f"sniff stream undecodable: {exc}") from None
             for direction, frame in records:
                 if (  # the nonce test first: it is cheaper than an enum class read
                     frame.payload.startswith(self._probe_nonce)
@@ -127,19 +125,17 @@ class SocketSession(Session):
                 ):
                     # Our own attach probe (or a duplicate); invisible
                     # to captures and the live view.
-                    self._probe_seen.set()
+                    self._probe_seen = True
                     continue
                 self.record_frame(direction, frame)
-            with self._cond:
-                if self._queue_records(records):
-                    self._cond.notify_all()
+            self._queue_records(records)
+        return fd is not None and fd in ready
 
-    def _stream_down(self, reason: str) -> None:
-        """The reader is ending: fail waits at once from now on."""
-        with self._cond:
-            self._sniff_down = reason
-            self._cond.notify_all()
+    def _stream_down(self, reason: str) -> SessionError:
+        """The sniff stream has ended: fail waits at once from now on."""
+        self._sniff_down = reason
         self._print(f"{reason}; commands that wait for an answer now fail")
+        return SessionError(reason)
 
     def _show_live(self, record: CaptureRecord) -> None:
         line = render_live(record)
@@ -157,21 +153,19 @@ class SocketSession(Session):
             timeout if timeout is not None else self.default_timeout
         )
         since = 0
-        with self._cond:
-            while True:
-                frame = self._take_frame(pred, since)
-                if frame is not None:
-                    return frame
-                if self._sniff_down is not None:
-                    raise SessionError(self._sniff_down)
-                since = self._queued
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                self._cond.wait(remaining)
+        while True:
+            frame = self._take_frame(pred, since)
+            if frame is not None:
+                return frame
+            if self._sniff_down is not None:
+                raise SessionError(self._sniff_down)
+            since = self._queued
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            self._pump(remaining)
 
     def close(self) -> None:
-        self._closing = True
         for sock in (self._inject_sock, self._sniff_sock):
             try:
                 sock.close()
@@ -181,12 +175,22 @@ class SocketSession(Session):
 
 def repl(session: SocketSession, out=sys.stdout) -> int:
     out.write("bcmdiag client; 'help' lists commands, 'quit' leaves\n")
+    # Unbuffered, so a select on it sees every line not yet read.
+    stdin = sys.stdin.buffer.raw
     while True:
+        out.write("bcmdiag> ")
+        out.flush()
         try:
-            line = input("bcmdiag> ").strip()
-        except (EOFError, KeyboardInterrupt):
+            with contextlib.suppress(SessionError):  # sniff stream down: stdin alone
+                while not session._pump(None, stdin):  # live lines meanwhile
+                    pass
+            raw = stdin.readline()
+        except KeyboardInterrupt:
+            raw = b""
+        if not raw:
             out.write("\n")
             return 0
+        line = raw.decode(errors="replace").strip()
         if line in ("quit", "exit"):
             return 0
         if line == "help":

@@ -60,9 +60,8 @@ USAGE = {
 # Every send drops what earlier commands left unconsumed, so the queue
 # only ever holds one command's traffic plus what arrived after it.
 PENDING_MAX = 1024
-# Frames kept in Session.last_emitted, oldest first.
-EMITTED_MAX = 32
 UNECHOED_MAX = 64  # sent frames whose echo a session still waits for
+SCENARIO_DEPTH_MAX = 8  # `scenario run` files open at once in one session
 # Read per frame, so plain names: an enum class read costs about 0.15 us.
 _TO_CONTROLLER, _DIAG, _HCI_EVENT = Direction.HOST_TO_CONTROLLER, H4Type.DIAG, H4Type.HCI_EVENT
 
@@ -133,8 +132,8 @@ class Session:
     returns the oldest queued frame matching a predicate, taken with
     ``_take_frame``; both helpers run under ``lock``, the subclass's
     transport lock.  A command's answer is matched only against the
-    controller-to-host frames that follow the echo of one of this
-    session's sends (other sessions may share the controller) and that
+    controller-to-host frames that follow the echo of this session's
+    newest send (other sessions may share the controller) and that
     arrive after it was sent: ``send_frame`` drops what is still queued.
     At most one capture sink is active per session.
     """
@@ -148,12 +147,12 @@ class Session:
         self._capture_path: str | None = None
         self._capture_format = "pcap"
         self._capture_tick = 0
-        self.last_emitted: deque[H4Frame] = deque(maxlen=EMITTED_MAX)
         self._lock = lock
         self._pending: deque[H4Frame] = deque(maxlen=PENDING_MAX)
         self._queued = 0  # frames ever queued, evicted and taken ones too
         self._unechoed: deque[H4Frame] = deque(maxlen=UNECHOED_MAX)
-        self._answering = False  # the latest echo was one of our sends
+        self._answering = False  # the latest echo was our newest send
+        self._scenario_depth = 0
 
     # transport hooks -------------------------------------------------
     def _send(self, frame: H4Frame) -> None:
@@ -179,25 +178,24 @@ class Session:
         with self._lock:
             self._pending.clear()
             self._unechoed.append(frame)
-        self.last_emitted.append(frame)
         self._send(frame)
 
-    def _queue_records(self, records: list[tuple[Direction, H4Frame]]) -> int:
+    def _queue_records(self, records: list[tuple[Direction, H4Frame]]) -> None:
         """Queue for response matching the controller-to-host frames that
-        follow the echo of one of this session's sends, the oldest falling
-        out past PENDING_MAX; returns how many.  Caller holds the lock."""
-        before = self._queued
+        follow the echo of this session's newest send, the oldest falling
+        out past PENDING_MAX.  Caller holds the lock."""
         for direction, frame in records:
             if direction is _TO_CONTROLLER:
-                # Echoes come back in send order; sends whose echo was
-                # missed go with the first later one seen.
-                self._answering = frame in self._unechoed
-                while self._answering and self._unechoed.popleft() != frame:
+                # Echoes come back in send order; sends whose echo was missed
+                # go with the first later one seen.  Only the newest send is
+                # answered: an earlier send's command has given up waiting.
+                answering = frame in self._unechoed
+                while answering and self._unechoed.popleft() != frame:
                     pass
+                self._answering = answering and not self._unechoed
             elif self._answering:
                 self._pending.append(frame)
                 self._queued += 1
-        return self._queued - before
 
     def _take_frame(
         self, pred: Callable[[H4Frame], bool], since: int = 0
@@ -485,7 +483,13 @@ class Session:
     def _cmd_scenario(self, args: list[str]) -> tuple[bool, list[str]]:
         if len(args) != 2 or args[0] != "run":
             raise CommandError("expected run <file>")
-        return self.run_script_file(args[1])
+        if self._scenario_depth >= SCENARIO_DEPTH_MAX:
+            raise CommandError(f"scenario files nest at most {SCENARIO_DEPTH_MAX} deep")
+        self._scenario_depth += 1
+        try:
+            return self.run_script_file(args[1])
+        finally:
+            self._scenario_depth -= 1
 
     def run_script_file(self, path: str) -> tuple[bool, list[str]]:
         """Replay a scenario file against this session.  Topology

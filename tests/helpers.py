@@ -1,6 +1,6 @@
 """Shared test plumbing: seeded random frame/message/PDU generators, a
-recorder of controller-to-host frames and independent capture-file
-readers.
+recorder of one direction of a controller's frames and independent
+capture-file readers.
 
 The readers are deliberately written from the file-format definitions,
 not from the writer code, so export tests check two separate routes.
@@ -13,7 +13,6 @@ import struct
 
 from bcmdiag import hci, ll
 from bcmdiag.diag import (
-    DiagCode,
     HexdumpResponse,
     LcpLogRecord,
     LmpLogRecord,
@@ -41,14 +40,16 @@ MAC_EVIL = hci.parse_mac("66:55:44:33:22:11")
 
 class HostRecorder:
     """Tap on one controller that keeps every frame it sends its host,
-    its own calls' answers included, until taken."""
+    its own calls' answers included, until taken; with ``direction``
+    HOST_TO_CONTROLLER, every frame its host sends it instead."""
 
-    def __init__(self, controller) -> None:
+    def __init__(self, controller, direction: Direction = Direction.CONTROLLER_TO_HOST) -> None:
         self.frames: list[H4Frame] = []
+        self._direction = direction
         controller.add_tap(self)
 
     def __call__(self, direction: Direction, frame: H4Frame, _tick: int) -> None:
-        if direction is Direction.CONTROLLER_TO_HOST:
+        if direction is self._direction:
             self.frames.append(frame)
 
     def take(self) -> list[H4Frame]:

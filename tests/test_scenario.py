@@ -4,15 +4,15 @@ import pytest
 
 from bcmdiag.emulator.scenario import (
     LocalSession,
-    World,
     build_world,
     parse_scenario,
     run_scenario,
 )
 from bcmdiag.errors import ScenarioError
+from bcmdiag.h4 import Direction, encode_frame
 from bcmdiag.session import USAGE, Session
 
-from helpers import MAC_A, MAC_B, read_pcapng
+from helpers import MAC_A, MAC_B, HostRecorder, read_pcapng
 
 TOPOLOGY = """\
 # two chips on one air link
@@ -192,6 +192,24 @@ class TestRunning:
         assert ok
         assert any("manufacturer" in line for line in lines)
 
+    def test_scenario_run_of_itself_is_bounded(self, tmp_path):
+        """A file that runs itself nests SCENARIO_DEPTH_MAX deep, then
+        answers usage."""
+        from bcmdiag.session import SCENARIO_DEPTH_MAX
+
+        path = tmp_path / "self.scenario"
+        path.write_text(f"A: version\nA: scenario run {path}\n")
+        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        session = LocalSession(world, "A")
+        ok, lines = session.execute(f"scenario run {path}")
+        assert not ok
+        assert sum("manufacturer" in line for line in lines) == SCENARIO_DEPTH_MAX
+        assert lines[-1] == (
+            f"usage: {USAGE['scenario']}  "
+            f"(scenario files nest at most {SCENARIO_DEPTH_MAX} deep)"
+        )
+        assert session.execute("version")[0]
+
     def test_failure_propagates(self):
         ok, _world, transcript = run_scenario(TOPOLOGY + "A: peek arm 0xdead0000\n")
         assert not ok
@@ -211,10 +229,11 @@ class TestRunning:
             ToggleLmpLogging,
             build_diag,
         )
-        from bcmdiag.h4 import H4Frame, HciCommand, encode_frame
+        from bcmdiag.h4 import H4Frame, HciCommand
 
         world = build_world("controller A mac=00:11:22:33:44:01\n")
         session = LocalSession(world, "A")
+        sent = HostRecorder(world["A"], Direction.HOST_TO_CONTROLLER)
         expectations = [
             ("diag on", H4Frame.diag(build_diag(ToggleLmpLogging(True)))),
             ("version", HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame()),
@@ -222,19 +241,16 @@ class TestRunning:
             ("dump 200000", H4Frame.diag(build_diag(MemoryHexdump(0x200000)))),
         ]
         for line, expected in expectations:
-            session.last_emitted.clear()
             session.execute(line)
-            assert [encode_frame(f) for f in session.last_emitted] == [
-                encode_frame(expected)
-            ], line
+            assert [encode_frame(f) for f in sent.take()] == [encode_frame(expected)], line
 
     def test_diag_on_emits_padded_toggle(self):
         world = build_world("controller A mac=00:11:22:33:44:01\n")
         session = LocalSession(world, "A")
+        sent = HostRecorder(world["A"], Direction.HOST_TO_CONTROLLER)
         session.execute("diag on")
-        from bcmdiag.h4 import encode_frame
-
-        wire = encode_frame(session.last_emitted[0])
+        (frame,) = sent.take()
+        wire = encode_frame(frame)
         assert wire[:3] == b"\x07\xf0\x01"
         assert len(wire) == 64
 
@@ -275,10 +291,11 @@ class TestRunning:
         before anything is sent."""
         world = build_world("controller A mac=00:11:22:33:44:01\n")
         session = LocalSession(world, "A")
+        sent = HostRecorder(world["A"], Direction.HOST_TO_CONTROLLER)
         ok, lines = session.execute(line)
         assert not ok and len(lines) == 1
         assert lines[0].startswith(f"usage: {USAGE[line.split()[0]]}  (")
-        assert not session.last_emitted
+        assert not sent.take()
 
     def test_live_line_carries_the_capture_timestamp(self, tmp_path):
         """An in-process live view stamps a frame with the tick its
@@ -390,6 +407,31 @@ class TestSessionMatching:
         ok, lines = session.execute("peek arm 0x200001")
         assert ok and lines == ["0x00200001 = 0x22"]
 
+    def test_only_the_newest_send_is_answered(self):
+        """With sends A and B both awaiting their echoes, A's answer is
+        not queued: it can only answer a command that has given up."""
+        from contextlib import nullcontext
+
+        from bcmdiag.diag import MemAccessType, MemoryPeek, PeekResponse, build_diag
+        from bcmdiag.h4 import H4Frame
+
+        sends = [
+            H4Frame.diag(build_diag(MemoryPeek(MemAccessType.ARM, address)))
+            for address in (0x200000, 0x200001)
+        ]
+        answers = [H4Frame.diag(build_diag(PeekResponse(0, value))) for value in (0x11, 0x22)]
+        session = Session(lock=nullcontext())
+        session._unechoed.extend(sends)
+        session._queue_records(
+            [
+                (Direction.HOST_TO_CONTROLLER, sends[0]),
+                (Direction.CONTROLLER_TO_HOST, answers[0]),
+                (Direction.HOST_TO_CONTROLLER, sends[1]),
+                (Direction.CONTROLLER_TO_HOST, answers[1]),
+            ]
+        )
+        assert list(session._pending) == [answers[1]]
+
     def test_sessions_stay_bounded_over_many_cycles(self):
         """10^4 connect/disconnect cycles with logging on: the operator's
         queue holds one cycle's leftovers, the peer's (which never sends)
@@ -398,7 +440,7 @@ class TestSessionMatching:
 
         from bcmdiag import hci
         from bcmdiag.h4 import HciCommand
-        from bcmdiag.session import EMITTED_MAX, PENDING_MAX
+        from bcmdiag.session import PENDING_MAX
 
         world = build_world(self.PAIR)
         operator = LocalSession(world, "A")
@@ -420,5 +462,4 @@ class TestSessionMatching:
             peer_max = max(peer_max, len(peer._pending))
         assert operator_max < 16
         assert peer_max == PENDING_MAX
-        assert len(operator.last_emitted) == EMITTED_MAX
         assert operator.execute("version")[0] and peer.execute("version")[0]

@@ -10,7 +10,6 @@ from bcmdiag.emulator import Controller, Phase, attach_air_link
 from bcmdiag.emulator.profiles import (
     FIREWALL_ALLOWLIST_MAX,
     HandlerAction,
-    SecurityProfile,
     patched_profile,
     vulnerable_profile,
 )

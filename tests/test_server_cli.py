@@ -4,8 +4,11 @@ import gc
 import io
 import os
 import random
+import re
+import select
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -13,15 +16,16 @@ import warnings
 
 import pytest
 
+import bcmdiag
 from bcmdiag import hci
 from bcmdiag.capture import SniffStreamDecoder, encode_sniff_record
 from bcmdiag.cli import SocketSession, run_batch
-from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag
+from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, parse_diag
 from bcmdiag.emulator import Controller
 from bcmdiag.emulator.memory import ARM_BASE
 from bcmdiag.emulator.scenario import LocalSession, build_world
 from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout
-from bcmdiag.errors import InvariantViolation
+from bcmdiag.errors import InvariantViolation, SessionError
 from bcmdiag.h4 import (
     Direction,
     H4Frame,
@@ -32,7 +36,7 @@ from bcmdiag.h4 import (
 )
 
 from conftest import SERVED_TOPOLOGY as TOPOLOGY, free_base_port
-from helpers import read_pcapng
+from helpers import HostRecorder, read_pcapng
 
 def _session(server: EmulatorServer, controller: str, **kwargs) -> SocketSession:
     sniff, inject = server.port_map()[controller]
@@ -106,13 +110,15 @@ class TestSocketSession:
             session_b.close()
 
     def test_command_octets_match_builders(self, served_world):
-        _world, server = served_world
+        world, server = served_world
         session = _session(server, "A")
+        sent = HostRecorder(world["A"], Direction.HOST_TO_CONTROLLER)
         try:
             session.execute("version")
-            assert [encode_frame(f) for f in session.last_emitted] == [
-                encode_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())
-            ]
+            # Late echoes of the attach probes aside.
+            assert [
+                encode_frame(f) for f in sent.take() if f.h4_type is not H4Type.MSG_QUEUE_PUT
+            ] == [encode_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())]
         finally:
             session.close()
 
@@ -149,26 +155,39 @@ class TestSocketSession:
         finally:
             session.close()
 
-    def test_late_answer_of_timed_out_command_is_dropped(self, served_world):
+    def test_late_answer_of_timed_out_command_is_dropped(self, served_world, tmp_path):
         _world, server = served_world
         session = _session(server, "A")
         try:
             assert session.execute("poke arm 0x200000 11")[0]
             assert session.execute("poke arm 0x200001 22")[0]
-            queued = session._queued
-            # Holding the session lock keeps the reader from queueing the
-            # answer, so the zero-timeout peek is sure to time out.
-            with session._cond:
-                session.default_timeout = 0.0
-                ok, lines = session.execute("peek arm 0x200000")
+            assert session.execute(f"capture start {tmp_path / 'late.pcapng'}")[0]
+            # A zero timeout gives up before reading the sniff stream;
+            # the answer is there by the next command.
+            session.default_timeout = 0.0
+            ok, lines = session.execute("peek arm 0x200000")
             session.default_timeout = 2.0
             assert not ok and "timeout" in lines[0]
-            deadline = time.monotonic() + 2.0
-            while session._queued == queued and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert session._queued > queued  # the stale answer is in
+            time.sleep(0.2)
             ok, lines = session.execute("peek arm 0x200001")
             assert ok and lines == ["0x00200001 = 0x22"]
+            # The stale answer is in: read in the wait for the next one.
+            assert [
+                parse_diag(r.frame.payload).value
+                for r in session.capture_records
+                if r.direction is Direction.CONTROLLER_TO_HOST
+            ] == [0x11, 0x22]
+        finally:
+            session.close()
+
+    def test_one_thread(self, served_world):
+        """A session reads its sniff stream on the caller's thread."""
+        _world, server = served_world
+        before = threading.active_count()
+        session = _session(server, "A")
+        try:
+            assert session.execute("version")[0]
+            assert threading.active_count() == before
         finally:
             session.close()
 
@@ -679,8 +698,8 @@ class TestSniffStreamErrors:
         session = SocketSession(inject, sniff, color=False, out=out)
         try:
             fake.send_garbage.set()
-            session._reader.join(timeout=2.0)
-            assert not session._reader.is_alive()
+            with pytest.raises(SessionError, match=reason):
+                session.wait_frame(lambda _f: False, 2.0)
             assert reason in out.getvalue()
             t0 = time.monotonic()
             ok, lines = session.execute("version")
@@ -719,7 +738,7 @@ class TestLiveView:
             session._inject_sock.sendall(blast)
             deadline = time.monotonic() + 30.0
             while len(lines) < 10_000 and time.monotonic() < deadline:
-                time.sleep(0.05)
+                session.wait_frame(lambda _f: False, 0.05)
             assert len(lines) == 10_000
             # Strict alternation: each command is followed by its
             # completion, order preserved end to end.
@@ -777,7 +796,7 @@ class TestLiveView:
             while time.monotonic() < deadline:
                 if any("LMP_setup_complete" in line for line in lines):
                     break
-                time.sleep(0.05)
+                watcher.wait_frame(lambda _f: False, 0.05)
             text = "\n".join(lines)
             for name in ("LMP_features_req", "LMP_host_connection_req", "LMP_setup_complete"):
                 assert name in text
@@ -803,7 +822,7 @@ class TestLiveView:
         )
         session.live_view = True
         try:
-            time.sleep(0.3)
+            assert session.wait_frame(lambda _f: False, 0.3) is None
             assert lines == []
         finally:
             session.close()
@@ -822,6 +841,77 @@ class TestStreamLoss:
             assert lines  # a visible error, not a crash
         finally:
             session.close()
+
+
+def _read_until(proc: subprocess.Popen, out: bytearray, pattern: bytes, deadline: float) -> None:
+    """Read ``proc``'s stdout into ``out`` until the regex ``pattern``
+    matches it."""
+    fd = proc.stdout.fileno()
+    while not re.search(pattern, out):
+        left = deadline - time.monotonic()
+        assert left > 0, f"no {pattern!r} in {bytes(out)!r}"
+        if select.select([fd], [], [], left)[0]:
+            chunk = os.read(fd, 4096)
+            assert chunk, f"output ended without {pattern!r}: {bytes(out)!r}"
+            out += chunk
+
+
+# Ticks count the prompt session's own records: its version and peek,
+# the other session's poke while the prompt idles, then its second peek.
+REPL_TRANSCRIPT = """\
+bcmdiag client; 'help' lists commands, 'quit' leaves
+bcmdiag>          0 us >> HCI cmd Read_Local_Version_Information -
+       625 us << HCI evt Command_Complete 01011000090010090f000922
+hci 9.0x1000 lmp 9.0x2209 manufacturer 0x000f
+bcmdiag>       1250 us >> DIAG peek arm 0x00200000
+      1875 us << DIAG peek -> status=0 value=0x42
+0x00200000 = 0x42
+bcmdiag>       2500 us >> DIAG poke arm 0x00200000 = 0x5a
+      3125 us << DIAG poke -> status=0
+      3750 us >> DIAG peek arm 0x00200000
+      4375 us << DIAG peek -> status=0 value=0x5a
+0x00200000 = 0x5a
+bcmdiag> 
+"""
+
+
+class TestRepl:
+    def test_answers_and_live_lines_in_order(self, served_world):
+        """Two commands in one write to the prompt, then traffic from a
+        second session while the prompt idles, then one more command:
+        every answer and every live line, in order; EOF exits 0."""
+        _world, server = served_world
+        sniff_port, inject_port = server.port_map()["A"]
+        # Attached first, so its attach probes are not on the prompt's view.
+        other = _session(server, "A")
+        path = [os.path.dirname(os.path.dirname(bcmdiag.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "bcmdiag.cli", "--no-color",
+                "--inject", f"127.0.0.1:{inject_port}", "--sniff", f"127.0.0.1:{sniff_port}",
+            ],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+        )
+        out = bytearray()
+        deadline = time.monotonic() + 20.0
+        try:
+            os.write(proc.stdin.fileno(), b"version\npeek arm 0x200000\n")
+            _read_until(proc, out, rb"0x00200000 = 0x42\nbcmdiag> $", deadline)
+            assert other.execute("poke arm 0x200000 5a")[0]
+            _read_until(proc, out, rb"<< DIAG poke.*\n$", deadline)
+            os.write(proc.stdin.fileno(), b"peek arm 0x200000\n")
+            _read_until(proc, out, rb"0x00200000 = 0x5a\nbcmdiag> $", deadline)
+            proc.stdin.close()
+            assert proc.wait(timeout=10.0) == 0
+            out += proc.stdout.read()
+        finally:
+            other.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert out.decode() == REPL_TRANSCRIPT
 
 
 class TestBatchMode:
