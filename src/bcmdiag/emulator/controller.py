@@ -323,6 +323,8 @@ class Controller:
     ):
         if len(mac) != 6:
             raise ValueError("MAC must be 6 octets")
+        if not 0 <= test_packet_count <= 0xFFFF:  # TestCompleted's count width
+            raise ValueError(f"test_packet_count must be 0..65535, got {test_packet_count}")
         self.mac = bytes(mac)
         self.name = name or hci.format_mac(mac)
         self.profile = profile or patched_profile()

@@ -101,32 +101,36 @@ def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
 
 
 def build_controller(name: str, opts: dict[str, str], lineno: int = 0) -> Controller:
+    """A controller from its options; a bad value, a memory file that
+    cannot be read or a count Controller refuses is a ScenarioError."""
+    if "mac" not in opts:
+        raise ScenarioError(lineno, "controller needs mac=<mac>")
     try:
         mac = hci.parse_mac(opts.pop("mac"))
-    except KeyError:
-        raise ScenarioError(lineno, "controller needs mac=<mac>") from None
-    except ValueError as exc:
+        profile_name = opts.pop("profile", "default")
+        factory = PROFILE_FACTORIES.get(profile_name)
+        if factory is None:
+            raise ScenarioError(lineno, f"unknown profile {profile_name!r}")
+        profile = factory()
+        if "allowlist" in opts:
+            profile.firewall_allowlist = {
+                hci.parse_mac(m) for m in opts.pop("allowlist").split(",") if m
+            }
+            if len(profile.firewall_allowlist) > FIREWALL_ALLOWLIST_MAX:
+                raise ScenarioError(
+                    lineno, f"allowlist holds at most {FIREWALL_ALLOWLIST_MAX} MACs"
+                )
+        memory = None
+        if "memory" in opts:
+            memory = MemoryImage.from_file(opts.pop("memory"))
+        test_packets = int(opts.pop("test-packets", "100"))
+        if opts:
+            raise ScenarioError(lineno, f"unknown controller options: {sorted(opts)}")
+        return Controller(
+            mac, profile=profile, memory=memory, name=name, test_packet_count=test_packets
+        )
+    except (OSError, ValueError) as exc:
         raise ScenarioError(lineno, str(exc)) from None
-    profile_name = opts.pop("profile", "default")
-    factory = PROFILE_FACTORIES.get(profile_name)
-    if factory is None:
-        raise ScenarioError(lineno, f"unknown profile {profile_name!r}")
-    profile = factory()
-    if "allowlist" in opts:
-        profile.firewall_allowlist = {
-            hci.parse_mac(m) for m in opts.pop("allowlist").split(",") if m
-        }
-        if len(profile.firewall_allowlist) > FIREWALL_ALLOWLIST_MAX:
-            raise ScenarioError(lineno, f"allowlist holds at most {FIREWALL_ALLOWLIST_MAX} MACs")
-    memory = None
-    if "memory" in opts:
-        memory = MemoryImage.from_file(opts.pop("memory"))
-    test_packets = int(opts.pop("test-packets", "100"))
-    if opts:
-        raise ScenarioError(lineno, f"unknown controller options: {sorted(opts)}")
-    return Controller(
-        mac, profile=profile, memory=memory, name=name, test_packet_count=test_packets
-    )
 
 
 def parse_scenario(text: str) -> tuple[list[tuple[int, str, list[str]]], list[tuple[int, str, str]]]:

@@ -90,9 +90,9 @@ class ControllerEndpoint:
         self.inject_port = inject_port
         self.fanout = _SniffFanout()
         # create_server closes its socket when the bind fails.
-        self._sniff_sock = socket.create_server((host, sniff_port), backlog=8)
+        self._sniff_sock = socket.create_server((host, sniff_port))
         try:
-            self._inject_sock = socket.create_server((host, inject_port), backlog=8)
+            self._inject_sock = socket.create_server((host, inject_port))
         except OSError:
             self._sniff_sock.close()
             raise

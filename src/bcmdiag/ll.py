@@ -3,7 +3,10 @@ Broadcom vendor escape spaces in both.
 
 The standard opcode/length tables live in versioned data files under
 ``tables/`` so the protocol knowledge stays auditable and out of code;
-tests pin their hashes.  Two vendor quirks are handled here:
+tests pin their hashes.  ``dissect_*`` hold the one rule of which
+opcodes exist and how long their PDUs are; ``build_*`` serialize the
+fields and check the octets by dissecting them back.  Two vendor quirks
+are handled here:
 
 * Classic PDUs reported by the diagnostic channel are always padded to
   the 17-octet maximum; ``dissect_lmp(..., padded_to_17=True)`` repairs
@@ -14,15 +17,16 @@ tests pin their hashes.  Two vendor quirks are handled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import (
+    BcmDiagError,
     InvariantViolation,
     LengthMismatch,
     UnknownOpcode,
     UnknownVendorSubtype,
 )
+from .h4 import value_class
 
 LMP_MAX_PDU = 17
 LMP_ESCAPE_OPCODES = (124, 125, 126, 127)
@@ -31,7 +35,7 @@ BPCS_OPCODE = 0x00
 LCP_VENDOR_OPCODE = 0xFF
 
 
-@dataclass(frozen=True)
+@value_class
 class OpcodeEntry:
     value: int
     name: str
@@ -96,7 +100,7 @@ LCP_VENDOR_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@value_class
 class LmpPdu:
     """Classic link manager PDU.
 
@@ -121,7 +125,7 @@ class LmpPdu:
         return entry.name if entry else f"LMP_unknown(0x{self.opcode:02x})"
 
 
-@dataclass(frozen=True)
+@value_class
 class BpcsPdu:
     """Broadcom BPCS vendor PDU (LMP opcode 0x00 + subtype octet).
 
@@ -142,7 +146,7 @@ class BpcsPdu:
         return f"BPCS {base}" if base else f"BPCS_unknown(0x{self.subtype:02x})"
 
 
-@dataclass(frozen=True)
+@value_class
 class VendorLcp:
     subtype: int
     params: bytes = b""
@@ -153,7 +157,7 @@ class VendorLcp:
         return f"LCP {base}" if base else f"LCP_vendor_unknown(0x{self.subtype:02x})"
 
 
-@dataclass(frozen=True)
+@value_class
 class LcpPdu:
     """BLE link-layer control PDU; ``vendor`` is populated iff the
     opcode is the 0xff vendor escape (``params`` then holds the raw
@@ -180,23 +184,6 @@ def vendor_lcp(subtype: int, body: bytes = b"") -> LcpPdu:
     )
 
 
-def lmp_true_length(first_octet: int, second_octet: int | None) -> int:
-    """Total on-wire length of a PDU from its opcode octet(s), per the
-    opcode tables.  Used to repair diagnostic records padded to 17."""
-    opcode = first_octet >> 1
-    entry = LMP_OPCODES.get(opcode)
-    if entry is None:
-        raise UnknownOpcode(opcode)
-    if not entry.escape:
-        return 1 + entry.param_len
-    if second_octet is None:
-        raise LengthMismatch(f"{entry.name} requires an extended opcode octet")
-    ext = LMP_EXT_OPCODES.get(second_octet) if opcode == LMP_ESCAPE_4 else None
-    if ext is None:
-        raise UnknownOpcode(second_octet, kind=f"{entry.name} extended")
-    return 2 + ext.param_len
-
-
 def dissect_lmp(raw: bytes, padded_to_17: bool = False) -> LmpPdu | BpcsPdu:
     """Dissect a Classic link-layer PDU.
 
@@ -220,70 +207,52 @@ def dissect_lmp(raw: bytes, padded_to_17: bool = False) -> LmpPdu | BpcsPdu:
             raise LengthMismatch("BPCS PDU lacks a subtype octet")
         return BpcsPdu(subtype=raw[1], tid=tid, params=bytes(raw[2:]))
 
-    second = raw[1] if len(raw) >= 2 else None
-    true_len = lmp_true_length(first, second)
-    if padded_to_17:
-        raw = raw[:true_len]
-    elif len(raw) != true_len:
-        raise LengthMismatch(
-            f"{LMP_OPCODES[opcode].name} must be {true_len} octets, got {len(raw)}"
-        )
-    if LMP_OPCODES[opcode].escape:
-        return LmpPdu(opcode, tid, bytes(raw[2:]), extended_opcode=raw[1])
-    return LmpPdu(opcode, tid, bytes(raw[1:]))
+    entry = LMP_OPCODES.get(opcode)
+    if entry is None:
+        raise UnknownOpcode(opcode)
+    head, true_len, extended_opcode = 1, 1 + entry.param_len, None
+    if entry.escape:
+        if len(raw) < 2:
+            raise LengthMismatch(f"{entry.name} requires an extended opcode octet")
+        extended_opcode = raw[1]
+        ext = LMP_EXT_OPCODES.get(extended_opcode) if opcode == LMP_ESCAPE_4 else None
+        if ext is None:
+            raise UnknownOpcode(extended_opcode, kind=f"{entry.name} extended")
+        head, true_len = 2, 2 + ext.param_len
+    if len(raw) != true_len and not padded_to_17:
+        raise LengthMismatch(f"{entry.name} must be {true_len} octets, got {len(raw)}")
+    return LmpPdu(opcode, tid, bytes(raw[head:true_len]), extended_opcode)
+
+
+def _checked(raw: bytes, pdu: LinkPdu, dissect) -> bytes:
+    """``raw`` if ``dissect`` gives back a PDU equal to ``pdu``; else
+    InvariantViolation with the dissector's reason."""
+    try:
+        back = dissect(raw)
+    except BcmDiagError as exc:
+        raise InvariantViolation(str(exc)) from exc
+    if back != pdu:
+        raise InvariantViolation(f"{pdu!r} dissects as {back!r}")
+    return raw
 
 
 def build_lmp(pdu: LmpPdu | BpcsPdu, allow_nonconformant: bool = False) -> bytes:
-    """Serialize a Classic PDU; `allow_nonconformant` waives the subtype
-    and length checks so attack packets can be constructed."""
+    """Serialize a Classic PDU, checked by dissecting it back;
+    `allow_nonconformant` waives that check and the BPCS subtype bound
+    so attack packets can be constructed.  An LmpPdu never exceeds 17
+    octets."""
     if isinstance(pdu, BpcsPdu):
-        out = bytes([(BPCS_OPCODE << 1) | (pdu.tid & 1), pdu.subtype]) + pdu.params
-        if not allow_nonconformant:
-            if not pdu.conformant:
-                raise InvariantViolation(
-                    f"BPCS subtype 0x{pdu.subtype:02x} exceeds 0x{BPCS_MAX_SUBTYPE:02x}"
-                )
-            if len(out) > LMP_MAX_PDU:
-                raise InvariantViolation(f"BPCS PDU of {len(out)} octets exceeds {LMP_MAX_PDU}")
-        return out
-
-    entry = LMP_OPCODES.get(pdu.opcode)
-    first = bytes([((pdu.opcode & 0x7F) << 1) | (pdu.tid & 1)])
-    if entry is not None and entry.escape:
-        if pdu.extended_opcode is None:
-            raise InvariantViolation(f"{entry.name} requires an extended opcode")
-        out = first + bytes([pdu.extended_opcode]) + pdu.params
-        if not allow_nonconformant:
-            ext = (
-                LMP_EXT_OPCODES.get(pdu.extended_opcode)
-                if pdu.opcode == LMP_ESCAPE_4
-                else None
-            )
-            if ext is None:
-                raise InvariantViolation(
-                    f"no extended opcode 0x{pdu.extended_opcode:02x} under {entry.name}"
-                )
-            if len(pdu.params) != ext.param_len:
-                raise InvariantViolation(
-                    f"{ext.name} takes {ext.param_len} parameter octets, "
-                    f"got {len(pdu.params)}"
-                )
-        return out
-
-    out = first + pdu.params
-    if not allow_nonconformant:
-        if entry is None:
-            raise InvariantViolation(f"unknown LMP opcode {pdu.opcode}")
-        if pdu.extended_opcode is not None:
-            raise InvariantViolation(f"{entry.name} takes no extended opcode")
-        if len(pdu.params) != entry.param_len:
+        if not (allow_nonconformant or pdu.conformant):
             raise InvariantViolation(
-                f"{entry.name} takes {entry.param_len} parameter octets, "
-                f"got {len(pdu.params)}"
+                f"BPCS subtype 0x{pdu.subtype:02x} exceeds 0x{BPCS_MAX_SUBTYPE:02x}"
             )
-    if len(out) > LMP_MAX_PDU:
-        raise InvariantViolation(f"LMP PDU of {len(out)} octets exceeds {LMP_MAX_PDU}")
-    return out
+        raw = bytes([(BPCS_OPCODE << 1) | (pdu.tid & 1), pdu.subtype]) + pdu.params
+    else:
+        ext = b"" if pdu.extended_opcode is None else bytes([pdu.extended_opcode])
+        raw = bytes([((pdu.opcode & 0x7F) << 1) | (pdu.tid & 1)]) + ext + pdu.params
+    if len(raw) > LMP_MAX_PDU and not (allow_nonconformant and isinstance(pdu, BpcsPdu)):
+        raise InvariantViolation(f"LMP PDU of {len(raw)} octets exceeds {LMP_MAX_PDU}")
+    return raw if allow_nonconformant else _checked(raw, pdu, dissect_lmp)
 
 
 def dissect_lcp(raw: bytes) -> LcpPdu:
@@ -309,24 +278,10 @@ def dissect_lcp(raw: bytes) -> LcpPdu:
 
 
 def build_lcp(pdu: LcpPdu, allow_nonconformant: bool = False) -> bytes:
-    if pdu.vendor is not None or pdu.opcode == LCP_VENDOR_OPCODE:
-        if pdu.vendor is None:
-            raise InvariantViolation("vendor LCP PDU lacks its subtype view")
-        if not allow_nonconformant and pdu.vendor.subtype not in LCP_VENDOR_NAMES:
-            raise InvariantViolation(
-                f"vendor LCP subtype 0x{pdu.vendor.subtype:02x} is not defined"
-            )
-        return bytes([LCP_VENDOR_OPCODE, pdu.vendor.subtype]) + pdu.vendor.params
-    entry = LCP_OPCODES.get(pdu.opcode)
-    if not allow_nonconformant:
-        if entry is None:
-            raise InvariantViolation(f"unknown LCP opcode 0x{pdu.opcode:02x}")
-        if len(pdu.params) != entry.param_len:
-            raise InvariantViolation(
-                f"{entry.name} carries {entry.param_len} CtrData octets, "
-                f"got {len(pdu.params)}"
-            )
-    return bytes([pdu.opcode]) + pdu.params
+    """Serialize a BLE PDU (a vendor PDU's ``params`` start with its
+    subtype), checked by dissecting it back unless `allow_nonconformant`."""
+    raw = bytes([pdu.opcode]) + pdu.params
+    return raw if allow_nonconformant else _checked(raw, pdu, dissect_lcp)
 
 
 LinkPdu = LmpPdu | BpcsPdu | LcpPdu
@@ -336,21 +291,13 @@ def render_text(pdu: LinkPdu, direction: str | None = None, mac: str | None = No
     """One deterministic line for a dissected PDU: optional direction
     and MAC context, name, then parameters in hex.  Unknown opcodes and
     subtypes render with a hex fallback name instead of raising."""
-    if not isinstance(pdu, (LmpPdu, BpcsPdu, LcpPdu)):
-        raise TypeError(f"not a link-layer PDU: {type(pdu).__name__}")
     if isinstance(pdu, (LmpPdu, BpcsPdu)):
         detail = f"tid={pdu.tid}"
         params = pdu.params
-    else:
-        detail = ""
+    elif isinstance(pdu, LcpPdu):
+        detail = None
         params = pdu.vendor.params if pdu.vendor is not None else pdu.params
-    parts = []
-    if direction:
-        parts.append(direction)
-    if mac:
-        parts.append(mac)
-    parts.append(pdu.name)
-    if detail:
-        parts.append(detail)
-    parts.append(params.hex() if params else "-")
-    return " ".join(parts)
+    else:
+        raise TypeError(f"not a link-layer PDU: {type(pdu).__name__}")
+    parts = (direction, mac, pdu.name, detail, params.hex() if params else "-")
+    return " ".join(part for part in parts if part)

@@ -45,20 +45,24 @@ def free_base_port() -> int:
         return probe.getsockname()[1]
 
 
+def unstarted_server(world) -> EmulatorServer:
+    """An EmulatorServer for ``world`` on a free loopback port window,
+    not started yet.  A free base port does not make the window free,
+    so a taken port is retried."""
+    for _attempt in range(5):
+        try:
+            return EmulatorServer(world, base_port=free_base_port())
+        except OSError:
+            continue
+    pytest.fail("no free port window")
+
+
 @pytest.fixture
 def served_world():
     """SERVED_TOPOLOGY behind an EmulatorServer on a free loopback port
     window; yields (world, server)."""
     world = build_world(SERVED_TOPOLOGY)
-    server = None
-    for _attempt in range(5):
-        base = free_base_port()
-        try:
-            server = EmulatorServer(world, base_port=base)
-            break
-        except OSError:
-            continue
-    assert server is not None, "no free port window"
+    server = unstarted_server(world)
     server.start()
     try:
         yield world, server

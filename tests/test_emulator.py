@@ -595,6 +595,17 @@ class TestTestMode:
         (msg,) = diag_messages(out)
         assert (msg.tx_count, msg.rx_count) == (40, 0)
 
+    @pytest.mark.parametrize("count", [-5, -1, 65536, 70000])
+    def test_packet_count_outside_the_counter_width_is_refused(self, count):
+        with pytest.raises(ValueError, match="test_packet_count"):
+            Controller(MAC_A, test_packet_count=count)
+
+    def test_packet_count_at_the_counter_width(self):
+        ctrl = Controller(MAC_A, test_packet_count=65535)
+        out = ctrl.process_host_frame(H4Frame.diag(build_diag(RunTest(TestParams()))))
+        (msg,) = diag_messages(out)
+        assert (msg.tx_count, msg.rx_count) == (65535, 0)
+
     def test_invalid_frequency_status(self):
         ctrl = Controller(MAC_A)
         out = ctrl.process_host_frame(

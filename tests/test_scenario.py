@@ -124,6 +124,26 @@ class TestWorldBuilding:
             build_world(f"controller A mac=00:11:22:33:44:01 allowlist={macs}\n")
         build_world(f"controller A mac=00:11:22:33:44:01 allowlist={macs.rsplit(',', 1)[0]}\n")
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "test-packets=70000",
+            "test-packets=-5",
+            "test-packets=many",
+            "allowlist=00:11:22",
+            "memory=<tmp>/missing.json",
+        ],
+    )
+    def test_bad_controller_option_is_a_scenario_error(self, tmp_path, option):
+        option = option.replace("<tmp>", str(tmp_path))
+        with pytest.raises(ScenarioError, match="scenario line 1: "):
+            build_world(f"controller A mac=00:11:22:33:44:01 {option}\n")
+
+    def test_test_packets_at_the_counter_width(self):
+        for count in (0, 65535):
+            world = build_world(f"controller A mac=00:11:22:33:44:01 test-packets={count}\n")
+            assert world["A"].test_packet_count == count
+
     def test_memory_option_loads_json_image(self, tmp_path):
         import json
 

@@ -35,7 +35,7 @@ from bcmdiag.h4 import (
     encode_frame,
 )
 
-from conftest import SERVED_TOPOLOGY as TOPOLOGY, free_base_port
+from conftest import SERVED_TOPOLOGY as TOPOLOGY, unstarted_server
 from helpers import HostRecorder, read_pcapng
 
 def _session(server: EmulatorServer, controller: str, **kwargs) -> SocketSession:
@@ -513,8 +513,7 @@ class TestSniffFanout:
 
 class TestServerLoop:
     def test_one_thread_serves_every_client(self):
-        world = build_world(TOPOLOGY)
-        server = EmulatorServer(world, base_port=free_base_port())
+        server = unstarted_server(build_world(TOPOLOGY))
         before = threading.active_count()
         server.start()
         socks = []
@@ -537,6 +536,42 @@ class TestServerLoop:
                 sock.close()
             server.stop()
         assert threading.active_count() == before
+
+    def test_connect_bursts_are_accepted_at_once(self, served_world):
+        """Back-to-back connects to one inject port each complete well
+        inside the kernel's 1 s SYN retry: the listen queue outlasts a
+        burst while the loop accepts one connection per wake-up."""
+        _world, server = served_world
+        _sniff_port, inject_port = server.port_map()["A"]
+        for _round in range(3):
+            socks = []
+            try:
+                for _ in range(80):
+                    start = time.monotonic()
+                    socks.append(socket.create_connection(("127.0.0.1", inject_port), timeout=2.0))
+                    assert time.monotonic() - start < 0.5
+            finally:
+                for sock in socks:  # reset, leaving no TIME_WAIT port to crowd later windows
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                    sock.close()
+            # Connections are accepted in order, so an answered session
+            # means the loop has taken this whole burst off the queue.
+            session = _session(server, "A")
+            try:
+                assert session.execute("version")[0]
+            finally:
+                session.close()
+
+    def test_test_command_leaves_the_loop_serving(self, served_world):
+        _world, server = served_world
+        session = _session(server, "A")
+        try:
+            ok, lines = session.execute("test")
+            assert ok, lines
+            assert server._thread.is_alive()
+            assert session.execute("version")[0]
+        finally:
+            session.close()
 
     def test_in_process_session_records_reach_sniff_clients(self, served_world):
         """Frames a session in this process runs through a served
