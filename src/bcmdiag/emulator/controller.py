@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Callable
@@ -36,7 +35,7 @@ from ..diag import (
     parse_diag,
 )
 from ..errors import BcmDiagError
-from ..h4 import Direction, H4Frame, H4Type, HciCommand, HciEvent
+from ..h4 import Direction, H4Frame, H4Type, HciCommand, HciEvent, value_class
 from .link import KIND_ACL, KIND_LCP, KIND_LMP, KIND_RESET, VirtualLink
 from .memory import MemoryImage
 from .profiles import FIREWALL_ALLOWLIST_MAX, HandlerAction, SecurityProfile, patched_profile
@@ -91,18 +90,21 @@ class Phase(Enum):
     ENCRYPTED = 4
 
 
-@dataclass
 class Connection:
-    handle: int
-    peer_mac: bytes
-    role: Role
-    transport: Transport
-    phase: Phase
-    script_cursor: int = 0
-    ssp_confirmed: bool = False
+    __slots__ = ("handle", "peer_mac", "role", "transport", "phase", "script_cursor", "ssp_confirmed")
+
+    def __init__(self, handle: int, peer_mac: bytes, role: Role, transport: Transport,
+                 phase: Phase, script_cursor: int = 0, ssp_confirmed: bool = False) -> None:
+        self.handle = handle
+        self.peer_mac = peer_mac
+        self.role = role
+        self.transport = transport
+        self.phase = phase
+        self.script_cursor = script_cursor
+        self.ssp_confirmed = ssp_confirmed
 
 
-@dataclass(frozen=True)
+@value_class
 class ScriptStep:
     role: Role  # the end that sends it
     pdu_name: str
@@ -165,7 +167,7 @@ def _is_lmp_reject(raw: bytes) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class LinkLayer:
     """Everything the Classic (LMP) and LE (LCP) link layers do
     differently; the controller runs one path over either record."""

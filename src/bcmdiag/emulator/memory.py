@@ -10,8 +10,7 @@ from a JSON file for more realistic images.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from contextlib import suppress
 
 from ..diag import MemAccessType
 
@@ -32,46 +31,61 @@ _ACCESS_KIND = {
 }
 
 
-@dataclass
 class Region:
-    base: int
-    kind: str
-    data: bytearray
+    __slots__ = ("base", "kind", "data")
+
+    def __init__(self, base: int, kind: str, data: bytearray) -> None:
+        self.base = base
+        self.kind = kind
+        self.data = data
 
 
-@dataclass
 class MemoryImage:
-    regions: list[Region] = field(default_factory=list)
+    def __init__(self, regions: list[Region] | None = None) -> None:
+        self.regions = [] if regions is None else regions
 
     @classmethod
     def default(cls) -> "MemoryImage":
         arm = bytearray(ARM_SIZE)
         arm[: len(VERSION_STRING)] = VERSION_STRING
-        return cls(
-            [
-                Region(ARM_BASE, KIND_ARM, arm),
-                Region(BLUERF_BASE, KIND_BLUERF, bytearray(BLUERF_SIZE)),
-            ]
-        )
+        return cls([Region(ARM_BASE, KIND_ARM, arm),
+                    Region(BLUERF_BASE, KIND_BLUERF, bytearray(BLUERF_SIZE))])
 
     @classmethod
     def from_file(cls, path: str) -> "MemoryImage":
-        """Load a map from JSON: a list of regions with ``base``,
-        ``kind`` (arm|bluerf), and either ``size`` or hex ``contents``."""
+        """Load a map from JSON: ``{"regions": [...]}``, each region with
+        ``base`` (an int or a string such as ``"0x200000"``), ``kind``
+        (arm|bluerf), and ``size`` and/or hex ``contents``.  A file that
+        breaks this layout raises ValueError naming the field."""
+        import json  # only this option reads JSON, so the emulator starts without it
+
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+        entries = spec.get("regions") if isinstance(spec, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError("memory file needs 'regions': a list of regions")
         regions = []
-        for entry in spec["regions"]:
-            kind = entry["kind"]
+        for n, entry in enumerate(entries):
+            where = f"memory region {n}"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where} must be an object")
+            base = entry.get("base")
+            with suppress(ValueError):  # a string that is no int is refused just below
+                base = int(base, 0) if isinstance(base, str) else base
+            if type(base) is not int or base < 0:
+                raise ValueError(f"{where}: 'base' must be an int >= 0 or a \"0x...\" string")
+            kind = entry.get("kind")
             if kind not in (KIND_ARM, KIND_BLUERF):
-                raise ValueError(f"unknown region kind {kind!r}")
-            if "contents" in entry:
-                data = bytearray(bytes.fromhex(entry["contents"]))
-                if "size" in entry and entry["size"] > len(data):
-                    data += bytearray(entry["size"] - len(data))
-            else:
-                data = bytearray(entry["size"])
-            regions.append(Region(int(entry["base"], 0) if isinstance(entry["base"], str) else entry["base"], kind, data))
+                raise ValueError(f"{where}: 'kind' must be arm or bluerf, not {kind!r}")
+            contents = entry.get("contents", "")
+            size = entry.get("size", 0 if "contents" in entry else None)
+            if type(size) is not int or size < 0:
+                raise ValueError(f"{where} needs 'size' (an int >= 0) or hex 'contents'")
+            try:
+                data = bytearray.fromhex(contents)
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: 'contents' must be a hex string") from None
+            regions.append(Region(base, kind, data + bytes(max(0, size - len(data)))))
         image = cls(regions)
         image.check()
         return image

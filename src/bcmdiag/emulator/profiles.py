@@ -16,7 +16,6 @@ Two published regressions are switchable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -35,15 +34,19 @@ BPCS_DUT_SUBTYPE = 0x95
 FIREWALL_ALLOWLIST_MAX = 41
 
 
-@dataclass
 class SecurityProfile:
-    bpcs_bounds_check: bool = True
-    encryption_order_check: bool = True
-    firewall_allowlist: set[bytes] | None = None
-    bpcs_overflow_map: dict[int, HandlerAction] = field(
-        default_factory=lambda: {BPCS_DUT_SUBTYPE: HandlerAction.DUT_MODE}
-    )
-    overflow_default: HandlerAction = HandlerAction.CRASH
+    def __init__(self, bpcs_bounds_check: bool = True, encryption_order_check: bool = True,
+                 firewall_allowlist: set[bytes] | None = None,
+                 bpcs_overflow_map: dict[int, HandlerAction] | None = None,
+                 overflow_default: HandlerAction = HandlerAction.CRASH) -> None:
+        self.bpcs_bounds_check = bpcs_bounds_check
+        self.encryption_order_check = encryption_order_check
+        self.firewall_allowlist = firewall_allowlist
+        # A fresh map per profile, so one profile's edits reach no other.
+        if bpcs_overflow_map is None:
+            bpcs_overflow_map = {BPCS_DUT_SUBTYPE: HandlerAction.DUT_MODE}
+        self.bpcs_overflow_map = bpcs_overflow_map
+        self.overflow_default = overflow_default
 
     def overflow_action(self, subtype: int) -> HandlerAction:
         return self.bpcs_overflow_map.get(subtype, self.overflow_default)

@@ -187,17 +187,18 @@ class EmulatorServer:
             self._wake_pair[1].send(b"\0")
 
     def _accept(self, endpoint: ControllerEndpoint, sniff: bool, listener, _mask) -> None:
-        try:
-            client, _addr = listener.accept()
-        except OSError:  # e.g. the peer reset before the accept
-            return
-        client.setblocking(False)
-        if sniff:
-            endpoint.fanout.attach(client)
-            serve = functools.partial(self._sniff_ready, endpoint.fanout)
-        else:
-            serve = functools.partial(self._inject_ready, endpoint.controller, H4StreamDecoder())
-        self._selector.register(client, _READ, serve)
+        while True:  # the whole queue: one accept per wake lets a burst overflow the backlog
+            try:
+                client, _addr = listener.accept()
+            except OSError:  # drained (BlockingIOError), or e.g. the peer reset first
+                return
+            client.setblocking(False)
+            if sniff:
+                endpoint.fanout.attach(client)
+                serve = functools.partial(self._sniff_ready, endpoint.fanout)
+            else:
+                serve = functools.partial(self._inject_ready, endpoint.controller, H4StreamDecoder())
+            self._selector.register(client, _READ, serve)
 
     def _sniff_ready(self, fanout: _SniffFanout, client: socket.socket, mask: int) -> None:
         if mask & _WRITE:  # the pass's flush sends, and asks again while octets are left

@@ -1,3 +1,4 @@
+import random
 import socket
 import sys
 from pathlib import Path
@@ -39,19 +40,39 @@ link A B
 """
 
 
-def free_base_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+def _ephemeral_floor() -> int:
+    """The lowest port the kernel hands to connect(); Linux's default
+    when the range cannot be read."""
+    try:
+        with open("/proc/sys/net/ipv4/ip_local_port_range", encoding="ascii") as fh:
+            return int(fh.read().split()[0])
+    except (OSError, ValueError, IndexError):
+        return 32768
+
+
+def free_base_port(ports: int = 2) -> int:
+    """A base port whose window of ``ports`` ports binds now.  Windows lie
+    below the ephemeral range, where client sockets take their ports and
+    leave TIME_WAIT entries that block a listener's bind."""
+    top = max(_ephemeral_floor(), 12000) - ports
+    for _attempt in range(50):
+        base = random.randrange(10000, top)
+        try:
+            for port in range(base, base + ports):  # bound as EmulatorServer binds
+                socket.create_server(("127.0.0.1", port)).close()
+        except OSError:
+            continue
+        return base
+    pytest.fail("no free port window")
 
 
 def unstarted_server(world) -> EmulatorServer:
     """An EmulatorServer for ``world`` on a free loopback port window,
-    not started yet.  A free base port does not make the window free,
-    so a taken port is retried."""
+    not started yet.  The window can be taken between the probe and the
+    bind, so a taken port is retried."""
     for _attempt in range(5):
         try:
-            return EmulatorServer(world, base_port=free_base_port())
+            return EmulatorServer(world, base_port=free_base_port(2 * len(world.order)))
         except OSError:
             continue
     pytest.fail("no free port window")

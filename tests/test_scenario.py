@@ -139,6 +139,28 @@ class TestWorldBuilding:
         with pytest.raises(ScenarioError, match="scenario line 1: "):
             build_world(f"controller A mac=00:11:22:33:44:01 {option}\n")
 
+    @pytest.mark.parametrize(
+        ("layout", "field"),
+        [
+            ("{}", "'regions'"),
+            ("[]", "'regions'"),
+            ('{"regions": 5}', "'regions'"),
+            ('{"regions": [{"kind": "arm", "size": 4}]}', "'base'"),
+            ('{"regions": [{"base": 0, "kind": "arm"}]}', "'size'"),
+            ('{"regions": [{"base": "0xzz", "kind": "arm", "size": 4}]}', "'base'"),
+            ('{"regions": [{"base": 0, "kind": "dsp", "size": 4}]}', "'kind'"),
+            ('{"regions": [{"base": 0, "kind": "arm", "contents": "c0f"}]}', "'contents'"),
+            ('{"regions": [[0, "arm", 4]]}', "region 0"),
+        ],
+        ids=["empty-object", "list", "regions-not-list", "no-base", "no-size-or-contents",
+             "bad-base", "bad-kind", "odd-hex", "region-not-object"],
+    )
+    def test_malformed_memory_file_is_a_scenario_error(self, tmp_path, layout, field):
+        image = tmp_path / "image.json"
+        image.write_text(layout)
+        with pytest.raises(ScenarioError, match=f"scenario line 1: .*{field}"):
+            build_world(f"controller A mac=00:11:22:33:44:01 memory={image}\n")
+
     def test_test_packets_at_the_counter_width(self):
         for count in (0, 65535):
             world = build_world(f"controller A mac=00:11:22:33:44:01 test-packets={count}\n")

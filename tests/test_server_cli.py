@@ -6,6 +6,7 @@ import os
 import random
 import re
 import select
+import selectors
 import socket
 import struct
 import subprocess
@@ -35,8 +36,15 @@ from bcmdiag.h4 import (
     encode_frame,
 )
 
-from conftest import SERVED_TOPOLOGY as TOPOLOGY, unstarted_server
+from conftest import SERVED_TOPOLOGY as TOPOLOGY, free_base_port, unstarted_server
 from helpers import HostRecorder, read_pcapng
+
+def _reset(socks: list[socket.socket]) -> None:
+    """Close with a reset, leaving no TIME_WAIT port to crowd later windows."""
+    for sock in socks:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+
 
 def _session(server: EmulatorServer, controller: str, **kwargs) -> SocketSession:
     sniff, inject = server.port_map()[controller]
@@ -290,20 +298,10 @@ class TestEndpointBinding:
         """With port base+taken in use, building the server fails and
         leaves every port free and no controller tapped."""
         world = build_world(TOPOLOGY)
+        base = free_base_port(taken + 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for _attempt in range(20):
-                blocker = socket.create_server(("127.0.0.1", 0))
-                base = blocker.getsockname()[1] - taken
-                try:
-                    for port in range(base, base + taken):
-                        socket.create_server(("127.0.0.1", port)).close()
-                except OSError:
-                    blocker.close()
-                    continue
-                break
-            else:
-                pytest.fail("no free port window")
+            blocker = socket.create_server(("127.0.0.1", base + taken))
             try:
                 with pytest.raises(OSError):
                     EmulatorServer(world, base_port=base)
@@ -539,8 +537,7 @@ class TestServerLoop:
 
     def test_connect_bursts_are_accepted_at_once(self, served_world):
         """Back-to-back connects to one inject port each complete well
-        inside the kernel's 1 s SYN retry: the listen queue outlasts a
-        burst while the loop accepts one connection per wake-up."""
+        inside the kernel's 1 s SYN retry."""
         _world, server = served_world
         _sniff_port, inject_port = server.port_map()["A"]
         for _round in range(3):
@@ -551,9 +548,7 @@ class TestServerLoop:
                     socks.append(socket.create_connection(("127.0.0.1", inject_port), timeout=2.0))
                     assert time.monotonic() - start < 0.5
             finally:
-                for sock in socks:  # reset, leaving no TIME_WAIT port to crowd later windows
-                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-                    sock.close()
+                _reset(socks)
             # Connections are accepted in order, so an answered session
             # means the loop has taken this whole burst off the queue.
             session = _session(server, "A")
@@ -561,6 +556,32 @@ class TestServerLoop:
                 assert session.execute("version")[0]
             finally:
                 session.close()
+
+    def test_one_wake_accepts_the_whole_listen_queue(self):
+        """Three rounds of 200 connects to one inject port, with no wait
+        between rounds, each finish well inside the kernel's 1 s SYN
+        retry.  The test wakes the accept handler itself, once after each
+        100 connects, so the kernel's listen backlog of 128 overflows
+        unless one wake accepts every queued connection; with the loop
+        thread running instead, when it wakes depends on the scheduler."""
+        server = unstarted_server(build_world(TOPOLOGY))
+        listener = server.endpoints["A"]._inject_sock
+        wake = server._selector.get_key(listener).data
+        try:
+            for _round in range(3):
+                socks = []
+                start = time.monotonic()
+                try:
+                    for _ in range(2):
+                        for _ in range(100):
+                            socks.append(socket.create_connection(listener.getsockname(), timeout=1.5))
+                        wake(listener, selectors.EVENT_READ)
+                    elapsed = time.monotonic() - start
+                finally:
+                    _reset(socks)
+                assert elapsed < 0.5
+        finally:
+            server.stop()
 
     def test_test_command_leaves_the_loop_serving(self, served_world):
         _world, server = served_world
@@ -992,3 +1013,22 @@ class TestBatchMode:
             assert "manufacturer" in text
         finally:
             session.close()
+
+
+class TestStartUp:
+    def test_emulator_and_client_import_no_dataclasses_inspect_or_json(self):
+        """Every bcmdiag-emu and bcmdiag client starts in a fresh
+        interpreter; ``dataclasses`` alone pulls in ``inspect``, ``ast``,
+        ``dis`` and ``tokenize`` there, and nothing on the start-up path
+        needs them or ``json``."""
+        src = os.path.dirname(os.path.dirname(bcmdiag.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, bcmdiag.emulator.server, bcmdiag.cli\n"
+            "print(*sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
