@@ -157,15 +157,15 @@ def write_btsnoop(records: list[CaptureRecord], path: str) -> int:
 
 # ----- sniff stream framing ----------------------------------------------
 
-# (direction, H4 type) -> the two octets that open a sniff record.
-_SNIFF_PREFIX = {(d, t): bytes([d, t]) for d in Direction for t in H4Type}
+# [direction][H4 type] -> the two octets that open a sniff record.
+_SNIFF_PREFIX = tuple({t: bytes([d, t]) for t in H4Type} for d in Direction)
 
 
 def encode_sniff_record(direction: Direction, frame: H4Frame) -> bytes:
     """Wire form of one sniff-port record: a 1-octet direction prefix,
-    then the self-delimiting H4 frame."""
-    frame.validate()
-    return _SNIFF_PREFIX[direction, frame[0]] + frame[1]
+    then the self-delimiting H4 frame.  The frame is not checked again:
+    every frame a controller hands its taps is valid by construction."""
+    return _SNIFF_PREFIX[direction][frame[0]] + frame[1]
 
 
 class SniffStreamDecoder(H4StreamDecoder):
@@ -217,7 +217,7 @@ _DIAG_RENDERERS = {
     diag.PeekResponse: lambda m: f"DIAG peek -> status={m.status} value=0x{m.value:02x}",
     diag.PokeResponse: lambda m: f"DIAG poke -> status={m.status}",
     diag.HexdumpResponse: lambda m: f"DIAG hexdump 0x{m.address:08x} -> {m.data.hex()}",
-    diag.RunTest: lambda m: f"DIAG run test {m.body().hex()}",
+    diag.RunTest: lambda m: f"DIAG run test {diag.build_diag(m)[1:].hex()}",
     diag.TestCompleted: lambda m: (
         f"DIAG test completed status={m.status} tx={m.tx_count} "
         f"rx={m.rx_count} reserved={m.reserved}"

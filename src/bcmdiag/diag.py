@@ -18,7 +18,7 @@ from enum import IntEnum
 from typing import Callable
 
 from .errors import InvariantViolation, MalformedBody, UnknownDiagCode
-from .h4 import Direction, value_class
+from .h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, value_class
 
 
 class DiagCode(IntEnum):
@@ -74,21 +74,10 @@ LCP_RECORD_MAC_LEN = 6
 # 32-bit little-endian fields per response code.  The chip reports these
 # blobs without any self-description; keeping the field names in one
 # table lets them be corrected without touching the parsers.
+_ACL_FIELDS = ("tx_packets", "rx_packets", "rx_crc_errors", "rx_hec_errors", "retransmissions")
 STATS_FIELDS: dict[DiagCode, tuple[str, ...]] = {
-    DiagCode.BR_ACL_STATS: (
-        "tx_packets",
-        "rx_packets",
-        "rx_crc_errors",
-        "rx_hec_errors",
-        "retransmissions",
-    ),
-    DiagCode.EDR_ACL_STATS: (
-        "tx_packets",
-        "rx_packets",
-        "rx_crc_errors",
-        "rx_hec_errors",
-        "retransmissions",
-    ),
+    DiagCode.BR_ACL_STATS: _ACL_FIELDS,
+    DiagCode.EDR_ACL_STATS: _ACL_FIELDS,
     DiagCode.SCO_STATS: ("tx_packets", "rx_packets", "rx_errors"),
     DiagCode.ESCO_STATS: ("tx_packets", "rx_packets", "rx_errors"),
     DiagCode.CPU_LOAD_RESPONSE: ("load_percent",),
@@ -112,36 +101,52 @@ STATS_REQUEST_CODES = frozenset(RESPONSE_FOR_REQUEST) | {DiagCode.RESET_BR_ACL_S
 # Raw code octet -> parser of a whole payload; @_message fills it.
 _PARSERS: dict[int, Callable[[bytes], "DiagMessage"]] = {}
 
+_DIAG = H4Type.DIAG
+# (H4 type, payload) -> H4Frame, for payloads that fill the envelope.
+_frame = functools.partial(tuple.__new__, H4Frame)
+
 
 def _message(*codes: DiagCode, layout: str | None = None):
     """Declare a message: an immutable value (h4.value_class) with its
     code(s) and body layout, given once.  ``layout`` is the struct format
-    of a fixed body, which ``body()`` packs and parsing unpacks into the
-    fields, or hands with the code to ``_from_fields`` where the class
-    has one.  A variable body is cut by the class's ``_parse(code, payload)``."""
+    of a fixed body, which parsing unpacks into the fields (through the
+    class's ``_from_fields`` where it has one) and ``_envelope`` packs
+    with the code and the zero padding in one step: ``to_frame`` packs
+    the fields in order unless the class has its own.  A variable body
+    has the class's ``_parse(code, payload)``, ``to_frame`` and ``_wire_len``."""
 
     def declare(cls):
         cls = value_class(cls)
+        code = codes[0]
         if len(codes) == 1:
-            cls.code = codes[0]
+            cls.code = code
         if layout is not None:
-            cls._layout = struct.Struct(layout)
-        for code in codes:
-            _PARSERS[code] = _parser(cls, code)
+            cls._layout = body = struct.Struct(layout)
+            cls._wire_len = 1 + body.size
+            pad = DIAG_PAYLOAD_LEN - cls._wire_len
+            cls._envelope = envelope = struct.Struct(f"<B{layout[1:]}{pad}x")
+            if "to_frame" not in vars(cls):
+                cls.to_frame = lambda self: _frame((_DIAG, envelope.pack(code, *self)))
+        for each in codes:
+            _PARSERS[each] = _parser(cls, each)
         return cls
 
     return declare
 
 
 def _parser(cls, code: DiagCode) -> Callable[[bytes], "DiagMessage"]:
-    """One code's parser; a fixed body's checks, unpacks and builds in one call."""
+    """One code's parser.  A fixed body is checked, unpacked and built in
+    one call, or handed on to the class's ``_from_fields``."""
     if not hasattr(cls, "_layout"):
         return functools.partial(cls._parse, code)
     size, unpack = cls._layout.size, cls._layout.unpack_from
+    end = size + 1
     make = getattr(cls, "_from_fields", None)
 
     def parse(payload: bytes):
-        _require(code, payload, size)
+        n = len(payload)
+        if n <= size or payload.count(0, end) != n - end:
+            _require(code, payload, size)  # raises the precise refusal
         if make is None:
             return tuple.__new__(cls, unpack(payload, 1))
         return make(code, *unpack(payload, 1))
@@ -161,15 +166,19 @@ def _require(code: DiagCode, payload: bytes, n: int) -> None:
 _PEEK_POKE_ACCESS = {a: a for a in (MemAccessType.ARM, MemAccessType.BLUERF)}  # octet -> member
 
 
-def _access_type(code: DiagCode, access: int) -> MemAccessType:
-    if access not in _PEEK_POKE_ACCESS:
+def _access_from_fields(cls, code: DiagCode, access: int, *rest):
+    """``_from_fields`` of the messages that name a peek/poke access type."""
+    member = _PEEK_POKE_ACCESS.get(access)
+    if member is None:
         raise MalformedBody(code, f"bad access type 0x{access:02x}")
-    return _PEEK_POKE_ACCESS[access]
+    return tuple.__new__(cls, (member, *rest))
 
 
-def _check_access(access: MemAccessType, what: str) -> None:
-    if access not in _PEEK_POKE_ACCESS:
-        raise InvariantViolation(f"{what} access type {access!r} not allowed")
+def _access_to_frame(self) -> H4Frame:
+    """``to_frame`` of the messages that name a peek/poke access type."""
+    if self[0] not in _PEEK_POKE_ACCESS:
+        raise InvariantViolation(f"{self.__class__.__name__} access type {self[0]!r} not allowed")
+    return _frame((_DIAG, self._envelope.pack(self.code, *self)))
 
 
 @value_class
@@ -209,14 +218,11 @@ class TestParams:
 class ToggleLmpLogging:
     enable: bool
 
-    def body(self) -> bytes:
-        return b"\x01" if self.enable else b"\x00"
-
     @classmethod
     def _from_fields(cls, code: DiagCode, flag: int) -> "ToggleLmpLogging":
         if flag > 1:
             raise MalformedBody(code, f"logging flag must be 0x00/0x01, got 0x{flag:02x}")
-        return cls(bool(flag))
+        return tuple.__new__(cls, (flag == 1,))
 
 
 @_message(DiagCode.MEMORY_PEEK, layout="<BI")
@@ -224,13 +230,8 @@ class MemoryPeek:
     access: MemAccessType
     address: int
 
-    def body(self) -> bytes:
-        _check_access(self.access, "peek")
-        return self._layout.pack(self.access, self.address)
-
-    @classmethod
-    def _from_fields(cls, code: DiagCode, access: int, address: int) -> "MemoryPeek":
-        return cls(_access_type(code, access), address)
+    to_frame = _access_to_frame
+    _from_fields = classmethod(_access_from_fields)
 
 
 @_message(DiagCode.MEMORY_POKE, layout="<BIB")
@@ -239,28 +240,23 @@ class MemoryPoke:
     address: int
     value: int
 
-    def body(self) -> bytes:
-        _check_access(self.access, "poke")
-        return self._layout.pack(self.access, self.address, self.value)
-
-    @classmethod
-    def _from_fields(cls, code: DiagCode, access: int, address: int, value: int) -> "MemoryPoke":
-        return cls(_access_type(code, access), address, value)
+    to_frame = _access_to_frame
+    _from_fields = classmethod(_access_from_fields)
 
 
 @_message(DiagCode.MEMORY_HEXDUMP, layout="<BI")
 class MemoryHexdump:
     address: int
 
-    def body(self) -> bytes:
+    def to_frame(self) -> H4Frame:
         # Hexdump always carries the ARM access tag 0x04.
-        return self._layout.pack(MemAccessType.HEXDUMP_ARM, self.address)
+        return _frame((_DIAG, self._envelope.pack(self.code, MemAccessType.HEXDUMP_ARM, self[0])))
 
     @classmethod
     def _from_fields(cls, code: DiagCode, access: int, address: int) -> "MemoryHexdump":
         if access != MemAccessType.HEXDUMP_ARM:
             raise MalformedBody(code, f"hexdump access type must be 0x04, got 0x{access:02x}")
-        return cls(address)
+        return tuple.__new__(cls, (address,))
 
 
 @_message(DiagCode.PEEK_RESPONSE, layout="<BB")
@@ -270,16 +266,10 @@ class PeekResponse:
     status: int
     value: int
 
-    def body(self) -> bytes:
-        return self._layout.pack(self.status, self.value)
-
 
 @_message(DiagCode.POKE_RESPONSE, layout="<B")
 class PokeResponse:
     status: int
-
-    def body(self) -> bytes:
-        return self._layout.pack(self.status)
 
 
 @_message(DiagCode.HEXDUMP_RESPONSE, layout=f"<I{HEXDUMP_DATA_LEN}s")
@@ -287,21 +277,21 @@ class HexdumpResponse:
     address: int
     data: bytes
 
-    def body(self) -> bytes:
-        if len(self.data) != HEXDUMP_DATA_LEN:
+    def to_frame(self) -> H4Frame:
+        address, data = self
+        if len(data) != HEXDUMP_DATA_LEN:
             raise InvariantViolation(
-                f"hexdump data must be exactly {HEXDUMP_DATA_LEN} octets, "
-                f"got {len(self.data)}"
+                f"hexdump data must be exactly {HEXDUMP_DATA_LEN} octets, got {len(data)}"
             )
-        return self._layout.pack(self.address, self.data)
+        return _frame((_DIAG, self._envelope.pack(self.code, address, data)))
 
 
 @_message(DiagCode.RUN_TEST, layout="<BBBBBBH")
 class RunTest:
     params: TestParams
 
-    def body(self) -> bytes:
-        return self._layout.pack(*self.params)
+    def to_frame(self) -> H4Frame:
+        return _frame((_DIAG, self._envelope.pack(self.code, *self[0])))
 
     @classmethod
     def _from_fields(cls, _code: DiagCode, *fields: int) -> "RunTest":
@@ -323,8 +313,9 @@ class TestCompleted:
     rx_count: int
     reserved: int = 0
 
-    def body(self) -> bytes:
-        return self._layout.pack(self.status, self.tx_count, self.reserved, self.rx_count)
+    def to_frame(self) -> H4Frame:
+        status, tx, rx, reserved = self
+        return _frame((_DIAG, self._envelope.pack(self.code, status, tx, reserved, rx)))
 
     @classmethod
     def _from_fields(cls, _code: DiagCode, status: int, tx: int, reserved: int, rx: int):
@@ -352,21 +343,21 @@ class LmpLogRecord:
     def code(self) -> DiagCode:
         return DiagCode.LMP_SENT if self.sent else DiagCode.LMP_RECEIVED
 
-    def body(self) -> bytes:
-        if len(self.low_mac) != LMP_RECORD_MAC_LEN:
-            raise InvariantViolation(
-                f"LMP record MAC must be {LMP_RECORD_MAC_LEN} octets"
-            )
-        if len(self.payload) != LMP_RECORD_PAYLOAD_LEN:
+    def to_frame(self) -> H4Frame:
+        sent, low_mac, payload = self
+        if len(low_mac) != LMP_RECORD_MAC_LEN:
+            raise InvariantViolation(f"LMP record MAC must be {LMP_RECORD_MAC_LEN} octets")
+        if len(payload) != LMP_RECORD_PAYLOAD_LEN:
             raise InvariantViolation(
                 f"LMP record payload must be exactly {LMP_RECORD_PAYLOAD_LEN} octets, "
-                f"got {len(self.payload)}"
+                f"got {len(payload)}"
             )
-        return self.low_mac + self.payload
+        code = DiagCode.LMP_SENT if sent else DiagCode.LMP_RECEIVED
+        return _frame((_DIAG, self._envelope.pack(code, low_mac, payload)))
 
     @classmethod
     def _from_fields(cls, code: DiagCode, low_mac: bytes, payload: bytes) -> "LmpLogRecord":
-        return cls(code == DiagCode.LMP_SENT, low_mac, payload)
+        return tuple.__new__(cls, (code == DiagCode.LMP_SENT, low_mac, payload))
 
 
 @_message(DiagCode.LCP_SENT, DiagCode.LCP_RECEIVED)
@@ -384,17 +375,21 @@ class LcpLogRecord:
     def code(self) -> DiagCode:
         return DiagCode.LCP_SENT if self.sent else DiagCode.LCP_RECEIVED
 
-    def body(self) -> bytes:
-        if len(self.full_mac) != LCP_RECORD_MAC_LEN:
+    @property
+    def _wire_len(self) -> int:
+        return 2 + LCP_RECORD_MAC_LEN + len(self.payload)
+
+    def to_frame(self) -> H4Frame:
+        sent, full_mac, payload = self
+        if len(full_mac) != LCP_RECORD_MAC_LEN:
+            raise InvariantViolation(f"LCP record MAC must be {LCP_RECORD_MAC_LEN} octets")
+        if len(payload) > self.MAX_PAYLOAD:
             raise InvariantViolation(
-                f"LCP record MAC must be {LCP_RECORD_MAC_LEN} octets"
+                f"LCP record payload of {len(payload)} octets exceeds {self.MAX_PAYLOAD}"
             )
-        if len(self.payload) > self.MAX_PAYLOAD:
-            raise InvariantViolation(
-                f"LCP record payload of {len(self.payload)} octets exceeds "
-                f"{self.MAX_PAYLOAD}"
-            )
-        return self.full_mac + bytes([len(self.payload)]) + self.payload
+        code = DiagCode.LCP_SENT if sent else DiagCode.LCP_RECEIVED
+        wire = bytes((code,)) + full_mac + bytes((len(payload),)) + payload
+        return _frame((_DIAG, wire.ljust(DIAG_PAYLOAD_LEN, b"\x00")))
 
     @classmethod
     def _parse(cls, code: DiagCode, payload: bytes) -> "LcpLogRecord":
@@ -424,6 +419,10 @@ class StatsResponse:
     def code(self) -> DiagCode:
         return self.kind
 
+    @property
+    def _wire_len(self) -> int:
+        return 1 + 4 * len(self.values)
+
     def as_dict(self) -> dict[str, int]:
         return dict(zip(STATS_FIELDS[self.kind], self.values))
 
@@ -432,15 +431,17 @@ class StatsResponse:
         fields = " ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"{DiagCode(self.kind).name}{sep}{fields}"
 
-    def body(self) -> bytes:
-        fields = STATS_FIELDS.get(self.kind)
+    def to_frame(self) -> H4Frame:
+        kind, values = self
+        fields = STATS_FIELDS.get(kind)
         if fields is None:
-            raise InvariantViolation(f"{self.kind!r} is not a statistics response")
-        if len(self.values) != len(fields):
+            raise InvariantViolation(f"{kind!r} is not a statistics response")
+        if len(values) != len(fields):
             raise InvariantViolation(
-                f"{self.kind.name} takes {len(fields)} counters, got {len(self.values)}"
+                f"{kind.name} takes {len(fields)} counters, got {len(values)}"
             )
-        return _STATS_LAYOUTS[self.kind].pack(*self.values)
+        wire = bytes((kind,)) + _STATS_LAYOUTS[kind].pack(*values)
+        return _frame((_DIAG, wire.ljust(DIAG_PAYLOAD_LEN, b"\x00")))
 
     @classmethod
     def _parse(cls, code: DiagCode, payload: bytes) -> "StatsResponse":
@@ -457,14 +458,14 @@ class StatsRequest:
     def code(self) -> DiagCode:
         return self.kind
 
-    def body(self) -> bytes:
+    def to_frame(self) -> H4Frame:
         if self.kind not in STATS_REQUEST_CODES:
             raise InvariantViolation(f"{self.kind!r} is not a statistics request")
-        return b""
+        return _frame((_DIAG, self._envelope.pack(self.kind)))
 
     @classmethod
     def _from_fields(cls, code: DiagCode) -> "StatsRequest":
-        return cls(code)
+        return tuple.__new__(cls, (code,))
 
 
 DiagMessage = (
@@ -487,7 +488,7 @@ DiagMessage = (
 def build_diag(msg: DiagMessage) -> bytes:
     """Serialize a message: code octet + body, without the H4 tag or the
     envelope padding (the H4 layer adds those)."""
-    return bytes([msg.code]) + msg.body()
+    return msg.to_frame()[1][: msg._wire_len]
 
 
 def parse_diag(payload: bytes) -> DiagMessage:

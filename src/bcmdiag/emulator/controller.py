@@ -30,12 +30,11 @@ from ..diag import (
     DiagCode,
     DiagMessage,
     MemAccessType,
-    build_diag,
     code_direction,
     parse_diag,
 )
 from ..errors import BcmDiagError
-from ..h4 import Direction, H4Frame, H4Type, HciCommand, HciEvent, value_class
+from ..h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciCommand, HciEvent, value_class
 from .link import KIND_ACL, KIND_LCP, KIND_LMP, KIND_RESET, VirtualLink
 from .memory import MemoryImage
 from .profiles import FIREWALL_ALLOWLIST_MAX, HandlerAction, SecurityProfile, patched_profile
@@ -231,8 +230,9 @@ LE_LINK = LinkLayer(
     build=lambda opcode, _tid, params: ll.build_lcp(ll.LcpPdu(opcode, params)),
     name_to_opcode=ll.LCP_NAME_TO_OPCODE,
     opcodes=ll.LCP_OPCODES,
+    # A record holds at most MAX_PAYLOAD octets; a longer PDU is cut, as LMP's at 17.
     log_record=lambda sent, peer_mac, pdu: diag.LcpLogRecord(
-        sent=sent, full_mac=peer_mac, payload=pdu
+        sent=sent, full_mac=peer_mac, payload=pdu[: diag.LcpLogRecord.MAX_PAYLOAD]
     ),
     is_reject=lambda raw: bool(raw) and raw[0] in (
         ll.LCP_NAME_TO_OPCODE["LL_REJECT_IND"], ll.LCP_NAME_TO_OPCODE["LL_REJECT_EXT_IND"]
@@ -421,42 +421,47 @@ class Controller:
     # ----- host input ---------------------------------------------------
 
     def process_host_frame(self, frame: H4Frame) -> list[H4Frame]:
-        """Public entry: handle one host frame, run the air link to
-        quiescence, and return the frames this controller emitted
-        meanwhile.  Frames it emits outside such a call, driven by its
-        peer, reach only its taps."""
+        """Public entry: check one host frame, handle it, run the air link
+        to quiescence, and return the frames this controller emitted
+        meanwhile.  A malformed frame raises InvariantViolation before the
+        clock moves or any tap sees it; past this check every frame a tap
+        sees is valid by construction.  Frames it emits outside such a
+        call, driven by its peer, reach only its taps."""
+        h4_type, payload = frame
+        if h4_type is not _DIAG or len(payload) != DIAG_PAYLOAD_LEN:
+            frame.validate()  # a full diag envelope is valid by its length alone
         self.clock = clock = self.clock + 1
         for fn in self._taps:
             fn(_TO_CONTROLLER, frame, clock)
         self._out = out = []
         try:
-            h4_type = frame.h4_type
             if h4_type is _DIAG:
                 try:
-                    msg = parse_diag(frame.payload)
+                    msg = parse_diag(payload)
                 except BcmDiagError as exc:
                     self._note(f"undecodable diagnostic frame: {exc}")
-                else:
-                    for response in self.handle_diag(msg):
-                        self._emit(H4Frame.diag(build_diag(response)))
+                else:  # handle_diag's dispatch, inline: it runs for every request
+                    handler = self._DIAG_HANDLERS.get(msg.__class__, Controller._diag_unhandled)
+                    for response in handler(self, msg):
+                        self._emit(response.to_frame())
             elif h4_type is _HCI_COMMAND:
-                cmd = HciCommand.from_frame(frame)
-                entry = self._HCI_HANDLERS.get(cmd.opcode)
+                opcode, params = payload[0] | payload[1] << 8, payload[3:]
+                entry = self._HCI_HANDLERS.get(opcode)
                 if entry is None:
-                    self._note(f"unknown HCI opcode 0x{cmd.opcode:04x}")
-                    self._status(cmd.opcode, hci.ERR_UNKNOWN_COMMAND)
-                elif len(cmd.params) in entry[1]:
-                    entry[0](self, cmd)
-                elif cmd.opcode in _ANSWERED_BY_STATUS:
-                    self._status(cmd.opcode, hci.ERR_INVALID_PARAMETERS)
+                    self._note(f"unknown HCI opcode 0x{opcode:04x}")
+                    self._status(opcode, hci.ERR_UNKNOWN_COMMAND)
+                elif len(params) in entry[1]:
+                    entry[0](self, tuple.__new__(HciCommand, (opcode, params)))
+                elif opcode in _ANSWERED_BY_STATUS:
+                    self._status(opcode, hci.ERR_INVALID_PARAMETERS)
                 else:
-                    self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
+                    self._complete(opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
             elif h4_type is _ACL_DATA:
-                self._handle_host_acl(frame)
+                self._handle_host_acl(payload)
             elif h4_type in _OPAQUE:
                 # Documented to exist, not documented to do anything we
                 # can model: acknowledge by logging only.
-                self._note(f"opaque {h4_type.name} frame ({len(frame.payload)} octets)")
+                self._note(f"opaque {h4_type.name} frame ({len(payload)} octets)")
             else:
                 self._note(f"host sent {h4_type.name}; ignored")
             if self.link is not None:
@@ -626,8 +631,8 @@ class Controller:
 
     # ----- host ACL data ---------------------------------------------------
 
-    def _handle_host_acl(self, frame: H4Frame) -> None:
-        handle_flags, _length = struct.unpack_from("<HH", frame.payload)
+    def _handle_host_acl(self, payload: bytes) -> None:
+        handle_flags, _length = struct.unpack_from("<HH", payload)
         handle = handle_flags & 0x0FFF
         flags = handle_flags >> 12
         conn = self.connections.get(handle)
@@ -638,16 +643,16 @@ class Controller:
             self.stats.bump(DiagCode.BR_ACL_STATS, "tx_packets")
         if self.link is not None:
             self.link.transmit(
-                self, KIND_ACL, (conn.transport.value, flags, frame.payload[4:])
+                self, KIND_ACL, (conn.transport.value, flags, payload[4:])
             )
         self._emit_event(hci.EVT_NUM_COMPLETED_PACKETS, hci.num_completed_packets(handle))
 
     # ----- diagnostic surface ------------------------------------------------
 
     def handle_diag(self, msg: DiagMessage) -> list[DiagMessage]:
-        handler = self._DIAG_HANDLERS.get(msg.__class__)
-        if handler is not None:
-            return handler(self, msg)
+        return self._DIAG_HANDLERS.get(msg.__class__, Controller._diag_unhandled)(self, msg)
+
+    def _diag_unhandled(self, msg: DiagMessage) -> list[DiagMessage]:
         if code_direction(msg.code) is not Direction.HOST_TO_CONTROLLER:
             self._note(f"host sent controller->host diag code 0x{msg.code:02x}")
         else:
@@ -659,19 +664,20 @@ class Controller:
         return []
 
     def _diag_peek(self, msg: diag.MemoryPeek) -> list[DiagMessage]:
-        value = self.memory.read(msg.access, msg.address)
+        value = self.memory.read(*msg)
         return [diag.PeekResponse(0x01, 0) if value is None else diag.PeekResponse(0x00, value)]
 
     def _diag_poke(self, msg: diag.MemoryPoke) -> list[DiagMessage]:
-        ok = self.memory.write(msg.access, msg.address, msg.value)
+        ok = self.memory.write(*msg)
         return [diag.PokeResponse(0x00 if ok else 0x01)]
 
     def _diag_hexdump(self, msg: diag.MemoryHexdump) -> list[DiagMessage]:
-        data = self.memory.read_block(_HEXDUMP_ARM, msg.address, HEXDUMP_DATA_LEN)
+        (address,) = msg
+        data = self.memory.read_block(_HEXDUMP_ARM, address, HEXDUMP_DATA_LEN)
         if data is None:
-            self._note(f"hexdump outside ARM regions: 0x{msg.address:08x}")
+            self._note(f"hexdump outside ARM regions: 0x{address:08x}")
             data = bytes(HEXDUMP_DATA_LEN)
-        return [diag.HexdumpResponse(msg.address, data)]
+        return [diag.HexdumpResponse(address, data)]
 
     def _diag_stats(self, msg: diag.StatsRequest) -> list[DiagMessage]:
         kind = msg.kind
@@ -761,7 +767,7 @@ class Controller:
 
     def _log(self, layer: LinkLayer, sent: bool, peer_mac: bytes, pdu: bytes) -> None:
         if self.diag_log_enabled:
-            self._emit(H4Frame.diag(build_diag(layer.log_record(sent, peer_mac, pdu))))
+            self._emit(layer.log_record(sent, peer_mac, pdu).to_frame())
 
     def _send_raw(self, layer: LinkLayer, peer_mac: bytes, raw: bytes) -> None:
         self._log(layer, True, peer_mac, raw)

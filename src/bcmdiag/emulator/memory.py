@@ -101,39 +101,33 @@ class MemoryImage:
                 if s1 < e0:
                     raise ValueError(f"overlapping {kind} regions at 0x{s1:08x}")
 
-    def _region_for(self, kind: str, address: int, length: int = 1) -> Region | None:
+    def read(self, access: MemAccessType, address: int) -> int | None:
+        kind = _ACCESS_KIND[access]
         for r in self.regions:
-            if r.kind == kind and r.base <= address <= r.base + len(r.data) - length:
-                return r
+            offset = address - r.base
+            if r.kind == kind and 0 <= offset < len(r.data):
+                return r.data[offset]
         return None
 
-    def read(self, access: MemAccessType, address: int) -> int | None:
-        region = self._region_for(_ACCESS_KIND[access], address)
-        if region is None:
-            return None
-        return region.data[address - region.base]
+    def read_block(self, access: MemAccessType, address: int, length: int) -> bytes | None:
+        kind = _ACCESS_KIND[access]
+        for r in self.regions:
+            offset = address - r.base
+            if r.kind == kind and 0 <= offset <= len(r.data) - length:
+                return bytes(r.data[offset : offset + length])
+        return None
 
     def write(self, access: MemAccessType, address: int, value: int) -> bool:
-        region = self._region_for(_ACCESS_KIND[access], address)
-        if region is None:
-            return False
-        region.data[address - region.base] = value & 0xFF
-        return True
-
-    def read_block(self, access: MemAccessType, address: int, length: int) -> bytes | None:
-        region = self._region_for(_ACCESS_KIND[access], address, length)
-        if region is None:
-            return None
-        offset = address - region.base
-        return bytes(region.data[offset : offset + length])
+        return self.write_block(access, address, bytes([value & 0xFF]))
 
     def write_block(self, access: MemAccessType, address: int, data: bytes) -> bool:
-        region = self._region_for(_ACCESS_KIND[access], address, len(data))
-        if region is None:
-            return False
-        offset = address - region.base
-        region.data[offset : offset + len(data)] = data
-        return True
+        kind = _ACCESS_KIND[access]
+        for r in self.regions:
+            offset = address - r.base
+            if r.kind == kind and 0 <= offset <= len(r.data) - len(data):
+                r.data[offset : offset + len(data)] = data
+                return True
+        return False
 
     def snapshot(self) -> list[tuple[int, str, bytes]]:
         return [(r.base, r.kind, bytes(r.data)) for r in self.regions]

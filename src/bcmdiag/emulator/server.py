@@ -35,47 +35,60 @@ RECV_MAX = 64 << 10
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
-class _SniffFanout:
-    """Broadcasts tap records to every connected sniff client.  Each
-    client has its own byte backlog, sent once per flush on a
-    non-blocking socket, so a slow reader never stalls the emulator."""
+class _SniffFanout(bytearray):
+    """Broadcasts tap records to every connected sniff client: it is the
+    journal of records some client has not been sent, stored once, each
+    client an offset into it.  A flush sends each client its tail once on
+    a non-blocking socket, so a slow reader never stalls the emulator."""
+
+    publish = bytearray.extend  # one C call per record
 
     def __init__(self) -> None:
-        self._backlogs: dict[socket.socket, bytearray] = {}
+        super().__init__()
+        self._offsets: dict[socket.socket, int] = {}  # client -> journal octets it was sent
         self.dropped = 0  # clients cut off for falling behind
 
     def attach(self, client: socket.socket) -> None:
-        self._backlogs[client] = bytearray()
+        self._offsets[client] = len(self)
 
     def detach(self, client: socket.socket) -> None:
-        self._backlogs.pop(client, None)
-
-    def publish(self, data: bytes) -> None:
-        for backlog in self._backlogs.values():
-            backlog += data
+        self._offsets.pop(client, None)
 
     def flush(self) -> list[socket.socket]:
-        """Send each pending backlog once; return the clients left with
-        octets the kernel did not take.  A client left more than
-        SNIFF_BACKLOG_MAX behind is detached, counted and shut down,
-        which its reader sees as the end of the stream."""
+        """Send each client its pending tail once, then drop what every
+        client has been sent; return the clients left with octets the
+        kernel did not take.  A client left more than SNIFF_BACKLOG_MAX
+        behind is detached, counted and shut down, which its reader sees
+        as the end of the stream."""
         left = []
-        for client, backlog in list(self._backlogs.items()):
-            if not backlog:
-                continue
-            try:
-                del backlog[: client.send(backlog)]
-            except BlockingIOError:
-                pass
-            except OSError:  # the peer is gone; the loop reads its end
-                backlog.clear()
-            if len(backlog) > SNIFF_BACKLOG_MAX:
-                del self._backlogs[client]
-                self.dropped += 1
-                with contextlib.suppress(OSError):
-                    client.shutdown(socket.SHUT_RDWR)
-            elif backlog:
-                left.append(client)
+        offsets, end = self._offsets, len(self)
+        done = end  # journal octets every client has been sent
+        for client, sent in list(offsets.items()):
+            if sent < end:
+                try:
+                    if not sent:
+                        sent = client.send(self)
+                    else:  # a view of the tail, released before the journal is cut
+                        with memoryview(self)[sent:] as tail:
+                            sent += client.send(tail)
+                except BlockingIOError:
+                    pass
+                except OSError:  # the peer is gone; the loop reads its end
+                    sent = end
+                if end - sent > SNIFF_BACKLOG_MAX:
+                    del offsets[client]
+                    self.dropped += 1
+                    with contextlib.suppress(OSError):
+                        client.shutdown(socket.SHUT_RDWR)
+                    continue
+                offsets[client] = sent
+                if sent < end:
+                    left.append(client)
+            done = min(done, sent)
+        if done:
+            del self[:done]
+            for client in offsets:
+                offsets[client] -= done
         return left
 
 
@@ -89,15 +102,17 @@ class ControllerEndpoint:
         self.sniff_port = sniff_port
         self.inject_port = inject_port
         self.fanout = _SniffFanout()
-        # create_server closes its socket when the bind fails.
-        self._sniff_sock = socket.create_server((host, sniff_port))
+        # create_server closes its socket when the bind fails.  An idle loop
+        # can wake after a whole burst of connects is queued, so the
+        # listen queue is as long as the kernel allows.
+        self._sniff_sock = socket.create_server((host, sniff_port), backlog=socket.SOMAXCONN)
         try:
-            self._inject_sock = socket.create_server((host, inject_port))
+            self._inject_sock = socket.create_server((host, inject_port), backlog=socket.SOMAXCONN)
         except OSError:
             self._sniff_sock.close()
             raise
         # Last, so a failed bind leaves the controller untouched.
-        fanout, attached = self.fanout, self.fanout._backlogs
+        fanout, attached = self.fanout, self.fanout._offsets
 
         def tap(direction: Direction, frame: H4Frame, _tick: int) -> None:
             if attached:  # any client attached
@@ -175,7 +190,7 @@ class EmulatorServer:
                 for key, mask in events:
                     key.data(key.fileobj, mask)
                 for fanout in fanouts:
-                    if fanout._backlogs:
+                    if fanout:  # records not yet sent to every client
                         for client in fanout.flush():  # write interest until drained
                             key = self._selector.get_key(client)
                             if not key.events & _WRITE:

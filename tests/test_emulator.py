@@ -4,8 +4,10 @@ virtual link, connection lifecycle, statistics, test mode."""
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcmdiag import hci, ll
+from bcmdiag.capture import encode_sniff_record
 from bcmdiag.diag import (
     DiagCode,
     HexdumpResponse,
@@ -25,11 +27,11 @@ from bcmdiag.diag import (
 from bcmdiag.emulator import Controller, Phase, Role, Transport, attach_air_link
 from bcmdiag.emulator.memory import ARM_BASE, VERSION_STRING
 from bcmdiag.emulator.profiles import patched_profile, vulnerable_profile
-from bcmdiag.errors import AlreadyLinked
+from bcmdiag.errors import AlreadyLinked, InvariantViolation
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent, encode_frame
 
 from conftest import connect_pair
-from helpers import MAC_A, MAC_B, MAC_EVIL, HostRecorder
+from helpers import MAC_A, MAC_B, MAC_EVIL, HostRecorder, random_diag_message, random_lmp_pdu
 
 
 def events_of(frames, code):
@@ -404,6 +406,118 @@ class TestHciParameterLengths:
         out = a.process_host_frame(HciCommand(opcode, params).to_frame())
         assert [encode_frame(f).hex() for f in out] == frames
         assert [note.split("] ", 1)[1] for note in list(a.audit)[seen:]] == notes
+
+
+class TestHostFrameEntry:
+    """process_host_frame checks a host frame once, on entry: a malformed
+    one raises before the clock moves or any tap runs, whether or not a
+    tap (here one that encodes sniff records, as a server's does) is on."""
+
+    MALFORMED = {
+        # An un-enveloped peek: its body parses, but it is no DIAG frame.
+        "short diag": H4Frame(H4Type.DIAG, bytes.fromhex("f10200012000")),
+        "long diag": H4Frame(H4Type.DIAG, bytes(64)),
+        "hci length field": H4Frame(H4Type.HCI_COMMAND, bytes.fromhex("011005")),
+        "hci header": H4Frame(H4Type.HCI_COMMAND, b"\x01\x10"),
+        "acl length field": H4Frame(H4Type.ACL_DATA, bytes.fromhex("0b000300aabb")),
+    }
+
+    @pytest.mark.parametrize("tapped", [False, True], ids=["no tap", "sniff tap"])
+    @pytest.mark.parametrize("frame", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_frame_raises_before_anything_moves(self, frame, tapped):
+        ctrl = Controller(MAC_A)
+        records = []
+        if tapped:
+            ctrl.add_tap(lambda d, f, _tick: records.append(encode_sniff_record(d, f)))
+        before = ctrl.snapshot(), ctrl.clock, list(ctrl.audit)
+        with pytest.raises(InvariantViolation):
+            ctrl.process_host_frame(frame)
+        assert (ctrl.snapshot(), ctrl.clock, list(ctrl.audit)) == before
+        assert records == []
+        # The same peek in its envelope is answered.
+        (answer,) = ctrl.process_host_frame(H4Frame.diag(bytes.fromhex("f10200012000")))
+        assert parse_diag(answer.payload) == PeekResponse(0, 0)
+        assert len(records) == 2 * tapped
+
+
+# Lengths at the edges of what the HCI handlers take, and past them.
+_EDGE_LENGTHS = (0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 14, 24, 25, 26, 250, 251, 252, 254, 255)
+
+
+def _octets(*lengths: int):
+    """Random octets of one of ``lengths``: drawn lengths stay small
+    unless they are named."""
+    return st.sampled_from(lengths).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+
+
+_HOST_STEPS = st.one_of(
+    # An HCI command of the handler table (or an unknown one), its
+    # parameters the opcode's _HCI_HEADS or random octets, cut or padded.
+    st.tuples(
+        st.just("hci"),
+        st.sampled_from(sorted(Controller._HCI_HANDLERS) + [_UNKNOWN_OPCODE]),
+        st.sampled_from(_EDGE_LENGTHS),
+        st.booleans(),
+        st.binary(max_size=255),
+    ),
+    # A diag message of any kind, one octet of its body set to a value,
+    # then cut or left whole; always in its envelope.
+    st.tuples(st.just("diag"), st.randoms(use_true_random=False), st.integers(0, 62),
+              st.integers(0, 255), st.integers(1, 63)),
+    # ACL data on a live handle when there is one, or on this handle.
+    st.tuples(st.just("acl"), st.booleans(), st.integers(0, 0x0FFF), st.integers(0, 3),
+              _octets(0, 1, 27, 251, 1021)),
+    # Raw link-layer octets, empty ones included and ones longer than a
+    # log record holds, or a well-formed LMP PDU.
+    st.tuples(st.just("inject"), st.sampled_from(["lmp", "lcp"]),
+              _octets(0, 1, 2, 5, 17, 18, 27, 55, 56, 251)),
+    st.tuples(st.just("pdu"), st.randoms(use_true_random=False)),
+)
+
+
+class TestEmittedFramesAreValid:
+    """Every frame a controller hands its taps passes validate(), so the
+    sniff encoder need not check it again: host frames are checked on
+    entry, and every other frame comes from a checked builder."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(steps=st.lists(st.tuples(st.booleans(), _HOST_STEPS), max_size=30))
+    def test_every_tapped_frame_is_valid(self, steps):
+        a = Controller(MAC_A, profile=patched_profile(), name="A")
+        b = Controller(MAC_B, profile=vulnerable_profile(), name="B")
+        attach_air_link(a, b)
+        tapped = []
+        for ctrl in (a, b):
+            ctrl.add_tap(lambda _d, frame, _tick: tapped.append(frame))
+            ctrl.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
+        connect_pair(a, b)
+        for on_a, step in steps:
+            ctrl = a if on_a else b
+            kind = step[0]
+            if kind == "hci":
+                _kind, opcode, length, headed, filler = step
+                head = _HCI_HEADS.get(opcode, b"") if headed else b""
+                params = (head + filler + bytes(length))[:length]
+                ctrl.process_host_frame(HciCommand(opcode, params).to_frame())
+            elif kind == "diag":
+                _kind, rng, at, value, cut = step
+                body = bytearray(build_diag(random_diag_message(rng)))
+                body[at % len(body)] = value
+                ctrl.process_host_frame(H4Frame.diag(bytes(body[:cut])))
+            elif kind == "acl":
+                _kind, live, handle, flags, data = step
+                if live and ctrl.connections:
+                    handle = min(ctrl.connections)
+                header = struct.pack("<HH", handle | flags << 12, len(data))
+                ctrl.process_host_frame(H4Frame(H4Type.ACL_DATA, header + data))
+            elif kind == "inject":
+                _kind, layer, raw = step
+                (ctrl.inject_lmp if layer == "lmp" else ctrl.inject_lcp)(raw)
+            else:
+                ctrl.inject_lmp(ll.build_lmp(random_lmp_pdu(step[1])))
+        assert tapped
+        for frame in tapped:
+            frame.validate()
 
 
 class TestDiagSurface:

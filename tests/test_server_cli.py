@@ -401,7 +401,7 @@ class TestSniffFanout:
             # the kernel buffers, the stalled backlog passes the bound.
             sent, got = bytearray(), bytearray()
             i = 0
-            while stalled in fanout._backlogs:
+            while stalled in fanout._offsets:
                 assert len(sent) < 2 * SNIFF_BACKLOG_MAX
                 record = struct.pack("<I", i) * 256
                 fanout.publish(record)
@@ -424,7 +424,7 @@ class TestSniffFanout:
                 prefix += data
             assert prefix and sent.startswith(prefix)
             fanout.detach(drained)
-            assert not fanout._backlogs
+            assert not fanout._offsets
         finally:
             for pair in pairs:
                 for sock in pair:
@@ -582,6 +582,35 @@ class TestServerLoop:
                 assert elapsed < 0.5
         finally:
             server.stop()
+
+    def test_an_idle_emulator_takes_connect_bursts(self):
+        """Three rounds of 200 back-to-back connects to a ``bcmdiag-emu``
+        child left idle, each round well inside the kernel's 1 s SYN
+        retry.  An idle loop can wake after the whole burst is queued, so
+        the listen backlog must hold it; Python's default of 128 did not."""
+        base = free_base_port(2)
+        src = os.path.dirname(os.path.dirname(bcmdiag.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bcmdiag.emulator.server", "--base-port", str(base)],
+            stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            _read_until(proc, bytearray(), rb"inject 127\.0\.0\.1:\d+", time.monotonic() + 20.0)
+            for _round in range(3):
+                time.sleep(0.5)  # idle, as between a benchmark's rounds
+                socks = []
+                start = time.monotonic()
+                try:
+                    for _ in range(200):
+                        socks.append(socket.create_connection(("127.0.0.1", base + 1), timeout=2.0))
+                    elapsed = time.monotonic() - start
+                finally:
+                    _reset(socks)
+                assert elapsed < 0.5
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
     def test_test_command_leaves_the_loop_serving(self, served_world):
         _world, server = served_world
