@@ -18,6 +18,7 @@ File formats:
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from . import diag, hci, ll
@@ -233,43 +234,50 @@ def _render_diag(frame: H4Frame, msg) -> str:
     return _DIAG_RENDERERS[msg.__class__](msg)
 
 
-def _direction_flag(record: CaptureRecord, msg) -> str:
-    """Direction audit: note frames flowing against their legal
-    direction (a warning appended to the line, never a failure).
-    ``msg`` is the parsed diagnostic payload, if there is one."""
-    if not direction_legal(record.frame.h4_type, record.direction):
-        return "  [direction violation]"
-    if msg is not None and code_direction(msg.code) is not record.direction:
-        return "  [direction violation]"
-    return ""
+# Distinct live lines kept rendered: a logged cycle repeats its link-layer
+# records octet for octet, while HCI lines with a fresh handle fall out.
+LIVE_CACHE_MAX = 128
+
+
+@functools.lru_cache(maxsize=LIVE_CACHE_MAX, typed=True)
+def _live_text(direction: Direction, h4_type: H4Type, payload: bytes) -> str:
+    """Direction arrow and frame summary, looked up when repeated.  ``typed``
+    keeps a plain-int type or direction apart from its enum twin."""
+    frame = tuple.__new__(H4Frame, (h4_type, payload))
+    msg = None
+    try:
+        if h4_type is H4Type.HCI_COMMAND:
+            summary = _render_hci_command(frame)
+        elif h4_type is H4Type.HCI_EVENT:
+            summary = _render_hci_event(frame)
+        elif h4_type is H4Type.ACL_DATA:
+            handle_flags, length = struct.unpack_from("<HH", payload)
+            summary = f"ACL handle=0x{handle_flags & 0x0fff:04x} len={length}"
+        elif h4_type is H4Type.SCO_DATA:
+            handle = struct.unpack_from("<H", payload)[0] & 0x0FFF
+            summary = f"SCO handle=0x{handle:04x} len={payload[2]}"
+        elif h4_type is H4Type.DIAG:
+            try:
+                msg = parse_diag(payload)
+            except BcmDiagError:
+                pass
+            summary = _render_diag(frame, msg)
+        else:
+            summary = f"{h4_type.name} {payload.rstrip(chr(0).encode()).hex() or '00'}"
+        # Direction audit: a frame against its legal direction (or a diag
+        # code against its own) gets a warning on its line, never a failure.
+        if not direction_legal(h4_type, direction) or (
+            msg is not None and code_direction(msg.code) is not direction
+        ):
+            summary += "  [direction violation]"
+    except Exception:
+        summary = f"{h4_type.name} raw {payload.hex()}"
+    return f"{direction.arrow} {summary}"
 
 
 def render_live(record: CaptureRecord) -> str:
     """One deterministic line per record: timestamp, direction arrow,
     frame summary.  Total over every frame kind -- undecodable content
     falls back to hex rather than raising."""
-    frame = record.frame
-    msg = None
-    try:
-        if frame.h4_type is H4Type.HCI_COMMAND:
-            summary = _render_hci_command(frame)
-        elif frame.h4_type is H4Type.HCI_EVENT:
-            summary = _render_hci_event(frame)
-        elif frame.h4_type is H4Type.ACL_DATA:
-            handle_flags, length = struct.unpack_from("<HH", frame.payload)
-            summary = f"ACL handle=0x{handle_flags & 0x0fff:04x} len={length}"
-        elif frame.h4_type is H4Type.SCO_DATA:
-            handle = struct.unpack_from("<H", frame.payload)[0] & 0x0FFF
-            summary = f"SCO handle=0x{handle:04x} len={frame.payload[2]}"
-        elif frame.h4_type is H4Type.DIAG:
-            try:
-                msg = parse_diag(frame.payload)
-            except BcmDiagError:
-                pass
-            summary = _render_diag(frame, msg)
-        else:
-            summary = f"{frame.h4_type.name} {frame.payload.rstrip(chr(0).encode()).hex() or '00'}"
-        summary += _direction_flag(record, msg)
-    except Exception:
-        summary = f"{frame.h4_type.name} raw {frame.payload.hex()}"
-    return f"{record.timestamp_us:>10} us {record.direction.arrow} {summary}"
+    timestamp_us, direction, frame = record
+    return f"{timestamp_us:>10} us {_live_text(direction, *frame)}"

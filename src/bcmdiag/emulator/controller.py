@@ -90,14 +90,16 @@ class Phase(Enum):
 
 
 class Connection:
-    __slots__ = ("handle", "peer_mac", "role", "transport", "phase", "script_cursor", "ssp_confirmed")
+    __slots__ = ("handle", "peer_mac", "role", "layer", "transport", "phase", "script_cursor",
+                 "ssp_confirmed")
 
-    def __init__(self, handle: int, peer_mac: bytes, role: Role, transport: Transport,
+    def __init__(self, handle: int, peer_mac: bytes, role: Role, layer: LinkLayer,
                  phase: Phase, script_cursor: int = 0, ssp_confirmed: bool = False) -> None:
         self.handle = handle
         self.peer_mac = peer_mac
         self.role = role
-        self.transport = transport
+        self.layer = layer  # kept, not looked up: a Transport key hashes in Python
+        self.transport = layer.transport
         self.phase = phase
         self.script_cursor = script_cursor
         self.ssp_confirmed = ssp_confirmed
@@ -262,16 +264,15 @@ LE_LINK = LinkLayer(
     ),
 )
 
-LINK_LAYERS = {Transport.CLASSIC: CLASSIC_LINK, Transport.LE: LE_LINK}
 _LINK_BY_KIND = {KIND_LMP: CLASSIC_LINK, KIND_LCP: LE_LINK}
-# Connection-creating HCI opcode -> its transport.
-_CREATE_TRANSPORT = {
-    hci.OPCODE_CREATE_CONNECTION: Transport.CLASSIC,
-    hci.OPCODE_LE_CREATE_CONNECTION: Transport.LE,
+# Connection-creating HCI opcode -> its link layer.
+_CREATE_LINK = {
+    hci.OPCODE_CREATE_CONNECTION: CLASSIC_LINK,
+    hci.OPCODE_LE_CREATE_CONNECTION: LE_LINK,
 }
 # Commands whose outcome follows in an event of its own: they answer with
 # a Command Status, every other command with a Command Complete.
-_ANSWERED_BY_STATUS = frozenset(_CREATE_TRANSPORT) | {hci.OPCODE_DISCONNECT}
+_ANSWERED_BY_STATUS = frozenset(_CREATE_LINK) | {hci.OPCODE_DISCONNECT}
 # Parameter lengths an HCI command can carry (its length field is one
 # octet), and those of a create-connection command that hold the peer's MAC.
 _ANY_LENGTH = range(256)
@@ -331,7 +332,8 @@ class Controller:
         self.name = name or hci.format_mac(mac)
         self.profile = profile or patched_profile()
         self.memory = memory or MemoryImage.default()
-        self._memory_pristine = self.memory.snapshot()
+        # None: reset rebuilds the default image; a copy would cost 256 KiB of RSS.
+        self._memory_pristine = None if memory is None else memory.snapshot()
         self.test_packet_count = test_packet_count
 
         self.link: VirtualLink | None = None
@@ -378,7 +380,10 @@ class Controller:
         self.test_mode_active = False
         self.connections = {}
         self.stats = StatsStore()
-        self.memory.restore(self._memory_pristine)
+        if self._memory_pristine is None:
+            self.memory.regions = MemoryImage.default().regions
+        else:
+            self.memory.restore(self._memory_pristine)
         self._next_handle = FIRST_HANDLE
         if self.link is not None:
             self.link.drop_inbound(self)
@@ -491,21 +496,20 @@ class Controller:
 
     def _cmd_create_connection(self, cmd: HciCommand) -> None:
         """Create Connection and LE Create Connection."""
-        transport = _CREATE_TRANSPORT[cmd.opcode]
+        layer = _CREATE_LINK[cmd.opcode]
         at = hci.CREATE_CONNECTION_LAYOUT[cmd.opcode][0]
         wire = cmd.params[at : at + 6]
         peer = hci.mac_from_wire(wire)
-        if self._find_connection(peer, transport) is not None:
+        if self._find_connection(peer, layer.transport) is not None:
             self._status(cmd.opcode, hci.ERR_ACL_ALREADY_EXISTS)
             return
         self._status(cmd.opcode, hci.ERR_SUCCESS)
         linked_peer = self.link.peer_of(self) if self.link is not None else None
         if linked_peer is None or linked_peer.mac != peer:
             # Nobody on the air answers the page.
-            layer = LINK_LAYERS[transport]
             self._emit_event(*layer.connection_complete(hci.ERR_PAGE_TIMEOUT, 0, 0, wire))
             return
-        conn = self._new_connection(peer, Role.MASTER, transport, Phase.PAGING)
+        conn = self._new_connection(peer, Role.MASTER, layer, Phase.PAGING)
         self._advance_script(conn)
 
     def _cmd_disconnect(self, cmd: HciCommand) -> None:
@@ -515,7 +519,7 @@ class Controller:
             self._status(cmd.opcode, hci.ERR_UNKNOWN_CONNECTION)
             return
         self._status(cmd.opcode, hci.ERR_SUCCESS)
-        self._send_pdu(conn, LINK_LAYERS[conn.transport].detach, 0, bytes([reason]))
+        self._send_pdu(conn, conn.layer.detach, 0, bytes([reason]))
         self._drop_connection(conn, reason)
 
     def _cmd_send_lmp_pdu(self, cmd: HciCommand) -> None:
@@ -766,7 +770,8 @@ class Controller:
     # ----- link-layer log records and sending ------------------------------------
 
     def _log(self, layer: LinkLayer, sent: bool, peer_mac: bytes, pdu: bytes) -> None:
-        if self.diag_log_enabled:
+        # Built only when a tap or the running process_host_frame call takes it.
+        if self.diag_log_enabled and (self._taps or self._out is not _NO_CALL):
             self._emit(layer.log_record(sent, peer_mac, pdu).to_frame())
 
     def _send_raw(self, layer: LinkLayer, peer_mac: bytes, raw: bytes) -> None:
@@ -775,12 +780,12 @@ class Controller:
             self.link.transmit(self, layer.kind, raw)
 
     def _send(self, conn: Connection, raw: bytes) -> None:
-        self._send_raw(LINK_LAYERS[conn.transport], conn.peer_mac, raw)
+        self._send_raw(conn.layer, conn.peer_mac, raw)
 
     def _send_pdu(self, conn: Connection, name: str, tid: int, params: bytes | None = None) -> None:
         """Send the standard PDU ``name`` on ``conn``, by default with
         its _PDU_PARAMS body."""
-        layer = LINK_LAYERS[conn.transport]
+        layer = conn.layer
         opcode = layer.name_to_opcode[name]
         if params is None:
             params = _PDU_PARAMS.get(name, bytes(layer.opcodes[opcode].param_len))
@@ -803,7 +808,7 @@ class Controller:
         return None
 
     def _new_connection(
-        self, peer: bytes, role: Role, transport: Transport, phase: Phase
+        self, peer: bytes, role: Role, layer: LinkLayer, phase: Phase
     ) -> Connection:
         # Allocation wraps, so handles of dropped connections come back.
         for _ in range(MAX_HANDLE - FIRST_HANDLE + 1):
@@ -813,7 +818,7 @@ class Controller:
                 break
         else:
             raise BcmDiagError("connection handles exhausted")
-        conn = Connection(handle, peer, role, transport, phase)
+        conn = Connection(handle, peer, role, layer, phase)
         self.connections[handle] = conn
         return conn
 
@@ -828,7 +833,7 @@ class Controller:
         """Send every consecutive script step owned by our role, so the
         cursor rests on a step of the peer's; past the last step the
         connection is up."""
-        layer = LINK_LAYERS[conn.transport]
+        layer = conn.layer
         script = layer.script
         while conn.script_cursor < len(script) and script[conn.script_cursor].role is conn.role:
             step = script[conn.script_cursor]
@@ -873,7 +878,7 @@ class Controller:
                 else:
                     self._refuse(layer, from_mac, raw)
                 return
-            conn = self._new_connection(from_mac, Role.SLAVE, layer.transport, Phase.LMP_SETUP)
+            conn = self._new_connection(from_mac, Role.SLAVE, layer, Phase.LMP_SETUP)
 
         script = layer.script
         if conn.script_cursor < len(script) and script[conn.script_cursor].pdu_name == name:

@@ -16,6 +16,7 @@ import selectors
 import socket
 import sys
 import threading
+from typing import Callable
 
 from ..capture import encode_sniff_record
 from ..errors import BcmDiagError
@@ -43,16 +44,20 @@ class _SniffFanout(bytearray):
 
     publish = bytearray.extend  # one C call per record
 
-    def __init__(self) -> None:
+    def __init__(self, watch: Callable[[bool], None]) -> None:
         super().__init__()
         self._offsets: dict[socket.socket, int] = {}  # client -> journal octets it was sent
         self.dropped = 0  # clients cut off for falling behind
+        self._watch = watch  # called with True at the first attach, False after the last
 
     def attach(self, client: socket.socket) -> None:
+        if not self._offsets:
+            self._watch(True)
         self._offsets[client] = len(self)
 
     def detach(self, client: socket.socket) -> None:
-        self._offsets.pop(client, None)
+        if self._offsets.pop(client, None) is not None and not self._offsets:
+            self._watch(False)
 
     def flush(self) -> list[socket.socket]:
         """Send each client its pending tail once, then drop what every
@@ -76,7 +81,7 @@ class _SniffFanout(bytearray):
                 except OSError:  # the peer is gone; the loop reads its end
                     sent = end
                 if end - sent > SNIFF_BACKLOG_MAX:
-                    del offsets[client]
+                    self.detach(client)
                     self.dropped += 1
                     with contextlib.suppress(OSError):
                         client.shutdown(socket.SHUT_RDWR)
@@ -93,7 +98,9 @@ class _SniffFanout(bytearray):
 
 
 class ControllerEndpoint:
-    """One controller's sniff and inject listeners and sniff fan-out."""
+    """One controller's sniff and inject listeners and sniff fan-out.  It
+    taps the controller only while a sniff client is attached, so a
+    controller nobody observes builds no link-layer log records."""
 
     def __init__(self, server: EmulatorServer, controller: Controller, host: str,
                  sniff_port: int, inject_port: int):
@@ -101,7 +108,8 @@ class ControllerEndpoint:
         self.controller = controller
         self.sniff_port = sniff_port
         self.inject_port = inject_port
-        self.fanout = _SniffFanout()
+        self.fanout = _SniffFanout(
+            lambda attached: (controller.add_tap if attached else controller.remove_tap)(self._tap))
         # create_server closes its socket when the bind fails.  An idle loop
         # can wake after a whole burst of connects is queued, so the
         # listen queue is as long as the kernel allows.
@@ -111,17 +119,14 @@ class ControllerEndpoint:
         except OSError:
             self._sniff_sock.close()
             raise
-        # Last, so a failed bind leaves the controller untouched.
-        fanout, attached = self.fanout, self.fanout._offsets
+        fanout = self.fanout
 
         def tap(direction: Direction, frame: H4Frame, _tick: int) -> None:
-            if attached:  # any client attached
-                fanout.publish(encode_sniff_record(direction, frame))
-                if not server._in_pass:  # an in-process session, not the loop
-                    server._wake()
+            fanout.publish(encode_sniff_record(direction, frame))
+            if not server._in_pass:  # an in-process session, not the loop
+                server._wake()
 
         self._tap = tap  # a closure: a record costs few attribute loads
-        controller.add_tap(tap)
 
     def stop(self) -> None:
         self.controller.remove_tap(self._tap)

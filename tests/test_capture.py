@@ -3,24 +3,29 @@ independent readers, plus live-line rendering totality."""
 
 import gc
 import random
+import struct
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcmdiag import hci
+from bcmdiag import diag
 from bcmdiag.capture import (
+    LIVE_CACHE_MAX,
     CaptureRecord,
     LINKTYPE_DIAG,
     LINKTYPE_H4_WITH_PHDR,
     SniffStreamDecoder,
     TICK_US,
     encode_sniff_record,
+    _DIAG_RENDERERS,
+    _live_text,
     render_live,
     write_btsnoop,
     write_pcap,
 )
-from bcmdiag.diag import LmpLogRecord, ToggleLmpLogging, build_diag
+from bcmdiag.diag import DiagCode, LmpLogRecord, MemAccessType, ToggleLmpLogging, build_diag
 from bcmdiag.errors import UnknownDirection, UnknownH4Type
 from bcmdiag.h4 import Direction, H4Frame, H4Type, HciCommand, encode_frame
 
@@ -282,3 +287,103 @@ class TestRenderLive:
         stamps = [r.timestamp_us for r in records]
         assert stamps == sorted(stamps)
         assert stamps[1] - stamps[0] == TICK_US
+
+
+def _diag_frame(msg) -> H4Frame:
+    return H4Frame.diag(build_diag(msg))
+
+
+_MAC = bytes.fromhex("001122334402")
+# One message of each rendered class; LMP opcode 22 and LCP 0xfe are unassigned.
+_LIVE_MESSAGES = [
+    ToggleLmpLogging(True),
+    LmpLogRecord(sent=False, low_mac=_MAC[2:], payload=bytes([0x4E]).ljust(17, b"\0")),
+    LmpLogRecord(sent=True, low_mac=_MAC[2:], payload=bytes([22 << 1]).ljust(17, b"\0")),
+    diag.LcpLogRecord(sent=True, full_mac=_MAC, payload=bytes([0x08]) + bytes(8)),
+    diag.LcpLogRecord(sent=False, full_mac=_MAC, payload=bytes([0xFE, 1, 2])),
+    diag.MemoryPeek(MemAccessType.ARM, 0x200010),
+    diag.MemoryPoke(MemAccessType.BLUERF, 0x10, 0x5A),
+    diag.MemoryHexdump(0x200020),
+    diag.PeekResponse(0, 0x42),
+    diag.PokeResponse(1),
+    diag.HexdumpResponse(0x200020, bytes(range(32))),
+    diag.RunTest(diag.TestParams()),
+    diag.TestCompleted(status=0, tx_count=100, rx_count=99),
+    diag.StatsResponse(DiagCode.CPU_LOAD_RESPONSE, (5,)),
+    diag.StatsRequest(DiagCode.GET_BR_ACL_STATS),
+]
+
+
+def _corpus() -> list[tuple[Direction, H4Frame]]:
+    """Every H4 type and every diag renderer, an undecodable diag frame,
+    unknown LMP and LCP opcodes, and both kinds of direction violation."""
+    frames = [
+        (H2C, HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame()),
+        (H2C, HciCommand(0xFCFF, b"\x01\x02").to_frame()),
+        (C2H, HciCommand(hci.OPCODE_RESET).to_frame()),  # against its direction
+        (C2H, H4Frame(H4Type.HCI_EVENT, bytes([hci.EVT_COMMAND_STATUS, 4, 0, 1, 0x05, 0x04]))),
+        (C2H, H4Frame(H4Type.ACL_DATA, bytes.fromhex("0b200300") + b"abc")),
+        (H2C, H4Frame(H4Type.SCO_DATA, bytes.fromhex("0c0002") + b"xy")),
+        (C2H, H4Frame.diag(b"\xee\x01\x02")),  # no such diag code
+        (C2H, H4Frame.diag(b"\x01", H4Type.MSG_QUEUE_PUT)),
+        (H2C, H4Frame.diag(b"\x02\x03", H4Type.WICED)),
+    ]
+    for msg in _LIVE_MESSAGES:
+        frames.append((diag.code_direction(msg.code), _diag_frame(msg)))
+    frames.append((H2C, _diag_frame(_LIVE_MESSAGES[1])))  # a log record against its direction
+    return frames
+
+
+def _outcome(render, record: CaptureRecord):
+    """The line ``render`` gives, or the class of what it raised."""
+    try:
+        return render(record)
+    except Exception as exc:
+        return exc.__class__
+
+
+def _uncached(record: CaptureRecord) -> str:
+    return f"{record.timestamp_us:>10} us {_live_text.__wrapped__(record.direction, *record.frame)}"
+
+
+class TestLiveLineCache:
+    def test_cached_lines_equal_uncached_ones(self):
+        corpus = _corpus()
+        assert {msg.__class__ for msg in _LIVE_MESSAGES} == set(_DIAG_RENDERERS)
+        assert {f.h4_type for _d, f in corpus} == set(H4Type)
+        _live_text.cache_clear()
+        for tick, repeat in ((3, False), (70_000, True)):  # a miss each, then a hit each
+            lines = [render_live(CaptureRecord.at_tick(tick + i, d, f))
+                     for i, (d, f) in enumerate(corpus)]
+            assert lines == [_uncached(CaptureRecord.at_tick(tick + i, d, f))
+                             for i, (d, f) in enumerate(corpus)]
+            assert _live_text.cache_info().hits == (len(corpus) if repeat else 0)
+        joined = "\n".join(lines)
+        for marker in ("LMP_unknown(0x16)", "LCP_unknown(0xfe)", "DIAG raw ee0102"):
+            assert marker in joined
+        assert joined.count("[direction violation]") == 2
+
+    def test_plain_int_twins_do_not_share_an_entry(self):
+        _live_text.cache_clear()
+        frame = HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame()
+        int_type = H4Frame(int(frame.h4_type), frame.payload)
+        assert int_type == frame and hash(int_type) == hash(frame)
+        records = [
+            CaptureRecord.at_tick(1, H2C, frame),
+            CaptureRecord.at_tick(1, H2C, int_type),
+            CaptureRecord.at_tick(1, int(H2C), frame),
+            CaptureRecord.at_tick(1, int(H2C), int_type),
+        ]
+        for record in records + records:  # the second pass looks each up
+            assert _outcome(render_live, record) == _outcome(_uncached, record)
+        assert isinstance(render_live(records[0]), str)
+
+    def test_cache_is_bounded(self):
+        _live_text.cache_clear()
+        for handle in range(LIVE_CACHE_MAX + 50):
+            frame = H4Frame(H4Type.ACL_DATA, struct.pack("<HH", handle, 0))
+            render_live(CaptureRecord.at_tick(handle, C2H, frame))
+        info = _live_text.cache_info()
+        assert info.maxsize == LIVE_CACHE_MAX == 128
+        assert info.currsize == LIVE_CACHE_MAX and info.misses == LIVE_CACHE_MAX + 50
+

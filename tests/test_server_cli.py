@@ -18,7 +18,7 @@ import warnings
 import pytest
 
 import bcmdiag
-from bcmdiag import hci
+from bcmdiag import diag, hci
 from bcmdiag.capture import SniffStreamDecoder, encode_sniff_record
 from bcmdiag.cli import SocketSession, run_batch
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, parse_diag
@@ -36,7 +36,7 @@ from bcmdiag.h4 import (
     encode_frame,
 )
 
-from conftest import SERVED_TOPOLOGY as TOPOLOGY, free_base_port, unstarted_server
+from conftest import SERVED_TOPOLOGY as TOPOLOGY, connect_pair, free_base_port, unstarted_server
 from helpers import HostRecorder, read_pcapng
 
 def _reset(socks: list[socket.socket]) -> None:
@@ -382,7 +382,8 @@ def _records(sniff: socket.socket, decoder: SniffStreamDecoder, n: int) -> bytes
 
 class TestSniffFanout:
     def test_records_in_order_and_a_stalled_client_is_cut_off(self):
-        fanout = _SniffFanout()
+        watched: list[bool] = []
+        fanout = _SniffFanout(watched.append)
         pairs = [socket.socketpair() for _ in range(2)]
         try:
             for sock in (s for pair in pairs for s in pair):
@@ -423,8 +424,10 @@ class TestSniffFanout:
             while data := stalled_peer.recv(1 << 16):
                 prefix += data
             assert prefix and sent.startswith(prefix)
+            assert watched == [True]
             fanout.detach(drained)
             assert not fanout._offsets
+            assert watched == [True, False]  # the first attach, the last detach
         finally:
             for pair in pairs:
                 for sock in pair:
@@ -507,6 +510,144 @@ class TestSniffFanout:
 
         (single,) = run(1)
         assert run(2) == [single, single]
+
+
+def _logged_world() -> tuple:
+    """TOPOLOGY with link-layer logging on at both ends, behind an
+    unstarted server whose handlers this thread calls as the loop would."""
+    world = build_world(TOPOLOGY)
+    for name in world.order:
+        world[name].diag_log_enabled = True
+    return world, unstarted_server(world)
+
+
+def _attach_sniff(server: EmulatorServer, name: str) -> socket.socket:
+    """A sniff client of controller ``name``, accepted by this thread."""
+    listener = server.endpoints[name]._sniff_sock
+    client = socket.create_connection(listener.getsockname(), timeout=5.0)
+    server._selector.get_key(listener).data(listener, selectors.EVENT_READ)
+    return client
+
+
+def _detach_sniff(server: EmulatorServer, name: str, client: socket.socket) -> None:
+    """Close ``client`` and run its server end's read handler, which sees
+    the end of the stream."""
+    fanout = server.endpoints[name].fanout
+    (served,) = [s for s in fanout._offsets if s.getpeername() == client.getsockname()]
+    _reset([client])
+    server._sniff_ready(fanout, served, selectors.EVENT_READ)
+
+
+def _logged_cycle(server: EmulatorServer, transport: str) -> None:
+    """Connect A to B and disconnect, then flush every fan-out."""
+    a, b = server.world["A"], server.world["B"]
+    handle = connect_pair(a, b, transport)
+    a.process_host_frame(
+        HciCommand(hci.OPCODE_DISCONNECT, struct.pack("<HB", handle, 0x13)).to_frame()
+    )
+    for endpoint in server.endpoints.values():
+        endpoint.fanout.flush()
+
+
+def _read_cycle(sniff: socket.socket) -> bytes:
+    """One logged cycle's sniff records, read up to the Disconnection
+    Complete that ends the cycle at either end."""
+    decoder, stream = SniffStreamDecoder(), b""
+    while True:
+        data = sniff.recv(1 << 16)
+        assert data, "sniff stream ended"
+        stream += data
+        records = decoder.feed(data)
+        if records and records[-1][1].h4_type is H4Type.HCI_EVENT \
+                and records[-1][1].payload[0] == hci.EVT_DISCONNECTION_COMPLETE:
+            return stream
+
+
+class TestTapFollowsSniffClients:
+    """An endpoint taps its controller only while a sniff client is
+    attached, so a served controller nobody sniffs logs for no one."""
+
+    def test_unobserved_peer_builds_no_log_records(self, monkeypatch):
+        built: list = []
+        for cls in (diag.LmpLogRecord, diag.LcpLogRecord):
+            def to_frame(record, _original=cls.to_frame):
+                built.append(record)
+                return _original(record)
+            monkeypatch.setattr(cls, "to_frame", to_frame)
+        world, server = _logged_world()
+        a, b = world["A"], world["B"]
+        sniff = _attach_sniff(server, "A")
+        try:
+            stream = b""
+            for transport in ("classic", "le"):
+                _logged_cycle(server, transport)
+                stream += _read_cycle(sniff)
+        finally:
+            _reset([sniff])
+            server.stop()
+        records = SniffStreamDecoder().feed(stream)
+        assert b.diag_log_enabled and b._taps == []
+        # A record names the other end: B's would name A.
+        peers = [r.full_mac if isinstance(r, diag.LcpLogRecord) else r.low_mac for r in built]
+        assert set(peers) == {b.mac, hci.low_mac(b.mac)}
+        logged = [f for _d, f in records if f.h4_type is H4Type.DIAG]
+        assert logged and len(logged) == len(built)
+
+    def test_a_client_attached_mid_run_gets_the_whole_cycle(self):
+        def run(attach_at: int) -> tuple[list[bytes], int]:
+            world, server = _logged_world()
+            sniffs = [_attach_sniff(server, "A")]
+            streams = []
+            try:
+                for cycle, transport in enumerate(("classic", "le", "classic", "le")):
+                    if cycle == attach_at:
+                        sniffs.append(_attach_sniff(server, "B"))
+                    _logged_cycle(server, transport)
+                    streams.append(_read_cycle(sniffs[1]) if len(sniffs) > 1 else b"")
+                return streams, world["B"].clock
+            finally:
+                _reset(sniffs)
+                server.stop()
+
+        throughout, late = run(attach_at=0), run(attach_at=2)
+        assert late[0][:2] == [b"", b""]
+        assert late[0][2:] == throughout[0][2:]
+        assert late[1] == throughout[1]  # the same ticks
+        for stream in late[0][2:]:
+            frames = [f for _d, f in SniffStreamDecoder().feed(stream)]
+            assert sum(f.h4_type is H4Type.DIAG for f in frames) >= 3
+
+    def test_last_detach_and_cut_off_remove_the_tap(self):
+        world, server = _logged_world()
+        endpoint, controller = server.endpoints["A"], world["A"]
+        stalled, stalled_peer = socket.socketpair()
+        try:
+            first, second = _attach_sniff(server, "A"), _attach_sniff(server, "A")
+            assert controller._taps == [endpoint._tap]  # one tap for any number of clients
+            _detach_sniff(server, "A", first)
+            assert controller._taps == [endpoint._tap]
+            _detach_sniff(server, "A", second)
+            assert controller._taps == []
+            # A client that stops reading is cut off past the bound.
+            stalled.setblocking(False)
+            endpoint.fanout.attach(stalled)
+            assert controller._taps == [endpoint._tap]
+            endpoint.fanout.publish(bytes(2 * SNIFF_BACKLOG_MAX))
+            assert endpoint.fanout.flush() == []
+            assert endpoint.fanout.dropped == 1
+            assert controller._taps == []
+        finally:
+            stalled.close()
+            stalled_peer.close()
+            server.stop()
+
+    def test_stop_without_clients_is_safe(self):
+        world, server = _logged_world()
+        assert all(world[name]._taps == [] for name in world.order)
+        for endpoint in server.endpoints.values():
+            endpoint.stop()
+        server.stop()
+        assert all(world[name]._taps == [] for name in world.order)
 
 
 class TestServerLoop:
