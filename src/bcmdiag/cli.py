@@ -4,7 +4,8 @@ Attaches to one emulated controller over its stream ports: commands go
 down the inject port, everything the controller sees or says comes back
 direction-prefixed on the sniff port.  One thread reads both: a session
 reads its sniff socket while it waits for an answer or a prompt line, so
-a record arriving after an answer shows at the next wait.
+a record arriving after an answer shows at the next wait.  The live
+lines of one received chunk are written and flushed together.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import socket
 import sys
 import time
 
-from .capture import CaptureRecord, SniffStreamDecoder, render_live
+from .capture import SniffStreamDecoder, render_live
 from .errors import BcmDiagError, SessionError
-from .h4 import Direction, H4Frame, H4Type, encode_frame
+from .h4 import H4Frame, H4Type, encode_frame
 from .session import Session
 
 _GREEN = "\x1b[32m"
@@ -129,24 +130,23 @@ class SocketSession(Session):
                     continue
                 self.record_frame(direction, frame)
             self._queue_records(records)
+            if self._live:
+                self._show_live()
         return fd is not None and fd in ready
 
     def _stream_down(self, reason: str) -> SessionError:
         """The sniff stream has ended: fail waits at once from now on."""
         self._sniff_down = reason
-        self._print(f"{reason}; commands that wait for an answer now fail")
+        self._out.write(f"{reason}; commands that wait for an answer now fail\n")
+        self._out.flush()
         return SessionError(reason)
 
-    def _show_live(self, record: CaptureRecord) -> None:
-        line = render_live(record)
-        if self._color:
-            tint = _CYAN if record.direction is Direction.CONTROLLER_TO_HOST else _GREEN
-            line = f"{tint}{line}{_RESET}"
-        self._print(line)
-
-    def _print(self, line: str) -> None:
-        self._out.write(line + "\n")
+    def _show_live(self) -> None:
+        """Write the queued records' live lines with one write and one flush."""
+        tints, end = ((_GREEN, _CYAN), _RESET) if self._color else (("", ""), "")
+        self._out.write("".join([f"{tints[r[1]]}{render_live(r)}{end}\n" for r in self._live]))
         self._out.flush()
+        self._live.clear()
 
     def wait_frame(self, pred, timeout=None):
         deadline = time.monotonic() + (

@@ -15,6 +15,7 @@ produce octet-identical event and diagnostic streams.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from collections import deque
 from enum import Enum
@@ -43,6 +44,7 @@ FIRST_HANDLE = 0x000B
 MAX_HANDLE = 0x0EFF
 # Audit notes kept, newest last; older ones fall out.
 AUDIT_MAX = 1024
+LOG_FRAMES_MAX = 64  # log-record frames a controller keeps built; then it starts over
 
 # Feature masks advertised during setup; arbitrary but fixed so streams
 # stay byte-stable.
@@ -90,14 +92,15 @@ class Phase(Enum):
 
 
 class Connection:
-    __slots__ = ("handle", "peer_mac", "role", "layer", "transport", "phase", "script_cursor",
-                 "ssp_confirmed")
+    __slots__ = ("handle", "peer_mac", "role", "tid", "layer", "transport", "phase",
+                 "script_cursor", "ssp_confirmed")
 
     def __init__(self, handle: int, peer_mac: bytes, role: Role, layer: LinkLayer,
                  phase: Phase, script_cursor: int = 0, ssp_confirmed: bool = False) -> None:
         self.handle = handle
         self.peer_mac = peer_mac
         self.role = role
+        self.tid = role._value_  # a plain int: the ``value`` property is Python code
         self.layer = layer  # kept, not looked up: a Transport key hashes in Python
         self.transport = layer.transport
         self.phase = phase
@@ -149,10 +152,7 @@ def _lmp_log_record(sent: bool, peer_mac: bytes, pdu: bytes) -> diag.LmpLogRecor
 
 
 def _lmp_not_accepted(opcode: int, tid: int = 0) -> bytes:
-    return ll.build_lmp(ll.LmpPdu(
-        ll.LMP_NAME_TO_OPCODE["LMP_not_accepted"], tid,
-        bytes([opcode & 0x7F, hci.ERR_LMP_PDU_NOT_ALLOWED]),
-    ))
+    return CLASSIC_LINK.octets("LMP_not_accepted", tid, bytes([opcode & 0x7F]) + _NOT_ALLOWED)
 
 
 def _is_lmp_reject(raw: bytes) -> bool:
@@ -193,6 +193,15 @@ class LinkLayer:
     detach: str  # the PDU that ends a connection
     # (status, handle, role, peer MAC on the wire) -> (event code, parameters)
     connection_complete: Callable[[int, int, int, bytes], tuple[int, bytes]]
+    # The PDUs the controller sends unchanged, built at import: (name, tid,
+    # params or None for the _PDU_PARAMS body) -> octets, and octets -> PDU.
+    constants: dict[tuple[str, int, bytes | None], bytes]
+    pdus: dict[bytes, ll.LinkPdu]
+
+    def octets(self, name: str, tid: int, params: bytes | None = None) -> bytes:
+        """A constant's octets, or the PDU built from host-given ``params``."""
+        return self.constants.get((name, tid, params)) or self.build(
+            self.name_to_opcode[name], tid, params)
 
 
 CLASSIC_LINK = LinkLayer(
@@ -223,6 +232,7 @@ CLASSIC_LINK = LinkLayer(
     connection_complete=lambda status, handle, _role, wire: (
         hci.EVT_CONNECTION_COMPLETE, hci.connection_complete(status, handle, wire)
     ),
+    constants={}, pdus={},
 )
 
 LE_LINK = LinkLayer(
@@ -239,13 +249,9 @@ LE_LINK = LinkLayer(
     is_reject=lambda raw: bool(raw) and raw[0] in (
         ll.LCP_NAME_TO_OPCODE["LL_REJECT_IND"], ll.LCP_NAME_TO_OPCODE["LL_REJECT_EXT_IND"]
     ),
-    reject=lambda _raw: ll.build_lcp(
-        ll.LcpPdu(ll.LCP_NAME_TO_OPCODE["LL_REJECT_IND"], bytes([hci.ERR_LMP_PDU_NOT_ALLOWED]))
-    ),
+    reject=lambda _raw: LE_LINK.octets("LL_REJECT_IND", 0, _NOT_ALLOWED),
     refuse_undissectable=False,
-    unhandled=lambda opcode, _tid: ll.build_lcp(
-        ll.LcpPdu(ll.LCP_NAME_TO_OPCODE["LL_UNKNOWN_RSP"], bytes([opcode]))
-    ),
+    unhandled=lambda opcode, _tid: LE_LINK.octets("LL_UNKNOWN_RSP", 0, bytes([opcode])),
     no_reply=frozenset(
         {
             "LL_REJECT_IND",
@@ -262,7 +268,31 @@ LE_LINK = LinkLayer(
     connection_complete=lambda status, handle, role, wire: (
         hci.EVT_LE_META, hci.le_connection_complete(status, handle, role, wire)
     ),
+    constants={}, pdus={},
 )
+
+
+def _build_constants(layer: LinkLayer, *answers: tuple[str, bytes | None]) -> None:
+    """Fill ``layer``'s tables with its setup script and ``answers``, each
+    for both transaction IDs; ``build`` checks each PDU by dissecting it."""
+    opcodes = layer.name_to_opcode
+    script = tuple((s.pdu_name, s.arg and bytes([opcodes[s.arg]])) for s in layer.script)
+    for (name, params), tid in itertools.product(script + answers, (0, 1)):
+        body = params or _PDU_PARAMS.get(name, bytes(layer.opcodes[opcodes[name]].param_len))
+        raw = layer.constants[name, tid, params] = layer.build(opcodes[name], tid, body)
+        layer.pdus[raw] = layer.dissect(raw)
+
+
+_NOT_ALLOWED = bytes([hci.ERR_LMP_PDU_NOT_ALLOWED])
+_DHKEY_CHECK = bytes([ll.LMP_NAME_TO_OPCODE["LMP_DHkey_Check"]])
+_START_ENCRYPTION = bytes([ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]])
+_build_constants(
+    CLASSIC_LINK, ("LMP_features_res", None), ("LMP_version_res", None),
+    ("LMP_accepted", _DHKEY_CHECK), ("LMP_accepted", _START_ENCRYPTION),
+    ("LMP_not_accepted", _START_ENCRYPTION + _NOT_ALLOWED),
+    ("LMP_not_accepted", bytes([ll.BPCS_OPCODE]) + _NOT_ALLOWED))
+_build_constants(
+    LE_LINK, ("LL_FEATURE_RSP", None), ("LL_PING_RSP", None), ("LL_REJECT_IND", _NOT_ALLOWED))
 
 _LINK_BY_KIND = {KIND_LMP: CLASSIC_LINK, KIND_LCP: LE_LINK}
 # Connection-creating HCI opcode -> its link layer.
@@ -344,6 +374,7 @@ class Controller:
         self.stats = StatsStore()
         self.audit: deque[str] = deque(maxlen=AUDIT_MAX)
         self._out = _NO_CALL  # the running process_host_frame call's frames
+        self._log_frames: dict[tuple, H4Frame] = {}  # (kind, sent, peer MAC, PDU) -> frame
         self._taps: list[TapFn] = []
         self._next_handle = FIRST_HANDLE
 
@@ -364,7 +395,7 @@ class Controller:
             fn(_TO_HOST, frame, self.clock)
 
     def _emit_event(self, code: int, params: bytes) -> None:
-        self._emit(HciEvent(code, params).to_frame())
+        self._emit(tuple.__new__(HciEvent, (code, params)).to_frame())  # no Python __new__
 
     def _note(self, text: str) -> None:
         self.audit.append(f"[{self.clock}] {text}")
@@ -770,9 +801,16 @@ class Controller:
     # ----- link-layer log records and sending ------------------------------------
 
     def _log(self, layer: LinkLayer, sent: bool, peer_mac: bytes, pdu: bytes) -> None:
-        # Built only when a tap or the running process_host_frame call takes it.
+        # Built only when a tap or the running process_host_frame call
+        # takes it, and once per distinct record while the memo holds it.
         if self.diag_log_enabled and (self._taps or self._out is not _NO_CALL):
-            self._emit(layer.log_record(sent, peer_mac, pdu).to_frame())
+            frames, key = self._log_frames, (layer.kind, sent, peer_mac, pdu)
+            frame = frames.get(key)
+            if frame is None:
+                if len(frames) >= LOG_FRAMES_MAX:
+                    frames.clear()
+                frame = frames[key] = layer.log_record(sent, peer_mac, pdu).to_frame()
+            self._emit(frame)
 
     def _send_raw(self, layer: LinkLayer, peer_mac: bytes, raw: bytes) -> None:
         self._log(layer, True, peer_mac, raw)
@@ -786,13 +824,7 @@ class Controller:
         """Send the standard PDU ``name`` on ``conn``, by default with
         its _PDU_PARAMS body."""
         layer = conn.layer
-        opcode = layer.name_to_opcode[name]
-        if params is None:
-            params = _PDU_PARAMS.get(name, bytes(layer.opcodes[opcode].param_len))
-        self._send(conn, layer.build(opcode, tid, params))
-
-    def _send_lmp(self, conn: Connection, pdu: ll.LmpPdu | ll.BpcsPdu) -> None:
-        self._send(conn, ll.build_lmp(pdu))
+        self._send_raw(layer, conn.peer_mac, layer.octets(name, tid, params))
 
     def _refuse(self, layer: LinkLayer, peer_mac: bytes, raw: bytes) -> None:
         reject = layer.reject(raw)
@@ -841,18 +873,18 @@ class Controller:
             if conn.phase is Phase.PAGING:
                 conn.phase = Phase.LMP_SETUP
             arg = None if step.arg is None else bytes([layer.name_to_opcode[step.arg]])
-            self._send_pdu(conn, step.pdu_name, conn.role.value, arg)
+            self._send_pdu(conn, step.pdu_name, conn.tid, arg)
         if conn.script_cursor >= len(script):
             conn.phase = Phase.CONNECTED
             self._emit_event(*layer.connection_complete(
-                hci.ERR_SUCCESS, conn.handle, conn.role.value, hci.mac_to_wire(conn.peer_mac)
+                hci.ERR_SUCCESS, conn.handle, conn.tid, hci.mac_to_wire(conn.peer_mac)
             ))
 
     # ----- inbound link-layer handling ------------------------------------------
 
     def _handle_link_pdu(self, layer: LinkLayer, from_mac: bytes, raw: bytes) -> None:
-        try:
-            pdu = layer.dissect(raw)
+        try:  # a constant's octets are dissected already
+            pdu = layer.pdus.get(raw) or layer.dissect(raw)
         except BcmDiagError as exc:
             self._note(f"undissectable {layer.kind.upper()} from {hci.format_mac(from_mac)}: {exc}")
             if layer.refuse_undissectable:
@@ -889,7 +921,7 @@ class Controller:
 
         handler = self._LINK_HANDLERS.get(name)
         if handler is None:
-            self._send(conn, layer.unhandled(pdu.opcode, conn.role.value))
+            self._send(conn, layer.unhandled(pdu.opcode, conn.tid))
             return
         handler(self, conn, pdu)
 
@@ -919,38 +951,30 @@ class Controller:
         if conn.phase is Phase.CONNECTED:
             conn.phase = Phase.SSP_PENDING
             conn.ssp_confirmed = False
-        self._send_lmp(
-            conn,
-            ll.LmpPdu(
-                ll.LMP_ESCAPE_4,
-                pdu.tid,
-                IO_CAPABILITY_PARAMS,
-                extended_opcode=ll.LMP_EXT_NAME_TO_OPCODE["LMP_IO_capability_res"],
-            ),
-        )
+        self._send(conn, ll.build_lmp(ll.LmpPdu(
+            ll.LMP_ESCAPE_4, pdu.tid, IO_CAPABILITY_PARAMS,
+            extended_opcode=ll.LMP_EXT_NAME_TO_OPCODE["LMP_IO_capability_res"],
+        )))
 
     def _lmp_dhkey_check(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         if conn.phase is Phase.SSP_PENDING:
             conn.ssp_confirmed = True
-        accepted = bytes([ll.LMP_NAME_TO_OPCODE["LMP_DHkey_Check"]])
-        self._send_pdu(conn, "LMP_accepted", pdu.tid, accepted)
+        self._send_pdu(conn, "LMP_accepted", pdu.tid, _DHKEY_CHECK)
 
     def _lmp_start_encryption_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
-        opcode = ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]
         if conn.phase is Phase.SSP_PENDING and conn.ssp_confirmed:
             conn.phase = Phase.ENCRYPTED
-            self._send_pdu(conn, "LMP_accepted", pdu.tid, bytes([opcode]))
+            self._send_pdu(conn, "LMP_accepted", pdu.tid, _START_ENCRYPTION)
             return
         if conn.phase is Phase.SSP_PENDING and not self.profile.encryption_order_check:
             # Out-of-order encryption setup: the key calculation runs on
             # uninitialized pairing state and the firmware dies.
             self.crash("encryption start during pending pairing")
             return
-        self._send(conn, _lmp_not_accepted(opcode, conn.role.value))
+        self._send(conn, _lmp_not_accepted(_START_ENCRYPTION[0], conn.tid))
 
     def _lmp_accepted(self, conn: Connection, pdu: ll.LmpPdu) -> None:
-        accepted = pdu.params[0] if pdu.params else 0
-        if accepted == ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]:
+        if pdu.params[:1] == _START_ENCRYPTION:
             conn.phase = Phase.ENCRYPTED
 
     # PDU name -> handler, for both link layers (their names never
@@ -986,10 +1010,8 @@ class Controller:
             return
         if pdu.subtype > ll.BPCS_MAX_SUBTYPE:
             if self.profile.bpcs_bounds_check:
-                self._send_lmp(
-                    conn,
-                    ll.BpcsPdu(ll.BPCS_NOT_ACCEPT, pdu.tid, bytes([pdu.subtype])),
-                )
+                self._send(conn, ll.build_lmp(
+                    ll.BpcsPdu(ll.BPCS_NOT_ACCEPT, pdu.tid, bytes([pdu.subtype]))))
                 return
             # No range check: the subtype indexes past the handler table
             # into whatever the linker put next.
@@ -1003,9 +1025,9 @@ class Controller:
                 self.crash(f"BPCS handler overflow (subtype 0x{pdu.subtype:02x})")
             return
         if pdu.subtype == ll.BPCS_FEATURES_REQUEST:
-            self._send_lmp(conn, ll.BpcsPdu(ll.BPCS_FEATURES_RESPONSE, pdu.tid))
+            self._send(conn, ll.build_lmp(ll.BpcsPdu(ll.BPCS_FEATURES_RESPONSE, pdu.tid)))
         elif pdu.subtype in (ll.BPCS_BFC_SUSPEND, ll.BPCS_BFC_RESUME):
-            self._send_lmp(conn, ll.BpcsPdu(ll.BPCS_ACCEPT, pdu.tid))
+            self._send(conn, ll.build_lmp(ll.BpcsPdu(ll.BPCS_ACCEPT, pdu.tid)))
         # Responses (Features Response, Not Accept, Accept) need no reply.
 
     def _enter_dut_mode(self) -> None:

@@ -41,7 +41,8 @@ class VirtualLink:
     def transmit(self, src: "Controller", kind: str, data: object) -> None:
         """Queue one unit for the peer; order is preserved per direction
         (and globally, since the queue is a single FIFO)."""
-        self._queue.append((src, self.peer_of(src), kind, data))
+        a, b = self._ends  # peer_of, inline: it runs for every PDU
+        self._queue.append((src, b if src is a else a, kind, data))
 
     def drop_inbound(self, ctrl: "Controller") -> None:
         """Forget queued traffic addressed to a controller that just

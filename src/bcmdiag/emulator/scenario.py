@@ -23,7 +23,7 @@ import threading
 from typing import Callable
 
 from .. import hci
-from ..capture import CaptureRecord, render_live
+from ..capture import render_live
 from ..errors import ScenarioError
 from ..h4 import Direction, H4Frame
 from ..session import Session, scenario_lines
@@ -72,10 +72,9 @@ class LocalSession(Session):
         self.record_frame(direction, frame)
         with self._lock:
             self._queue_records([(direction, frame)])
-
-    def _show_live(self, record: CaptureRecord) -> None:
-        if self._on_line is not None:
-            self._on_line(render_live(record))
+        if self._on_line is not None and self._live:  # one line per record
+            self._on_line(render_live(self._live[0]))
+        self._live.clear()
 
     def _send(self, frame: H4Frame) -> None:
         with self._lock:

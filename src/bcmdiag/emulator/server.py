@@ -248,8 +248,8 @@ class EmulatorServer:
         for frame in frames:
             try:
                 controller.process_host_frame(frame)
-            except BcmDiagError as exc:  # must not end the loop that serves every client
-                controller._note(f"host frame failed: {exc}")
+            except Exception as exc:  # must not end the loop that serves every client
+                controller._note(f"host frame failed: {exc} ({exc.__class__.__name__})")
 
     def _close(self, client: socket.socket) -> None:
         self._selector.unregister(client)

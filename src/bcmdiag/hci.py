@@ -174,7 +174,7 @@ def parse_mac(text: str) -> bytes:
     parts = text.strip().split(":")
     if len(parts) != 6:
         raise ValueError(f"MAC must have 6 colon-separated octets: {text!r}")
-    return bytes(int(p, 16) for p in parts)
+    return bytes([int(p, 16) for p in parts])  # a list: a generator resumes per octet
 
 
 def low_mac(mac: bytes) -> bytes:

@@ -126,9 +126,9 @@ class Session:
     """One operator attachment to a controller's inject/sniff pair.
 
     Subclasses provide the transport: ``_send`` pushes one frame down
-    the inject path, whatever delivers controller-to-host frames hands
-    every sniffed record to ``record_frame`` and ``_queue_records``, and
-    ``_show_live`` puts one record on the live view.  ``wait_frame``
+    the inject path, and whatever delivers controller-to-host frames hands
+    every sniffed record to ``record_frame`` and ``_queue_records``, then
+    shows the records ``record_frame`` queued in ``_live``.  ``wait_frame``
     returns the oldest queued frame matching a predicate, taken with
     ``_take_frame``; both helpers run under ``lock``, the subclass's
     transport lock.  A command's answer is matched only against the
@@ -144,6 +144,7 @@ class Session:
         self.name = name
         self.live_view = False
         self.capture_records: list[capture.CaptureRecord] | None = None
+        self._live: list[capture.CaptureRecord] = []  # records the live view has not shown
         self._capture_path: str | None = None
         self._capture_format = "pcap"
         self._capture_tick = 0
@@ -161,10 +162,6 @@ class Session:
     def wait_frame(
         self, pred: Callable[[H4Frame], bool], timeout: float | None = None
     ) -> H4Frame | None:
-        raise NotImplementedError
-
-    def _show_live(self, record: capture.CaptureRecord) -> None:
-        """Show one record on the live view."""
         raise NotImplementedError
 
     @property
@@ -213,14 +210,15 @@ class Session:
         return None
 
     def record_frame(self, direction: Direction, frame: H4Frame) -> None:
-        """Hand one sniffed frame to the live view and the active capture
-        sink as one record, with a session-local logical tick so exports
-        are reproducible; build none when neither wants it."""
+        """Queue one sniffed frame for the live view and append it to the
+        active capture sink as one record, with a session-local logical
+        tick so exports are reproducible; build none when neither wants it."""
         records = self.capture_records
         if self.live_view or records is not None:
-            record = capture.CaptureRecord.at_tick(self._capture_tick, direction, frame)
+            record = tuple.__new__(  # CaptureRecord.at_tick, inline: it runs per record
+                capture.CaptureRecord, (self._capture_tick * capture.TICK_US, direction, frame))
             if self.live_view:
-                self._show_live(record)
+                self._live.append(record)
             if records is not None:
                 records.append(record)
         self._capture_tick += 1

@@ -25,6 +25,7 @@ from bcmdiag.diag import (
     parse_diag,
 )
 from bcmdiag.emulator import Controller, Phase, Role, Transport, attach_air_link
+from bcmdiag.emulator.controller import CLASSIC_LINK, LE_LINK, LOG_FRAMES_MAX
 from bcmdiag.emulator.memory import ARM_BASE, VERSION_STRING
 from bcmdiag.emulator.profiles import patched_profile, vulnerable_profile
 from bcmdiag.errors import AlreadyLinked, InvariantViolation
@@ -1017,3 +1018,58 @@ class TestDeterminism:
 
     def test_identical_runs_identical_streams(self):
         assert self._run_once() == self._run_once()
+
+
+_LAYER_CODECS = [
+    (CLASSIC_LINK, ll.dissect_lmp, ll.build_lmp),
+    (LE_LINK, ll.dissect_lcp, ll.build_lcp),
+]
+
+
+class TestConstantPdus:
+    """The PDUs a controller sends unchanged are built once, at import,
+    and the table agrees with the codec both ways."""
+
+    @pytest.mark.parametrize("layer, dissect, build", _LAYER_CODECS, ids=["lmp", "lcp"])
+    def test_every_entry_is_what_the_codec_gives(self, layer, dissect, build):
+        for (name, tid, params), raw in layer.constants.items():
+            pdu = layer.pdus[raw]
+            assert dissect(raw) == pdu and build(pdu) == raw
+            assert pdu.name == name and getattr(pdu, "tid", tid) == tid
+            assert params is None or pdu.params == params
+        # The whole setup script is there, for both ends.
+        for step in layer.script:
+            arg = step.arg and bytes([layer.name_to_opcode[step.arg]])
+            assert {(step.pdu_name, tid, arg) for tid in (0, 1)} <= layer.constants.keys()
+
+    @pytest.mark.parametrize("layer, dissect, build", _LAYER_CODECS, ids=["lmp", "lcp"])
+    def test_receive_shortcut_returns_what_dissect_returns(self, layer, dissect, build):
+        assert set(layer.pdus) == set(layer.constants.values())
+        for raw, pdu in layer.pdus.items():
+            back = dissect(raw)
+            assert back.__class__ is pdu.__class__ and back == pdu
+
+    def test_memos_stay_bounded_under_distinct_bodies(self):
+        """10k distinct injected and sent bodies, both ends logging to a
+        tap: each controller's log-record memo stays within its bound and
+        the constant tables do not grow."""
+        a, b = Controller(MAC_A), Controller(MAC_B)
+        attach_air_link(a, b)
+        for ctrl in (a, b):
+            ctrl.diag_log_enabled = True
+            ctrl.add_tap(lambda _d, _f, _t: None)
+        handle = connect_pair(a, b)
+        sizes = [(len(layer.constants), len(layer.pdus)) for layer, _d, _b in _LAYER_CODECS]
+        for i in range(10_000):
+            body = i.to_bytes(2, "big")
+            if i % 3 == 0:
+                a.inject_lmp(bytes([i % 256]) + body)
+            elif i % 3 == 1:
+                a.inject_lcp(bytes([i % 256]) + body)
+            else:  # a BPCS PDU: sendlmp takes any subtype, and no reply ends the link
+                a.process_host_frame(HciCommand(
+                    hci.OPCODE_VSC_SEND_LMP_PDU, struct.pack("<H", handle) + b"\x00\x06" + body
+                ).to_frame())
+            assert len(a._log_frames) <= LOG_FRAMES_MAX and len(b._log_frames) <= LOG_FRAMES_MAX
+        assert a._log_frames and b._log_frames and handle in a.connections
+        assert [(len(layer.constants), len(layer.pdus)) for layer, _d, _b in _LAYER_CODECS] == sizes

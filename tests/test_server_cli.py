@@ -18,7 +18,7 @@ import warnings
 import pytest
 
 import bcmdiag
-from bcmdiag import diag, hci
+from bcmdiag import hci
 from bcmdiag.capture import SniffStreamDecoder, encode_sniff_record
 from bcmdiag.cli import SocketSession, run_batch
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, parse_diag
@@ -567,13 +567,10 @@ class TestTapFollowsSniffClients:
     """An endpoint taps its controller only while a sniff client is
     attached, so a served controller nobody sniffs logs for no one."""
 
-    def test_unobserved_peer_builds_no_log_records(self, monkeypatch):
-        built: list = []
-        for cls in (diag.LmpLogRecord, diag.LcpLogRecord):
-            def to_frame(record, _original=cls.to_frame):
-                built.append(record)
-                return _original(record)
-            monkeypatch.setattr(cls, "to_frame", to_frame)
+    def test_unobserved_peer_builds_no_log_records(self):
+        """Every log record a controller builds enters its memo of built
+        frames: B's stays empty, and A's holds every logged frame of A's
+        stream, each naming B."""
         world, server = _logged_world()
         a, b = world["A"], world["B"]
         sniff = _attach_sniff(server, "A")
@@ -587,11 +584,10 @@ class TestTapFollowsSniffClients:
             server.stop()
         records = SniffStreamDecoder().feed(stream)
         assert b.diag_log_enabled and b._taps == []
-        # A record names the other end: B's would name A.
-        peers = [r.full_mac if isinstance(r, diag.LcpLogRecord) else r.low_mac for r in built]
-        assert set(peers) == {b.mac, hci.low_mac(b.mac)}
+        assert b._log_frames == {}
+        assert {peer for _kind, _sent, peer, _pdu in a._log_frames} == {b.mac}
         logged = [f for _d, f in records if f.h4_type is H4Type.DIAG]
-        assert logged and len(logged) == len(built)
+        assert logged and set(logged) == set(a._log_frames.values())
 
     def test_a_client_attached_mid_run_gets_the_whole_cycle(self):
         def run(attach_at: int) -> tuple[list[bytes], int]:
@@ -832,6 +828,29 @@ class TestServerLoop:
             for session in sessions.values():
                 session.close()
 
+    def test_any_exception_out_of_a_frame_is_contained(self, served_world, monkeypatch):
+        """Not only a BcmDiagError: any exception out of one host frame is
+        noted with its class, and both endpoints keep serving."""
+        world, server = served_world
+
+        def fail(controller, msg):
+            raise ValueError("handler bug")
+
+        monkeypatch.setitem(Controller._DIAG_HANDLERS, MemoryPeek, fail)
+        sessions = {name: _session(server, name) for name in ("A", "B")}
+        try:
+            sessions["A"].default_timeout = 0.3
+            ok, lines = sessions["A"].execute(f"peek arm 0x{ARM_BASE:x}")
+            assert not ok and "timeout" in lines[0]
+            assert "host frame failed: handler bug (ValueError)" in world["A"].audit[-1]
+            sessions["A"].default_timeout = 2.0
+            for name, session in sessions.items():
+                ok, lines = session.execute("version")
+                assert ok, (name, lines)
+        finally:
+            for session in sessions.values():
+                session.close()
+
 
 def _is_probe(frame: H4Frame, nonce: bytes) -> bool:
     return frame.h4_type is H4Type.MSG_QUEUE_PUT and frame.payload.startswith(nonce)
@@ -940,7 +959,7 @@ class TestSniffStreamErrors:
 class TestLiveView:
     def test_lines_preserve_count_and_order(self, served_world):
         """10^4 frames replayed through the sniff stream render as 10^4
-        lines in tap order."""
+        lines in tap order, however many lines one write carries."""
         _world, server = served_world
         sniff_port, inject_port = server.port_map()["A"]
 
@@ -948,8 +967,7 @@ class TestLiveView:
 
         class _Collector(io.StringIO):
             def write(self, text):
-                if text.strip():
-                    lines.append(text.strip())
+                lines.extend(line.strip() for line in text.splitlines() if line.strip())
                 return len(text)
 
         session = SocketSession(
