@@ -51,7 +51,7 @@ LOG_FRAMES_MAX = 64  # log-record frames a controller keeps built; then it start
 CLASSIC_FEATURES = bytes.fromhex("bffecffedbff7b87")
 LE_FEATURES = bytes.fromhex("1f00000000000000")
 # Version, company and subversion, the same for LMP and LL.
-LMP_VERSION_PARAMS = struct.pack("<BHH", 0x09, 0x000F, 0x2209)
+LMP_VERSION_PARAMS = struct.pack("<BHH", hci.LMP_VERSION, hci.MANUFACTURER, hci.LMP_SUBVERSION)
 IO_CAPABILITY_PARAMS = b"\x01\x00\x03"  # display yes/no, no OOB, MITM+bonding
 
 TapFn = Callable[[Direction, H4Frame, int], None]
@@ -92,20 +92,19 @@ class Phase(Enum):
 
 
 class Connection:
-    __slots__ = ("handle", "peer_mac", "role", "tid", "layer", "transport", "phase",
+    __slots__ = ("handle", "peer_mac", "role", "tid", "layer", "phase",
                  "script_cursor", "ssp_confirmed")
 
     def __init__(self, handle: int, peer_mac: bytes, role: Role, layer: LinkLayer,
-                 phase: Phase, script_cursor: int = 0, ssp_confirmed: bool = False) -> None:
+                 phase: Phase) -> None:
         self.handle = handle
         self.peer_mac = peer_mac
         self.role = role
         self.tid = role._value_  # a plain int: the ``value`` property is Python code
-        self.layer = layer  # kept, not looked up: a Transport key hashes in Python
-        self.transport = layer.transport
+        self.layer = layer  # its identity: compared with ``is``, never looked up
         self.phase = phase
-        self.script_cursor = script_cursor
-        self.ssp_confirmed = ssp_confirmed
+        self.script_cursor = 0
+        self.ssp_confirmed = False
 
 
 @value_class
@@ -311,38 +310,12 @@ _HOLDS_PEER_MAC = {
 }
 
 
-class StatsStore:
-    """Monotonic counters behind the statistics getters; only the reset
-    command may move them backwards (and only the BR ACL schema)."""
-
-    _STORED = (
-        DiagCode.BR_ACL_STATS,
-        DiagCode.EDR_ACL_STATS,
-        DiagCode.SCO_STATS,
-        DiagCode.ESCO_STATS,
-        DiagCode.AUX_RESPONSE,
-    )
-
-    def __init__(self) -> None:
-        self._counters = {
-            kind: [0] * len(STATS_FIELDS[kind]) for kind in self._STORED
-        }
-
-    def bump(self, kind: DiagCode, field: str, delta: int = 1) -> None:
-        self._counters[kind][STATS_FIELDS[kind].index(field)] += delta
-
-    def response(self, kind: DiagCode) -> diag.StatsResponse:
-        return diag.StatsResponse(kind, tuple(self._counters[kind]))
-
-    def reset_br_acl(self) -> None:
-        self._counters[DiagCode.BR_ACL_STATS] = [0] * len(
-            STATS_FIELDS[DiagCode.BR_ACL_STATS]
-        )
-
-    def snapshot(self) -> tuple:
-        return tuple(
-            (kind.value, tuple(values)) for kind, values in self._counters.items()
-        )
+# The statistics kinds a controller counts: every getter's answer but the
+# connection records, which come from the connection table.  Counters
+# only grow; only the reset command moves them back, and only BR ACL's.
+_COUNTED = tuple(k for k in RESPONSE_FOR_REQUEST.values() if k is not DiagCode.CONNECTION_RESPONSE)
+_BR_ACL = DiagCode.BR_ACL_STATS
+_BR_ACL_TX, _BR_ACL_RX = map(STATS_FIELDS[_BR_ACL].index, ("tx_packets", "rx_packets"))
 
 
 class Controller:
@@ -362,21 +335,15 @@ class Controller:
         self.name = name or hci.format_mac(mac)
         self.profile = profile or patched_profile()
         self.memory = memory or MemoryImage.default()
-        # None: reset rebuilds the default image; a copy would cost 256 KiB of RSS.
-        self._memory_pristine = None if memory is None else memory.snapshot()
         self.test_packet_count = test_packet_count
 
         self.link: VirtualLink | None = None
         self.clock = 0
-        self.diag_log_enabled = False
-        self.test_mode_active = False
-        self.connections: dict[int, Connection] = {}
-        self.stats = StatsStore()
         self.audit: deque[str] = deque(maxlen=AUDIT_MAX)
         self._out = _NO_CALL  # the running process_host_frame call's frames
         self._log_frames: dict[tuple, H4Frame] = {}  # (kind, sent, peer MAC, PDU) -> frame
         self._taps: list[TapFn] = []
-        self._next_handle = FIRST_HANDLE
+        self._power_on()
 
     # ----- plumbing ---------------------------------------------------
 
@@ -407,17 +374,19 @@ class Controller:
         The tick counter is monotonic for the controller's lifetime --
         capture timestamps must never run backwards, so a reset does not
         rewind it."""
-        self.diag_log_enabled = False
-        self.test_mode_active = False
-        self.connections = {}
-        self.stats = StatsStore()
-        if self._memory_pristine is None:
-            self.memory.regions = MemoryImage.default().regions
-        else:
-            self.memory.restore(self._memory_pristine)
-        self._next_handle = FIRST_HANDLE
+        self.memory.reset()
+        self._power_on()
         if self.link is not None:
             self.link.drop_inbound(self)
+
+    def _power_on(self) -> None:
+        """Power-on flags, connections, counters and handle allocator.
+        Memory is not here: a new image starts at its power-on octets."""
+        self.diag_log_enabled = False
+        self.test_mode_active = False
+        self.connections: dict[int, Connection] = {}
+        self.stats = {kind: [0] * len(STATS_FIELDS[kind]) for kind in _COUNTED}
+        self._next_handle = FIRST_HANDLE
 
     def crash(self, reason: str) -> None:
         """Firmware fault: hardware error event to the host, then an
@@ -440,7 +409,7 @@ class Controller:
                     c.handle,
                     c.peer_mac,
                     c.role.value,
-                    c.transport.value,
+                    c.layer.transport.value,
                     c.phase.value,
                     c.ssp_confirmed,
                 )
@@ -448,10 +417,8 @@ class Controller:
             ),
             "diag_log_enabled": self.diag_log_enabled,
             "test_mode_active": self.test_mode_active,
-            "stats": self.stats.snapshot(),
-            "memory": tuple(
-                (base, kind, bytes(data)) for base, kind, data in self.memory.snapshot()
-            ),
+            "stats": tuple((kind.value, tuple(values)) for kind, values in self.stats.items()),
+            "memory": tuple(self.memory.snapshot()),
         }
 
     # ----- host input ---------------------------------------------------
@@ -531,7 +498,7 @@ class Controller:
         at = hci.CREATE_CONNECTION_LAYOUT[cmd.opcode][0]
         wire = cmd.params[at : at + 6]
         peer = hci.mac_from_wire(wire)
-        if self._find_connection(peer, layer.transport) is not None:
+        if self._find_connection(peer, layer) is not None:
             self._status(cmd.opcode, hci.ERR_ACL_ALREADY_EXISTS)
             return
         self._status(cmd.opcode, hci.ERR_SUCCESS)
@@ -557,7 +524,7 @@ class Controller:
         (handle,) = struct.unpack_from("<H", cmd.params)
         raw = cmd.params[2:]
         conn = self.connections.get(handle)
-        if conn is None or conn.transport is not Transport.CLASSIC:
+        if conn is None or conn.layer is not CLASSIC_LINK:
             self._complete(cmd.opcode, bytes([hci.ERR_UNKNOWN_CONNECTION]))
             return
         if not self._lmp_injectable(raw):
@@ -674,12 +641,10 @@ class Controller:
         if conn is None:
             self._note(f"ACL data for unknown handle 0x{handle:04x}")
             return
-        if conn.transport is Transport.CLASSIC:
-            self.stats.bump(DiagCode.BR_ACL_STATS, "tx_packets")
+        if conn.layer is CLASSIC_LINK:
+            self.stats[_BR_ACL][_BR_ACL_TX] += 1
         if self.link is not None:
-            self.link.transmit(
-                self, KIND_ACL, (conn.transport.value, flags, payload[4:])
-            )
+            self.link.transmit(self, KIND_ACL, (conn.layer, flags, payload[4:]))
         self._emit_event(hci.EVT_NUM_COMPLETED_PACKETS, hci.num_completed_packets(handle))
 
     # ----- diagnostic surface ------------------------------------------------
@@ -717,10 +682,11 @@ class Controller:
     def _diag_stats(self, msg: diag.StatsRequest) -> list[DiagMessage]:
         kind = msg.kind
         if kind is DiagCode.RESET_BR_ACL_STATS:
-            self.stats.reset_br_acl()
+            self.stats[_BR_ACL] = [0] * len(STATS_FIELDS[_BR_ACL])
             return []
         if kind is not DiagCode.GET_CONNECTION_STATS:
-            return [self.stats.response(RESPONSE_FOR_REQUEST[kind])]
+            counted = RESPONSE_FOR_REQUEST[kind]
+            return [diag.StatsResponse(counted, tuple(self.stats[counted]))]
         # One record per live connection; the CPU load piggybacks on
         # this request because no dedicated getter code exists.
         out: list[DiagMessage] = [
@@ -787,14 +753,13 @@ class Controller:
             self._drop_connection(conn, hci.ERR_CONNECTION_TIMEOUT)
 
     def _deliver_air_acl(self, from_mac: bytes, data: object) -> None:
-        transport_value, flags, payload = data  # type: ignore[misc]
-        transport = Transport(transport_value)
-        conn = self._find_connection(from_mac, transport)
+        layer, flags, payload = data  # type: ignore[misc]
+        conn = self._find_connection(from_mac, layer)
         if conn is None:
             self._note(f"ACL data from unconnected {hci.format_mac(from_mac)}")
             return
-        if transport is Transport.CLASSIC:
-            self.stats.bump(DiagCode.BR_ACL_STATS, "rx_packets")
+        if layer is CLASSIC_LINK:
+            self.stats[_BR_ACL][_BR_ACL_RX] += 1
         header = struct.pack("<HH", conn.handle | (flags << 12), len(payload))
         self._emit(H4Frame(H4Type.ACL_DATA, header + payload))
 
@@ -833,9 +798,9 @@ class Controller:
 
     # ----- connection bookkeeping ---------------------------------------------
 
-    def _find_connection(self, peer_mac: bytes, transport: Transport) -> Connection | None:
+    def _find_connection(self, peer_mac: bytes, layer: LinkLayer) -> Connection | None:
         for conn in self.connections.values():
-            if conn.peer_mac == peer_mac and conn.transport is transport:
+            if conn.peer_mac == peer_mac and conn.layer is layer:
                 return conn
         return None
 
@@ -891,7 +856,7 @@ class Controller:
                 self._refuse(layer, from_mac, raw)
             return
 
-        conn = self._find_connection(from_mac, layer.transport)
+        conn = self._find_connection(from_mac, layer)
 
         if isinstance(pdu, ll.BpcsPdu):
             self._handle_bpcs(from_mac, conn, pdu)

@@ -5,7 +5,8 @@ commands and the RAM vendor HCI commands.
 The default map is entirely synthetic (no real chip layout): a 256 KiB
 ARM region at 0x00200000 with a recognizable version string planted at
 its base, and a 4 KiB BlueRF region at 0x0.  A map can also be loaded
-from a JSON file for more realistic images.
+from a JSON file for more realistic images.  A reset returns each region
+to its power-on octets: the version string, or the file's contents.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ _ACCESS_KIND = {
 
 
 class Region:
-    __slots__ = ("base", "kind", "data")
+    __slots__ = ("base", "kind", "data", "initial")
 
-    def __init__(self, base: int, kind: str, data: bytearray) -> None:
+    def __init__(self, base: int, kind: str, data: bytearray, initial: bytes = b"") -> None:
         self.base = base
         self.kind = kind
         self.data = data
+        self.initial = initial  # the power-on octets at its start; zeros follow
 
 
 class MemoryImage:
@@ -48,7 +50,7 @@ class MemoryImage:
     def default(cls) -> "MemoryImage":
         arm = bytearray(ARM_SIZE)
         arm[: len(VERSION_STRING)] = VERSION_STRING
-        return cls([Region(ARM_BASE, KIND_ARM, arm),
+        return cls([Region(ARM_BASE, KIND_ARM, arm, VERSION_STRING),
                     Region(BLUERF_BASE, KIND_BLUERF, bytearray(BLUERF_SIZE))])
 
     @classmethod
@@ -82,10 +84,10 @@ class MemoryImage:
             if type(size) is not int or size < 0:
                 raise ValueError(f"{where} needs 'size' (an int >= 0) or hex 'contents'")
             try:
-                data = bytearray.fromhex(contents)
+                initial = bytes.fromhex(contents)
             except (TypeError, ValueError):
                 raise ValueError(f"{where}: 'contents' must be a hex string") from None
-            regions.append(Region(base, kind, data + bytes(max(0, size - len(data)))))
+            regions.append(Region(base, kind, bytearray(initial.ljust(size, b"\x00")), initial))
         image = cls(regions)
         image.check()
         return image
@@ -129,8 +131,12 @@ class MemoryImage:
                 return True
         return False
 
+    def reset(self) -> None:
+        """Rewrite every region, in place, with its power-on octets."""
+        for r in self.regions:
+            n = len(r.initial)
+            r.data[n:] = bytes(len(r.data) - n)  # calloc'd zeros: no RSS of their own
+            r.data[:n] = r.initial
+
     def snapshot(self) -> list[tuple[int, str, bytes]]:
         return [(r.base, r.kind, bytes(r.data)) for r in self.regions]
-
-    def restore(self, snap: list[tuple[int, str, bytes]]) -> None:
-        self.regions = [Region(base, kind, bytearray(data)) for base, kind, data in snap]

@@ -35,21 +35,16 @@ FIREWALL_ALLOWLIST_MAX = 41
 
 
 class SecurityProfile:
-    def __init__(self, bpcs_bounds_check: bool = True, encryption_order_check: bool = True,
-                 firewall_allowlist: set[bytes] | None = None,
-                 bpcs_overflow_map: dict[int, HandlerAction] | None = None,
-                 overflow_default: HandlerAction = HandlerAction.CRASH) -> None:
+    def __init__(self, bpcs_bounds_check: bool = True, encryption_order_check: bool = True) -> None:
         self.bpcs_bounds_check = bpcs_bounds_check
         self.encryption_order_check = encryption_order_check
-        self.firewall_allowlist = firewall_allowlist
-        # A fresh map per profile, so one profile's edits reach no other.
-        if bpcs_overflow_map is None:
-            bpcs_overflow_map = {BPCS_DUT_SUBTYPE: HandlerAction.DUT_MODE}
-        self.bpcs_overflow_map = bpcs_overflow_map
-        self.overflow_default = overflow_default
+        self.firewall_allowlist: set[bytes] | None = None  # None: the firewall is off
+        # A fresh map per profile, so one profile's edits reach no other;
+        # an unmapped subtype crashes.
+        self.bpcs_overflow_map = {BPCS_DUT_SUBTYPE: HandlerAction.DUT_MODE}
 
     def overflow_action(self, subtype: int) -> HandlerAction:
-        return self.bpcs_overflow_map.get(subtype, self.overflow_default)
+        return self.bpcs_overflow_map.get(subtype, HandlerAction.CRASH)
 
     def firewall_allows(self, mac: bytes) -> bool:
         return self.firewall_allowlist is None or mac in self.firewall_allowlist
@@ -66,7 +61,6 @@ class SecurityProfile:
             self.encryption_order_check,
             allow,
             tuple(sorted((k, v.value) for k, v in self.bpcs_overflow_map.items())),
-            self.overflow_default.value,
         )
 
 

@@ -101,6 +101,13 @@ DUT_EVENT_PARAMS = b"DUT\x01"
 # Hardware error code used when an emulated firmware fault fires.
 HW_ERR_FIRMWARE_FAULT = 0x5A
 
+# This chip's identity, as Read Local Version and the LMP/LL version PDUs give it.
+HCI_VERSION = 0x09
+HCI_REVISION = 0x1000
+LMP_VERSION = 0x09
+MANUFACTURER = 0x000F  # Broadcom
+LMP_SUBVERSION = 0x2209
+
 
 def command_complete(opcode: int, return_params: bytes = b"") -> bytes:
     """Event params: Num_HCI_Command_Packets, opcode, return values."""
@@ -120,8 +127,8 @@ def disconnection_complete(status: int, handle: int, reason: int) -> bytes:
     return struct.pack("<BHB", status, handle, reason)
 
 
-def num_completed_packets(handle: int, count: int = 1) -> bytes:
-    return struct.pack("<BHH", 1, handle, count)
+def num_completed_packets(handle: int) -> bytes:
+    return struct.pack("<BHH", 1, handle, 1)
 
 
 def le_connection_complete(status: int, handle: int, role: int, mac_wire: bytes) -> bytes:
@@ -132,17 +139,10 @@ def le_connection_complete(status: int, handle: int, role: int, mac_wire: bytes)
     )
 
 
-def local_version_params(
-    status: int = ERR_SUCCESS,
-    hci_version: int = 0x09,
-    hci_revision: int = 0x1000,
-    lmp_version: int = 0x09,
-    manufacturer: int = 0x000F,
-    lmp_subversion: int = 0x2209,
-) -> bytes:
-    return struct.pack(
-        "<BBHBHH", status, hci_version, hci_revision, lmp_version, manufacturer, lmp_subversion
-    )
+def local_version_params() -> bytes:
+    """Read Local Version's answer: success and this chip's identity."""
+    return struct.pack("<BBHBHH", ERR_SUCCESS, HCI_VERSION, HCI_REVISION,
+                       LMP_VERSION, MANUFACTURER, LMP_SUBVERSION)
 
 
 def parse_local_version(params: bytes) -> dict[str, int]:

@@ -33,7 +33,6 @@ from .diag import (
     TestCompleted,
     TestParams,
     ToggleLmpLogging,
-    build_diag,
     parse_diag,
 )
 from .errors import SessionError
@@ -256,7 +255,7 @@ class Session:
     def _diag(self, msg, code: DiagCode | None = None, timeout: float | None = None):
         """Send one diagnostic request; with ``code``, return the parsed
         response of that code."""
-        self.send_frame(H4Frame.diag(build_diag(msg)))
+        self.send_frame(msg.to_frame())
         if code is not None:
             frame = self._await(
                 lambda f: f.h4_type is _DIAG and f.payload[0] == code,

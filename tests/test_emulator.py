@@ -157,7 +157,7 @@ class TestHciSurface:
         a, b = linked_pair
         handle = connect_pair(a, b, transport="le")
         conn = a.connections[handle]
-        assert conn.transport is Transport.LE
+        assert conn.layer.transport is Transport.LE
         assert conn.phase is Phase.CONNECTED
         metas = events_of(handle.frames, hci.EVT_LE_META)
         assert metas and metas[-1].params[0] == hci.LE_SUBEVT_CONNECTION_COMPLETE
