@@ -1,7 +1,7 @@
 """Controller emulation: state machine, virtual air link, memory image,
 security profiles, scenario runner and stream servers."""
 
-from .controller import Connection, Controller, Phase, Role, Transport
+from .controller import Connection, Controller, Phase, Role
 from .link import VirtualLink, attach_air_link
 from .memory import MemoryImage
 from .profiles import (
@@ -19,7 +19,6 @@ __all__ = [
     "Phase",
     "Role",
     "SecurityProfile",
-    "Transport",
     "VirtualLink",
     "attach_air_link",
     "patched_profile",

@@ -78,14 +78,8 @@ class Role(Enum):
     SLAVE = 1
 
 
-class Transport(Enum):
-    CLASSIC = "classic"
-    LE = "le"
-
-
 class Phase(Enum):
-    PAGING = 0
-    LMP_SETUP = 1
+    LMP_SETUP = 1  # the values go on the wire in `stats conn` records
     CONNECTED = 2
     SSP_PENDING = 3
     ENCRYPTED = 4
@@ -95,14 +89,13 @@ class Connection:
     __slots__ = ("handle", "peer_mac", "role", "tid", "layer", "phase",
                  "script_cursor", "ssp_confirmed")
 
-    def __init__(self, handle: int, peer_mac: bytes, role: Role, layer: LinkLayer,
-                 phase: Phase) -> None:
+    def __init__(self, handle: int, peer_mac: bytes, role: Role, layer: LinkLayer) -> None:
         self.handle = handle
         self.peer_mac = peer_mac
         self.role = role
         self.tid = role._value_  # a plain int: the ``value`` property is Python code
         self.layer = layer  # its identity: compared with ``is``, never looked up
-        self.phase = phase
+        self.phase = Phase.LMP_SETUP
         self.script_cursor = 0
         self.ssp_confirmed = False
 
@@ -140,6 +133,30 @@ _PDU_PARAMS = {
     "LL_FEATURE_RSP": LE_FEATURES,
     "LL_VERSION_IND": LMP_VERSION_PARAMS,
 }
+# Requests answered with a fixed reply: request name -> reply name.
+_REPLIES = {
+    "LMP_features_req": "LMP_features_res",
+    "LMP_version_req": "LMP_version_res",
+    "LL_FEATURE_REQ": "LL_FEATURE_RSP",
+    "LL_PING_REQ": "LL_PING_RSP",
+}
+# PDUs of either layer that are replies or rejections themselves and
+# must never be answered: answering one could bounce between two ends forever.
+_NEVER_ANSWERED = frozenset(
+    {
+        "LMP_accepted",
+        "LMP_not_accepted",
+        "LMP_accepted_ext",
+        "LMP_not_accepted_ext",
+        "LMP_setup_complete",
+        "LL_REJECT_IND",
+        "LL_REJECT_EXT_IND",
+        "LL_UNKNOWN_RSP",
+        "LL_VERSION_IND",
+        "LL_TERMINATE_IND",
+        *_REPLIES.values(),
+    }
+)
 
 
 def _lmp_log_record(sent: bool, peer_mac: bytes, pdu: bytes) -> diag.LmpLogRecord:
@@ -172,7 +189,6 @@ class LinkLayer:
     """Everything the Classic (LMP) and LE (LCP) link layers do
     differently; the controller runs one path over either record."""
 
-    transport: Transport
     kind: str  # air-link traffic kind; upper-cased in audit notes
     dissect: Callable[[bytes], object]
     build: Callable[[int, int, bytes], bytes]  # (opcode, tid, params) -> octets
@@ -185,9 +201,6 @@ class LinkLayer:
     refuse_undissectable: bool
     # The answer on a live link to a PDU no handler takes: (opcode, tid) -> octets.
     unhandled: Callable[[int, int], bytes]
-    # PDUs that are replies/rejections themselves and must never be
-    # answered (answering them could bounce between two ends forever).
-    no_reply: frozenset[str]
     script: tuple[ScriptStep, ...]  # the connection setup; its first step opens it
     detach: str  # the PDU that ends a connection
     # (status, handle, role, peer MAC on the wire) -> (event code, parameters)
@@ -204,7 +217,6 @@ class LinkLayer:
 
 
 CLASSIC_LINK = LinkLayer(
-    transport=Transport.CLASSIC,
     kind=KIND_LMP,
     dissect=ll.dissect_lmp,
     build=lambda opcode, tid, params: ll.build_lmp(ll.LmpPdu(opcode, tid, params)),
@@ -215,17 +227,6 @@ CLASSIC_LINK = LinkLayer(
     reject=lambda raw: _lmp_not_accepted(raw[0] >> 1) if raw else None,
     refuse_undissectable=True,
     unhandled=_lmp_not_accepted,
-    no_reply=frozenset(
-        {
-            "LMP_accepted",
-            "LMP_not_accepted",
-            "LMP_accepted_ext",
-            "LMP_not_accepted_ext",
-            "LMP_features_res",
-            "LMP_version_res",
-            "LMP_setup_complete",
-        }
-    ),
     script=CLASSIC_SETUP,
     detach="LMP_detach",
     connection_complete=lambda status, handle, _role, wire: (
@@ -235,7 +236,6 @@ CLASSIC_LINK = LinkLayer(
 )
 
 LE_LINK = LinkLayer(
-    transport=Transport.LE,
     kind=KIND_LCP,
     dissect=ll.dissect_lcp,
     build=lambda opcode, _tid, params: ll.build_lcp(ll.LcpPdu(opcode, params)),
@@ -251,17 +251,6 @@ LE_LINK = LinkLayer(
     reject=lambda _raw: LE_LINK.octets("LL_REJECT_IND", 0, _NOT_ALLOWED),
     refuse_undissectable=False,
     unhandled=lambda opcode, _tid: LE_LINK.octets("LL_UNKNOWN_RSP", 0, bytes([opcode])),
-    no_reply=frozenset(
-        {
-            "LL_REJECT_IND",
-            "LL_REJECT_EXT_IND",
-            "LL_UNKNOWN_RSP",
-            "LL_FEATURE_RSP",
-            "LL_VERSION_IND",
-            "LL_PING_RSP",
-            "LL_TERMINATE_IND",
-        }
-    ),
     script=LE_SETUP,
     detach="LL_TERMINATE_IND",
     connection_complete=lambda status, handle, role, wire: (
@@ -272,11 +261,12 @@ LE_LINK = LinkLayer(
 
 
 def _build_constants(layer: LinkLayer, *answers: tuple[str, bytes | None]) -> None:
-    """Fill ``layer``'s tables with its setup script and ``answers``, each
-    for both transaction IDs; ``build`` checks each PDU by dissecting it."""
+    """Fill ``layer``'s tables with its setup script, its _REPLIES and
+    ``answers``, each for both transaction IDs; ``build`` checks each PDU by dissecting it."""
     opcodes = layer.name_to_opcode
     script = tuple((s.pdu_name, s.arg and bytes([opcodes[s.arg]])) for s in layer.script)
-    for (name, params), tid in itertools.product(script + answers, (0, 1)):
+    replies = tuple((reply, None) for reply in _REPLIES.values() if reply in opcodes)
+    for (name, params), tid in itertools.product(script + replies + answers, (0, 1)):
         body = params or _PDU_PARAMS.get(name, bytes(layer.opcodes[opcodes[name]].param_len))
         raw = layer.constants[name, tid, params] = layer.build(opcodes[name], tid, body)
         layer.pdus[raw] = layer.dissect(raw)
@@ -286,12 +276,10 @@ _NOT_ALLOWED = bytes([hci.ERR_LMP_PDU_NOT_ALLOWED])
 _DHKEY_CHECK = bytes([ll.LMP_NAME_TO_OPCODE["LMP_DHkey_Check"]])
 _START_ENCRYPTION = bytes([ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]])
 _build_constants(
-    CLASSIC_LINK, ("LMP_features_res", None), ("LMP_version_res", None),
-    ("LMP_accepted", _DHKEY_CHECK), ("LMP_accepted", _START_ENCRYPTION),
+    CLASSIC_LINK, ("LMP_accepted", _DHKEY_CHECK), ("LMP_accepted", _START_ENCRYPTION),
     ("LMP_not_accepted", _START_ENCRYPTION + _NOT_ALLOWED),
     ("LMP_not_accepted", bytes([ll.BPCS_OPCODE]) + _NOT_ALLOWED))
-_build_constants(
-    LE_LINK, ("LL_FEATURE_RSP", None), ("LL_PING_RSP", None), ("LL_REJECT_IND", _NOT_ALLOWED))
+_build_constants(LE_LINK, ("LL_REJECT_IND", _NOT_ALLOWED))
 
 _LINK_BY_KIND = {KIND_LMP: CLASSIC_LINK, KIND_LCP: LE_LINK}
 # Connection-creating HCI opcode -> its link layer.
@@ -401,23 +389,29 @@ class Controller:
         """Observable state for before/after comparisons.  The tick
         counter and audit trail are excluded: they advance on any
         processed input, even one that must not change state."""
+        profile, allow = self.profile, self.profile.firewall_allowlist
         return {
             "mac": self.mac,
-            "profile": self.profile.fingerprint(),
+            # Copies, so a later edit cannot reach an earlier snapshot.
+            "profile": {
+                **vars(profile),
+                "firewall_allowlist": None if allow is None else set(allow),
+                "bpcs_overflow_map": dict(profile.bpcs_overflow_map),
+            },
             "connections": tuple(
                 (
                     c.handle,
                     c.peer_mac,
-                    c.role.value,
-                    c.layer.transport.value,
-                    c.phase.value,
+                    c.role,
+                    c.layer.kind,
+                    c.phase,
                     c.ssp_confirmed,
                 )
                 for c in sorted(self.connections.values(), key=lambda c: c.handle)
             ),
             "diag_log_enabled": self.diag_log_enabled,
             "test_mode_active": self.test_mode_active,
-            "stats": tuple((kind.value, tuple(values)) for kind, values in self.stats.items()),
+            "stats": tuple((kind, tuple(values)) for kind, values in self.stats.items()),
             "memory": tuple(self.memory.snapshot()),
         }
 
@@ -507,7 +501,7 @@ class Controller:
             # Nobody on the air answers the page.
             self._emit_event(*layer.connection_complete(hci.ERR_PAGE_TIMEOUT, 0, 0, wire))
             return
-        conn = self._new_connection(peer, Role.MASTER, layer, Phase.PAGING)
+        conn = self._new_connection(peer, Role.MASTER, layer)
         self._advance_script(conn)
 
     def _cmd_disconnect(self, cmd: HciCommand) -> None:
@@ -739,7 +733,8 @@ class Controller:
         raw = bytes(data)  # type: ignore[arg-type]
         layer = _LINK_BY_KIND[kind]
         self._log(layer, False, from_mac, raw)
-        if not self.profile.firewall_allows(from_mac):
+        allow = self.profile.firewall_allowlist
+        if allow is not None and from_mac not in allow:
             self._note(f"firewall rejected {layer.kind.upper()} from {hci.format_mac(from_mac)}")
             # Replying to a rejection with a rejection would ping-pong
             # between two firewalled ends forever.
@@ -804,9 +799,7 @@ class Controller:
                 return conn
         return None
 
-    def _new_connection(
-        self, peer: bytes, role: Role, layer: LinkLayer, phase: Phase
-    ) -> Connection:
+    def _new_connection(self, peer: bytes, role: Role, layer: LinkLayer) -> Connection:
         # Allocation wraps, so handles of dropped connections come back.
         for _ in range(MAX_HANDLE - FIRST_HANDLE + 1):
             handle = self._next_handle
@@ -815,7 +808,7 @@ class Controller:
                 break
         else:
             raise BcmDiagError("connection handles exhausted")
-        conn = Connection(handle, peer, role, layer, phase)
+        conn = Connection(handle, peer, role, layer)
         self.connections[handle] = conn
         return conn
 
@@ -835,8 +828,6 @@ class Controller:
         while conn.script_cursor < len(script) and script[conn.script_cursor].role is conn.role:
             step = script[conn.script_cursor]
             conn.script_cursor += 1
-            if conn.phase is Phase.PAGING:
-                conn.phase = Phase.LMP_SETUP
             arg = None if step.arg is None else bytes([layer.name_to_opcode[step.arg]])
             self._send_pdu(conn, step.pdu_name, conn.tid, arg)
         if conn.script_cursor >= len(script):
@@ -865,17 +856,15 @@ class Controller:
         name = pdu.name
 
         if conn is None:
-            # A fresh setup opener creates the inbound (slave) side;
-            # anything else has no connection to live on.  Responses and
-            # rejections are dropped rather than rejected back, so two
-            # connectionless ends can never bounce replies forever.
+            # A fresh setup opener creates the inbound (slave) side; anything
+            # else has no connection to live on: it is noted or refused.
             if name != layer.script[0].pdu_name:
-                if name in layer.no_reply:
+                if name in _NEVER_ANSWERED:
                     self._note(f"{name} from unconnected {hci.format_mac(from_mac)}")
                 else:
                     self._refuse(layer, from_mac, raw)
                 return
-            conn = self._new_connection(from_mac, Role.SLAVE, layer, Phase.LMP_SETUP)
+            conn = self._new_connection(from_mac, Role.SLAVE, layer)
 
         script = layer.script
         if conn.script_cursor < len(script) and script[conn.script_cursor].pdu_name == name:
@@ -897,17 +886,9 @@ class Controller:
         reason = pdu.params[0] if pdu.params else hci.ERR_REMOTE_TERMINATED
         self._drop_connection(conn, reason)
 
-    def _lmp_features_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
-        self._send_pdu(conn, "LMP_features_res", pdu.tid)
-
-    def _lmp_version_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
-        self._send_pdu(conn, "LMP_version_res", pdu.tid)
-
-    def _lcp_feature_req(self, conn: Connection, pdu: ll.LcpPdu) -> None:
-        self._send_pdu(conn, "LL_FEATURE_RSP", 0)
-
-    def _lcp_ping_req(self, conn: Connection, pdu: ll.LcpPdu) -> None:
-        self._send_pdu(conn, "LL_PING_RSP", 0)
+    def _reply(self, conn: Connection, pdu: ll.LinkPdu) -> None:
+        # An LMP reply carries the request's transaction ID; an LCP PDU has none.
+        self._send_pdu(conn, _REPLIES[pdu.name], getattr(pdu, "tid", 0))
 
     def _lmp_io_capability_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         # Pairing starts: the connection waits for a user decision it
@@ -948,20 +929,17 @@ class Controller:
         # Replies and vendor LCPs need no answer; only an accepted one
         # changes state and only a terminate ends the link.
         **dict.fromkeys(
-            CLASSIC_LINK.no_reply | LE_LINK.no_reply | {"LMP_IO_capability_res"}
+            _NEVER_ANSWERED | {"LMP_IO_capability_res"}
             | {ll.vendor_lcp(subtype).name for subtype in ll.LCP_VENDOR_NAMES},
             _ignore,
         ),
+        **dict.fromkeys(_REPLIES, _reply),
         "LMP_accepted": _lmp_accepted,
-        "LMP_features_req": _lmp_features_req,
-        "LMP_version_req": _lmp_version_req,
         "LMP_IO_capability_req": _lmp_io_capability_req,
         "LMP_DHkey_Check": _lmp_dhkey_check,
         "LMP_start_encryption_req": _lmp_start_encryption_req,
         "LMP_detach": _detach,
         "LL_TERMINATE_IND": _detach,
-        "LL_FEATURE_REQ": _lcp_feature_req,
-        "LL_PING_REQ": _lcp_ping_req,
     }
 
     def _handle_bpcs(
@@ -980,7 +958,7 @@ class Controller:
                 return
             # No range check: the subtype indexes past the handler table
             # into whatever the linker put next.
-            action = self.profile.overflow_action(pdu.subtype)
+            action = self.profile.bpcs_overflow_map.get(pdu.subtype, HandlerAction.CRASH)
             self._note(
                 f"BPCS subtype 0x{pdu.subtype:02x} overflowed handler table -> {action.value}"
             )

@@ -43,26 +43,6 @@ class SecurityProfile:
         # an unmapped subtype crashes.
         self.bpcs_overflow_map = {BPCS_DUT_SUBTYPE: HandlerAction.DUT_MODE}
 
-    def overflow_action(self, subtype: int) -> HandlerAction:
-        return self.bpcs_overflow_map.get(subtype, HandlerAction.CRASH)
-
-    def firewall_allows(self, mac: bytes) -> bool:
-        return self.firewall_allowlist is None or mac in self.firewall_allowlist
-
-    def fingerprint(self) -> tuple:
-        """Hashable identity for state snapshots."""
-        allow = (
-            None
-            if self.firewall_allowlist is None
-            else tuple(sorted(self.firewall_allowlist))
-        )
-        return (
-            self.bpcs_bounds_check,
-            self.encryption_order_check,
-            allow,
-            tuple(sorted((k, v.value) for k, v in self.bpcs_overflow_map.items())),
-        )
-
 
 def vulnerable_profile() -> SecurityProfile:
     """Both checks missing, as on the affected firmware builds."""

@@ -35,7 +35,7 @@ from .diag import (
     ToggleLmpLogging,
     parse_diag,
 )
-from .errors import SessionError
+from .errors import BcmDiagError, SessionError
 from .h4 import Direction, H4Frame, H4Type, HciCommand, HciEvent
 
 USAGE = {
@@ -74,8 +74,8 @@ _STATS_GETTERS = {
     "aux": DiagCode.GET_AUX_STATS,
     "conn": DiagCode.GET_CONNECTION_STATS,
 }
-# Diag codes of the records that answer `stats conn`.
-_CONNECTION_STATS = (DiagCode.CONNECTION_RESPONSE, DiagCode.CPU_LOAD_RESPONSE)
+# First octets of the records that answer `stats conn`.
+_CONNECTION_STATS = (bytes([DiagCode.CONNECTION_RESPONSE]), bytes([DiagCode.CPU_LOAD_RESPONSE]))
 # Octets of each `test` parameter in a RunTest body.
 _TEST_OCTETS = (1, 1, 1, 1, 1, 1, 2)
 
@@ -240,13 +240,17 @@ class Session:
             return False, [f"usage: {USAGE.get(name, name)}  ({exc})"]
         except SessionError as exc:
             return False, [str(exc)]
+        except (BcmDiagError, IndexError, struct.error) as exc:
+            # An answer matched its command but could not be read.
+            return False, [f"{name}: unreadable answer ({exc})"]
 
     # ----- requests -----------------------------------------------------
 
     def _await(
         self, pred: Callable[[H4Frame], bool], what: str, timeout: float | None = None
     ) -> H4Frame:
-        """The one wait for an answer: the oldest frame ``pred`` accepts."""
+        """The one wait for an answer: the oldest frame ``pred`` accepts.
+        No predicate raises: a frame too short for a field it reads does not match."""
         frame = self.wait_frame(pred, timeout)
         if frame is None:
             raise SessionError(f"timeout waiting for {what}")
@@ -257,8 +261,9 @@ class Session:
         response of that code."""
         self.send_frame(msg.to_frame())
         if code is not None:
+            head = bytes([code])
             frame = self._await(
-                lambda f: f.h4_type is _DIAG and f.payload[0] == code,
+                lambda f: f.h4_type is _DIAG and f.payload[:1] == head,
                 f"diag 0x{code:02x}",
                 timeout,
             )
@@ -267,10 +272,11 @@ class Session:
     def _hci(self, opcode: int, params: bytes = b"") -> bytes:
         """Send one HCI command; return its Command Complete's return values."""
         self.send_frame(HciCommand(opcode, params).to_frame())
+        wire = opcode.to_bytes(2, "little")
         frame = self._await(
             lambda f: f.h4_type is _HCI_EVENT
-            and f.payload[0] == hci.EVT_COMMAND_COMPLETE
-            and struct.unpack_from("<H", f.payload, 3)[0] == opcode,
+            and f.payload[3:5] == wire
+            and f.payload[0] == hci.EVT_COMMAND_COMPLETE,
             f"command complete 0x{opcode:04x}",
         )
         return HciEvent.from_frame(frame).params[3:]
@@ -334,7 +340,7 @@ class Session:
         lines = []
         while True:
             frame = self._await(
-                lambda f: f.h4_type is _DIAG and f.payload[0] in _CONNECTION_STATS,
+                lambda f: f.h4_type is _DIAG and f.payload[:1] in _CONNECTION_STATS,
                 "connection stats",
             )
             msg = parse_diag(frame.payload)
@@ -366,14 +372,15 @@ class Session:
         mac_at, length = hci.CREATE_CONNECTION_LAYOUT[opcode]
         params = bytes(mac_at) + hci.mac_to_wire(_mac(args[0])) + bytes(length - mac_at - 6)
         self.send_frame(HciCommand(opcode, params).to_frame())
+        wire = opcode.to_bytes(2, "little")
 
         # The completion event, or a Command Status refusing the command:
         # no completion follows a refusal.
         def answers(f: H4Frame) -> bool:
-            if f.h4_type is not _HCI_EVENT:
+            if f.h4_type is not _HCI_EVENT or len(f.payload) < 3:
                 return False
             if f.payload[0] == hci.EVT_COMMAND_STATUS:
-                return f.payload[2] != 0 and struct.unpack_from("<H", f.payload, 4)[0] == opcode
+                return f.payload[2] != 0 and f.payload[4:6] == wire
             return f.payload[0] == event and (subevent is None or f.payload[2] == subevent)
 
         frame = self._await(answers, waiting_for, 5.0)
@@ -412,8 +419,8 @@ class Session:
             enabled, count = ret[1], ret[2]
             if not enabled:
                 return True, ["firewall disabled (all peers allowed)"]
-            macs = [
-                hci.format_mac(hci.mac_from_wire(ret[3 + 6 * i : 9 + 6 * i]))
+            macs = [  # unpacked, so an allowlist shorter than its count cannot be read
+                hci.format_mac(hci.mac_from_wire(struct.unpack_from("6s", ret, 3 + 6 * i)[0]))
                 for i in range(count)
             ]
             return True, [f"firewall allowlist ({count}):"] + [f"  {m}" for m in macs]

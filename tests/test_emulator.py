@@ -24,10 +24,10 @@ from bcmdiag.diag import (
     build_diag,
     parse_diag,
 )
-from bcmdiag.emulator import Controller, Phase, Role, Transport, attach_air_link
+from bcmdiag.emulator import Controller, Phase, Role, attach_air_link
 from bcmdiag.emulator.controller import CLASSIC_LINK, LE_LINK, LOG_FRAMES_MAX
 from bcmdiag.emulator.memory import ARM_BASE, VERSION_STRING
-from bcmdiag.emulator.profiles import patched_profile, vulnerable_profile
+from bcmdiag.emulator.profiles import HandlerAction, patched_profile, vulnerable_profile
 from bcmdiag.errors import AlreadyLinked, InvariantViolation
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent, encode_frame
 
@@ -157,7 +157,7 @@ class TestHciSurface:
         a, b = linked_pair
         handle = connect_pair(a, b, transport="le")
         conn = a.connections[handle]
-        assert conn.layer.transport is Transport.LE
+        assert conn.layer is LE_LINK
         assert conn.phase is Phase.CONNECTED
         metas = events_of(handle.frames, hci.EVT_LE_META)
         assert metas and metas[-1].params[0] == hci.LE_SUBEVT_CONNECTION_COMPLETE
@@ -853,11 +853,11 @@ class TestReplyLoopSafety:
         assert victim.clock > 0
 
 
-def _lmp(name, params=None):
+def _lmp(name, params=None, tid=0):
     opcode = ll.LMP_NAME_TO_OPCODE[name]
     if params is None:
         params = bytes(ll.LMP_OPCODES[opcode].param_len)
-    return bytes([opcode << 1]) + params
+    return bytes([opcode << 1 | tid]) + params
 
 
 def _lcp(name, params=None):
@@ -940,6 +940,14 @@ _BRANCHES = [
      ["tx 4a00000000000000000000000000000000", "rx 4c090f0009220000000000000000000000"],
      ["ignored LMP_version_res on handle 0x000b"],
      ["rx 4a00000000000000000000000000000000", "tx 4c090f0009220000000000000000000000"], []),
+    ("features tid 1", "classic", True, False, _lmp("LMP_features_req", tid=1),
+     ["tx 4f00000000000000000000000000000000", "rx 51bffecffedbff7b870000000000000000"],
+     ["ignored LMP_features_res on handle 0x000b"],
+     ["rx 4f00000000000000000000000000000000", "tx 51bffecffedbff7b870000000000000000"], []),
+    ("version tid 1", "classic", True, False, _lmp("LMP_version_req", tid=1),
+     ["tx 4b00000000000000000000000000000000", "rx 4d090f0009220000000000000000000000"],
+     ["ignored LMP_version_res on handle 0x000b"],
+     ["rx 4b00000000000000000000000000000000", "tx 4d090f0009220000000000000000000000"], []),
     ("version", "le", True, False, _lcp("LL_VERSION_IND"),
      ["tx 0c0000000000"], [],
      ["rx 0c0000000000"], ["ignored LL_VERSION_IND on handle 0x000b"]),
@@ -997,6 +1005,88 @@ class TestLinkLayerBranches:
 
         assert (log(host_a), notes(a, seen_a)) == (log_a, notes_a)
         assert (log(host_b), notes(b, seen_b)) == (log_b, notes_b)
+
+
+def _unconnected_pdus():
+    """(name, layer, octets) for every name in the LMP, extended-LMP and
+    LCP opcode tables, each with a zero body of its table length."""
+    for entry in ll.LMP_OPCODES.values():
+        yield entry.name, CLASSIC_LINK, bytes([entry.value << 1]) + bytes(entry.param_len)
+    for entry in ll.LMP_EXT_OPCODES.values():
+        yield entry.name, CLASSIC_LINK, bytes([ll.LMP_ESCAPE_4 << 1, entry.value]) + bytes(
+            entry.param_len
+        )
+    for entry in ll.LCP_OPCODES.values():
+        yield entry.name, LE_LINK, bytes([entry.value]) + bytes(entry.param_len)
+
+
+class TestNeverAnswered:
+    # The PDUs a controller only notes when an unconnected peer sends them:
+    # replies and rejections, which answering could bounce forever.
+    NOTED = {
+        "LMP_accepted",
+        "LMP_not_accepted",
+        "LMP_accepted_ext",
+        "LMP_not_accepted_ext",
+        "LMP_features_res",
+        "LMP_version_res",
+        "LMP_setup_complete",
+        "LL_REJECT_IND",
+        "LL_REJECT_EXT_IND",
+        "LL_UNKNOWN_RSP",
+        "LL_FEATURE_RSP",
+        "LL_VERSION_IND",
+        "LL_PING_RSP",
+        "LL_TERMINATE_IND",
+    }
+
+    def test_an_unconnected_peer_is_noted_or_refused(self):
+        """Every table name but the setup openers, from an unconnected
+        peer: the NOTED names are noted and answered with nothing, every
+        other name is refused with one rejection."""
+        a, b = Controller(MAC_A), Controller(MAC_B)
+        attach_air_link(a, b)
+        b.diag_log_enabled = True
+        host_b = HostRecorder(b)
+        openers = {layer.script[0].pdu_name for layer in (CLASSIC_LINK, LE_LINK)}
+        noted, refused, names = set(), set(), set()
+        for name, layer, raw in _unconnected_pdus():
+            if name in openers:
+                continue
+            names.add(name)
+            seen = len(b.audit)
+            (a.inject_lmp if layer is CLASSIC_LINK else a.inject_lcp)(raw)
+            sent = [m.payload for m in diag_messages(host_b.take()) if m.sent]
+            notes = [note.split("] ", 1)[1] for note in list(b.audit)[seen:]]
+            if not sent and notes == [f"{name} from unconnected {_MAC_A}"]:
+                noted.add(name)
+            elif len(sent) == 1 and layer.is_reject(sent[0]):
+                refused.add(name)
+        assert noted == self.NOTED
+        assert refused == names - self.NOTED
+        assert not a.connections and not b.connections
+
+
+class TestSnapshot:
+    def test_a_snapshot_is_a_copy(self):
+        """Edits made after a snapshot reach no earlier snapshot; a new
+        one differs in exactly the keys they touch."""
+        a, b = Controller(MAC_A, profile=vulnerable_profile()), Controller(MAC_B)
+        attach_air_link(a, b)
+        before = a.snapshot()
+        a.process_host_frame(
+            HciCommand(hci.OPCODE_VSC_FIREWALL_ADD, hci.mac_to_wire(MAC_B)).to_frame()
+        )
+        a.profile.bpcs_overflow_map[0x33] = HandlerAction.NOP
+        a.process_host_frame(
+            H4Frame.diag(build_diag(MemoryPoke(MemAccessType.ARM, ARM_BASE + 0x100, 0x5A)))
+        )
+        connect_pair(a, b)
+        assert before == Controller(MAC_A, profile=vulnerable_profile()).snapshot()
+        after = a.snapshot()
+        assert {key for key in after if after[key] != before[key]} == {
+            "profile", "memory", "connections"
+        }
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
-"""Every name a bcmdiag module imports is used in it: an ``ast`` scan,
-since no linter is installed.  A name counts as used where the module
-reads it, names it in a quoted annotation, or lists it in ``__all__``."""
+"""Every name a bcmdiag module imports, and every private name it
+defines at module level, is used in it: an ``ast`` scan, since no linter
+is installed.  A name counts as used where the module reads it, names it
+in a quoted annotation, or lists it in ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -20,18 +21,10 @@ def _quoted_names(annotation):
                     yield name.id
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
-    imported: dict[str, int] = {}
+def _used_names(tree: ast.Module) -> set[str]:
     used: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
             annotation = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
@@ -40,7 +33,43 @@ def unused_imports(source: str) -> list[str]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = _used_names(tree)
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level functions, classes and assignments whose names start
+    with one underscore and that the module itself never reads."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    used = _used_names(tree)
+    return [
+        f"{name} (line {line})"
+        for name, line in sorted(defined.items())
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
 
 
 def test_the_scan_sees_what_it_must():
@@ -60,3 +89,26 @@ def test_the_scan_sees_what_it_must():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def test_the_private_name_scan_sees_what_it_must():
+    source = (
+        "import struct\n"
+        "_USED, _DEAD_PAIR = 1, 2\n"
+        "_dead_table: dict = {}\n"
+        "__version__ = '1'\n"
+        "Public = 3\n"
+        "def _helper(): return _USED\n"
+        "def _dead(): pass\n"
+        "class _Dead: pass\n"
+        "def f(x: '_Quoted') -> None: return _helper()\n"
+        "class _Quoted: pass\n"
+    )
+    assert unread_private_names(source) == [
+        "_DEAD_PAIR (line 2)", "_Dead (line 8)", "_dead (line 7)", "_dead_table (line 3)"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_unread_private_name(path):
+    assert unread_private_names(path.read_text("utf-8")) == []

@@ -1,0 +1,74 @@
+"""``Session.execute`` never raises on a controller's answer: a frame too
+short for a field an answer predicate reads does not match, and an
+answer that matches but cannot be read fails its command with one line."""
+
+from contextlib import nullcontext
+
+import pytest
+
+from bcmdiag import hci
+from bcmdiag.diag import DiagCode
+from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciEvent
+from bcmdiag.session import Session
+
+
+class StubSession(Session):
+    """Answers every send with the same frames, queued after its echo."""
+
+    def __init__(self, answers: list[H4Frame]) -> None:
+        super().__init__(lock=nullcontext())
+        self.answers = answers
+
+    def _send(self, frame: H4Frame) -> None:
+        self._queue_records(
+            [(Direction.HOST_TO_CONTROLLER, frame)]
+            + [(Direction.CONTROLLER_TO_HOST, answer) for answer in self.answers]
+        )
+
+    def wait_frame(self, pred, timeout=None):
+        return self._take_frame(pred)
+
+
+def _diag(code: DiagCode) -> H4Frame:
+    """A full envelope of ``code`` whose last octet is not zero padding."""
+    return H4Frame.diag(bytes([code]) + bytes(DIAG_PAYLOAD_LEN - 2) + b"\x01")
+
+
+def _complete(opcode: int, return_params: bytes) -> H4Frame:
+    return HciEvent(hci.EVT_COMMAND_COMPLETE, hci.command_complete(opcode, return_params)).to_frame()
+
+
+_UNREADABLE = {  # test id -> (command line, answer)
+    "peek": ("peek arm 0x200000", _diag(DiagCode.PEEK_RESPONSE)),
+    "poke": ("poke arm 0x200000 11", _diag(DiagCode.POKE_RESPONSE)),
+    "dump": ("dump 0x200000", _diag(DiagCode.HEXDUMP_RESPONSE)),
+    "test": ("test", _diag(DiagCode.TEST_COMPLETED)),
+    "stats br": ("stats br", _diag(DiagCode.BR_ACL_STATS)),
+    "stats conn": ("stats conn", _diag(DiagCode.CONNECTION_RESPONSE)),
+    "version": ("version", _complete(hci.OPCODE_READ_LOCAL_VERSION, b"\x00")),
+    "firewall show": ("firewall show", _complete(hci.OPCODE_VSC_FIREWALL_SHOW, b"")),
+    "firewall show, one MAC of two": (
+        "firewall show",
+        _complete(hci.OPCODE_VSC_FIREWALL_SHOW, bytes([0, 1, 2]) + bytes(6)),
+    ),
+    "connect": (
+        "connect 00:11:22:33:44:02", HciEvent(hci.EVT_CONNECTION_COMPLETE, b"\x00").to_frame()
+    ),
+    "leconnect": ("leconnect 00:11:22:33:44:02", HciEvent(hci.EVT_LE_META, b"\x01").to_frame()),
+    # Too short to name its opcode: it matches nothing.
+    "sendlmp": ("sendlmp 000b 00", H4Frame(H4Type.HCI_EVENT, b"\x0e\x02\x01\x58")),
+}
+
+
+@pytest.mark.parametrize("empty_first", [False, True], ids=["alone", "after-empty"])
+@pytest.mark.parametrize("line, answer", list(_UNREADABLE.values()), ids=list(_UNREADABLE))
+def test_an_unreadable_answer_fails_its_command(line, answer, empty_first):
+    """Each waiting command sees an answer it cannot read, alone or after
+    an empty frame of the same type, which no predicate may match."""
+    session = StubSession([H4Frame(answer.h4_type, b"")] * empty_first + [answer])
+    ok, lines = session.execute(line)
+    name = line.split()[0]
+    if name == "sendlmp":
+        assert (ok, lines) == (False, ["timeout waiting for command complete 0xfc58"])
+    else:
+        assert not ok and len(lines) == 1 and lines[0].startswith(f"{name}: unreadable answer ("), lines
