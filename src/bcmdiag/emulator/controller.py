@@ -140,23 +140,18 @@ _REPLIES = {
     "LL_FEATURE_REQ": "LL_FEATURE_RSP",
     "LL_PING_REQ": "LL_PING_RSP",
 }
-# PDUs of either layer that are replies or rejections themselves and
-# must never be answered: answering one could bounce between two ends forever.
-_NEVER_ANSWERED = frozenset(
-    {
-        "LMP_accepted",
-        "LMP_not_accepted",
-        "LMP_accepted_ext",
-        "LMP_not_accepted_ext",
-        "LMP_setup_complete",
-        "LL_REJECT_IND",
-        "LL_REJECT_EXT_IND",
-        "LL_UNKNOWN_RSP",
-        "LL_VERSION_IND",
-        "LL_TERMINATE_IND",
-        *_REPLIES.values(),
-    }
+# The rejections of either layer.  A PDU with no connection to live on,
+# from a firewalled or an unconnected peer, is refused unless it is one:
+# answering a rejection could bounce between two ends forever.
+_REJECTIONS = frozenset(
+    {"LMP_not_accepted", "LMP_not_accepted_ext", "LL_REJECT_IND", "LL_REJECT_EXT_IND"}
 )
+# BPCS request subtype -> the subtype that answers it on a live link.
+_BPCS_REPLIES = {
+    ll.BPCS_FEATURES_REQUEST: ll.BPCS_FEATURES_RESPONSE,
+    ll.BPCS_BFC_SUSPEND: ll.BPCS_ACCEPT,
+    ll.BPCS_BFC_RESUME: ll.BPCS_ACCEPT,
+}
 
 
 def _lmp_log_record(sent: bool, peer_mac: bytes, pdu: bytes) -> diag.LmpLogRecord:
@@ -171,19 +166,6 @@ def _lmp_not_accepted(opcode: int, tid: int = 0) -> bytes:
     return CLASSIC_LINK.octets("LMP_not_accepted", tid, bytes([opcode & 0x7F]) + _NOT_ALLOWED)
 
 
-def _is_lmp_reject(raw: bytes) -> bool:
-    if not raw:
-        return False
-    opcode = raw[0] >> 1
-    if opcode == ll.LMP_NAME_TO_OPCODE["LMP_not_accepted"]:
-        return True
-    return (
-        opcode == ll.LMP_ESCAPE_4
-        and len(raw) >= 2
-        and raw[1] == ll.LMP_EXT_NAME_TO_OPCODE["LMP_not_accepted_ext"]
-    )
-
-
 @value_class
 class LinkLayer:
     """Everything the Classic (LMP) and LE (LCP) link layers do
@@ -195,7 +177,6 @@ class LinkLayer:
     name_to_opcode: dict[str, int]
     opcodes: dict[int, ll.OpcodeEntry]
     log_record: Callable[[bool, bytes, bytes], DiagMessage]  # (sent, peer MAC, octets)
-    is_reject: Callable[[bytes], bool]
     # The refusal of a PDU's octets, or None when they name nothing to refuse.
     reject: Callable[[bytes], bytes | None]
     refuse_undissectable: bool
@@ -223,7 +204,6 @@ CLASSIC_LINK = LinkLayer(
     name_to_opcode=ll.LMP_NAME_TO_OPCODE,
     opcodes=ll.LMP_OPCODES,
     log_record=_lmp_log_record,
-    is_reject=_is_lmp_reject,
     reject=lambda raw: _lmp_not_accepted(raw[0] >> 1) if raw else None,
     refuse_undissectable=True,
     unhandled=_lmp_not_accepted,
@@ -244,9 +224,6 @@ LE_LINK = LinkLayer(
     # A record holds at most MAX_PAYLOAD octets; a longer PDU is cut, as LMP's at 17.
     log_record=lambda sent, peer_mac, pdu: diag.LcpLogRecord(
         sent=sent, full_mac=peer_mac, payload=pdu[: diag.LcpLogRecord.MAX_PAYLOAD]
-    ),
-    is_reject=lambda raw: bool(raw) and raw[0] in (
-        ll.LCP_NAME_TO_OPCODE["LL_REJECT_IND"], ll.LCP_NAME_TO_OPCODE["LL_REJECT_EXT_IND"]
     ),
     reject=lambda _raw: LE_LINK.octets("LL_REJECT_IND", 0, _NOT_ALLOWED),
     refuse_undissectable=False,
@@ -734,14 +711,46 @@ class Controller:
         layer = _LINK_BY_KIND[kind]
         self._log(layer, False, from_mac, raw)
         allow = self.profile.firewall_allowlist
-        if allow is not None and from_mac not in allow:
+        firewalled = allow is not None and from_mac not in allow
+        if firewalled:
             self._note(f"firewall rejected {layer.kind.upper()} from {hci.format_mac(from_mac)}")
-            # Replying to a rejection with a rejection would ping-pong
-            # between two firewalled ends forever.
-            if not layer.is_reject(raw):
+        try:  # a constant's octets are dissected already
+            pdu = layer.pdus.get(raw) or layer.dissect(raw)
+        except BcmDiagError as exc:
+            if not firewalled:
+                self._note(f"undissectable {layer.kind.upper()} from {hci.format_mac(from_mac)}: {exc}")
+            if layer.refuse_undissectable:
                 self._refuse(layer, from_mac, raw)
             return
-        self._handle_link_pdu(layer, from_mac, raw)
+        name = pdu.name
+        conn = None if firewalled else self._find_connection(from_mac, layer)
+        if conn is None:
+            # A setup opener from an allowed peer creates the inbound (slave)
+            # side; anything else has no connection to live on.
+            if firewalled or name != layer.script[0].pdu_name:
+                if name not in _REJECTIONS:
+                    self._refuse(layer, from_mac, raw)
+                elif not firewalled:
+                    self._note(f"{name} from unconnected {hci.format_mac(from_mac)}")
+                return
+            conn = self._new_connection(from_mac, Role.SLAVE, layer)
+
+        if isinstance(pdu, ll.BpcsPdu):
+            self._handle_bpcs(conn, pdu)
+            return
+
+        script = layer.script
+        if conn.script_cursor < len(script) and script[conn.script_cursor].pdu_name == name:
+            # The peer's next setup step.
+            conn.script_cursor += 1
+            self._advance_script(conn)
+            return
+
+        handler = self._LINK_HANDLERS.get(name)
+        if handler is None:
+            self._send(conn, layer.unhandled(pdu.opcode, conn.tid))
+            return
+        handler(self, conn, pdu)
 
     def _peer_vanished(self, from_mac: bytes) -> None:
         for conn in [c for c in self.connections.values() if c.peer_mac == from_mac]:
@@ -838,47 +847,6 @@ class Controller:
 
     # ----- inbound link-layer handling ------------------------------------------
 
-    def _handle_link_pdu(self, layer: LinkLayer, from_mac: bytes, raw: bytes) -> None:
-        try:  # a constant's octets are dissected already
-            pdu = layer.pdus.get(raw) or layer.dissect(raw)
-        except BcmDiagError as exc:
-            self._note(f"undissectable {layer.kind.upper()} from {hci.format_mac(from_mac)}: {exc}")
-            if layer.refuse_undissectable:
-                self._refuse(layer, from_mac, raw)
-            return
-
-        conn = self._find_connection(from_mac, layer)
-
-        if isinstance(pdu, ll.BpcsPdu):
-            self._handle_bpcs(from_mac, conn, pdu)
-            return
-
-        name = pdu.name
-
-        if conn is None:
-            # A fresh setup opener creates the inbound (slave) side; anything
-            # else has no connection to live on: it is noted or refused.
-            if name != layer.script[0].pdu_name:
-                if name in _NEVER_ANSWERED:
-                    self._note(f"{name} from unconnected {hci.format_mac(from_mac)}")
-                else:
-                    self._refuse(layer, from_mac, raw)
-                return
-            conn = self._new_connection(from_mac, Role.SLAVE, layer)
-
-        script = layer.script
-        if conn.script_cursor < len(script) and script[conn.script_cursor].pdu_name == name:
-            # The peer's next setup step.
-            conn.script_cursor += 1
-            self._advance_script(conn)
-            return
-
-        handler = self._LINK_HANDLERS.get(name)
-        if handler is None:
-            self._send(conn, layer.unhandled(pdu.opcode, conn.tid))
-            return
-        handler(self, conn, pdu)
-
     def _ignore(self, conn: Connection, pdu: ll.LinkPdu) -> None:
         self._note(f"ignored {pdu.name} on handle 0x{conn.handle:04x}")
 
@@ -926,10 +894,11 @@ class Controller:
     # PDU name -> handler, for both link layers (their names never
     # collide); a PDU without one gets its layer's ``unhandled`` answer.
     _LINK_HANDLERS = {
-        # Replies and vendor LCPs need no answer; only an accepted one
-        # changes state and only a terminate ends the link.
+        # Replies, rejections and vendor LCPs need no answer; only an
+        # accepted one changes state and only a terminate ends the link.
         **dict.fromkeys(
-            _NEVER_ANSWERED | {"LMP_IO_capability_res"}
+            _REJECTIONS | {*_REPLIES.values(), "LMP_accepted_ext", "LMP_setup_complete",
+                           "LL_UNKNOWN_RSP", "LL_VERSION_IND", "LMP_IO_capability_res"}
             | {ll.vendor_lcp(subtype).name for subtype in ll.LCP_VENDOR_NAMES},
             _ignore,
         ),
@@ -942,15 +911,7 @@ class Controller:
         "LL_TERMINATE_IND": _detach,
     }
 
-    def _handle_bpcs(
-        self, from_mac: bytes, conn: Connection | None, pdu: ll.BpcsPdu
-    ) -> None:
-        if conn is None:
-            if pdu.subtype in (ll.BPCS_FEATURES_REQUEST, ll.BPCS_BFC_SUSPEND, ll.BPCS_BFC_RESUME):
-                self._send_raw(CLASSIC_LINK, from_mac, _lmp_not_accepted(ll.BPCS_OPCODE))
-            else:
-                self._note(f"{pdu.name} from unconnected {hci.format_mac(from_mac)}")
-            return
+    def _handle_bpcs(self, conn: Connection, pdu: ll.BpcsPdu) -> None:
         if pdu.subtype > ll.BPCS_MAX_SUBTYPE:
             if self.profile.bpcs_bounds_check:
                 self._send(conn, ll.build_lmp(
@@ -967,11 +928,9 @@ class Controller:
             elif action is HandlerAction.CRASH:
                 self.crash(f"BPCS handler overflow (subtype 0x{pdu.subtype:02x})")
             return
-        if pdu.subtype == ll.BPCS_FEATURES_REQUEST:
-            self._send(conn, ll.build_lmp(ll.BpcsPdu(ll.BPCS_FEATURES_RESPONSE, pdu.tid)))
-        elif pdu.subtype in (ll.BPCS_BFC_SUSPEND, ll.BPCS_BFC_RESUME):
-            self._send(conn, ll.build_lmp(ll.BpcsPdu(ll.BPCS_ACCEPT, pdu.tid)))
-        # Responses (Features Response, Not Accept, Accept) need no reply.
+        reply = _BPCS_REPLIES.get(pdu.subtype)
+        if reply is not None:  # responses (Features Response, Not Accept, Accept) need none
+            self._send(conn, ll.build_lmp(ll.BpcsPdu(reply, pdu.tid)))
 
     def _enter_dut_mode(self) -> None:
         self.test_mode_active = True

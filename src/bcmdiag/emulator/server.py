@@ -277,12 +277,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     text = _DEFAULT_SCENARIO
-    if args.scenario:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            text = fh.read()
-
-    ok, world, _transcript = run_scenario(text, on_line=lambda line: print(line, flush=True))
-    server = EmulatorServer(world, host=args.host, base_port=args.base_port)
+    try:  # a bad scenario file or a taken port ends the start with one line
+        if args.scenario:
+            with open(args.scenario, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        ok, world, _transcript = run_scenario(text, on_line=lambda line: print(line, flush=True))
+        server = EmulatorServer(world, host=args.host, base_port=args.base_port)
+    except (OSError, ValueError, BcmDiagError) as exc:
+        print(f"bcmdiag-emu: {exc}", file=sys.stderr)
+        return 2
     server.start()
     for name, (sniff, inject) in server.port_map().items():
         print(f"{name}: sniff {args.host}:{sniff}  inject {args.host}:{inject}", flush=True)

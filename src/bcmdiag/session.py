@@ -465,7 +465,7 @@ class Session:
                         f"{self._capture_path} (skipped {skipped} non-HCI)"
                     ]
                 capture.write_pcap(records, self._capture_path)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
                 # Keep the records, so a stop can be retried once the
                 # path is writable.
                 self.capture_records = records
@@ -503,7 +503,7 @@ class Session:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or a NUL in the path
             return False, [str(exc)]
         ok = True
         out: list[str] = []

@@ -907,11 +907,15 @@ _BRANCHES = [
      ["tx 12", "rx 0d24"], [f"LL_REJECT_IND from unconnected {_MAC_B}"],
      ["rx 12", "tx 0d24"], []),
     ("unconnected reply", "classic", False, False, _lmp("LMP_accepted", bytes([39])),
-     ["tx 0627000000000000000000000000000000"], [],
-     ["rx 0627000000000000000000000000000000"], [f"LMP_accepted from unconnected {_MAC_A}"]),
+     ["tx 0627000000000000000000000000000000", "rx 0803240000000000000000000000000000"],
+     [f"LMP_not_accepted from unconnected {_MAC_B}"],
+     ["rx 0627000000000000000000000000000000", "tx 0803240000000000000000000000000000"], []),
     ("unconnected reply", "le", False, False, _lcp("LL_PING_RSP"),
-     ["tx 13"], [],
-     ["rx 13"], [f"LL_PING_RSP from unconnected {_MAC_A}"]),
+     ["tx 13", "rx 0d24"], [f"LL_REJECT_IND from unconnected {_MAC_B}"],
+     ["rx 13", "tx 0d24"], []),
+    ("undissectable at firewall", "le", False, True, _lcp("LL_FEATURE_REQ", bytes(2)),
+     ["tx 080000"], [],
+     ["rx 080000"], [f"firewall rejected LCP from {_MAC_A}"]),
     ("unknown opcode", "classic", True, False, bytes([70 << 1, 0, 0]),
      ["tx 8c00000000000000000000000000000000", "rx 0846240000000000000000000000000000"],
      ["ignored LMP_not_accepted on handle 0x000b"],
@@ -960,6 +964,16 @@ _BRANCHES = [
     ("vendor", "le", True, False, ll.build_lcp(ll.vendor_lcp(1, b"\x01")),
      ["tx ff0101"], [],
      ["rx ff0101"], ["ignored LCP Vendor Feature Request on handle 0x000b"]),
+    ("bfc suspend", "classic", True, False, ll.build_lmp(ll.BpcsPdu(ll.BPCS_BFC_SUSPEND, 1)),
+     ["tx 0103000000000000000000000000000000", "rx 0105000000000000000000000000000000"], [],
+     ["rx 0103000000000000000000000000000000", "tx 0105000000000000000000000000000000"], []),
+    ("bfc resume", "classic", True, False, ll.build_lmp(ll.BpcsPdu(ll.BPCS_BFC_RESUME, 1)),
+     ["tx 0104000000000000000000000000000000", "rx 0105000000000000000000000000000000"], [],
+     ["rx 0104000000000000000000000000000000", "tx 0105000000000000000000000000000000"], []),
+    ("features response", "classic", True, False,
+     ll.build_lmp(ll.BpcsPdu(ll.BPCS_FEATURES_RESPONSE)),
+     ["tx 0001000000000000000000000000000000"], [],
+     ["rx 0001000000000000000000000000000000"], []),
     ("disconnect", "classic", True, False, None,
      ["tx 0e13000000000000000000000000000000"], [],
      ["rx 0e13000000000000000000000000000000"], []),
@@ -1007,64 +1021,59 @@ class TestLinkLayerBranches:
         assert (log(host_b), notes(b, seen_b)) == (log_b, notes_b)
 
 
-def _unconnected_pdus():
-    """(name, layer, octets) for every name in the LMP, extended-LMP and
-    LCP opcode tables, each with a zero body of its table length."""
-    for entry in ll.LMP_OPCODES.values():
-        yield entry.name, CLASSIC_LINK, bytes([entry.value << 1]) + bytes(entry.param_len)
-    for entry in ll.LMP_EXT_OPCODES.values():
-        yield entry.name, CLASSIC_LINK, bytes([ll.LMP_ESCAPE_4 << 1, entry.value]) + bytes(
-            entry.param_len
-        )
-    for entry in ll.LCP_OPCODES.values():
-        yield entry.name, LE_LINK, bytes([entry.value]) + bytes(entry.param_len)
+def _air_pdus():
+    """(label, layer, octets): every name in the LMP, extended-LMP and LCP
+    opcode tables with a zero body of its table length, each LCP name with
+    one octet more, every BPCS subtype, vendor LCP subtypes 0x00-0x05 and
+    an empty PDU of each layer; the setup openers come last."""
+    pdus = [(e.name, CLASSIC_LINK, bytes([e.value << 1]) + bytes(e.param_len))
+            for e in ll.LMP_OPCODES.values()]
+    pdus += [(e.name, CLASSIC_LINK, bytes([ll.LMP_ESCAPE_4 << 1, e.value]) + bytes(e.param_len))
+             for e in ll.LMP_EXT_OPCODES.values()]
+    for e in ll.LCP_OPCODES.values():
+        pdus.append((e.name, LE_LINK, bytes([e.value]) + bytes(e.param_len)))
+        pdus.append((f"{e.name} + 1", LE_LINK, bytes([e.value]) + bytes(e.param_len + 1)))
+    pdus += [(f"BPCS 0x{s:02x}", CLASSIC_LINK, bytes([ll.BPCS_OPCODE << 1, s])) for s in range(256)]
+    pdus += [(f"LCP vendor 0x{s:02x}", LE_LINK, bytes([0xFF, s])) for s in range(6)]
+    pdus += [("empty LMP", CLASSIC_LINK, b""), ("empty LCP", LE_LINK, b"")]
+    return sorted(pdus, key=lambda pdu: pdu[0] in _OPENERS)
 
 
-class TestNeverAnswered:
-    # The PDUs a controller only notes when an unconnected peer sends them:
-    # replies and rejections, which answering could bounce forever.
-    NOTED = {
-        "LMP_accepted",
-        "LMP_not_accepted",
-        "LMP_accepted_ext",
-        "LMP_not_accepted_ext",
-        "LMP_features_res",
-        "LMP_version_res",
-        "LMP_setup_complete",
-        "LL_REJECT_IND",
-        "LL_REJECT_EXT_IND",
-        "LL_UNKNOWN_RSP",
-        "LL_FEATURE_RSP",
-        "LL_VERSION_IND",
-        "LL_PING_RSP",
-        "LL_TERMINATE_IND",
-    }
+_OPENERS = {layer.script[0].pdu_name for layer in (CLASSIC_LINK, LE_LINK)}
+_REJECTIONS = {"LMP_not_accepted", "LMP_not_accepted_ext", "LL_REJECT_IND", "LL_REJECT_EXT_IND"}
 
-    def test_an_unconnected_peer_is_noted_or_refused(self):
-        """Every table name but the setup openers, from an unconnected
-        peer: the NOTED names are noted and answered with nothing, every
-        other name is refused with one rejection."""
+
+class TestOneAdmissionRule:
+    """A PDU with no connection to live on draws the same answer whether
+    B's firewall or the missing connection stopped it."""
+
+    @staticmethod
+    def _answers(allowlist):
+        """What B sends A for each of _air_pdus(), and the names B notes
+        as coming from an unconnected peer.  A answers nothing."""
         a, b = Controller(MAC_A), Controller(MAC_B)
         attach_air_link(a, b)
-        b.diag_log_enabled = True
-        host_b = HostRecorder(b)
-        openers = {layer.script[0].pdu_name for layer in (CLASSIC_LINK, LE_LINK)}
-        noted, refused, names = set(), set(), set()
-        for name, layer, raw in _unconnected_pdus():
-            if name in openers:
-                continue
-            names.add(name)
+        b.profile.firewall_allowlist = allowlist
+        sent = []
+        a.deliver_air = lambda _mac, kind, data: sent.append(f"{kind} {data.hex()}")
+        answers, noted, suffix = {}, set(), f" from unconnected {_MAC_A}"
+        for label, layer, raw in _air_pdus():
             seen = len(b.audit)
             (a.inject_lmp if layer is CLASSIC_LINK else a.inject_lcp)(raw)
-            sent = [m.payload for m in diag_messages(host_b.take()) if m.sent]
+            answers[label], sent[:] = sent[:], []
             notes = [note.split("] ", 1)[1] for note in list(b.audit)[seen:]]
-            if not sent and notes == [f"{name} from unconnected {_MAC_A}"]:
-                noted.add(name)
-            elif len(sent) == 1 and layer.is_reject(sent[0]):
-                refused.add(name)
-        assert noted == self.NOTED
-        assert refused == names - self.NOTED
-        assert not a.connections and not b.connections
+            noted.update(n.removesuffix(suffix) for n in notes if n.endswith(suffix))
+        return answers, noted
+
+    def test_firewalled_and_unconnected_peers_are_answered_alike(self):
+        firewalled, noted_behind = self._answers(set())
+        unconnected, noted = self._answers({MAC_A})
+        assert len(firewalled) == len(list(_air_pdus())) == len(unconnected)
+        assert {k for k in firewalled if firewalled[k] != unconnected[k]} == _OPENERS
+        # Only the rejections go unanswered for being rejections.
+        assert noted == _REJECTIONS and not noted_behind
+        assert all(not firewalled[name] for name in _REJECTIONS)
+        assert all(len(sent) <= 1 for sent in firewalled.values())
 
 
 class TestSnapshot:

@@ -252,6 +252,15 @@ class TestRunning:
         )
         assert session.execute("version")[0]
 
+    def test_scenario_run_of_an_undecodable_file_fails_with_one_line(self, tmp_path):
+        path = tmp_path / "latin1.scenario"
+        path.write_bytes(b"A: version\nA: peek arm 0x200000 # \xe9t\xe9\n")
+        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        session = LocalSession(world, "A")
+        ok, lines = session.execute(f"scenario run {path}")
+        assert not ok and len(lines) == 1 and "utf-8" in lines[0]
+        assert session.execute("version")[0]
+
     def test_failure_propagates(self):
         ok, _world, transcript = run_scenario(TOPOLOGY + "A: peek arm 0xdead0000\n")
         assert not ok

@@ -25,7 +25,7 @@ from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, p
 from bcmdiag.emulator import Controller
 from bcmdiag.emulator.memory import ARM_BASE
 from bcmdiag.emulator.scenario import LocalSession, build_world
-from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout
+from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout, main
 from bcmdiag.errors import InvariantViolation, SessionError
 from bcmdiag.h4 import (
     Direction,
@@ -1201,6 +1201,43 @@ class TestBatchMode:
             assert "manufacturer" in text
         finally:
             session.close()
+
+
+    def test_undecodable_script_fails_with_one_line(self, served_world, tmp_path):
+        _world, server = served_world
+        script = tmp_path / "latin1.script"
+        script.write_bytes(b"version\n\xff\xfe\n")
+        session = _session(server, "A")
+        out = io.StringIO()
+        try:
+            assert run_batch(session, str(script), out=out) == 1
+            assert out.getvalue().count("\n") == 1 and "utf-8" in out.getvalue()
+        finally:
+            session.close()
+
+
+class TestEmulatorStartFailures:
+    """A start that cannot serve ends with one ``bcmdiag-emu:`` line on
+    stderr and status 2, before it serves anything."""
+
+    @pytest.mark.parametrize("contents, reason", [
+        (None, "No such file"),
+        (b"controller A mac=00:11:22:33:44:01\n\xff\n", "utf-8"),
+        (b"frobnicate all the things\n", "scenario line 1"),
+    ], ids=["missing", "undecodable", "invalid"])
+    def test_bad_scenario_file(self, tmp_path, capsys, contents, reason):
+        path = tmp_path / "start.scenario"
+        if contents is not None:
+            path.write_bytes(contents)
+        assert main(["--scenario", str(path), "--base-port", str(free_base_port())]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bcmdiag-emu: ") and err.count("\n") == 1 and reason in err
+
+    def test_taken_port(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            assert main(["--base-port", str(taken.getsockname()[1])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bcmdiag-emu: ") and err.count("\n") == 1
 
 
 class TestStartUp:

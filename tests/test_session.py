@@ -1,15 +1,20 @@
-"""``Session.execute`` never raises on a controller's answer: a frame too
-short for a field an answer predicate reads does not match, and an
-answer that matches but cannot be read fails its command with one line."""
+"""``Session.execute`` never raises.  On a controller's answer: a frame
+too short for a field an answer predicate reads does not match, and an
+answer that matches but cannot be read fails its command with one line.
+On an operator's line: any command with edge-value arguments, and any
+``scenario run`` file, whatever its octets or nesting, returns (ok, lines)."""
 
+import re
 from contextlib import nullcontext
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bcmdiag import hci
 from bcmdiag.diag import DiagCode
+from bcmdiag.emulator.scenario import LocalSession, build_world
 from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciEvent
-from bcmdiag.session import Session
+from bcmdiag.session import USAGE, Session
 
 
 class StubSession(Session):
@@ -72,3 +77,47 @@ def test_an_unreadable_answer_fails_its_command(line, answer, empty_first):
         assert (ok, lines) == (False, ["timeout waiting for command complete 0xfc58"])
     else:
         assert not ok and len(lines) == 1 and lines[0].startswith(f"{name}: unreadable answer ("), lines
+
+
+_TWO_CHIPS = "controller A mac=00:11:22:33:44:01\ncontroller B mac=00:11:22:33:44:02\nlink A B\n"
+# Argument edge values: hex and decimal edges, MACs, every word of USAGE
+# and text no codec expects.  Paths are added per test, under tmp_path.
+_TOKENS = [
+    "0", "0x0", "0xff", "0x100", "0xffff", "0x10000", "0xffffffff", "0x100000000", "0x200000",
+    "-1", "0x", "zz", "000b", "0e13", "000", "9" * 4301,
+    "00:11:22:33:44:01", "00:11:22:33:44:02", "ff:ff:ff:ff:ff:ff", "00:11:22:33:44", "0:1:2:3:4:5:6",
+    "\u00e9", "\u0663", "\u00ff\u0100", "\udcff", "\x00", "#",
+    *sorted({word for usage in USAGE.values() for word in re.findall(r"[\w-]+", usage)}),
+]
+_NAMES = sorted(USAGE)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_no_command_line_raises(tmp_path, monkeypatch, data):
+    """Lines of each USAGE name with 0-4 edge tokens, and ``scenario run``
+    of generated files: random octets, invalid UTF-8, generated lines, and
+    a file that runs itself deeper than SCENARIO_DEPTH_MAX.  A bare token
+    such as ``edr`` can name a capture file, so the working directory is
+    tmp_path too."""
+    monkeypatch.chdir(tmp_path)
+    files = [str(tmp_path / f"s{i}.scenario") for i in range(3)]
+    tokens = st.sampled_from(_TOKENS + files + [str(tmp_path), str(tmp_path / "cap.pcapng")])
+    lines = st.builds(
+        lambda name, args: " ".join([name, *args]),
+        st.sampled_from(_NAMES), st.lists(tokens, max_size=4))
+    for path in files:
+        body = data.draw(st.one_of(
+            st.binary(max_size=64),
+            st.lists(lines, max_size=4).map(lambda ls: "\n".join(ls).encode("utf-8", "surrogatepass")),
+            st.just(b"version\n\xff\xfe\n"),  # invalid UTF-8 after a good line
+            st.just(f"A: version\nscenario run {path}\n".encode()),  # nests past the bound
+        ))
+        with open(path, "wb") as fh:
+            fh.write(body)
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    for line in [f"scenario run {path}" for path in files] + data.draw(st.lists(lines, max_size=6)):
+        ok, out = session.execute(line)
+        assert ok in (True, False) and isinstance(out, list)
+        assert all(isinstance(text, str) for text in out), line
