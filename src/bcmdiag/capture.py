@@ -158,17 +158,6 @@ def write_btsnoop(records: list[CaptureRecord], path: str) -> int:
 
 # ----- sniff stream framing ----------------------------------------------
 
-# [direction][H4 type] -> the two octets that open a sniff record.
-_SNIFF_PREFIX = tuple({t: bytes([d, t]) for t in H4Type} for d in Direction)
-
-
-def encode_sniff_record(direction: Direction, frame: H4Frame) -> bytes:
-    """Wire form of one sniff-port record: a 1-octet direction prefix,
-    then the self-delimiting H4 frame.  The frame is not checked again:
-    every frame a controller hands its taps is valid by construction."""
-    return _SNIFF_PREFIX[direction][frame[0]] + frame[1]
-
-
 class SniffStreamDecoder(H4StreamDecoder):
     """Incremental decoder for the direction-prefixed sniff stream;
     ``feed`` returns ``(Direction, H4Frame)`` records."""

@@ -15,17 +15,13 @@ produce octet-identical event and diagnostic streams.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from collections import deque
-from enum import Enum
-from importlib import resources
 from typing import Callable
 
 from .. import diag, hci, ll
 from ..diag import (
     HEXDUMP_DATA_LEN,
-    LMP_RECORD_PAYLOAD_LEN,
     RESPONSE_FOR_REQUEST,
     STATS_FIELDS,
     DiagCode,
@@ -35,8 +31,13 @@ from ..diag import (
     parse_diag,
 )
 from ..errors import BcmDiagError
-from ..h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciCommand, HciEvent, value_class
-from .link import KIND_ACL, KIND_LCP, KIND_LMP, KIND_RESET, VirtualLink
+from ..h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciCommand, HciEvent
+from .link import KIND_ACL, KIND_RESET, VirtualLink
+from .linklayer import (
+    BPCS_REPLIES, CLASSIC_LINK, CREATE_LINK, DHKEY_CHECK, LE_LINK, LINK_BY_KIND, REJECTIONS,
+    REPLIES, START_ENCRYPTION, Connection, LinkLayer, Phase, Role, lmp_injectable,
+    lmp_not_accepted,
+)
 from .memory import MemoryImage
 from .profiles import FIREWALL_ALLOWLIST_MAX, HandlerAction, SecurityProfile, patched_profile
 
@@ -45,13 +46,6 @@ MAX_HANDLE = 0x0EFF
 # Audit notes kept, newest last; older ones fall out.
 AUDIT_MAX = 1024
 LOG_FRAMES_MAX = 64  # log-record frames a controller keeps built; then it starts over
-
-# Feature masks advertised during setup; arbitrary but fixed so streams
-# stay byte-stable.
-CLASSIC_FEATURES = bytes.fromhex("bffecffedbff7b87")
-LE_FEATURES = bytes.fromhex("1f00000000000000")
-# Version, company and subversion, the same for LMP and LL.
-LMP_VERSION_PARAMS = struct.pack("<BHH", hci.LMP_VERSION, hci.MANUFACTURER, hci.LMP_SUBVERSION)
 IO_CAPABILITY_PARAMS = b"\x01\x00\x03"  # display yes/no, no OOB, MITM+bonding
 
 TapFn = Callable[[Direction, H4Frame, int], None]
@@ -71,202 +65,9 @@ _LOCAL_VERSION_COMPLETE = HciEvent(hci.EVT_COMMAND_COMPLETE, hci.command_complet
     hci.OPCODE_READ_LOCAL_VERSION, hci.local_version_params())).to_frame()
 READ_RAM_MAX = 255 - 4  # RAM octets in one Command Complete: 255 less header and status
 
-
-class Role(Enum):
-    # Values double as the LMP transaction ID of exchanges each role starts.
-    MASTER = 0
-    SLAVE = 1
-
-
-class Phase(Enum):
-    LMP_SETUP = 1  # the values go on the wire in `stats conn` records
-    CONNECTED = 2
-    SSP_PENDING = 3
-    ENCRYPTED = 4
-
-
-class Connection:
-    __slots__ = ("handle", "peer_mac", "role", "tid", "layer", "phase",
-                 "script_cursor", "ssp_confirmed")
-
-    def __init__(self, handle: int, peer_mac: bytes, role: Role, layer: LinkLayer) -> None:
-        self.handle = handle
-        self.peer_mac = peer_mac
-        self.role = role
-        self.tid = role._value_  # a plain int: the ``value`` property is Python code
-        self.layer = layer  # its identity: compared with ``is``, never looked up
-        self.phase = Phase.LMP_SETUP
-        self.script_cursor = 0
-        self.ssp_confirmed = False
-
-
-@value_class
-class ScriptStep:
-    role: Role  # the end that sends it
-    pdu_name: str
-    arg: str | None = None
-
-
-def _load_script(filename: str) -> tuple[ScriptStep, ...]:
-    text = resources.files("bcmdiag.emulator.data").joinpath(filename).read_text("utf-8")
-    steps = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        steps.append(ScriptStep(Role[parts[0].upper()], parts[1], parts[2] if len(parts) > 2 else None))
-    return tuple(steps)
-
-
-CLASSIC_SETUP = _load_script("classic_setup.script")
-LE_SETUP = _load_script("le_setup.script")
-
-# Bodies of the PDUs this controller sends by name (LMP and LCP names
-# never collide); anything unlisted gets a zero body of its table length.
-_PDU_PARAMS = {
-    "LMP_features_req": CLASSIC_FEATURES,
-    "LMP_features_res": CLASSIC_FEATURES,
-    "LMP_version_req": LMP_VERSION_PARAMS,
-    "LMP_version_res": LMP_VERSION_PARAMS,
-    "LL_FEATURE_REQ": LE_FEATURES,
-    "LL_FEATURE_RSP": LE_FEATURES,
-    "LL_VERSION_IND": LMP_VERSION_PARAMS,
-}
-# Requests answered with a fixed reply: request name -> reply name.
-_REPLIES = {
-    "LMP_features_req": "LMP_features_res",
-    "LMP_version_req": "LMP_version_res",
-    "LL_FEATURE_REQ": "LL_FEATURE_RSP",
-    "LL_PING_REQ": "LL_PING_RSP",
-}
-# The rejections of either layer.  A PDU with no connection to live on,
-# from a firewalled or an unconnected peer, is refused unless it is one:
-# answering a rejection could bounce between two ends forever.
-_REJECTIONS = frozenset(
-    {"LMP_not_accepted", "LMP_not_accepted_ext", "LL_REJECT_IND", "LL_REJECT_EXT_IND"}
-)
-# BPCS request subtype -> the subtype that answers it on a live link.
-_BPCS_REPLIES = {
-    ll.BPCS_FEATURES_REQUEST: ll.BPCS_FEATURES_RESPONSE,
-    ll.BPCS_BFC_SUSPEND: ll.BPCS_ACCEPT,
-    ll.BPCS_BFC_RESUME: ll.BPCS_ACCEPT,
-}
-
-
-def _lmp_log_record(sent: bool, peer_mac: bytes, pdu: bytes) -> diag.LmpLogRecord:
-    # Records always carry the 17-octet maximum; receive padding is the
-    # documented chip quirk, and the fixed envelope leaves no way to
-    # carry a true length for sent PDUs either.
-    padded = pdu.ljust(LMP_RECORD_PAYLOAD_LEN, b"\x00")[:LMP_RECORD_PAYLOAD_LEN]
-    return diag.LmpLogRecord(sent=sent, low_mac=hci.low_mac(peer_mac), payload=padded)
-
-
-def _lmp_not_accepted(opcode: int, tid: int = 0) -> bytes:
-    return CLASSIC_LINK.octets("LMP_not_accepted", tid, bytes([opcode & 0x7F]) + _NOT_ALLOWED)
-
-
-@value_class
-class LinkLayer:
-    """Everything the Classic (LMP) and LE (LCP) link layers do
-    differently; the controller runs one path over either record."""
-
-    kind: str  # air-link traffic kind; upper-cased in audit notes
-    dissect: Callable[[bytes], object]
-    build: Callable[[int, int, bytes], bytes]  # (opcode, tid, params) -> octets
-    name_to_opcode: dict[str, int]
-    opcodes: dict[int, ll.OpcodeEntry]
-    log_record: Callable[[bool, bytes, bytes], DiagMessage]  # (sent, peer MAC, octets)
-    # The refusal of a PDU's octets, or None when they name nothing to refuse.
-    reject: Callable[[bytes], bytes | None]
-    refuse_undissectable: bool
-    # The answer on a live link to a PDU no handler takes: (opcode, tid) -> octets.
-    unhandled: Callable[[int, int], bytes]
-    script: tuple[ScriptStep, ...]  # the connection setup; its first step opens it
-    detach: str  # the PDU that ends a connection
-    # (status, handle, role, peer MAC on the wire) -> (event code, parameters)
-    connection_complete: Callable[[int, int, int, bytes], tuple[int, bytes]]
-    # The PDUs the controller sends unchanged, built at import: (name, tid,
-    # params or None for the _PDU_PARAMS body) -> octets, and octets -> PDU.
-    constants: dict[tuple[str, int, bytes | None], bytes]
-    pdus: dict[bytes, ll.LinkPdu]
-
-    def octets(self, name: str, tid: int, params: bytes | None = None) -> bytes:
-        """A constant's octets, or the PDU built from host-given ``params``."""
-        return self.constants.get((name, tid, params)) or self.build(
-            self.name_to_opcode[name], tid, params)
-
-
-CLASSIC_LINK = LinkLayer(
-    kind=KIND_LMP,
-    dissect=ll.dissect_lmp,
-    build=lambda opcode, tid, params: ll.build_lmp(ll.LmpPdu(opcode, tid, params)),
-    name_to_opcode=ll.LMP_NAME_TO_OPCODE,
-    opcodes=ll.LMP_OPCODES,
-    log_record=_lmp_log_record,
-    reject=lambda raw: _lmp_not_accepted(raw[0] >> 1) if raw else None,
-    refuse_undissectable=True,
-    unhandled=_lmp_not_accepted,
-    script=CLASSIC_SETUP,
-    detach="LMP_detach",
-    connection_complete=lambda status, handle, _role, wire: (
-        hci.EVT_CONNECTION_COMPLETE, hci.connection_complete(status, handle, wire)
-    ),
-    constants={}, pdus={},
-)
-
-LE_LINK = LinkLayer(
-    kind=KIND_LCP,
-    dissect=ll.dissect_lcp,
-    build=lambda opcode, _tid, params: ll.build_lcp(ll.LcpPdu(opcode, params)),
-    name_to_opcode=ll.LCP_NAME_TO_OPCODE,
-    opcodes=ll.LCP_OPCODES,
-    # A record holds at most MAX_PAYLOAD octets; a longer PDU is cut, as LMP's at 17.
-    log_record=lambda sent, peer_mac, pdu: diag.LcpLogRecord(
-        sent=sent, full_mac=peer_mac, payload=pdu[: diag.LcpLogRecord.MAX_PAYLOAD]
-    ),
-    reject=lambda _raw: LE_LINK.octets("LL_REJECT_IND", 0, _NOT_ALLOWED),
-    refuse_undissectable=False,
-    unhandled=lambda opcode, _tid: LE_LINK.octets("LL_UNKNOWN_RSP", 0, bytes([opcode])),
-    script=LE_SETUP,
-    detach="LL_TERMINATE_IND",
-    connection_complete=lambda status, handle, role, wire: (
-        hci.EVT_LE_META, hci.le_connection_complete(status, handle, role, wire)
-    ),
-    constants={}, pdus={},
-)
-
-
-def _build_constants(layer: LinkLayer, *answers: tuple[str, bytes | None]) -> None:
-    """Fill ``layer``'s tables with its setup script, its _REPLIES and
-    ``answers``, each for both transaction IDs; ``build`` checks each PDU by dissecting it."""
-    opcodes = layer.name_to_opcode
-    script = tuple((s.pdu_name, s.arg and bytes([opcodes[s.arg]])) for s in layer.script)
-    replies = tuple((reply, None) for reply in _REPLIES.values() if reply in opcodes)
-    for (name, params), tid in itertools.product(script + replies + answers, (0, 1)):
-        body = params or _PDU_PARAMS.get(name, bytes(layer.opcodes[opcodes[name]].param_len))
-        raw = layer.constants[name, tid, params] = layer.build(opcodes[name], tid, body)
-        layer.pdus[raw] = layer.dissect(raw)
-
-
-_NOT_ALLOWED = bytes([hci.ERR_LMP_PDU_NOT_ALLOWED])
-_DHKEY_CHECK = bytes([ll.LMP_NAME_TO_OPCODE["LMP_DHkey_Check"]])
-_START_ENCRYPTION = bytes([ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]])
-_build_constants(
-    CLASSIC_LINK, ("LMP_accepted", _DHKEY_CHECK), ("LMP_accepted", _START_ENCRYPTION),
-    ("LMP_not_accepted", _START_ENCRYPTION + _NOT_ALLOWED),
-    ("LMP_not_accepted", bytes([ll.BPCS_OPCODE]) + _NOT_ALLOWED))
-_build_constants(LE_LINK, ("LL_REJECT_IND", _NOT_ALLOWED))
-
-_LINK_BY_KIND = {KIND_LMP: CLASSIC_LINK, KIND_LCP: LE_LINK}
-# Connection-creating HCI opcode -> its link layer.
-_CREATE_LINK = {
-    hci.OPCODE_CREATE_CONNECTION: CLASSIC_LINK,
-    hci.OPCODE_LE_CREATE_CONNECTION: LE_LINK,
-}
 # Commands whose outcome follows in an event of its own: they answer with
 # a Command Status, every other command with a Command Complete.
-_ANSWERED_BY_STATUS = frozenset(_CREATE_LINK) | {hci.OPCODE_DISCONNECT}
+_ANSWERED_BY_STATUS = frozenset(CREATE_LINK) | {hci.OPCODE_DISCONNECT}
 # Parameter lengths an HCI command can carry (its length field is one
 # octet), and those of a create-connection command that hold the peer's MAC.
 _ANY_LENGTH = range(256)
@@ -465,7 +266,7 @@ class Controller:
 
     def _cmd_create_connection(self, cmd: HciCommand) -> None:
         """Create Connection and LE Create Connection."""
-        layer = _CREATE_LINK[cmd.opcode]
+        layer = CREATE_LINK[cmd.opcode]
         at = hci.CREATE_CONNECTION_LAYOUT[cmd.opcode][0]
         wire = cmd.params[at : at + 6]
         peer = hci.mac_from_wire(wire)
@@ -498,24 +299,11 @@ class Controller:
         if conn is None or conn.layer is not CLASSIC_LINK:
             self._complete(cmd.opcode, bytes([hci.ERR_UNKNOWN_CONNECTION]))
             return
-        if not self._lmp_injectable(raw):
+        if not lmp_injectable(raw):
             self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
             return
         self._send(conn, raw)
         self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
-
-    @staticmethod
-    def _lmp_injectable(raw: bytes) -> bool:
-        """Injection validates standard opcodes and lengths; the vendor
-        space (opcode 0) passes with any subtype -- the receiving side's
-        missing range check is exactly the published bug."""
-        if not raw or len(raw) > ll.LMP_MAX_PDU:
-            return False
-        try:
-            ll.dissect_lmp(raw)
-        except BcmDiagError:
-            return False
-        return True
 
     def _cmd_read_ram(self, cmd: HciCommand) -> None:
         address, length = struct.unpack("<IB", cmd.params)
@@ -708,7 +496,7 @@ class Controller:
             self._deliver_air_acl(from_mac, data)
             return
         raw = bytes(data)  # type: ignore[arg-type]
-        layer = _LINK_BY_KIND[kind]
+        layer = LINK_BY_KIND[kind]
         self._log(layer, False, from_mac, raw)
         allow = self.profile.firewall_allowlist
         firewalled = allow is not None and from_mac not in allow
@@ -728,7 +516,7 @@ class Controller:
             # A setup opener from an allowed peer creates the inbound (slave)
             # side; anything else has no connection to live on.
             if firewalled or name != layer.script[0].pdu_name:
-                if name not in _REJECTIONS:
+                if name not in REJECTIONS:
                     self._refuse(layer, from_mac, raw)
                 elif not firewalled:
                     self._note(f"{name} from unconnected {hci.format_mac(from_mac)}")
@@ -856,7 +644,7 @@ class Controller:
 
     def _reply(self, conn: Connection, pdu: ll.LinkPdu) -> None:
         # An LMP reply carries the request's transaction ID; an LCP PDU has none.
-        self._send_pdu(conn, _REPLIES[pdu.name], getattr(pdu, "tid", 0))
+        self._send_pdu(conn, REPLIES[pdu.name], getattr(pdu, "tid", 0))
 
     def _lmp_io_capability_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         # Pairing starts: the connection waits for a user decision it
@@ -873,22 +661,22 @@ class Controller:
     def _lmp_dhkey_check(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         if conn.phase is Phase.SSP_PENDING:
             conn.ssp_confirmed = True
-        self._send_pdu(conn, "LMP_accepted", pdu.tid, _DHKEY_CHECK)
+        self._send_pdu(conn, "LMP_accepted", pdu.tid, DHKEY_CHECK)
 
     def _lmp_start_encryption_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         if conn.phase is Phase.SSP_PENDING and conn.ssp_confirmed:
             conn.phase = Phase.ENCRYPTED
-            self._send_pdu(conn, "LMP_accepted", pdu.tid, _START_ENCRYPTION)
+            self._send_pdu(conn, "LMP_accepted", pdu.tid, START_ENCRYPTION)
             return
         if conn.phase is Phase.SSP_PENDING and not self.profile.encryption_order_check:
             # Out-of-order encryption setup: the key calculation runs on
             # uninitialized pairing state and the firmware dies.
             self.crash("encryption start during pending pairing")
             return
-        self._send(conn, _lmp_not_accepted(_START_ENCRYPTION[0], conn.tid))
+        self._send(conn, lmp_not_accepted(START_ENCRYPTION[0], conn.tid))
 
     def _lmp_accepted(self, conn: Connection, pdu: ll.LmpPdu) -> None:
-        if pdu.params[:1] == _START_ENCRYPTION:
+        if pdu.params[:1] == START_ENCRYPTION:
             conn.phase = Phase.ENCRYPTED
 
     # PDU name -> handler, for both link layers (their names never
@@ -897,12 +685,12 @@ class Controller:
         # Replies, rejections and vendor LCPs need no answer; only an
         # accepted one changes state and only a terminate ends the link.
         **dict.fromkeys(
-            _REJECTIONS | {*_REPLIES.values(), "LMP_accepted_ext", "LMP_setup_complete",
+            REJECTIONS | {*REPLIES.values(), "LMP_accepted_ext", "LMP_setup_complete",
                            "LL_UNKNOWN_RSP", "LL_VERSION_IND", "LMP_IO_capability_res"}
             | {ll.vendor_lcp(subtype).name for subtype in ll.LCP_VENDOR_NAMES},
             _ignore,
         ),
-        **dict.fromkeys(_REPLIES, _reply),
+        **dict.fromkeys(REPLIES, _reply),
         "LMP_accepted": _lmp_accepted,
         "LMP_IO_capability_req": _lmp_io_capability_req,
         "LMP_DHkey_Check": _lmp_dhkey_check,
@@ -928,7 +716,7 @@ class Controller:
             elif action is HandlerAction.CRASH:
                 self.crash(f"BPCS handler overflow (subtype 0x{pdu.subtype:02x})")
             return
-        reply = _BPCS_REPLIES.get(pdu.subtype)
+        reply = BPCS_REPLIES.get(pdu.subtype)
         if reply is not None:  # responses (Features Response, Not Accept, Accept) need none
             self._send(conn, ll.build_lmp(ll.BpcsPdu(reply, pdu.tid)))
 

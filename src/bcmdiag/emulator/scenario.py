@@ -1,7 +1,7 @@
 """Declarative scenarios: a line-oriented text format describing
 controller profiles, link topology and operator command sequences.
 
-Grammar (``#`` starts a comment; ``bcmdiag.session.scenario_lines``
+Grammar (``#`` starts a comment; ``bcmdiag.errors.scenario_lines``
 holds the line rule):
 
     controller <name> mac=<mac> [profile=vulnerable|patched|default]
@@ -12,7 +12,8 @@ holds the line rule):
 
 Operator command lines use exactly the interactive client vocabulary
 and are executed through an in-process session, so a scenario run
-produces the same frames an operator would.  The client's
+produces the same frames an operator would; the client's session code
+loads only for a scenario that has such lines.  The client's
 ``scenario run`` consumes the same files, executing the command lines
 addressed to its one controller and skipping topology directives.
 """
@@ -23,10 +24,7 @@ import threading
 from typing import Callable
 
 from .. import hci
-from ..capture import render_live
-from ..errors import ScenarioError
-from ..h4 import Direction, H4Frame
-from ..session import Session, scenario_lines
+from ..errors import ScenarioError, scenario_lines
 from .controller import Controller
 from .link import attach_air_link
 from .memory import MemoryImage
@@ -55,38 +53,6 @@ class World:
 
     def __getitem__(self, name: str) -> Controller:
         return self.controllers[name]
-
-
-class LocalSession(Session):
-    """Session bound directly to an in-process controller; used by the
-    scenario runner and by tests.  Responses are synchronous, so
-    waiting never blocks."""
-
-    def __init__(self, world: World, name: str, on_line: Callable[[str], None] | None = None):
-        super().__init__(name=name, lock=world.lock)
-        self._controller = world[name]
-        self._on_line = on_line
-        self._controller.add_tap(self._tap)
-
-    def _tap(self, direction: Direction, frame: H4Frame, tick: int) -> None:
-        self.record_frame(direction, frame)
-        with self._lock:
-            self._queue_records([(direction, frame)])
-        if self._on_line is not None and self._live:  # one line per record
-            self._on_line(render_live(self._live[0]))
-        self._live.clear()
-
-    def _send(self, frame: H4Frame) -> None:
-        with self._lock:
-            self._controller.process_host_frame(frame)
-
-    def close(self) -> None:
-        """Stop listening to the controller; a live view or capture ends."""
-        self._controller.remove_tap(self._tap)
-
-    def wait_frame(self, pred, timeout=None):
-        with self._lock:
-            return self._take_frame(pred)
 
 
 def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
@@ -180,6 +146,8 @@ def run_scenario(
     command line through a local session on its controller.  Returns
     (ok, world, transcript)."""
     directives, commands = parse_scenario(text)
+    if commands:  # imported before the world is built, so its compile peaks on a smaller heap
+        from ..session import LocalSession
     world = _world_from(directives)
     sessions: dict[str, LocalSession] = {}
     transcript: list[str] = []

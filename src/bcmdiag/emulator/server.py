@@ -18,9 +18,8 @@ import sys
 import threading
 from typing import Callable
 
-from ..capture import encode_sniff_record
 from ..errors import BcmDiagError
-from ..h4 import Direction, H4Frame, H4StreamDecoder
+from ..h4 import Direction, H4Frame, H4StreamDecoder, encode_sniff_record
 from .controller import Controller
 from .scenario import World, run_scenario
 
@@ -147,6 +146,10 @@ class EmulatorServer:
         self._wake_pair: tuple[socket.socket, ...] = ()
         self._thread: threading.Thread | None = None
         self._in_pass = self._stopping = False
+        # Before any bind: create_server leaks its socket on a port outside 0-65535.
+        last = base_port + 2 * len(world.order) - 1
+        if base_port < 0 or last > 0xFFFF:
+            raise ValueError(f"ports {base_port}-{last} are not all within 0-65535")
         try:
             for index, name in enumerate(world.order):
                 port = base_port + 2 * index
@@ -277,14 +280,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     text = _DEFAULT_SCENARIO
-    try:  # a bad scenario file or a taken port ends the start with one line
+    try:  # a bad scenario file or a port taken or out of range ends the start with one line
         if args.scenario:
             with open(args.scenario, "r", encoding="utf-8") as fh:
                 text = fh.read()
         ok, world, _transcript = run_scenario(text, on_line=lambda line: print(line, flush=True))
         server = EmulatorServer(world, host=args.host, base_port=args.base_port)
     except (OSError, ValueError, BcmDiagError) as exc:
-        print(f"bcmdiag-emu: {exc}", file=sys.stderr)
+        # A decode error names no file; name it as an OSError does.
+        where = f": {args.scenario!r}" if isinstance(exc, UnicodeDecodeError) else ""
+        print(f"bcmdiag-emu: {exc}{where}", file=sys.stderr)
         return 2
     server.start()
     for name, (sniff, inject) in server.port_map().items():

@@ -1,4 +1,7 @@
-"""Exception types shared by the codecs and the emulator."""
+"""Exception types shared by the codecs and the emulator, and the one
+scenario-line grammar, which the emulator and the client both read."""
+
+from typing import Iterator
 
 
 class BcmDiagError(Exception):
@@ -72,6 +75,26 @@ class ScenarioError(BcmDiagError):
         super().__init__(f"scenario line {lineno}: {reason}")
         self.lineno = lineno
         self.reason = reason
+
+
+def scenario_lines(text: str) -> Iterator[tuple[int, str | None, str | None, str]]:
+    """The one scenario-line grammar, read by the scenario runner and by
+    ``scenario run``.  Yields ``(lineno, directive, target, rest)`` per
+    line left after its ``#`` comment, words split on any whitespace: a
+    first word ``controller`` or ``link`` is a directive, one ending in
+    ``:`` names the target, and any other line is a bare command."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        first = line.split(None, 1)[0]
+        rest = line[len(first) :].lstrip()
+        if first in ("controller", "link"):
+            yield lineno, first, None, rest
+        elif first.endswith(":"):
+            yield lineno, None, first[:-1], rest
+        else:
+            yield lineno, None, None, line
 
 
 class SessionError(BcmDiagError):

@@ -192,6 +192,17 @@ def decode_stream(buffer: bytes) -> tuple[list[H4Frame], int]:
     return _decode(buffer, 0)
 
 
+# [direction][H4 type] -> the two octets that open a sniff record.
+_SNIFF_PREFIX = tuple({t: bytes([d, t]) for t in H4Type} for d in Direction)
+
+
+def encode_sniff_record(direction: Direction, frame: H4Frame) -> bytes:
+    """Wire form of one sniff-port record: a 1-octet direction prefix,
+    then the self-delimiting H4 frame.  The frame is not checked again:
+    every frame a controller hands its taps is valid by construction."""
+    return _SNIFF_PREFIX[direction][frame[0]] + frame[1]
+
+
 class H4StreamDecoder:
     """Resumable decoder for a live H4 byte stream.
 

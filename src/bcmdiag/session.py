@@ -14,7 +14,7 @@ import itertools
 import struct
 from collections import deque
 from functools import partialmethod
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import capture, hci
 from .diag import (
@@ -35,7 +35,7 @@ from .diag import (
     ToggleLmpLogging,
     parse_diag,
 )
-from .errors import BcmDiagError, SessionError
+from .errors import BcmDiagError, SessionError, scenario_lines
 from .h4 import Direction, H4Frame, H4Type, HciCommand, HciEvent
 
 USAGE = {
@@ -465,7 +465,7 @@ class Session:
                         f"{self._capture_path} (skipped {skipped} non-HCI)"
                     ]
                 capture.write_pcap(records, self._capture_path)
-            except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            except OSError as exc:
                 # Keep the records, so a stop can be retried once the
                 # path is writable.
                 self.capture_records = records
@@ -478,6 +478,8 @@ class Session:
         fmt = args[2] if len(args) > 2 else "pcap"
         if fmt not in ("pcap", "btsnoop"):
             raise CommandError("format is pcap or btsnoop")
+        if "\0" in args[1]:  # no stop could ever write it, so none could end the capture
+            raise CommandError("a path cannot hold a NUL")
         self._capture_path = args[1]
         self._capture_format = fmt
         self._capture_tick = 0
@@ -504,7 +506,8 @@ class Session:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or a NUL in the path
-            return False, [str(exc)]
+            # Name the file as an OSError does; a decode error does not.
+            return False, [str(exc) if isinstance(exc, OSError) else f"{exc}: {path!r}"]
         ok = True
         out: list[str] = []
         for lineno, directive, target, line in scenario_lines(text):
@@ -520,21 +523,33 @@ class Session:
         return ok, out
 
 
-def scenario_lines(text: str) -> Iterator[tuple[int, str | None, str | None, str]]:
-    """The one scenario-line grammar, read by the scenario runner and by
-    ``scenario run``.  Yields ``(lineno, directive, target, rest)`` per
-    line left after its ``#`` comment, words split on any whitespace: a
-    first word ``controller`` or ``link`` is a directive, one ending in
-    ``:`` names the target, and any other line is a bare command."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        first = line.split(None, 1)[0]
-        rest = line[len(first) :].lstrip()
-        if first in ("controller", "link"):
-            yield lineno, first, None, rest
-        elif first.endswith(":"):
-            yield lineno, None, first[:-1], rest
-        else:
-            yield lineno, None, None, line
+class LocalSession(Session):
+    """Session bound directly to a controller of an in-process ``World``;
+    used by the scenario runner and by tests.  Responses are synchronous,
+    so waiting never blocks."""
+
+    def __init__(self, world, name: str, on_line: Callable[[str], None] | None = None):
+        super().__init__(name=name, lock=world.lock)
+        self._controller = world[name]
+        self._on_line = on_line
+        self._controller.add_tap(self._tap)
+
+    def _tap(self, direction: Direction, frame: H4Frame, tick: int) -> None:
+        self.record_frame(direction, frame)
+        with self._lock:
+            self._queue_records([(direction, frame)])
+        if self._on_line is not None and self._live:  # one line per record
+            self._on_line(capture.render_live(self._live[0]))
+        self._live.clear()
+
+    def _send(self, frame: H4Frame) -> None:
+        with self._lock:
+            self._controller.process_host_frame(frame)
+
+    def close(self) -> None:
+        """Stop listening to the controller; a live view or capture ends."""
+        self._controller.remove_tap(self._tap)
+
+    def wait_frame(self, pred, timeout=None):
+        with self._lock:
+            return self._take_frame(pred)

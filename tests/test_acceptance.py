@@ -35,7 +35,7 @@ from bcmdiag.diag import (
     parse_diag,
 )
 from bcmdiag.emulator import Controller, Phase, attach_air_link
-from bcmdiag.emulator.controller import CLASSIC_SETUP, LE_SETUP
+from bcmdiag.emulator.linklayer import CLASSIC_SETUP, LE_SETUP
 from bcmdiag.emulator.profiles import patched_profile, vulnerable_profile
 from bcmdiag.h4 import (
     Direction,

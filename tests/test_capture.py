@@ -18,7 +18,6 @@ from bcmdiag.capture import (
     LINKTYPE_H4_WITH_PHDR,
     SniffStreamDecoder,
     TICK_US,
-    encode_sniff_record,
     _DIAG_RENDERERS,
     _live_text,
     render_live,
@@ -27,7 +26,7 @@ from bcmdiag.capture import (
 )
 from bcmdiag.diag import DiagCode, LmpLogRecord, MemAccessType, ToggleLmpLogging, build_diag
 from bcmdiag.errors import UnknownDirection, UnknownH4Type
-from bcmdiag.h4 import Direction, H4Frame, H4Type, HciCommand, encode_frame
+from bcmdiag.h4 import Direction, H4Frame, H4Type, HciCommand, encode_frame, encode_sniff_record
 
 from conftest import connect_pair
 from helpers import feed_in_pieces, read_btsnoop, read_pcapng, random_h4_frame

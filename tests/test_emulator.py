@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcmdiag import hci, ll
-from bcmdiag.capture import encode_sniff_record
+from bcmdiag.h4 import encode_sniff_record
 from bcmdiag.diag import (
     DiagCode,
     HexdumpResponse,
@@ -1104,7 +1104,7 @@ class TestDeterminism:
         b = Controller(MAC_B, name="B")
         attach_air_link(a, b)
         stream: list[bytes] = []
-        from bcmdiag.capture import encode_sniff_record
+        from bcmdiag.h4 import encode_sniff_record
 
         a.add_tap(lambda d, f, t: stream.append(bytes([t & 0xFF]) + encode_sniff_record(d, f)))
         b.add_tap(lambda d, f, t: stream.append(bytes([t & 0xFF]) + encode_sniff_record(d, f)))

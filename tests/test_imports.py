@@ -112,3 +112,83 @@ def test_the_private_name_scan_sees_what_it_must():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unread_private_name(path):
     assert unread_private_names(path.read_text("utf-8")) == []
+
+
+# The client's own modules.  The emulator loads none of them at start-up,
+# and they load no emulator module, so each side compiles only its code.
+CLIENT_MODULES = ("bcmdiag.session", "bcmdiag.capture", "bcmdiag.cli")
+
+
+def loaded_at_import(source: str, package: str) -> set[str]:
+    """Every dotted name that may be a module which the source's imports
+    load when it is imported: all imports but those inside a function or
+    under ``if TYPE_CHECKING``.  Relative imports resolve against
+    ``package``, and ``from m import n`` gives both ``m`` and ``m.n``."""
+    found: set[str] = set()
+
+    def visit(nodes) -> None:
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                parts = package.split(".")
+                base = ".".join(parts[: len(parts) - node.level + 1] if node.level else [])
+                module = ".".join(p for p in (base, node.module) if p)
+                found.add(module)
+                found.update(f"{module}.{alias.name}" for alias in node.names)
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def test_the_boundary_scan_sees_what_it_must():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import bcmdiag.cli\n"
+        "from .. import capture\n"
+        "from .controller import Controller\n"
+        "if TYPE_CHECKING:\n"
+        "    from ..session import Hidden\n"
+        "else:\n"
+        "    from ..h4 import H4Frame\n"
+        "class C:\n"
+        "    from bcmdiag import diag\n"
+        "def f():\n"
+        "    from ..session import LocalSession\n"
+    )
+    assert loaded_at_import(source, "bcmdiag.emulator") == {
+        "typing", "typing.TYPE_CHECKING", "bcmdiag.cli", "bcmdiag", "bcmdiag.capture",
+        "bcmdiag.emulator.controller", "bcmdiag.emulator.controller.Controller",
+        "bcmdiag.h4", "bcmdiag.h4.H4Frame", "bcmdiag.diag",
+    }
+
+
+def _within(name: str, modules) -> bool:
+    return any(name == m or name.startswith(m + ".") for m in modules)
+
+
+def test_emulator_and_client_load_each_other_only_lazily():
+    """No module but the client's own loads a client module when it is
+    imported, and no client module loads an emulator module: the emulator
+    may import the client's session only inside the function that runs a
+    scenario's command lines."""
+    crossings = []
+    for path in MODULES:
+        parts = ("bcmdiag", *path.relative_to(SRC).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        name = ".".join(parts)
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        forbidden = ("bcmdiag.emulator",) if name in CLIENT_MODULES else CLIENT_MODULES
+        crossings += [
+            f"{name} loads {loaded}"
+            for loaded in sorted(loaded_at_import(path.read_text("utf-8"), package))
+            if _within(loaded, forbidden)
+        ]
+    assert crossings == []

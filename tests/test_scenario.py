@@ -3,14 +3,13 @@
 import pytest
 
 from bcmdiag.emulator.scenario import (
-    LocalSession,
     build_world,
     parse_scenario,
     run_scenario,
 )
 from bcmdiag.errors import ScenarioError
 from bcmdiag.h4 import Direction, encode_frame
-from bcmdiag.session import USAGE, Session
+from bcmdiag.session import USAGE, LocalSession, Session
 
 from helpers import MAC_A, MAC_B, HostRecorder, read_pcapng
 
@@ -259,6 +258,7 @@ class TestRunning:
         session = LocalSession(world, "A")
         ok, lines = session.execute(f"scenario run {path}")
         assert not ok and len(lines) == 1 and "utf-8" in lines[0]
+        assert str(path) in lines[0]
         assert session.execute("version")[0]
 
     def test_failure_propagates(self):
@@ -379,6 +379,20 @@ class TestRunning:
         ok, lines = session.execute("capture stop")
         assert ok and "wrote 4" in lines[0] and path.stat().st_size > 0
         assert session.execute("capture stop") == (False, ["no capture running"])
+
+    def test_capture_path_with_a_nul_is_refused_at_the_start(self, tmp_path):
+        """No stop could write such a path, so no stop could end the
+        capture: the start refuses it, and a capture elsewhere still runs."""
+        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        session = LocalSession(world, "A")
+        ok, lines = session.execute(f"capture start {tmp_path}/a\x00b")
+        assert not ok and len(lines) == 1 and "NUL" in lines[0]
+        assert session.capture_records is None
+        path = tmp_path / "x.pcapng"
+        assert session.execute(f"capture start {path}")[0]
+        assert session.execute("version")[0]
+        ok, lines = session.execute("capture stop")
+        assert ok and "wrote 2" in lines[0] and path.stat().st_size > 0
 
     def test_one_capture_sink_per_session(self, tmp_path):
         world = build_world("controller A mac=00:11:22:33:44:01\n")

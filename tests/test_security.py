@@ -13,8 +13,9 @@ from bcmdiag.emulator.profiles import (
     patched_profile,
     vulnerable_profile,
 )
-from bcmdiag.emulator.scenario import LocalSession, build_world
+from bcmdiag.emulator.scenario import build_world
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent
+from bcmdiag.session import LocalSession
 
 from conftest import connect_pair
 from helpers import MAC_A, MAC_B, MAC_EVIL, HostRecorder

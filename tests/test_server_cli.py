@@ -19,12 +19,12 @@ import pytest
 
 import bcmdiag
 from bcmdiag import hci
-from bcmdiag.capture import SniffStreamDecoder, encode_sniff_record
+from bcmdiag.capture import SniffStreamDecoder
 from bcmdiag.cli import SocketSession, run_batch
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, parse_diag
 from bcmdiag.emulator import Controller
 from bcmdiag.emulator.memory import ARM_BASE
-from bcmdiag.emulator.scenario import LocalSession, build_world
+from bcmdiag.emulator.scenario import build_world
 from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout, main
 from bcmdiag.errors import InvariantViolation, SessionError
 from bcmdiag.h4 import (
@@ -34,7 +34,9 @@ from bcmdiag.h4 import (
     H4Type,
     HciCommand,
     encode_frame,
+    encode_sniff_record,
 )
+from bcmdiag.session import LocalSession
 
 from conftest import SERVED_TOPOLOGY as TOPOLOGY, connect_pair, free_base_port, unstarted_server
 from helpers import HostRecorder, read_pcapng
@@ -1212,6 +1214,7 @@ class TestBatchMode:
         try:
             assert run_batch(session, str(script), out=out) == 1
             assert out.getvalue().count("\n") == 1 and "utf-8" in out.getvalue()
+            assert str(script) in out.getvalue()
         finally:
             session.close()
 
@@ -1239,21 +1242,63 @@ class TestEmulatorStartFailures:
         err = capsys.readouterr().err
         assert err.startswith("bcmdiag-emu: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("base", [70000, -1, 65535])
+    def test_port_out_of_range(self, capsys, base):
+        """A port window reaching outside 0-65535 (at 65535 the inject port
+        would be 65536) ends the start like a taken port, and no socket is
+        left open."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--base-port", str(base)]) == 2
+            gc.collect()
+        err = capsys.readouterr().err
+        assert err.startswith("bcmdiag-emu: ") and err.count("\n") == 1
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_undecodable_scenario_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "start.scenario"
+        path.write_bytes(b"controller A mac=00:11:22:33:44:01\n\xff\n")
+        assert main(["--scenario", str(path), "--base-port", str(free_base_port())]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "utf-8" in err and str(path) in err
+
 
 class TestStartUp:
+    @staticmethod
+    def _fresh(code: str) -> list[str]:
+        """The words ``code`` prints in a fresh interpreter."""
+        src = os.path.dirname(os.path.dirname(bcmdiag.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
     def test_emulator_and_client_import_no_dataclasses_inspect_or_json(self):
         """Every bcmdiag-emu and bcmdiag client starts in a fresh
         interpreter; ``dataclasses`` alone pulls in ``inspect``, ``ast``,
         ``dis`` and ``tokenize`` there, and nothing on the start-up path
         needs them or ``json``."""
-        src = os.path.dirname(os.path.dirname(bcmdiag.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import sys, bcmdiag.emulator.server, bcmdiag.cli\n"
             "print(*sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        assert self._fresh(code) == []
+
+    def test_emulator_and_client_start_without_each_other(self):
+        """A default-scenario bcmdiag-emu start loads no client module, and
+        the client loads no emulator module: each compiles only its own
+        code when the host writes no bytecode."""
+        emulator = (
+            "import sys\n"
+            "from bcmdiag.emulator import server\n"
+            "ok, _world, _lines = server.run_scenario(server._DEFAULT_SCENARIO)\n"
+            "print(ok, *sorted({'bcmdiag.session', 'bcmdiag.capture', 'bcmdiag.cli'} & set(sys.modules)))\n"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == []
+        assert self._fresh(emulator) == ["True"]
+        client = (
+            "import sys, bcmdiag.cli\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('bcmdiag.emulator')))\n"
+        )
+        assert self._fresh(client) == []

@@ -12,9 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bcmdiag import hci
 from bcmdiag.diag import DiagCode
-from bcmdiag.emulator.scenario import LocalSession, build_world
+from bcmdiag.emulator.scenario import build_world
 from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciEvent
-from bcmdiag.session import USAGE, Session
+from bcmdiag.session import USAGE, LocalSession, Session
 
 
 class StubSession(Session):

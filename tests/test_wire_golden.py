@@ -10,7 +10,8 @@ and record the new digests; otherwise the change is a regression.
 import hashlib
 from pathlib import Path
 
-from bcmdiag.emulator.scenario import LocalSession, run_scenario
+from bcmdiag.emulator.scenario import run_scenario
+from bcmdiag.session import LocalSession
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "two-chips.scenario"
 
