@@ -21,7 +21,7 @@ import time
 from .capture import SniffStreamDecoder, render_live
 from .errors import BcmDiagError, SessionError
 from .h4 import H4Frame, H4Type, encode_frame
-from .session import Session
+from .session import USAGE, Session
 
 _GREEN = "\x1b[32m"
 _CYAN = "\x1b[36m"
@@ -88,11 +88,12 @@ class SocketSession(Session):
 
     # --- transport ----------------------------------------------------
 
-    @property
-    def inject_up(self) -> bool:
-        return self._inject_ok
+    # Its own attribute, so a wrapper set on this class leaves Session's alone.
+    wait_frame = Session.wait_frame
 
     def _send(self, frame: H4Frame) -> None:
+        if not self._inject_ok:
+            raise SessionError("inject stream is down; command rejected")
         try:
             self._inject_sock.sendall(encode_frame(frame))
         except OSError as exc:
@@ -102,8 +103,8 @@ class SocketSession(Session):
     def _pump(self, timeout: float | None, fd=None) -> bool:
         """Wait up to ``timeout`` s (None: no limit) for the sniff socket or
         ``fd``; hand what one ``recv`` brings to ``record_frame`` and
-        ``_queue_records``.  Returns whether ``fd`` is readable; raises
-        SessionError once the sniff stream is down."""
+        ``_queue_records``.  Returns True, or with ``fd`` whether it is
+        readable; raises SessionError once the sniff stream is down."""
         if self._sniff_down is not None:
             raise SessionError(self._sniff_down)
         watched = [self._sniff_sock] if fd is None else [self._sniff_sock, fd]
@@ -132,7 +133,7 @@ class SocketSession(Session):
             self._queue_records(records)
             if self._live:
                 self._show_live()
-        return fd is not None and fd in ready
+        return fd is None or fd in ready
 
     def _stream_down(self, reason: str) -> SessionError:
         """The sniff stream has ended: fail waits at once from now on."""
@@ -147,23 +148,6 @@ class SocketSession(Session):
         self._out.write("".join([f"{tints[r[1]]}{render_live(r)}{end}\n" for r in self._live]))
         self._out.flush()
         self._live.clear()
-
-    def wait_frame(self, pred, timeout=None):
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else self.default_timeout
-        )
-        since = 0
-        while True:
-            frame = self._take_frame(pred, since)
-            if frame is not None:
-                return frame
-            if self._sniff_down is not None:
-                raise SessionError(self._sniff_down)
-            since = self._queued
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            self._pump(remaining)
 
     def close(self) -> None:
         for sock in (self._inject_sock, self._sniff_sock):
@@ -194,8 +178,6 @@ def repl(session: SocketSession, out=sys.stdout) -> int:
         if line in ("quit", "exit"):
             return 0
         if line == "help":
-            from .session import USAGE
-
             for usage in sorted(USAGE.values()):
                 out.write(f"  {usage}\n")
             continue

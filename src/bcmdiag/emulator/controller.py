@@ -215,7 +215,7 @@ class Controller:
                     msg = parse_diag(payload)
                 except BcmDiagError as exc:
                     self._note(f"undecodable diagnostic frame: {exc}")
-                else:  # handle_diag's dispatch, inline: it runs for every request
+                else:
                     handler = self._DIAG_HANDLERS.get(msg.__class__, Controller._diag_unhandled)
                     for response in handler(self, msg):
                         self._emit(response.to_frame())
@@ -407,9 +407,6 @@ class Controller:
         self._emit_event(hci.EVT_NUM_COMPLETED_PACKETS, hci.num_completed_packets(handle))
 
     # ----- diagnostic surface ------------------------------------------------
-
-    def handle_diag(self, msg: DiagMessage) -> list[DiagMessage]:
-        return self._DIAG_HANDLERS.get(msg.__class__, Controller._diag_unhandled)(self, msg)
 
     def _diag_unhandled(self, msg: DiagMessage) -> list[DiagMessage]:
         if code_direction(msg.code) is not Direction.HOST_TO_CONTROLLER:
@@ -625,8 +622,7 @@ class Controller:
         while conn.script_cursor < len(script) and script[conn.script_cursor].role is conn.role:
             step = script[conn.script_cursor]
             conn.script_cursor += 1
-            arg = None if step.arg is None else bytes([layer.name_to_opcode[step.arg]])
-            self._send_pdu(conn, step.pdu_name, conn.tid, arg)
+            self._send_pdu(conn, step.pdu_name, conn.tid, step.params)
         if conn.script_cursor >= len(script):
             conn.phase = Phase.CONNECTED
             self._emit_event(*layer.connection_complete(

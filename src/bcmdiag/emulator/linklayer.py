@@ -1,14 +1,14 @@
 """The Classic (LMP) and LE (LCP) link layers as data: one ``LinkLayer``
-record each, with its setup script and the PDUs a controller sends
-unchanged, built and checked once at import.  The controller runs one
-path over either record."""
+record each, with its setup script (``ScriptStep`` values, each carrying
+its parameter octets) and the PDUs a controller sends unchanged, built
+and checked once at import.  The controller runs one path over either
+record."""
 
 from __future__ import annotations
 
 import itertools
 import struct
 from enum import Enum
-from importlib import resources
 from typing import Callable
 
 from .. import diag, hci, ll
@@ -57,23 +57,30 @@ class Connection:
 class ScriptStep:
     role: Role  # the end that sends it
     pdu_name: str
-    arg: str | None = None
+    params: bytes | None = None  # None: the _PDU_PARAMS body
 
 
-def _load_script(filename: str) -> tuple[ScriptStep, ...]:
-    text = resources.files("bcmdiag.emulator.data").joinpath(filename).read_text("utf-8")
-    steps = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        steps.append(ScriptStep(Role[parts[0].upper()], parts[1], parts[2] if len(parts) > 2 else None))
-    return tuple(steps)
+_NOT_ALLOWED = bytes([hci.ERR_LMP_PDU_NOT_ALLOWED])
+_HOST_CONNECTION = bytes([ll.LMP_NAME_TO_OPCODE["LMP_host_connection_req"]])
+DHKEY_CHECK = bytes([ll.LMP_NAME_TO_OPCODE["LMP_DHkey_Check"]])
+START_ENCRYPTION = bytes([ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]])
 
-
-CLASSIC_SETUP = _load_script("classic_setup.script")
-LE_SETUP = _load_script("le_setup.script")
+# Connection establishment, played over the virtual link; the initiator
+# owns the master role, and the first step opens a connection.
+CLASSIC_SETUP = (
+    ScriptStep(Role.MASTER, "LMP_features_req"),
+    ScriptStep(Role.SLAVE, "LMP_features_res"),
+    ScriptStep(Role.MASTER, "LMP_host_connection_req"),
+    ScriptStep(Role.SLAVE, "LMP_accepted", _HOST_CONNECTION),
+    ScriptStep(Role.MASTER, "LMP_setup_complete"),
+    ScriptStep(Role.SLAVE, "LMP_setup_complete"),
+)
+LE_SETUP = (
+    ScriptStep(Role.MASTER, "LL_FEATURE_REQ"),
+    ScriptStep(Role.SLAVE, "LL_FEATURE_RSP"),
+    ScriptStep(Role.MASTER, "LL_VERSION_IND"),
+    ScriptStep(Role.SLAVE, "LL_VERSION_IND"),
+)
 
 # Bodies of the PDUs this controller sends by name (LMP and LCP names
 # never collide); anything unlisted gets a zero body of its table length.
@@ -207,7 +214,7 @@ def _build_constants(layer: LinkLayer, *answers: tuple[str, bytes | None]) -> No
     """Fill ``layer``'s tables with its setup script, its REPLIES and
     ``answers``, each for both transaction IDs; ``build`` checks each PDU by dissecting it."""
     opcodes = layer.name_to_opcode
-    script = tuple((s.pdu_name, s.arg and bytes([opcodes[s.arg]])) for s in layer.script)
+    script = tuple((step.pdu_name, step.params) for step in layer.script)
     replies = tuple((reply, None) for reply in REPLIES.values() if reply in opcodes)
     for (name, params), tid in itertools.product(script + replies + answers, (0, 1)):
         body = params or _PDU_PARAMS.get(name, bytes(layer.opcodes[opcodes[name]].param_len))
@@ -215,9 +222,6 @@ def _build_constants(layer: LinkLayer, *answers: tuple[str, bytes | None]) -> No
         layer.pdus[raw] = layer.dissect(raw)
 
 
-_NOT_ALLOWED = bytes([hci.ERR_LMP_PDU_NOT_ALLOWED])
-DHKEY_CHECK = bytes([ll.LMP_NAME_TO_OPCODE["LMP_DHkey_Check"]])
-START_ENCRYPTION = bytes([ll.LMP_NAME_TO_OPCODE["LMP_start_encryption_req"]])
 _build_constants(
     CLASSIC_LINK, ("LMP_accepted", DHKEY_CHECK), ("LMP_accepted", START_ENCRYPTION),
     ("LMP_not_accepted", START_ENCRYPTION + _NOT_ALLOWED),

@@ -18,7 +18,7 @@ import sys
 import threading
 from typing import Callable
 
-from ..errors import BcmDiagError
+from ..errors import BcmDiagError, ScenarioError
 from ..h4 import Direction, H4Frame, H4StreamDecoder, encode_sniff_record
 from .controller import Controller
 from .scenario import World, run_scenario
@@ -287,8 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         ok, world, _transcript = run_scenario(text, on_line=lambda line: print(line, flush=True))
         server = EmulatorServer(world, host=args.host, base_port=args.base_port)
     except (OSError, ValueError, BcmDiagError) as exc:
-        # A decode error names no file; name it as an OSError does.
-        where = f": {args.scenario!r}" if isinstance(exc, UnicodeDecodeError) else ""
+        # A decode or scenario error names no file; name it as an OSError does.
+        unnamed = isinstance(exc, (UnicodeDecodeError, ScenarioError))
+        where = f": {args.scenario!r}" if unnamed else ""
         print(f"bcmdiag-emu: {exc}{where}", file=sys.stderr)
         return 2
     server.start()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+import time
 from collections import deque
 from functools import partialmethod
 from typing import Callable
@@ -124,13 +125,15 @@ def _mac(text: str) -> bytes:
 class Session:
     """One operator attachment to a controller's inject/sniff pair.
 
-    Subclasses provide the transport: ``_send`` pushes one frame down
-    the inject path, and whatever delivers controller-to-host frames hands
-    every sniffed record to ``record_frame`` and ``_queue_records``, then
-    shows the records ``record_frame`` queued in ``_live``.  ``wait_frame``
-    returns the oldest queued frame matching a predicate, taken with
-    ``_take_frame``; both helpers run under ``lock``, the subclass's
-    transport lock.  A command's answer is matched only against the
+    A subclass is a transport and supplies two methods: ``_send`` pushes
+    one frame down the inject path, and ``_pump(timeout)`` waits up to
+    ``timeout`` s for controller-to-host traffic, hands every sniffed
+    record to ``record_frame`` and ``_queue_records`` (the latter under
+    ``lock``, the subclass's transport lock), shows the records
+    ``record_frame`` queued in ``_live``, and returns False when no more
+    can arrive.  ``wait_frame``, the one wait, takes the oldest queued
+    frame matching a predicate and pumps until one arrives or its time
+    runs out.  A command's answer is matched only against the
     controller-to-host frames that follow the echo of this session's
     newest send (other sessions may share the controller) and that
     arrive after it was sent: ``send_frame`` drops what is still queued.
@@ -158,19 +161,13 @@ class Session:
     def _send(self, frame: H4Frame) -> None:
         raise NotImplementedError
 
-    def wait_frame(
-        self, pred: Callable[[H4Frame], bool], timeout: float | None = None
-    ) -> H4Frame | None:
-        raise NotImplementedError
-
-    @property
-    def inject_up(self) -> bool:
-        return True
+    def _pump(self, timeout: float) -> bool:
+        """No frame arrives but by ``_send``: an in-process controller
+        answers before ``_send`` returns."""
+        return False
 
     # ------------------------------------------------------------------
     def send_frame(self, frame: H4Frame) -> None:
-        if not self.inject_up:
-            raise SessionError("inject stream is down; command rejected")
         with self._lock:
             self._pending.clear()
             self._unechoed.append(frame)
@@ -193,20 +190,29 @@ class Session:
                 self._pending.append(frame)
                 self._queued += 1
 
-    def _take_frame(
-        self, pred: Callable[[H4Frame], bool], since: int = 0
+    def wait_frame(
+        self, pred: Callable[[H4Frame], bool], timeout: float | None = None
     ) -> H4Frame | None:
-        """Remove and return the oldest queued frame matching ``pred``,
-        or None.  Only frames queued after the first ``since`` are
-        tried, so a waiter passing the ``_queued`` count of its last
-        miss tests each frame once.  Caller holds the session lock."""
+        """Remove and return the oldest queued frame ``pred`` accepts;
+        while there is none, ``_pump`` until ``timeout`` s (by default
+        ``default_timeout``) have passed, then return None.  A transport
+        that is down fails the wait with its reason before the time runs
+        out.  Each frame is tested once: a retry tries only the frames
+        queued since its last miss."""
+        deadline = time.monotonic() + (self.default_timeout if timeout is None else timeout)
         pending = self._pending
-        start = max(0, len(pending) - (self._queued - since))
-        for i, frame in enumerate(itertools.islice(pending, start, None), start):
-            if pred(frame):
-                del pending[i]
-                return frame
-        return None
+        since = 0
+        while True:
+            with self._lock:
+                start = max(0, len(pending) - (self._queued - since))
+                for i, frame in enumerate(itertools.islice(pending, start, None), start):
+                    if pred(frame):
+                        del pending[i]
+                        return frame
+                since = self._queued
+            remaining = deadline - time.monotonic()
+            if not self._pump(max(remaining, 0.0)) or remaining <= 0:
+                return None
 
     def record_frame(self, direction: Direction, frame: H4Frame) -> None:
         """Queue one sniffed frame for the live view and append it to the
@@ -549,7 +555,3 @@ class LocalSession(Session):
     def close(self) -> None:
         """Stop listening to the controller; a live view or capture ends."""
         self._controller.remove_tap(self._tap)
-
-    def wait_frame(self, pred, timeout=None):
-        with self._lock:
-            return self._take_frame(pred)

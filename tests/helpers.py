@@ -30,6 +30,7 @@ from bcmdiag.diag import (
     TestCompleted,
     TestParams,
     ToggleLmpLogging,
+    parse_diag,
 )
 from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type
 
@@ -55,6 +56,16 @@ class HostRecorder:
     def take(self) -> list[H4Frame]:
         out, self.frames = self.frames, []
         return out
+
+
+def diag_messages(frames) -> list:
+    return [parse_diag(f.payload) for f in frames if f.h4_type is H4Type.DIAG]
+
+
+def diag_answers(controller, msg) -> list:
+    """Send one diagnostic message down ``controller``'s host path and
+    return the diagnostic messages it answers with."""
+    return diag_messages(controller.process_host_frame(msg.to_frame()))
 
 
 # ----- random generators -------------------------------------------------

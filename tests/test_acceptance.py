@@ -53,6 +53,7 @@ from helpers import (
     MAC_B,
     MAC_EVIL,
     HostRecorder,
+    diag_answers,
     random_diag_message,
     random_h4_frame,
     random_lcp_pdu,
@@ -129,7 +130,7 @@ def test_criterion_01_byte_fixtures():
 
         # Hexdump response carries exactly 32 data octets.
         ctrl = Controller(MAC_A)
-        (dump,) = ctrl.handle_diag(MemoryHexdump(0x00200000))
+        (dump,) = diag_answers(ctrl, MemoryHexdump(0x00200000))
         assert len(dump.data) == 32
         wire = build_diag(dump)
         assert len(wire) == 1 + 4 + 32
@@ -390,12 +391,12 @@ def test_criterion_08_statistics_consistency():
                 )
             )
             sent += 1
-        (stats_a,) = a.handle_diag(StatsRequest(DiagCode.GET_BR_ACL_STATS))
+        (stats_a,) = diag_answers(a, StatsRequest(DiagCode.GET_BR_ACL_STATS))
         assert stats_a.as_dict()["tx_packets"] == sent
-        (stats_b,) = b.handle_diag(StatsRequest(DiagCode.GET_BR_ACL_STATS))
+        (stats_b,) = diag_answers(b, StatsRequest(DiagCode.GET_BR_ACL_STATS))
         assert stats_b.as_dict()["rx_packets"] == sent
-        assert a.handle_diag(StatsRequest(DiagCode.RESET_BR_ACL_STATS)) == []
-        (zeroed,) = a.handle_diag(StatsRequest(DiagCode.GET_BR_ACL_STATS))
+        assert diag_answers(a, StatsRequest(DiagCode.RESET_BR_ACL_STATS)) == []
+        (zeroed,) = diag_answers(a, StatsRequest(DiagCode.GET_BR_ACL_STATS))
         assert zeroed.values == (0, 0, 0, 0, 0)
 
 

@@ -32,7 +32,10 @@ from bcmdiag.errors import AlreadyLinked, InvariantViolation
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent, encode_frame
 
 from conftest import connect_pair
-from helpers import MAC_A, MAC_B, MAC_EVIL, HostRecorder, random_diag_message, random_lmp_pdu
+from helpers import (
+    MAC_A, MAC_B, MAC_EVIL, HostRecorder, diag_answers, diag_messages, random_diag_message,
+    random_lmp_pdu,
+)
 
 
 def events_of(frames, code):
@@ -41,10 +44,6 @@ def events_of(frames, code):
         for f in frames
         if f.h4_type is H4Type.HCI_EVENT and f.payload[0] == code
     ]
-
-
-def diag_messages(frames):
-    return [parse_diag(f.payload) for f in frames if f.h4_type is H4Type.DIAG]
 
 
 class TestHciSurface:
@@ -544,7 +543,7 @@ class TestDiagSurface:
         from bcmdiag.emulator.memory import ARM_SIZE
 
         ctrl = Controller(MAC_A)
-        (dump,) = ctrl.handle_diag(MemoryHexdump(ARM_BASE + ARM_SIZE - 16))
+        (dump,) = diag_answers(ctrl, MemoryHexdump(ARM_BASE + ARM_SIZE - 16))
         assert dump.data == bytes(32)
         assert any("hexdump outside ARM regions" in note for note in ctrl.audit)
 
@@ -560,30 +559,30 @@ class TestDiagSurface:
     def test_poke_then_peek(self):
         ctrl = Controller(MAC_A)
         address = ARM_BASE + 0x123
-        (poke,) = ctrl.handle_diag(MemoryPoke(MemAccessType.ARM, address, 0x5C))
+        (poke,) = diag_answers(ctrl, MemoryPoke(MemAccessType.ARM, address, 0x5C))
         assert poke == PokeResponse(0)
-        (peek,) = ctrl.handle_diag(MemoryPeek(MemAccessType.ARM, address))
+        (peek,) = diag_answers(ctrl, MemoryPeek(MemAccessType.ARM, address))
         assert peek == PeekResponse(0, 0x5C)
 
     def test_peek_out_of_region(self):
         ctrl = Controller(MAC_A)
-        (peek,) = ctrl.handle_diag(MemoryPeek(MemAccessType.ARM, 0xDEAD0000))
+        (peek,) = diag_answers(ctrl, MemoryPeek(MemAccessType.ARM, 0xDEAD0000))
         assert peek.status != 0
 
     def test_poke_out_of_region(self):
         ctrl = Controller(MAC_A)
-        (poke,) = ctrl.handle_diag(MemoryPoke(MemAccessType.BLUERF, 0xDEAD0000, 1))
+        (poke,) = diag_answers(ctrl, MemoryPoke(MemAccessType.BLUERF, 0xDEAD0000, 1))
         assert poke.status != 0
 
     def test_access_type_respects_region_kind(self):
         ctrl = Controller(MAC_A)
         # The ARM image does not answer for BlueRF addresses.
-        (peek,) = ctrl.handle_diag(MemoryPeek(MemAccessType.BLUERF, ARM_BASE))
+        (peek,) = diag_answers(ctrl, MemoryPeek(MemAccessType.BLUERF, ARM_BASE))
         assert peek.status != 0
 
     def test_hexdump_exactly_32_octets(self):
         ctrl = Controller(MAC_A)
-        (dump,) = ctrl.handle_diag(MemoryHexdump(ARM_BASE))
+        (dump,) = diag_answers(ctrl, MemoryHexdump(ARM_BASE))
         assert isinstance(dump, HexdumpResponse)
         assert len(dump.data) == 32
         assert dump.data == VERSION_STRING.ljust(32, b"\x00")[:32]
@@ -591,19 +590,19 @@ class TestDiagSurface:
     def test_hexdump_matches_memory_slice(self):
         ctrl = Controller(MAC_A)
         for offset, value in enumerate(b"\x10\x20\x30\x40"):
-            ctrl.handle_diag(MemoryPoke(MemAccessType.ARM, ARM_BASE + 0x800 + offset, value))
-        (dump,) = ctrl.handle_diag(MemoryHexdump(ARM_BASE + 0x800))
+            diag_answers(ctrl, MemoryPoke(MemAccessType.ARM, ARM_BASE + 0x800 + offset, value))
+        (dump,) = diag_answers(ctrl, MemoryHexdump(ARM_BASE + 0x800))
         assert dump.data[:4] == b"\x10\x20\x30\x40"
         assert dump.data[4:] == bytes(28)
 
     def test_wrong_direction_diag_ignored(self):
         ctrl = Controller(MAC_A)
-        assert ctrl.handle_diag(PokeResponse(0)) == []
+        assert diag_answers(ctrl, PokeResponse(0)) == []
 
     def test_connection_stats_include_cpu_load(self, linked_pair):
         a, b = linked_pair
         connect_pair(a, b)
-        responses = a.handle_diag(StatsRequest(DiagCode.GET_CONNECTION_STATS))
+        responses = diag_answers(a, StatsRequest(DiagCode.GET_CONNECTION_STATS))
         kinds = [r.kind for r in responses]
         assert kinds.count(DiagCode.CONNECTION_RESPONSE) == 1
         assert kinds[-1] is DiagCode.CPU_LOAD_RESPONSE
@@ -649,10 +648,10 @@ class TestStatistics:
         for _ in range(25):
             self._send_acl(a, handle)
             sent += 1
-        (stats_a,) = a.handle_diag(StatsRequest(DiagCode.GET_BR_ACL_STATS))
+        (stats_a,) = diag_answers(a, StatsRequest(DiagCode.GET_BR_ACL_STATS))
         assert stats_a.as_dict()["tx_packets"] == sent
         assert stats_a.as_dict()["rx_packets"] == 0
-        (stats_b,) = b.handle_diag(StatsRequest(DiagCode.GET_BR_ACL_STATS))
+        (stats_b,) = diag_answers(b, StatsRequest(DiagCode.GET_BR_ACL_STATS))
         assert stats_b.as_dict()["rx_packets"] == sent
         # Data actually reached B's host.
         acl_frames = [
@@ -680,8 +679,8 @@ class TestStatistics:
         handle = connect_pair(a, b)
         for _ in range(7):
             self._send_acl(a, handle)
-        assert a.handle_diag(StatsRequest(DiagCode.RESET_BR_ACL_STATS)) == []
-        (stats,) = a.handle_diag(StatsRequest(DiagCode.GET_BR_ACL_STATS))
+        assert diag_answers(a, StatsRequest(DiagCode.RESET_BR_ACL_STATS)) == []
+        (stats,) = diag_answers(a, StatsRequest(DiagCode.GET_BR_ACL_STATS))
         assert set(stats.values) == {0}
 
     def test_counters_monotonic_between_resets(self, linked_pair):
@@ -690,7 +689,7 @@ class TestStatistics:
         previous = 0
         for _ in range(5):
             self._send_acl(a, handle)
-            (stats,) = a.handle_diag(StatsRequest(DiagCode.GET_BR_ACL_STATS))
+            (stats,) = diag_answers(a, StatsRequest(DiagCode.GET_BR_ACL_STATS))
             current = stats.as_dict()["tx_packets"]
             assert current >= previous
             previous = current
@@ -1138,8 +1137,7 @@ class TestConstantPdus:
             assert params is None or pdu.params == params
         # The whole setup script is there, for both ends.
         for step in layer.script:
-            arg = step.arg and bytes([layer.name_to_opcode[step.arg]])
-            assert {(step.pdu_name, tid, arg) for tid in (0, 1)} <= layer.constants.keys()
+            assert {(step.pdu_name, tid, step.params) for tid in (0, 1)} <= layer.constants.keys()
 
     @pytest.mark.parametrize("layer, dissect, build", _LAYER_CODECS, ids=["lmp", "lcp"])
     def test_receive_shortcut_returns_what_dissect_returns(self, layer, dissect, build):

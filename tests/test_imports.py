@@ -4,6 +4,9 @@ is installed.  A name counts as used where the module reads it, names it
 in a quoted annotation, or lists it in ``__all__``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,3 +195,39 @@ def test_emulator_and_client_load_each_other_only_lazily():
             if _within(loaded, forbidden)
         ]
     assert crossings == []
+
+
+# The transient heap one module's compile() may take, when the emulator
+# loads it at start-up: every start compiles the sources again (no
+# bytecode is written), so the largest compile sets the emulator's peak.
+COMPILE_PEAK_MAX = int(2.1 * 2**20)
+
+_COMPILE_PEAKS = """
+import sys, tracemalloc
+import bcmdiag.emulator.server
+for name, module in sorted(sys.modules.items()):
+    if name.partition(".")[0] != "bcmdiag" or module.__file__ is None:
+        continue  # another package's, or a data folder's: no source
+    with open(module.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        compile(source, module.__file__, "exec")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    print(name, min(peaks))
+"""
+
+
+def test_no_module_of_the_emulator_start_compiles_above_the_bound():
+    """Every bcmdiag module that ``import bcmdiag.emulator.server`` loads
+    in a fresh interpreter compiles within COMPILE_PEAK_MAX (tracemalloc
+    peak, least of three compiles)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _COMPILE_PEAKS], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    peaks = {name: int(peak) for name, peak in map(str.split, out.splitlines())}
+    assert "bcmdiag.emulator.controller" in peaks
+    assert {name: peak for name, peak in peaks.items() if peak > COMPILE_PEAK_MAX} == {}

@@ -1088,6 +1088,20 @@ class TestStreamLoss:
         finally:
             session.close()
 
+    def test_lost_inject_stream_rejects_later_commands_at_once(self, served_world):
+        _world, server = served_world
+        session = _session(server, "A")
+        try:
+            session._inject_sock.close()
+            ok, lines = session.execute("version")
+            assert not ok and len(lines) == 1 and lines[0].startswith("inject stream lost: ")
+            t0 = time.monotonic()
+            ok, lines = session.execute("version")
+            assert time.monotonic() - t0 < session.default_timeout / 4
+            assert (ok, lines) == (False, ["inject stream is down; command rejected"])
+        finally:
+            session.close()
+
 
 def _read_until(proc: subprocess.Popen, out: bytearray, pattern: bytes, deadline: float) -> None:
     """Read ``proc``'s stdout into ``out`` until the regex ``pattern``
@@ -1235,6 +1249,7 @@ class TestEmulatorStartFailures:
         assert main(["--scenario", str(path), "--base-port", str(free_base_port())]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bcmdiag-emu: ") and err.count("\n") == 1 and reason in err
+        assert str(path) in err
 
     def test_taken_port(self, capsys):
         with socket.create_server(("127.0.0.1", 0)) as taken:

@@ -5,6 +5,7 @@ On an operator's line: any command with edge-value arguments, and any
 ``scenario run`` file, whatever its octets or nesting, returns (ok, lines)."""
 
 import re
+import time
 from contextlib import nullcontext
 
 import pytest
@@ -29,9 +30,6 @@ class StubSession(Session):
             [(Direction.HOST_TO_CONTROLLER, frame)]
             + [(Direction.CONTROLLER_TO_HOST, answer) for answer in self.answers]
         )
-
-    def wait_frame(self, pred, timeout=None):
-        return self._take_frame(pred)
 
 
 def _diag(code: DiagCode) -> H4Frame:
@@ -121,3 +119,12 @@ def test_no_command_line_raises(tmp_path, monkeypatch, data):
         ok, out = session.execute(line)
         assert ok in (True, False) and isinstance(out, list)
         assert all(isinstance(text, str) for text in out), line
+
+
+def test_a_local_wait_returns_at_once_on_a_miss():
+    """An in-process controller has answered before ``_send`` returns,
+    so a wait that finds no match ends without waiting for its timeout."""
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    t0 = time.monotonic()
+    assert session.wait_frame(lambda _f: False, 5.0) is None
+    assert time.monotonic() - t0 < 0.5
