@@ -14,16 +14,21 @@ File formats:
   that convention out.
 * BTSnoop (datalink 1002, H4 with type octet).  BTSnoop is HCI-only:
   vendor-envelope frames are skipped and counted.
+
+A running capture holds its records in a spool, an anonymous temporary
+file, rather than in memory; ``capture stop`` streams them from it.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import struct
+from typing import Collection, Iterator
 
 from . import diag, hci, ll
 from .diag import DiagCode, code_direction, parse_diag
-from .errors import BcmDiagError
+from .errors import BcmDiagError, SessionError
 from .h4 import (
     Direction,
     H4Frame,
@@ -82,7 +87,7 @@ _SHB_COMMENT = (
 )
 
 
-def write_pcap(records: list[CaptureRecord], path: str) -> int:
+def write_pcap(records: Collection[CaptureRecord], path: str) -> int:
     """Export a capture as pcapng, one block at a time; returns the
     record count.
 
@@ -128,7 +133,7 @@ def write_pcap(records: list[CaptureRecord], path: str) -> int:
     return len(records)
 
 
-def write_btsnoop(records: list[CaptureRecord], path: str) -> int:
+def write_btsnoop(records: Collection[CaptureRecord], path: str) -> int:
     """Export the HCI subset of a capture, one record at a time; returns
     how many non-HCI records were skipped."""
     skipped = 0
@@ -154,6 +159,81 @@ def write_btsnoop(records: list[CaptureRecord], path: str) -> int:
             )
             fh.write(data)
     return skipped
+
+
+# ----- capture spool -----------------------------------------------------
+
+# A spooled record: its logical tick, direction, H4 type and payload
+# octets, then the payload.
+_SPOOL_HEAD = struct.Struct("<QBBI")
+# Octets read back at a time: more than the longest record, an ACL
+# frame's 4-octet header and 65,535 data octets after its head.
+_SPOOL_BLOCK = 1 << 17
+_DIRECTIONS = tuple(Direction)
+_H4_TYPES = {int(t): t for t in H4Type}
+
+
+class CaptureSpool:
+    """A running capture: the path and format ``capture stop`` writes,
+    and the records so far, appended in arrival order to an anonymous
+    temporary file, so a capture holds a fixed amount of memory however
+    long it runs.  A record is appended with C calls only (``write`` of
+    ``head(tick, direction, h4_type, len(payload)) + payload``, then
+    ``count += 1``, or ``lost += 1`` when the write fails); iterating reads
+    the records back as CaptureRecords."""
+
+    def __init__(self, path: str, fmt: str) -> None:
+        import tempfile  # only a capture needs it, so a session starts without it
+
+        try:
+            self._file = tempfile.TemporaryFile()
+        except OSError as exc:
+            raise SessionError(f"cannot open a capture spool: {exc}") from None
+        self.path = path
+        self.format = fmt
+        self.count = 0
+        self.lost = 0  # records the file could not take
+        self.head = _SPOOL_HEAD.pack
+        self.write = self._file.write
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[CaptureRecord]:
+        """The records in arrival order, read a block at a time with
+        ``pread``, which leaves the append position where it is."""
+        self._file.flush()
+        fd, offset, left = self._file.fileno(), 0, self.count
+        size = _SPOOL_HEAD.size
+        while left:
+            block = os.pread(fd, _SPOOL_BLOCK, offset)
+            at = 0
+            while left and at + size <= len(block):
+                tick, direction, h4_type, length = _SPOOL_HEAD.unpack_from(block, at)
+                end = at + size + length
+                if end > len(block):
+                    break
+                frame = tuple.__new__(H4Frame, (_H4_TYPES[h4_type], block[at + size : end]))
+                yield tuple.__new__(CaptureRecord, (tick * TICK_US, _DIRECTIONS[direction], frame))
+                at, left = end, left - 1
+            if not at:
+                raise SessionError(f"capture spool ends {left} records short")
+            offset += at
+
+    def export(self) -> str:
+        """Write the records to the path in the format; returns the line
+        that reports it.  An OSError leaves the spool as it was, so the
+        export can be retried."""
+        lost = f"; {self.lost} records lost, the spool could not grow" if self.lost else ""
+        if self.format == "btsnoop":
+            skipped = write_btsnoop(self, self.path)
+            return (f"wrote {self.count - skipped} HCI records to {self.path} "
+                    f"(skipped {skipped} non-HCI){lost}")
+        return f"wrote {write_pcap(self, self.path)} records to {self.path}{lost}"
+
+    def close(self) -> None:
+        """Drop the records and free their file."""
+        self._file.close()
 
 
 # ----- sniff stream framing ----------------------------------------------

@@ -155,6 +155,7 @@ class SocketSession(Session):
                 sock.close()
             except OSError:
                 pass
+        super().close()
 
 
 def repl(session: SocketSession, out=sys.stdout) -> int:

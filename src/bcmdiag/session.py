@@ -95,6 +95,10 @@ _CONNECT = {
 }
 
 
+# What a command returns: whether it succeeded, and its output lines.
+Reply = tuple[bool, list[str]]
+
+
 class CommandError(Exception):
     """Bad command line; the message is the usage string."""
 
@@ -145,10 +149,8 @@ class Session:
     def __init__(self, lock, name: str | None = None) -> None:
         self.name = name
         self.live_view = False
-        self.capture_records: list[capture.CaptureRecord] | None = None
+        self.capture_records: capture.CaptureSpool | None = None
         self._live: list[capture.CaptureRecord] = []  # records the live view has not shown
-        self._capture_path: str | None = None
-        self._capture_format = "pcap"
         self._capture_tick = 0
         self._lock = lock
         self._pending: deque[H4Frame] = deque(maxlen=PENDING_MAX)
@@ -167,10 +169,16 @@ class Session:
         return False
 
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """End a running capture, freeing its spool."""
+        if self.capture_records is not None:
+            self.capture_records.close()
+            self.capture_records = None
+
     def send_frame(self, frame: H4Frame) -> None:
         with self._lock:
             self._pending.clear()
-            self._unechoed.append(frame)
+            self._unechoed.append(tuple(frame))
         self._send(frame)
 
     def _queue_records(self, records: list[tuple[Direction, H4Frame]]) -> None:
@@ -182,6 +190,8 @@ class Session:
                 # Echoes come back in send order; sends whose echo was missed
                 # go with the first later one seen.  Only the newest send is
                 # answered: an earlier send's command has given up waiting.
+                # Plain tuples compare in C, a Value in Python.
+                frame = tuple(frame)
                 answering = frame in self._unechoed
                 while answering and self._unechoed.popleft() != frame:
                     pass
@@ -216,20 +226,23 @@ class Session:
 
     def record_frame(self, direction: Direction, frame: H4Frame) -> None:
         """Queue one sniffed frame for the live view and append it to the
-        active capture sink as one record, with a session-local logical
-        tick so exports are reproducible; build none when neither wants it."""
-        records = self.capture_records
-        if self.live_view or records is not None:
-            record = tuple.__new__(  # CaptureRecord.at_tick, inline: it runs per record
-                capture.CaptureRecord, (self._capture_tick * capture.TICK_US, direction, frame))
-            if self.live_view:
-                self._live.append(record)
-            if records is not None:
-                records.append(record)
-        self._capture_tick += 1
+        running capture's spool, with a session-local logical tick so
+        exports are reproducible."""
+        tick = self._capture_tick
+        self._capture_tick = tick + 1
+        if self.live_view:  # CaptureRecord.at_tick, inline: it runs per record
+            self._live.append(
+                tuple.__new__(capture.CaptureRecord, (tick * capture.TICK_US, direction, frame)))
+        spool = self.capture_records
+        if spool is not None:
+            try:
+                spool.write(spool.head(tick, direction, frame[0], len(frame[1])) + frame[1])
+                spool.count += 1
+            except OSError:  # its file cannot grow; the stop reports the loss
+                spool.lost += 1
 
     # ------------------------------------------------------------------
-    def execute(self, line: str) -> tuple[bool, list[str]]:
+    def execute(self, line: str) -> Reply:
         """Run one command line; returns (ok, output lines).  Parse
         errors echo usage; controller error statuses render verbatim
         and count as failures."""
@@ -289,13 +302,13 @@ class Session:
 
     # ----- commands -----------------------------------------------------
 
-    def _cmd_diag(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_diag(self, args: list[str]) -> Reply:
         if len(args) != 1 or args[0] not in ("on", "off"):
             raise CommandError("expected on|off")
         self._diag(ToggleLmpLogging(args[0] == "on"))
         return True, [f"LMP logging {args[0]}"]
 
-    def _cmd_peek(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_peek(self, args: list[str]) -> Reply:
         if len(args) != 2 or args[0] not in _ACCESS:
             raise CommandError("expected <arm|bluerf> <addr>")
         address = _hex_int(args[1], "address")
@@ -306,7 +319,7 @@ class Session:
             return False, [f"peek failed: controller status 0x{msg.status:02x}"]
         return True, [f"0x{address:08x} = 0x{msg.value:02x}"]
 
-    def _cmd_poke(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_poke(self, args: list[str]) -> Reply:
         if len(args) != 3 or args[0] not in _ACCESS:
             raise CommandError("expected <arm|bluerf> <addr> <val>")
         address = _hex_int(args[1], "address")
@@ -318,7 +331,7 @@ class Session:
             return False, [f"poke failed: controller status 0x{msg.status:02x}"]
         return True, [f"0x{address:08x} <- 0x{value:02x}"]
 
-    def _cmd_dump(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_dump(self, args: list[str]) -> Reply:
         if len(args) != 1:
             raise CommandError("expected <addr>")
         address = _hex_int(args[0], "address")
@@ -329,7 +342,7 @@ class Session:
             lines.append(f"0x{msg.address + off:08x}  {chunk.hex(' ')}")
         return True, lines
 
-    def _cmd_stats(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_stats(self, args: list[str]) -> Reply:
         if not args or args[0] not in _STATS_GETTERS:
             raise CommandError("expected br|edr|sco|esco|aux|conn")
         if len(args) > 1:
@@ -354,7 +367,7 @@ class Session:
             if msg.kind is DiagCode.CPU_LOAD_RESPONSE:
                 return True, lines
 
-    def _cmd_test(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_test(self, args: list[str]) -> Reply:
         try:
             numbers = [int(a) for a in args]
         except ValueError:
@@ -369,7 +382,7 @@ class Session:
         )
         return msg.status == 0, [line]
 
-    def _connect(self, name: str, args: list[str]) -> tuple[bool, list[str]]:
+    def _connect(self, name: str, args: list[str]) -> Reply:
         """``connect`` and ``leconnect``, one _CONNECT row each."""
         if len(args) != 1:
             raise CommandError("expected <mac>")
@@ -401,7 +414,7 @@ class Session:
     _cmd_connect = partialmethod(_connect, "connect")
     _cmd_leconnect = partialmethod(_connect, "leconnect")
 
-    def _cmd_sendlmp(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_sendlmp(self, args: list[str]) -> Reply:
         if len(args) < 2:
             raise CommandError("expected <handle> <hex-octets>")
         handle = _hex_int(args[0], "handle", 2)
@@ -416,7 +429,7 @@ class Session:
             return False, [f"sendlmp rejected: status 0x{ret[0]:02x}"]
         return True, [f"injected {len(pdu)} LMP octets on handle 0x{handle:04x}"]
 
-    def _cmd_firewall(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_firewall(self, args: list[str]) -> Reply:
         if not args:
             raise CommandError("expected add|del|show")
         action = args[0]
@@ -440,7 +453,7 @@ class Session:
             return False, [f"firewall {action} failed: status 0x{ret[0]:02x}"]
         return True, [f"firewall {action} {args[1]}"]
 
-    def _cmd_version(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_version(self, args: list[str]) -> Reply:
         if args:
             raise CommandError("takes no arguments")
         info = hci.parse_local_version(self._hci(hci.OPCODE_READ_LOCAL_VERSION))
@@ -451,32 +464,27 @@ class Session:
         )
         return info["status"] == 0, [line]
 
-    def _cmd_live(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_live(self, args: list[str]) -> Reply:
         if len(args) != 1 or args[0] not in ("on", "off"):
             raise CommandError("expected on|off")
         self.live_view = args[0] == "on"
         return True, [f"live view {args[0]}"]
 
-    def _cmd_capture(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_capture(self, args: list[str]) -> Reply:
         if args and args[0] == "stop":
-            if self.capture_records is None:
+            spool = self.capture_records
+            if spool is None:
                 return False, ["no capture running"]
-            records = self.capture_records
-            self.capture_records = None
+            self.capture_records = None  # nothing is appended while it is read
             try:
-                if self._capture_format == "btsnoop":
-                    skipped = capture.write_btsnoop(records, self._capture_path)
-                    return True, [
-                        f"wrote {len(records) - skipped} HCI records to "
-                        f"{self._capture_path} (skipped {skipped} non-HCI)"
-                    ]
-                capture.write_pcap(records, self._capture_path)
+                line = spool.export()
             except OSError as exc:
                 # Keep the records, so a stop can be retried once the
                 # path is writable.
-                self.capture_records = records
+                self.capture_records = spool
                 return False, [f"{exc} (capture still running)"]
-            return True, [f"wrote {len(records)} records to {self._capture_path}"]
+            spool.close()
+            return True, [line]
         if len(args) < 2 or args[0] != "start":
             raise CommandError("expected start <path> [pcap|btsnoop] or stop")
         if self.capture_records is not None:
@@ -486,13 +494,11 @@ class Session:
             raise CommandError("format is pcap or btsnoop")
         if "\0" in args[1]:  # no stop could ever write it, so none could end the capture
             raise CommandError("a path cannot hold a NUL")
-        self._capture_path = args[1]
-        self._capture_format = fmt
+        self.capture_records = capture.CaptureSpool(args[1], fmt)
         self._capture_tick = 0
-        self.capture_records = []
         return True, [f"capturing to {args[1]} ({fmt})"]
 
-    def _cmd_scenario(self, args: list[str]) -> tuple[bool, list[str]]:
+    def _cmd_scenario(self, args: list[str]) -> Reply:
         if len(args) != 2 or args[0] != "run":
             raise CommandError("expected run <file>")
         if self._scenario_depth >= SCENARIO_DEPTH_MAX:
@@ -503,7 +509,7 @@ class Session:
         finally:
             self._scenario_depth -= 1
 
-    def run_script_file(self, path: str) -> tuple[bool, list[str]]:
+    def run_script_file(self, path: str) -> Reply:
         """Replay a scenario file against this session.  Topology
         directives need the emulator and are skipped here; command
         lines run when their controller name matches this session (a
@@ -555,3 +561,4 @@ class LocalSession(Session):
     def close(self) -> None:
         """Stop listening to the controller; a live view or capture ends."""
         self._controller.remove_tap(self._tap)
+        super().close()

@@ -5,6 +5,7 @@ import gc
 import random
 import struct
 import time
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from bcmdiag.capture import (
 from bcmdiag.diag import DiagCode, LmpLogRecord, MemAccessType, ToggleLmpLogging, build_diag
 from bcmdiag.errors import UnknownDirection, UnknownH4Type
 from bcmdiag.h4 import Direction, H4Frame, H4Type, HciCommand, encode_frame, encode_sniff_record
+from bcmdiag.session import Session
 
 from conftest import connect_pair
 from helpers import feed_in_pieces, read_btsnoop, read_pcapng, random_h4_frame
@@ -154,6 +156,46 @@ class TestBtsnoopExport:
         for record, (flags, timestamp, data) in zip(hci_records, entries):
             assert data == encode_frame(record.frame)
             assert flags & 0x01 == int(record.direction)
+
+
+# The longest frame the sniff decoder passes: an ACL header and 65,535 data octets.
+_LONGEST = H4Frame(
+    H4Type.ACL_DATA, struct.pack("<HH", 0x000B, 0xFFFF) + bytes(range(256)) * 255 + bytes(range(255))
+)
+
+
+class TestCaptureSpool:
+    """A running capture's records are spooled to a file and read back
+    exactly as recorded: tick, direction, H4 type and payload."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 40), longest=st.integers(0, 3))
+    def test_records_read_back_exactly_as_recorded(self, seed, count, longest):
+        """Records of every H4 type, as the sniff decoder passes them,
+        with up to three of the longest frame among them (each read
+        back across a block boundary); reading leaves appending alone."""
+        rng = random.Random(seed)
+        items = [(rng.choice((H2C, C2H)), random_h4_frame(rng)) for _ in range(count)]
+        items[rng.randint(0, count):0] = [(C2H, _LONGEST)] * longest
+        stream = b"".join(encode_sniff_record(d, f) for d, f in items)
+        decoded = SniffStreamDecoder().feed(stream)
+        session = Session(lock=nullcontext())  # no transport: records come from record_frame
+        assert session.execute("capture start never-written.pcapng")[0]  # closed, not stopped
+        try:
+            half = len(decoded) // 2
+            for direction, frame in decoded[:half]:
+                session.record_frame(direction, frame)
+            assert len(list(session.capture_records)) == half  # a read between appends
+            for direction, frame in decoded[half:]:
+                session.record_frame(direction, frame)
+            spool = session.capture_records
+            expected = [CaptureRecord.at_tick(tick, d, f) for tick, (d, f) in enumerate(decoded)]
+            assert len(spool) == len(expected)
+            assert list(spool) == expected == list(spool)
+            for record in spool:
+                assert type(record.direction) is Direction and type(record.frame.h4_type) is H4Type
+        finally:
+            session.close()
 
 
 class TestSniffStream:

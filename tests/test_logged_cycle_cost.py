@@ -35,7 +35,8 @@ from bcmdiag.capture import CaptureRecord, SniffStreamDecoder, _live_text, rende
 from bcmdiag.cli import SocketSession
 from bcmdiag.emulator import Controller
 from bcmdiag.emulator.scenario import build_world
-from bcmdiag.h4 import HciCommand
+from bcmdiag.h4 import HciCommand, Value
+from bcmdiag.session import LocalSession, Session
 
 from conftest import SERVED_TOPOLOGY, connect_pair, unstarted_server
 
@@ -54,15 +55,16 @@ class _StubSniffClient:
     every record."""
 
 
-def _profiled(code, run) -> int:
+def _profiled(code, run, callees=None) -> int:
     """Python calls made inside functions with ``code``, theirs
     included, while ``run()`` runs with the collector off: a collection
-    would run other tests' finalizers inside the counted calls."""
+    would run other tests' finalizers inside the counted calls.  With
+    ``callees``, only calls of functions with those codes count."""
     calls = 0
 
     def profile(frame, event, _arg):
         nonlocal calls
-        if event != "call":
+        if event != "call" or callees is not None and frame.f_code not in callees:
             return
         while frame is not None:
             if frame.f_code is code:
@@ -185,6 +187,31 @@ def test_logged_cycle_reads_no_enum_value():
         assert _profiled(_ENUM_VALUE_CODE, cycles) == 0
     finally:
         server.stop()
+
+
+def test_client_matches_echoes_without_value_comparisons():
+    """A client matches each echo against its sends as plain tuples, in
+    C: ``Value.__eq__``/``__ne__`` are Python code (2 calls per echo here,
+    160 over the cycles, when the frames were compared as Values)."""
+    world = build_world(SERVED_TOPOLOGY)
+    world["B"].diag_log_enabled = True
+    session = LocalSession(world, "A")
+    assert session.execute("diag on")[0]
+
+    def cycles() -> None:
+        for cycle in range(CYCLES):
+            ok, lines = session.execute(("connect", "leconnect")[cycle % 2] + " 00:11:22:33:44:02")
+            assert ok, lines
+            handle = int(lines[0].rsplit("0x", 1)[1], 16)
+            session.send_frame(
+                HciCommand(hci.OPCODE_DISCONNECT, struct.pack("<HB", handle, 0x13)).to_frame()
+            )
+
+    value_comparisons = {Value.__eq__.__code__, Value.__ne__.__code__}
+    try:
+        assert _profiled(Session._queue_records.__code__, cycles, value_comparisons) == 0
+    finally:
+        session.close()
 
 
 def test_client_sniff_path_is_pinned(tmp_path):

@@ -486,7 +486,9 @@ class TestSessionMatching:
         ]
         answers = [H4Frame.diag(build_diag(PeekResponse(0, value))) for value in (0x11, 0x22)]
         session = Session(lock=nullcontext())
-        session._unechoed.extend(sends)
+        session._send = lambda frame: None  # both sends are on their way
+        for frame in sends:
+            session.send_frame(frame)
         session._queue_records(
             [
                 (Direction.HOST_TO_CONTROLLER, sends[0]),

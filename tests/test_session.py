@@ -4,14 +4,19 @@ answer that matches but cannot be read fails its command with one line.
 On an operator's line: any command with edge-value arguments, and any
 ``scenario run`` file, whatever its octets or nesting, returns (ok, lines)."""
 
+import errno
+import gc
 import re
+import tempfile
 import time
+import warnings
 from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bcmdiag import hci
+from bcmdiag.cli import SocketSession
 from bcmdiag.diag import DiagCode
 from bcmdiag.emulator.scenario import build_world
 from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciEvent
@@ -128,3 +133,62 @@ def test_a_local_wait_returns_at_once_on_a_miss():
     t0 = time.monotonic()
     assert session.wait_frame(lambda _f: False, 5.0) is None
     assert time.monotonic() - t0 < 0.5
+
+
+def test_a_capture_that_cannot_spool_fails_its_start(tmp_path, monkeypatch):
+    """With no temporary directory to spool to, the start fails with one
+    line and leaves no capture running."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    ok, lines = session.execute(f"capture start {tmp_path / 'x.pcapng'}")
+    assert not ok and len(lines) == 1 and "missing" in lines[0], lines
+    assert session.capture_records is None
+    assert session.execute("capture stop") == (False, ["no capture running"])
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_closing_mid_capture_releases_the_spool(tmp_path, served_world, transport):
+    """A session closed with a capture running closes its spool's file:
+    no descriptor stays open and none is left for the collector to warn of."""
+    world, server = served_world
+    if transport == "local":
+        session = LocalSession(world, "A")
+    else:
+        sniff, inject = server.port_map()["A"]
+        session = SocketSession(("127.0.0.1", inject), ("127.0.0.1", sniff), color=False)
+    assert session.execute(f"capture start {tmp_path / 'x.pcapng'}")[0]
+    assert session.execute("version")[0]
+    spool = session.capture_records
+    assert len(spool) > 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        session.close()
+        file = spool._file
+        del spool, session
+        gc.collect()
+    assert file.closed
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert not (tmp_path / "x.pcapng").exists()
+
+
+def test_a_spool_that_cannot_grow_loses_records_not_commands(tmp_path):
+    """A record the spool's file cannot take (a full disk, a file-size
+    limit) is counted, not raised through the command that was waiting;
+    the stop writes the records the spool holds and names the loss."""
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    path = tmp_path / "x.pcapng"
+    assert session.execute(f"capture start {path}")[0]
+    assert session.execute("version")[0]
+    spool = session.capture_records
+    write = spool.write
+
+    def full(_octets):
+        raise OSError(errno.EFBIG, "File too large")
+
+    spool.write = full
+    assert session.execute("version")[0]
+    spool.write = write
+    assert session.execute("version")[0]
+    assert session.execute("capture stop") == (
+        True, [f"wrote 4 records to {path}; 2 records lost, the spool could not grow"]
+    )
