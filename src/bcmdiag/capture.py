@@ -15,8 +15,8 @@ File formats:
 * BTSnoop (datalink 1002, H4 with type octet).  BTSnoop is HCI-only:
   vendor-envelope frames are skipped and counted.
 
-A running capture holds its records in a spool, an anonymous temporary
-file, rather than in memory; ``capture stop`` streams them from it.
+A running capture spools its records, as sniff-stream records, to an
+anonymous temporary file, not memory; ``capture stop`` streams them from it.
 """
 
 from __future__ import annotations
@@ -30,12 +30,14 @@ from . import diag, hci, ll
 from .diag import DiagCode, code_direction, parse_diag
 from .errors import BcmDiagError, SessionError
 from .h4 import (
+    ENVELOPE_TYPES,
     Direction,
     H4Frame,
     H4StreamDecoder,
     H4Type,
     HciCommand,
     HciEvent,
+    decode_stream,
     direction_legal,
     encode_frame,
     value_class,
@@ -46,9 +48,7 @@ TICK_US = 625
 LINKTYPE_H4_WITH_PHDR = 201
 LINKTYPE_DIAG = 147  # LINKTYPE_USER0, private to this toolkit
 
-_HCI_TYPES = frozenset(
-    {H4Type.HCI_COMMAND, H4Type.ACL_DATA, H4Type.SCO_DATA, H4Type.HCI_EVENT}
-)
+_HCI_TYPES = frozenset(H4Type) - ENVELOPE_TYPES
 
 # BTSnoop epoch offset: microseconds between year 0 and 2000-01-01.
 _BTSNOOP_EPOCH_2000 = 0x00E03AB44A676000
@@ -163,24 +163,21 @@ def write_btsnoop(records: Collection[CaptureRecord], path: str) -> int:
 
 # ----- capture spool -----------------------------------------------------
 
-# A spooled record: its logical tick, direction, H4 type and payload
-# octets, then the payload.
-_SPOOL_HEAD = struct.Struct("<QBBI")
-# Octets read back at a time: more than the longest record, an ACL
-# frame's 4-octet header and 65,535 data octets after its head.
-_SPOOL_BLOCK = 1 << 17
-_DIRECTIONS = tuple(Direction)
-_H4_TYPES = {int(t): t for t in H4Type}
+# Octets read back at a time, kept small: the records decoded from one
+# block live together (4 KiB holds about 60 envelopes).  A longer record
+# (an ACL frame takes up to 65,541 octets) is gathered over several reads.
+_SPOOL_BLOCK = 1 << 12
 
 
 class CaptureSpool:
     """A running capture: the path and format ``capture stop`` writes,
     and the records so far, appended in arrival order to an anonymous
-    temporary file, so a capture holds a fixed amount of memory however
-    long it runs.  A record is appended with C calls only (``write`` of
-    ``head(tick, direction, h4_type, len(payload)) + payload``, then
-    ``count += 1``, or ``lost += 1`` when the write fails); iterating reads
-    the records back as CaptureRecords."""
+    temporary file as sniff-stream records, so a capture holds a fixed
+    amount of memory however long it runs.  A record is appended with C
+    calls only (``write`` of ``SNIFF_PREFIX[direction][h4_type] + payload``,
+    then ``count += 1``, or ``lost += 1`` when the write fails); iterating
+    reads them back as CaptureRecords stamped with their positions, the
+    live view's ticks until a record is lost and that many behind after."""
 
     def __init__(self, path: str, fmt: str) -> None:
         import tempfile  # only a capture needs it, so a session starts without it
@@ -193,7 +190,6 @@ class CaptureSpool:
         self.format = fmt
         self.count = 0
         self.lost = 0  # records the file could not take
-        self.head = _SPOOL_HEAD.pack
         self.write = self._file.write
 
     def __len__(self) -> int:
@@ -201,24 +197,21 @@ class CaptureSpool:
 
     def __iter__(self) -> Iterator[CaptureRecord]:
         """The records in arrival order, read a block at a time with
-        ``pread``, which leaves the append position where it is."""
+        ``pread``, which leaves the append position where it is, through
+        h4's decode loop; SessionError unless they are ``count`` whole records."""
         self._file.flush()
-        fd, offset, left = self._file.fileno(), 0, self.count
-        size = _SPOOL_HEAD.size
-        while left:
-            block = os.pread(fd, _SPOOL_BLOCK, offset)
-            at = 0
-            while left and at + size <= len(block):
-                tick, direction, h4_type, length = _SPOOL_HEAD.unpack_from(block, at)
-                end = at + size + length
-                if end > len(block):
-                    break
-                frame = tuple.__new__(H4Frame, (_H4_TYPES[h4_type], block[at + size : end]))
-                yield tuple.__new__(CaptureRecord, (tick * TICK_US, _DIRECTIONS[direction], frame))
-                at, left = end, left - 1
-            if not at:
-                raise SessionError(f"capture spool ends {left} records short")
-            offset += at
+        fd, offset, tick, buf = self._file.fileno(), 0, 0, bytearray()
+        while block := os.pread(fd, _SPOOL_BLOCK, offset):
+            offset += len(block)
+            buf += block
+            records, used = decode_stream(buf, offset - len(buf), prefixed=True)
+            del buf[:used]
+            for direction, frame in records:
+                yield tuple.__new__(CaptureRecord, (tick * TICK_US, direction, frame))
+                tick += 1
+        if buf or tick != self.count:
+            raise SessionError(f"capture spool damaged: {tick} whole records of "
+                               f"{self.count}, {len(buf)} octets over")
 
     def export(self) -> str:
         """Write the records to the path in the format; returns the line

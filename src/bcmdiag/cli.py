@@ -30,8 +30,9 @@ _RESET = "\x1b[0m"
 
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
+    # A port past 65535 is refused: a connect would take it modulo 65536.
+    if not host or not port.isdigit() or int(port) > 0xFFFF:
+        raise argparse.ArgumentTypeError(f"expected host:port with a port in 0-65535, got {text!r}")
     return host, int(port)
 
 
@@ -53,12 +54,14 @@ class SocketSession(Session):
         # Why the sniff stream stopped, once it has.
         self._sniff_down: str | None = None
 
-        self._inject_sock = socket.create_connection(inject, timeout=5.0)
-        self._sniff_sock = socket.create_connection(sniff, timeout=5.0)
-        self._decoder = SniffStreamDecoder()
-        self._probe_nonce = os.urandom(8)
-        self._probe_seen = False
-        self._synchronize()
+        with contextlib.ExitStack() as opened:  # a failed attach closes what it opened
+            self._inject_sock = opened.enter_context(socket.create_connection(inject, timeout=5.0))
+            self._sniff_sock = opened.enter_context(socket.create_connection(sniff, timeout=5.0))
+            self._decoder = SniffStreamDecoder()
+            self._probe_nonce = os.urandom(8)
+            self._probe_seen = False
+            self._synchronize()
+            opened.pop_all()
 
     def _synchronize(self) -> None:
         """A TCP connect only proves the handshake; the server may not
@@ -224,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         session = SocketSession(
             args.inject, args.sniff, color=not args.no_color, name=args.name
         )
-    except OSError as exc:
+    except (OSError, SessionError) as exc:
         print(f"cannot attach to controller: {exc}", file=sys.stderr)
         return 1
 

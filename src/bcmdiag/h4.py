@@ -60,7 +60,7 @@ _FRAMING: dict[int, tuple[H4Type, int, int]] = {
     H4Type.WICED: (H4Type.WICED, DIAG_PAYLOAD_LEN, 0),
 }
 
-_ENVELOPE_TYPES = frozenset(t for t, (_t, _need, width) in _FRAMING.items() if not width)
+ENVELOPE_TYPES = frozenset(t for t, (_t, _need, width) in _FRAMING.items() if not width)
 _DIRECTIONS = (Direction.HOST_TO_CONTROLLER, Direction.CONTROLLER_TO_HOST)
 # Read per frame, so plain names: an enum class read costs about 0.15 us.
 _HCI_COMMAND, _HCI_EVENT = H4Type.HCI_COMMAND, H4Type.HCI_EVENT
@@ -111,7 +111,7 @@ class H4Frame:
     def diag(cls, body: bytes, h4_type: H4Type = H4Type.DIAG) -> "H4Frame":
         """Wrap a diagnostic (or other vendor-channel) body, zero padding
         it to the fixed envelope size."""
-        if h4_type not in _ENVELOPE_TYPES:
+        if h4_type not in ENVELOPE_TYPES:
             raise InvariantViolation(f"{h4_type!r} is not an envelope channel")
         if len(body) > DIAG_PAYLOAD_LEN:
             raise InvariantViolation(
@@ -140,16 +140,24 @@ def encode_frame(frame: H4Frame) -> bytes:
     return bytes([frame.h4_type]) + frame.payload
 
 
-def _decode(buf: bytes | bytearray, base: int, prefixed: bool = False) -> tuple[list, int]:
-    """Decode complete frames from ``buf``, slicing each payload from one
-    bytes copy of it, taken once a frame is complete; returns them and
-    the octets consumed.  ``base`` is the stream offset of ``buf[0]``.
-    With ``prefixed`` each frame follows a direction octet and comes back
-    as ``(Direction, H4Frame)``; a bad direction octet raises as soon as
-    it is in ``buf``."""
+def decode_stream(
+    buffer: bytes | bytearray, base: int = 0, prefixed: bool = False
+) -> tuple[list, int]:
+    """Decode all complete frames from ``buffer``.
+
+    Returns the frames in order plus the number of octets consumed; a
+    trailing partial frame is left unconsumed so decoding can resume
+    once more octets arrive.  An octet that is not a known type tag
+    raises :class:`UnknownH4Type` with its stream offset (``base`` is the
+    offset of ``buffer[0]``) -- the stream is never silently
+    resynchronized.  Each payload is sliced from one bytes copy of the
+    buffer, taken once a frame is complete.  With ``prefixed`` each frame
+    follows a direction octet and comes back as ``(Direction, H4Frame)``;
+    a bad direction octet raises as soon as it is in ``buffer``.
+    """
     out: list = []
     i = 0
-    data, n = buf, len(buf)
+    data, n = buffer, len(buffer)
     framing = _FRAMING
     new_frame = tuple.__new__
     while i < n:
@@ -173,34 +181,22 @@ def _decode(buf: bytes | bytearray, base: int, prefixed: bool = False) -> tuple[
         if end > n:
             break  # partial body
         if data.__class__ is not bytes:
-            data = bytes(buf)
+            data = bytes(buffer)
         frame = new_frame(H4Frame, (h4_type, data[p + 1 : end]))
         out.append((_DIRECTIONS[data[i]], frame) if prefixed else frame)
         i = end
     return out, i
 
 
-def decode_stream(buffer: bytes) -> tuple[list[H4Frame], int]:
-    """Decode all complete frames from ``buffer``.
-
-    Returns the frames in order plus the number of octets consumed; a
-    trailing partial frame is left unconsumed so decoding can resume
-    once more octets arrive.  An octet that is not a known type tag
-    raises :class:`UnknownH4Type` with its stream offset -- the stream
-    is never silently resynchronized.
-    """
-    return _decode(buffer, 0)
-
-
 # [direction][H4 type] -> the two octets that open a sniff record.
-_SNIFF_PREFIX = tuple({t: bytes([d, t]) for t in H4Type} for d in Direction)
+SNIFF_PREFIX = tuple({t: bytes([d, t]) for t in H4Type} for d in Direction)
 
 
 def encode_sniff_record(direction: Direction, frame: H4Frame) -> bytes:
     """Wire form of one sniff-port record: a 1-octet direction prefix,
     then the self-delimiting H4 frame.  The frame is not checked again:
     every frame a controller hands its taps is valid by construction."""
-    return _SNIFF_PREFIX[direction][frame[0]] + frame[1]
+    return SNIFF_PREFIX[direction][frame[0]] + frame[1]
 
 
 class H4StreamDecoder:
@@ -221,7 +217,7 @@ class H4StreamDecoder:
         """Append octets and return every newly completed frame."""
         buf = self._buf
         buf += data
-        out, used = _decode(buf, self._base, self._prefixed)
+        out, used = decode_stream(buf, self._base, self._prefixed)
         del buf[:used]
         self._base += used
         return out

@@ -10,7 +10,6 @@ colon-separated hex, test parameters are decimal.
 
 from __future__ import annotations
 
-import itertools
 import struct
 import time
 from collections import deque
@@ -37,7 +36,7 @@ from .diag import (
     parse_diag,
 )
 from .errors import BcmDiagError, SessionError, scenario_lines
-from .h4 import Direction, H4Frame, H4Type, HciCommand, HciEvent
+from .h4 import SNIFF_PREFIX, Direction, H4Frame, H4Type, HciCommand, HciEvent
 
 USAGE = {
     "diag": "diag on|off",
@@ -154,7 +153,6 @@ class Session:
         self._capture_tick = 0
         self._lock = lock
         self._pending: deque[H4Frame] = deque(maxlen=PENDING_MAX)
-        self._queued = 0  # frames ever queued, evicted and taken ones too
         self._unechoed: deque[H4Frame] = deque(maxlen=UNECHOED_MAX)
         self._answering = False  # the latest echo was our newest send
         self._scenario_depth = 0
@@ -198,7 +196,6 @@ class Session:
                 self._answering = answering and not self._unechoed
             elif self._answering:
                 self._pending.append(frame)
-                self._queued += 1
 
     def wait_frame(
         self, pred: Callable[[H4Frame], bool], timeout: float | None = None
@@ -207,27 +204,25 @@ class Session:
         while there is none, ``_pump`` until ``timeout`` s (by default
         ``default_timeout``) have passed, then return None.  A transport
         that is down fails the wait with its reason before the time runs
-        out.  Each frame is tested once: a retry tries only the frames
-        queued since its last miss."""
+        out.  Every try scans the queue from its head: a predicate is pure,
+        so the frame returned is the oldest match either way, and a send
+        empties the queue, so it holds one command's traffic."""
         deadline = time.monotonic() + (self.default_timeout if timeout is None else timeout)
         pending = self._pending
-        since = 0
         while True:
             with self._lock:
-                start = max(0, len(pending) - (self._queued - since))
-                for i, frame in enumerate(itertools.islice(pending, start, None), start):
+                for i, frame in enumerate(pending):
                     if pred(frame):
                         del pending[i]
                         return frame
-                since = self._queued
             remaining = deadline - time.monotonic()
             if not self._pump(max(remaining, 0.0)) or remaining <= 0:
                 return None
 
     def record_frame(self, direction: Direction, frame: H4Frame) -> None:
-        """Queue one sniffed frame for the live view and append it to the
-        running capture's spool, with a session-local logical tick so
-        exports are reproducible."""
+        """Queue one sniffed frame for the live view, stamped with a
+        session-local logical tick so runs render reproducibly, and append
+        it to the running capture's spool as a sniff-stream record."""
         tick = self._capture_tick
         self._capture_tick = tick + 1
         if self.live_view:  # CaptureRecord.at_tick, inline: it runs per record
@@ -236,7 +231,7 @@ class Session:
         spool = self.capture_records
         if spool is not None:
             try:
-                spool.write(spool.head(tick, direction, frame[0], len(frame[1])) + frame[1])
+                spool.write(SNIFF_PREFIX[direction][frame[0]] + frame[1])
                 spool.count += 1
             except OSError:  # its file cannot grow; the stop reports the loss
                 spool.lost += 1
@@ -346,7 +341,7 @@ class Session:
         if not args or args[0] not in _STATS_GETTERS:
             raise CommandError("expected br|edr|sco|esco|aux|conn")
         if len(args) > 1:
-            if args[0] != "br" or args[1] != "reset":
+            if len(args) > 2 or args[0] != "br" or args[1] != "reset":
                 raise CommandError("only 'stats br reset' resets")
             self._diag(StatsRequest(DiagCode.RESET_BR_ACL_STATS))
             return True, ["BR ACL statistics reset"]
@@ -434,6 +429,8 @@ class Session:
             raise CommandError("expected add|del|show")
         action = args[0]
         if action == "show":
+            if len(args) != 1:
+                raise CommandError("expected show")
             ret = self._hci(hci.OPCODE_VSC_FIREWALL_SHOW)
             enabled, count = ret[1], ret[2]
             if not enabled:
@@ -471,7 +468,7 @@ class Session:
         return True, [f"live view {args[0]}"]
 
     def _cmd_capture(self, args: list[str]) -> Reply:
-        if args and args[0] == "stop":
+        if args == ["stop"]:
             spool = self.capture_records
             if spool is None:
                 return False, ["no capture running"]
@@ -485,7 +482,7 @@ class Session:
                 return False, [f"{exc} (capture still running)"]
             spool.close()
             return True, [line]
-        if len(args) < 2 or args[0] != "start":
+        if not 2 <= len(args) <= 3 or args[0] != "start":
             raise CommandError("expected start <path> [pcap|btsnoop] or stop")
         if self.capture_records is not None:
             return False, ["capture already running (one sink per session)"]

@@ -26,7 +26,7 @@ from bcmdiag.capture import (
     write_pcap,
 )
 from bcmdiag.diag import DiagCode, LmpLogRecord, MemAccessType, ToggleLmpLogging, build_diag
-from bcmdiag.errors import UnknownDirection, UnknownH4Type
+from bcmdiag.errors import SessionError, UnknownDirection, UnknownH4Type
 from bcmdiag.h4 import Direction, H4Frame, H4Type, HciCommand, encode_frame, encode_sniff_record
 from bcmdiag.session import Session
 
@@ -194,6 +194,43 @@ class TestCaptureSpool:
             assert list(spool) == expected == list(spool)
             for record in spool:
                 assert type(record.direction) is Direction and type(record.frame.h4_type) is H4Type
+        finally:
+            session.close()
+
+    def test_the_spool_holds_the_sniff_stream(self):
+        """The spool's file is the sniff-stream records of what it was
+        handed, octet for octet."""
+        rng = random.Random(0x5B00)
+        items = [(rng.choice((H2C, C2H)), random_h4_frame(rng)) for _ in range(50)]
+        items.append((C2H, _LONGEST))
+        session = Session(lock=nullcontext())
+        assert session.execute("capture start never-written.pcapng")[0]
+        try:
+            for direction, frame in items:
+                session.record_frame(direction, frame)
+            spool = session.capture_records
+            spool._file.flush()
+            spool._file.seek(0)
+            assert spool._file.read() == b"".join(encode_sniff_record(d, f) for d, f in items)
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("damage", ["partial record", "record short"])
+    def test_a_damaged_spool_fails_its_read(self, damage):
+        """A spool that ends inside a record, or holds fewer records than
+        it counts, fails the read rather than export a short capture."""
+        record = encode_sniff_record(C2H, H4Frame.diag(b"\x01"))
+        session = Session(lock=nullcontext())
+        assert session.execute("capture start never-written.pcapng")[0]
+        try:
+            session.record_frame(C2H, H4Frame.diag(b"\x01"))
+            spool = session.capture_records
+            if damage == "partial record":
+                spool.write(record[:-1])
+            else:
+                spool.count += 1
+            with pytest.raises(SessionError, match="capture spool damaged: 1 whole records of"):
+                list(spool)
         finally:
             session.close()
 

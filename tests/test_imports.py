@@ -1,7 +1,8 @@
 """Every name a bcmdiag module imports, and every private name it
 defines at module level, is used in it: an ``ast`` scan, since no linter
 is installed.  A name counts as used where the module reads it, names it
-in a quoted annotation, or lists it in ``__all__``."""
+in a quoted annotation, or lists it in ``__all__``.  No module takes
+another module's private (``_``-prefixed) name."""
 
 import ast
 import os
@@ -115,6 +116,56 @@ def test_the_private_name_scan_sees_what_it_must():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unread_private_name(path):
     assert unread_private_names(path.read_text("utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Another module's ``_``-prefixed names that the source takes: by
+    ``from m import _name``, or as ``m._name`` where ``import m`` or
+    ``from . import m`` bound ``m``."""
+    tree = ast.parse(source)
+    modules: set[str] = set()
+    taken: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    taken.append(f"{alias.name} (line {node.lineno})")
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            taken.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return taken
+
+
+def test_the_private_import_scan_sees_what_it_must():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, struct as st\n"
+        "from . import h4\n"
+        "from .h4 import _FRAMING, SNIFF_PREFIX\n"
+        "from .diag import TestParams\n"
+        "def f(session):\n"
+        "    return h4._decode, st._clearcache, os._exit, h4.__name__, session._pump\n"
+        "def g():\n"
+        "    return TestParams._fields\n"
+    )
+    assert private_imports(source) == [
+        "_FRAMING (line 4)", "h4._decode (line 7)", "st._clearcache (line 7)", "os._exit (line 7)"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_module_takes_another_modules_private_name(path):
+    assert private_imports(path.read_text("utf-8")) == []
 
 
 # The client's own modules.  The emulator loads none of them at start-up,

@@ -20,7 +20,8 @@ import pytest
 import bcmdiag
 from bcmdiag import hci
 from bcmdiag.capture import SniffStreamDecoder
-from bcmdiag.cli import SocketSession, run_batch
+from bcmdiag.cli import SocketSession, _parse_hostport, run_batch
+from bcmdiag.cli import main as client_main
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, parse_diag
 from bcmdiag.emulator import Controller
 from bcmdiag.emulator.memory import ARM_BASE
@@ -928,6 +929,38 @@ class TestAttach:
             fake.close()
         assert not fake.thread.is_alive()
         assert elapsed < 0.05, elapsed
+
+    def test_a_dropped_sniff_connection_fails_the_attach_at_once(self, capsys):
+        """A sniff listener that accepts and hangs up: ``bcmdiag`` ends
+        with one line and status 1 long before the 5 s probe deadline,
+        and leaves no socket open."""
+        with socket.create_server(("127.0.0.1", 0)) as inject, \
+                socket.create_server(("127.0.0.1", 0)) as sniff:
+            dropper = threading.Thread(target=lambda: sniff.accept()[0].close())
+            dropper.start()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                t0 = time.monotonic()
+                status = client_main([
+                    "--inject", f"127.0.0.1:{inject.getsockname()[1]}",
+                    "--sniff", f"127.0.0.1:{sniff.getsockname()[1]}",
+                ])
+                elapsed = time.monotonic() - t0
+                gc.collect()
+            dropper.join(timeout=5.0)
+        assert status == 1 and elapsed < 2.0, (status, elapsed)
+        assert capsys.readouterr().err == "cannot attach to controller: sniff stream disconnected\n"
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("port", ["65536", "99999"])
+    def test_a_port_past_65535_is_refused(self, capsys, port):
+        """A connect would take the port modulo 65536 (99999 is 34463), so
+        the parser refuses it before anything connects."""
+        with pytest.raises(SystemExit) as exited:
+            client_main(["--inject", f"127.0.0.1:{port}"])
+        assert exited.value.code == 2
+        assert "a port in 0-65535, got '127.0.0.1:" in capsys.readouterr().err
+        assert _parse_hostport("127.0.0.1:65535") == ("127.0.0.1", 65535)
 
 
 class TestSniffStreamErrors:

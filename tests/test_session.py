@@ -16,11 +16,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bcmdiag import hci
+from bcmdiag.capture import TICK_US
 from bcmdiag.cli import SocketSession
 from bcmdiag.diag import DiagCode
 from bcmdiag.emulator.scenario import build_world
 from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciEvent
 from bcmdiag.session import USAGE, LocalSession, Session
+
+from helpers import read_pcapng
 
 
 class StubSession(Session):
@@ -174,7 +177,9 @@ def test_closing_mid_capture_releases_the_spool(tmp_path, served_world, transpor
 def test_a_spool_that_cannot_grow_loses_records_not_commands(tmp_path):
     """A record the spool's file cannot take (a full disk, a file-size
     limit) is counted, not raised through the command that was waiting;
-    the stop writes the records the spool holds and names the loss."""
+    the stop writes the records the spool holds and names the loss.  Each
+    record is stamped with its position, so those after the loss follow
+    on without a gap."""
     session = LocalSession(build_world(_TWO_CHIPS), "A")
     path = tmp_path / "x.pcapng"
     assert session.execute(f"capture start {path}")[0]
@@ -192,3 +197,55 @@ def test_a_spool_that_cannot_grow_loses_records_not_commands(tmp_path):
     assert session.execute("capture stop") == (
         True, [f"wrote 4 records to {path}; 2 records lost, the spool could not grow"]
     )
+    _interfaces, packets = read_pcapng(str(path))
+    assert [timestamp for _iface, timestamp, _data in packets] == [tick * TICK_US for tick in range(4)]
+
+
+@pytest.mark.parametrize("line", [
+    "firewall show junk",
+    "stats br reset junk",
+    "capture start {path} pcap junk",
+    "capture stop junk",
+])
+def test_a_trailing_word_is_refused_with_the_usage_line(tmp_path, line):
+    """A command that takes a fixed number of words refuses one more and
+    does nothing: no reset, no capture started, no file written."""
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    path = tmp_path / "x.pcapng"
+    try:
+        if line == "capture stop junk":
+            assert session.execute(f"capture start {path}")[0]
+        ok, lines = session.execute(line.format(path=path))
+        assert not ok and len(lines) == 1, lines
+        assert lines[0].startswith(f"usage: {USAGE[line.split()[0]]}  ("), lines
+        assert (session.capture_records is None) == (line != "capture stop junk")
+        assert not path.exists()
+    finally:
+        session.close()
+
+
+class _PumpedSession(StubSession):
+    """Answers a send with ``answers``, then each pump with the next batch."""
+
+    def __init__(self, answers: list[H4Frame], batches: list[list[H4Frame]]) -> None:
+        super().__init__(answers)
+        self.batches = batches
+
+    def _pump(self, timeout: float) -> bool:
+        if not self.batches:
+            return False
+        self._queue_records([(Direction.CONTROLLER_TO_HOST, f) for f in self.batches.pop(0)])
+        return True
+
+
+def test_a_wait_that_misses_returns_the_oldest_match():
+    """The first scan finds only frames the predicate rejects; pumps queue
+    more of them and then two matches.  The wait takes the older match
+    and leaves every other frame queued in order."""
+    miss = [_diag(DiagCode.PEEK_RESPONSE), _diag(DiagCode.POKE_RESPONSE)]
+    first, second = (H4Frame.diag(bytes([DiagCode.HEXDUMP_RESPONSE, n])) for n in (1, 2))
+    session = _PumpedSession(miss, [[miss[1]], [miss[0], first, second]])
+    session.send_frame(H4Frame.diag(bytes([DiagCode.MEMORY_HEXDUMP])))
+    head = bytes([DiagCode.HEXDUMP_RESPONSE])
+    assert session.wait_frame(lambda f: f.payload[:1] == head, 1.0) == first
+    assert list(session._pending) == miss + [miss[1], miss[0], second]
