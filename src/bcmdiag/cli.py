@@ -141,8 +141,9 @@ class SocketSession(Session):
     def _stream_down(self, reason: str) -> SessionError:
         """The sniff stream has ended: fail waits at once from now on."""
         self._sniff_down = reason
-        self._out.write(f"{reason}; commands that wait for an answer now fail\n")
-        self._out.flush()
+        if self._probe_seen:  # else the attach fails, and its SessionError says why
+            self._out.write(f"{reason}; commands that wait for an answer now fail\n")
+            self._out.flush()
         return SessionError(reason)
 
     def _show_live(self) -> None:

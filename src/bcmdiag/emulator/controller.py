@@ -27,7 +27,6 @@ from ..diag import (
     DiagCode,
     DiagMessage,
     MemAccessType,
-    code_direction,
     parse_diag,
 )
 from ..errors import BcmDiagError
@@ -409,10 +408,7 @@ class Controller:
     # ----- diagnostic surface ------------------------------------------------
 
     def _diag_unhandled(self, msg: DiagMessage) -> list[DiagMessage]:
-        if code_direction(msg.code) is not Direction.HOST_TO_CONTROLLER:
-            self._note(f"host sent controller->host diag code 0x{msg.code:02x}")
-        else:
-            self._note(f"unhandled diag code 0x{msg.code:02x}")
+        self._note(f"host sent controller->host diag code 0x{msg.code:02x}")
         return []
 
     def _diag_toggle_logging(self, msg: diag.ToggleLmpLogging) -> list[DiagMessage]:
@@ -594,14 +590,13 @@ class Controller:
         return None
 
     def _new_connection(self, peer: bytes, role: Role, layer: LinkLayer) -> Connection:
-        # Allocation wraps, so handles of dropped connections come back.
-        for _ in range(MAX_HANDLE - FIRST_HANDLE + 1):
+        # Allocation wraps, so handles of dropped connections come back.  At
+        # most two are in use (one link peer, two layers): a free one is near.
+        while True:
             handle = self._next_handle
             self._next_handle = handle + 1 if handle < MAX_HANDLE else FIRST_HANDLE
             if handle not in self.connections:
                 break
-        else:
-            raise BcmDiagError("connection handles exhausted")
         conn = Connection(handle, peer, role, layer)
         self.connections[handle] = conn
         return conn

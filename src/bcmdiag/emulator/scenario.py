@@ -24,7 +24,7 @@ import threading
 from typing import Callable
 
 from .. import hci
-from ..errors import ScenarioError, scenario_lines
+from ..errors import AlreadyLinked, ScenarioError, scenario_lines
 from .controller import Controller
 from .link import attach_air_link
 from .memory import MemoryImage
@@ -37,19 +37,8 @@ class World:
     servers' socket threads funnel through here."""
 
     def __init__(self) -> None:
-        self.controllers: dict[str, Controller] = {}
-        self.order: list[str] = []
+        self.controllers: dict[str, Controller] = {}  # in the order they were added
         self.lock = threading.RLock()
-
-    def add(self, name: str, controller: Controller) -> Controller:
-        if name in self.controllers:
-            raise ValueError(f"duplicate controller name {name!r}")
-        self.controllers[name] = controller
-        self.order.append(name)
-        return controller
-
-    def link(self, a: str, b: str) -> None:
-        attach_air_link(self.controllers[a], self.controllers[b])
 
     def __getitem__(self, name: str) -> Controller:
         return self.controllers[name]
@@ -128,14 +117,19 @@ def _world_from(directives: list[tuple[int, str, list[str]]]) -> World:
             if not args:
                 raise ScenarioError(lineno, "controller needs a name")
             name = args[0]
-            world.add(name, build_controller(name, _parse_kv(args[1:], lineno), lineno))
+            if name in world.controllers:
+                raise ScenarioError(lineno, f"duplicate controller name {name!r}")
+            world.controllers[name] = build_controller(name, _parse_kv(args[1:], lineno), lineno)
         else:
             if len(args) != 2:
                 raise ScenarioError(lineno, "link takes exactly two names")
             for name in args:
                 if name not in world.controllers:
                     raise ScenarioError(lineno, f"unknown controller {name!r}")
-            world.link(args[0], args[1])
+            try:  # the same controller twice, a shared MAC, or one already linked
+                attach_air_link(world[args[0]], world[args[1]])
+            except (ValueError, AlreadyLinked) as exc:
+                raise ScenarioError(lineno, str(exc)) from None
     return world
 
 

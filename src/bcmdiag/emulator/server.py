@@ -147,11 +147,11 @@ class EmulatorServer:
         self._thread: threading.Thread | None = None
         self._in_pass = self._stopping = False
         # Before any bind: create_server leaks its socket on a port outside 0-65535.
-        last = base_port + 2 * len(world.order) - 1
+        last = base_port + 2 * len(world.controllers) - 1
         if base_port < 0 or last > 0xFFFF:
             raise ValueError(f"ports {base_port}-{last} are not all within 0-65535")
         try:
-            for index, name in enumerate(world.order):
+            for index, name in enumerate(world.controllers):
                 port = base_port + 2 * index
                 self.endpoints[name] = ControllerEndpoint(self, world[name], host, port, port + 1)
             # After the binds, so a failed one leaves nothing more to close.

@@ -10,6 +10,7 @@ colon-separated hex, test parameters are decimal.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from collections import deque
@@ -158,9 +159,6 @@ class Session:
         self._scenario_depth = 0
 
     # transport hooks -------------------------------------------------
-    def _send(self, frame: H4Frame) -> None:
-        raise NotImplementedError
-
     def _pump(self, timeout: float) -> bool:
         """No frame arrives but by ``_send``: an in-process controller
         answers before ``_send`` returns."""
@@ -480,7 +478,15 @@ class Session:
                 # path is writable.
                 self.capture_records = spool
                 return False, [f"{exc} (capture still running)"]
-            spool.close()
+            except BcmDiagError:  # the read-back failed, after the writer opened the path
+                try:
+                    os.remove(spool.path)
+                except OSError:  # gone already, or not ours to remove: the stop still fails
+                    pass
+                raise
+            finally:
+                if self.capture_records is None:  # written, or the spool was damaged
+                    spool.close()
             return True, [line]
         if not 2 <= len(args) <= 3 or args[0] != "start":
             raise CommandError("expected start <path> [pcap|btsnoop] or stop")

@@ -72,7 +72,7 @@ def unstarted_server(world) -> EmulatorServer:
     bind, so a taken port is retried."""
     for _attempt in range(5):
         try:
-            return EmulatorServer(world, base_port=free_base_port(2 * len(world.order)))
+            return EmulatorServer(world, base_port=free_base_port(2 * len(world.controllers)))
         except OSError:
             continue
     pytest.fail("no free port window")

@@ -114,6 +114,16 @@ class TestCompleteness:
         )
         assert code_direction(code) is expected
 
+    @pytest.mark.parametrize(
+        "code", [c for c in ALL_CODES if code_direction(c) is Direction.HOST_TO_CONTROLLER]
+    )
+    def test_every_request_parses_to_a_class_the_controller_handles(self, code):
+        """The controller notes any class without a handler as one the host
+        may not send: that holds only while every request class has one."""
+        from bcmdiag.emulator import Controller
+
+        assert type(parse_diag(build_diag(_sample_message(code)))) in Controller._DIAG_HANDLERS
+
 
 def _sample_message(code: DiagCode):
     if code is DiagCode.TOGGLE_LMP_LOGGING:
@@ -205,6 +215,34 @@ class TestErrors:
     def test_stats_request_kind_checked(self):
         with pytest.raises(InvariantViolation):
             build_diag(StatsRequest(DiagCode.BR_ACL_STATS))
+
+    @pytest.mark.parametrize(
+        "encode, reason",
+        [
+            (lambda: H4Frame.diag(b"", h4_type=H4Type.HCI_EVENT), "not an envelope channel"),
+            (lambda: HciCommand(0x10000).to_frame(), "opcode 0x10000 out of range"),
+            (lambda: HciCommand(-1).to_frame(), "out of range"),
+            (lambda: HciCommand.from_frame(HciEvent(0x0E).to_frame()), "not an HCI command frame"),
+            (lambda: HciEvent(0x100).to_frame(), "event code 0x100 out of range"),
+            (lambda: HciEvent(0x0E, bytes(256)).to_frame(), "exceed 255 octets"),
+            (lambda: HciEvent.from_frame(HciCommand(0x1001).to_frame()), "not an HCI event frame"),
+            (lambda: MemoryPeek(MemAccessType.HEXDUMP_ARM, 0).to_frame(), "not allowed"),
+            (lambda: MemoryPoke(5, 0, 0).to_frame(), "not allowed"),
+            (lambda: LmpLogRecord(True, bytes(6), bytes(17)).to_frame(), "MAC must be 4 octets"),
+            (lambda: LcpLogRecord(True, bytes(4), b"").to_frame(), "MAC must be 6 octets"),
+            (lambda: LcpLogRecord(False, bytes(6), bytes(56)).to_frame(), "of 56 octets exceeds 55"),
+            (lambda: StatsResponse(DiagCode.GET_BR_ACL_STATS, ()).to_frame(),
+             "is not a statistics response"),
+        ],
+        ids=[
+            "envelope-type", "opcode-high", "opcode-negative", "command-from-event",
+            "event-code", "event-params", "event-from-command", "peek-access", "poke-access",
+            "lmp-record-mac", "lcp-record-mac", "lcp-record-payload", "stats-kind",
+        ],
+    )
+    def test_an_encoder_refuses_what_its_wire_form_cannot_hold(self, encode, reason):
+        with pytest.raises(InvariantViolation, match=reason):
+            encode()
 
 
 class TestSemanticValidity:

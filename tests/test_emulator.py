@@ -26,7 +26,7 @@ from bcmdiag.diag import (
 )
 from bcmdiag.emulator import Controller, Phase, Role, attach_air_link
 from bcmdiag.emulator.controller import CLASSIC_LINK, LE_LINK, LOG_FRAMES_MAX
-from bcmdiag.emulator.memory import ARM_BASE, VERSION_STRING
+from bcmdiag.emulator.memory import ARM_BASE, BLUERF_BASE, BLUERF_SIZE, VERSION_STRING
 from bcmdiag.emulator.profiles import HandlerAction, patched_profile, vulnerable_profile
 from bcmdiag.errors import AlreadyLinked, InvariantViolation
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent, encode_frame
@@ -121,6 +121,27 @@ class TestHciSurface:
         )
         assert connect_pair(a, b, transport="le") == FIRST_HANDLE + 1
 
+    @pytest.mark.parametrize("transport", ["classic", "le"])
+    def test_an_opener_from_a_connected_peer_makes_no_second_connection(
+        self, linked_pair, transport
+    ):
+        """B's HCI Reset drops its end without a word to A, then B's host
+        connects again.  A finds the connection it holds to B on that layer
+        and makes no other, so it never holds more than one per layer."""
+        a, b = linked_pair
+        handle = connect_pair(a, b, transport)
+        before = a.snapshot()["connections"]
+        b.process_host_frame(HciCommand(hci.OPCODE_RESET).to_frame())
+        assert not b.connections
+        connect_pair(b, a, transport)
+        assert a.snapshot()["connections"] == before
+        assert list(a.connections) == [handle]
+
+    def test_a_mac_that_is_not_6_octets_is_refused(self):
+        for mac in (bytes(5), bytes(7)):
+            with pytest.raises(ValueError, match="MAC must be 6 octets"):
+                Controller(mac)
+
     def test_passive_peer_holds_nothing(self, linked_pair):
         """B never gets host input during 1,000 logged connect+disconnect
         cycles driven from A; it keeps none of the frames they made it
@@ -206,6 +227,14 @@ class TestVendorHci:
         else:
             assert evt.params[3:] == bytes([hci.ERR_INVALID_PARAMETERS])
         assert not ctrl.audit
+
+    def test_super_duper_peek_outside_bluerf_space(self):
+        ctrl = Controller(MAC_A)
+        peek = HciCommand(
+            hci.OPCODE_VSC_SUPER_DUPER_PEEK_POKE, b"\x00" + struct.pack("<I", BLUERF_BASE + BLUERF_SIZE)
+        )
+        (evt,) = events_of(ctrl.process_host_frame(peek.to_frame()), hci.EVT_COMMAND_COMPLETE)
+        assert evt.params[3:] == bytes([hci.ERR_INVALID_PARAMETERS, 0])
 
     def test_super_duper_peek_poke_bluerf(self):
         ctrl = Controller(MAC_A)
@@ -598,6 +627,18 @@ class TestDiagSurface:
     def test_wrong_direction_diag_ignored(self):
         ctrl = Controller(MAC_A)
         assert diag_answers(ctrl, PokeResponse(0)) == []
+        assert ctrl.audit[-1].endswith("host sent controller->host diag code 0x11")
+
+    @pytest.mark.parametrize("frame", [
+        HciEvent(hci.EVT_COMMAND_COMPLETE, bytes(3)).to_frame(),
+        H4Frame(H4Type.SCO_DATA, struct.pack("<HB", 0x000B, 2) + b"\x01\x02"),
+    ], ids=["event", "sco"])
+    def test_an_event_or_sco_frame_from_the_host_is_noted_only(self, frame):
+        ctrl = Controller(MAC_A)
+        before = ctrl.snapshot()
+        assert ctrl.process_host_frame(frame) == []
+        assert ctrl.snapshot() == before
+        assert ctrl.audit[-1].endswith(f"host sent {frame.h4_type.name}; ignored")
 
     def test_connection_stats_include_cpu_load(self, linked_pair):
         a, b = linked_pair
@@ -683,6 +724,19 @@ class TestStatistics:
         (stats,) = diag_answers(a, StatsRequest(DiagCode.GET_BR_ACL_STATS))
         assert set(stats.values) == {0}
 
+    def test_acl_from_a_peer_after_its_reset_is_noted_only(self, linked_pair):
+        """B's HCI Reset leaves A's end up; A's data then reaches a B with
+        no connection to put it on."""
+        a, b = linked_pair
+        handle = connect_pair(a, b)
+        b.process_host_frame(HciCommand(hci.OPCODE_RESET).to_frame())
+        host_b = HostRecorder(b)
+        self._send_acl(a, handle)
+        assert host_b.take() == []
+        assert b.audit[-1].endswith(f"ACL data from unconnected {hci.format_mac(MAC_A)}")
+        (stats_b,) = diag_answers(b, StatsRequest(DiagCode.GET_BR_ACL_STATS))
+        assert stats_b.as_dict()["rx_packets"] == 0
+
     def test_counters_monotonic_between_resets(self, linked_pair):
         a, b = linked_pair
         handle = connect_pair(a, b)
@@ -742,6 +796,32 @@ class TestAirLink:
         c = Controller(MAC_EVIL)
         with pytest.raises(AlreadyLinked):
             attach_air_link(a, c)
+
+    def test_a_delivery_that_transmits_extends_the_running_pump(self, linked_pair):
+        """B's host disconnects from a tap, while A's pump is delivering
+        the setup that completes B's end.  B's own pump returns at once;
+        A's delivers the detach, so both ends finish unconnected."""
+        a, b = linked_pair
+        nested = []
+
+        def disconnect_on_connect(_direction, frame, _tick):
+            if not nested and frame.h4_type is H4Type.HCI_EVENT \
+                    and frame.payload[0] == hci.EVT_CONNECTION_COMPLETE:
+                handle = struct.unpack_from("<H", frame.payload, 3)[0]
+                nested.append(b.process_host_frame(HciCommand(
+                    hci.OPCODE_DISCONNECT, struct.pack("<HB", handle, 0x13)).to_frame()))
+
+        b.add_tap(disconnect_on_connect)
+        out = a.process_host_frame(
+            HciCommand(hci.OPCODE_CREATE_CONNECTION, hci.mac_to_wire(MAC_B) + bytes(7)).to_frame()
+        )
+        (answer,) = nested
+        assert [e.event_code for e in map(HciEvent.from_frame, answer)] == [
+            hci.EVT_COMMAND_STATUS, hci.EVT_DISCONNECTION_COMPLETE
+        ]
+        (evt,) = events_of(out, hci.EVT_DISCONNECTION_COMPLETE)
+        assert evt.params[3] == 0x13
+        assert not a.connections and not b.connections
 
     def test_same_mac_rejected(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,13 @@ class TestDissectLmp:
         assert pdu.extended_opcode == 25
         assert pdu.name == "LMP_IO_capability_req"
 
+    @pytest.mark.parametrize("opcode, ext, name", [
+        (124, 25, "LMP_escape1_unknown(0x19)"),  # a known extended opcode behind another escape
+        (127, 0xFE, "LMP_escape4_unknown(0xfe)"),
+    ])
+    def test_an_unknown_escape_is_named_by_its_octets(self, opcode, ext, name):
+        assert ll.LmpPdu(opcode, extended_opcode=ext).name == name
+
     def test_unknown_opcode(self):
         with pytest.raises(UnknownOpcode):
             ll.dissect_lmp(bytes([100 << 1]))
@@ -193,6 +200,8 @@ class TestLcp:
     def test_unknown_vendor_subtype(self):
         with pytest.raises(UnknownVendorSubtype):
             ll.dissect_lcp(b"\xff\x09")
+        with pytest.raises(UnknownVendorSubtype):  # no subtype octet at all
+            ll.dissect_lcp(b"\xff")
 
     def test_length_validated(self):
         with pytest.raises(LengthMismatch):

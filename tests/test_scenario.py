@@ -51,6 +51,36 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             build_world("controller A mac=00:11:22:33:44:01\nlink A B\n")
 
+    @pytest.mark.parametrize("text, lineno, reason", [
+        ("controller a mac=00:11:22:33:44:01\ncontroller a mac=00:11:22:33:44:02\n",
+         2, "duplicate controller name 'a'"),
+        ("controller a mac=00:11:22:33:44:01\nlink a a\n",
+         2, "a link needs two distinct controllers"),
+        ("controller a mac=00:11:22:33:44:01\ncontroller b mac=00:11:22:33:44:01\nlink a b\n",
+         3, "a link needs two distinct controllers"),
+        ("controller a mac=00:11:22:33:44:01\ncontroller b mac=00:11:22:33:44:02\n"
+         "controller c mac=00:11:22:33:44:03\nlink a b\nlink a c\n",
+         5, "one of the controllers is already linked"),
+        ("controller a mac=00:11:22:33:44:01 patched\n", 1, "expected key=value, got 'patched'"),
+        ("controller\n", 1, "controller needs a name"),
+        ("controller a mac=00:11:22:33:44:01\nlink a\n", 2, "link takes exactly two names"),
+    ], ids=["duplicate-name", "self-link", "shared-mac", "second-link", "bare-option",
+            "no-name", "one-name"])
+    def test_a_topology_error_names_its_line(self, tmp_path, capsys, text, lineno, reason):
+        """The runner raises ScenarioError for the line, and ``bcmdiag-emu
+        --scenario`` prints it with the file's name and exits 2."""
+        from bcmdiag.emulator.server import main as emulator_main
+
+        with pytest.raises(ScenarioError) as raised:
+            run_scenario(text)
+        assert (raised.value.lineno, raised.value.reason) == (lineno, reason)
+        path = tmp_path / "topology.scenario"
+        path.write_text(text)
+        assert emulator_main(["--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"bcmdiag-emu: scenario line {lineno}: {reason}: {str(path)!r}\n"
+        )
+
 
 # One line each and how both readers of the scenario grammar classify
 # it: ("directive", word), ("command", target), "bare", or None when
@@ -105,7 +135,7 @@ class TestGrammar:
 class TestWorldBuilding:
     def test_topology(self):
         world = build_world(TOPOLOGY)
-        assert world.order == ["A", "B"]
+        assert list(world.controllers) == ["A", "B"]
         assert world["A"].mac == MAC_A
         assert world["B"].profile.bpcs_bounds_check is False
         assert world["B"].test_packet_count == 25
@@ -202,8 +232,10 @@ class TestRunning:
             "A: firewall show\n"
             "B: test\n"
         )
-        ok, world, transcript = run_scenario(text)
+        printed: list[str] = []
+        ok, world, transcript = run_scenario(text, on_line=printed.append)
         assert ok
+        assert printed == transcript  # the live view is off: command output only
         assert world["A"].connections and world["B"].connections
         assert any("connected to 00:11:22:33:44:02" in line for line in transcript)
         assert any("LE connected to 00:11:22:33:44:02" in line for line in transcript)
@@ -262,9 +294,12 @@ class TestRunning:
         assert session.execute("version")[0]
 
     def test_failure_propagates(self):
-        ok, _world, transcript = run_scenario(TOPOLOGY + "A: peek arm 0xdead0000\n")
+        ok, _world, transcript = run_scenario(
+            TOPOLOGY + "A: peek arm 0xdead0000\nA: poke arm 0xdead0000 1\n"
+        )
         assert not ok
         assert any("peek failed" in line for line in transcript)
+        assert "A: poke failed: controller status 0x01" in transcript
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ScenarioError):
@@ -313,6 +348,7 @@ class TestRunning:
         assert lines and lines[0].startswith("usage: peek")
         ok, lines = session.execute("warp 9")
         assert not ok and "unknown command" in lines[0]
+        assert session.execute("") == session.execute("  # a note") == (True, [])
 
     @pytest.mark.parametrize(
         "line",
@@ -325,6 +361,9 @@ class TestRunning:
             "dump 1ffffffff",
             "peek arm -1",
             "sendlmp 0b " + "00" * 300,
+            "test 1 0 0 0 0 0 1 1",
+            "sendlmp 0b 0z",
+            "capture start x.pcapng pcapng",
         ],
         ids=[
             "sendlmp-handle",
@@ -335,11 +374,14 @@ class TestRunning:
             "dump-address",
             "peek-negative",
             "sendlmp-pdu",
+            "test-count",
+            "sendlmp-octets",
+            "capture-format",
         ],
     )
     def test_out_of_range_operand_echoes_usage(self, line):
-        """An operand too wide for its field is a usage error, caught
-        before anything is sent."""
+        """An operand too wide for its field, one too many, or one of the
+        wrong form is a usage error, caught before anything is sent."""
         world = build_world("controller A mac=00:11:22:33:44:01\n")
         session = LocalSession(world, "A")
         sent = HostRecorder(world["A"], Direction.HOST_TO_CONTROLLER)
@@ -498,6 +540,40 @@ class TestSessionMatching:
             ]
         )
         assert list(session._pending) == [answers[1]]
+
+    def test_an_echo_of_the_newest_send_drops_the_older_ones(self):
+        """Sends Y then X await their echoes when another client's
+        identical X echoes first.  Y's command has given up, so Y is dropped
+        and the answer after that X is queued; the echoes of this session's
+        own Y and X then find nothing awaited and queue nothing."""
+        from contextlib import nullcontext
+
+        from bcmdiag.diag import MemAccessType, MemoryPeek, PeekResponse, build_diag
+        from bcmdiag.h4 import H4Frame
+
+        y, x = (
+            H4Frame.diag(build_diag(MemoryPeek(MemAccessType.ARM, address)))
+            for address in (0x200000, 0x200001)
+        )
+        answer_y, answer_x = (
+            H4Frame.diag(build_diag(PeekResponse(0, value))) for value in (0x11, 0x22)
+        )
+        session = Session(lock=nullcontext())
+        session._send = lambda frame: None
+        session.send_frame(y)
+        session.send_frame(x)
+        session._queue_records(
+            [
+                (Direction.HOST_TO_CONTROLLER, x),  # the other client's
+                (Direction.CONTROLLER_TO_HOST, answer_x),
+                (Direction.HOST_TO_CONTROLLER, y),
+                (Direction.CONTROLLER_TO_HOST, answer_y),
+                (Direction.HOST_TO_CONTROLLER, x),
+                (Direction.CONTROLLER_TO_HOST, answer_x),
+            ]
+        )
+        assert list(session._pending) == [answer_x]
+        assert not session._unechoed
 
     def test_sessions_stay_bounded_over_many_cycles(self):
         """10^4 connect/disconnect cycles with logging on: the operator's

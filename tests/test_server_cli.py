@@ -1,5 +1,6 @@
 """Stream servers and the socket client, over real loopback TCP."""
 
+import errno
 import gc
 import io
 import os
@@ -13,12 +14,13 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 
 import pytest
 
 import bcmdiag
-from bcmdiag import hci
+from bcmdiag import cli, hci
 from bcmdiag.capture import SniffStreamDecoder
 from bcmdiag.cli import SocketSession, _parse_hostport, run_batch
 from bcmdiag.cli import main as client_main
@@ -314,7 +316,7 @@ class TestEndpointBinding:
                 blocker.close()
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-        assert all(world[name]._taps == [] for name in world.order)
+        assert all(world[name]._taps == [] for name in world.controllers)
 
 
 class TestSniffStreamWire:
@@ -436,6 +438,27 @@ class TestSniffFanout:
                 for sock in pair:
                     sock.close()
 
+    def test_a_client_gone_during_a_flush_counts_as_sent(self):
+        """A send to a client whose peer is gone fails: the flush counts its
+        tail as sent, so the journal is cut for the client still reading,
+        and the gone one stays attached until the loop reads its end."""
+        fanout = _SniffFanout(lambda _attached: None)
+        (gone, gone_peer), (kept, kept_peer) = pairs = [socket.socketpair() for _ in range(2)]
+        try:
+            for sock in (gone, kept, kept_peer):
+                sock.setblocking(False)
+            fanout.attach(gone)
+            fanout.attach(kept)
+            gone_peer.close()
+            fanout.publish(b"one record")
+            assert fanout.flush() == []
+            assert len(fanout) == 0 and fanout._offsets == {gone: 0, kept: 0}
+            assert _drain(kept_peer) == b"one record"
+        finally:
+            for pair in pairs:
+                for sock in pair:
+                    sock.close()
+
     def test_four_sniff_clients_and_two_injectors_get_the_same_bytes(self, served_world):
         """Two inject connections each send 256-frame bursts at once;
         all four sniff clients get the same records in the same order."""
@@ -519,7 +542,7 @@ def _logged_world() -> tuple:
     """TOPOLOGY with link-layer logging on at both ends, behind an
     unstarted server whose handlers this thread calls as the loop would."""
     world = build_world(TOPOLOGY)
-    for name in world.order:
+    for name in world.controllers:
         world[name].diag_log_enabled = True
     return world, unstarted_server(world)
 
@@ -642,11 +665,11 @@ class TestTapFollowsSniffClients:
 
     def test_stop_without_clients_is_safe(self):
         world, server = _logged_world()
-        assert all(world[name]._taps == [] for name in world.order)
+        assert all(world[name]._taps == [] for name in world.controllers)
         for endpoint in server.endpoints.values():
             endpoint.stop()
         server.stop()
-        assert all(world[name]._taps == [] for name in world.order)
+        assert all(world[name]._taps == [] for name in world.controllers)
 
 
 class TestServerLoop:
@@ -674,6 +697,64 @@ class TestServerLoop:
                 sock.close()
             server.stop()
         assert threading.active_count() == before
+
+    def test_a_sniff_client_behind_gets_write_interest_until_it_drains(self, served_world):
+        """With small socket buffers at both ends, a burst of large frames
+        leaves the pass's flush with octets the kernel does not take: the
+        loop asks for write interest, sends the rest as the client reads,
+        then drops the interest.  The client gets every record in order."""
+        _world, server = served_world
+        sniff_port, inject_port = server.port_map()["A"]
+        inject = socket.create_connection(("127.0.0.1", inject_port))
+        sniff = socket.socket()
+        sniff.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sniff.connect(("127.0.0.1", sniff_port))
+        try:
+            decoder = SniffStreamDecoder()
+            _await_subscription(inject, sniff, decoder)
+            (served,) = server.endpoints["A"].fanout._offsets
+            served.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            frames = [  # ACL data for no connection: the controller only notes it
+                H4Frame(H4Type.ACL_DATA, struct.pack("<HH", 0x0EFF, 16_000) + bytes([n]) * 16_000)
+                for n in range(16)
+            ]
+
+            def interest_is(events: int) -> None:
+                deadline = time.monotonic() + 5.0
+                while server._selector.get_key(served).events != events:
+                    assert time.monotonic() < deadline, "interest never changed"
+                    time.sleep(0.001)
+
+            inject.sendall(b"".join(encode_frame(f) for f in frames))
+            interest_is(selectors.EVENT_READ | selectors.EVENT_WRITE)
+            assert _records(sniff, decoder, len(frames)) == b"".join(
+                encode_sniff_record(Direction.HOST_TO_CONTROLLER, f) for f in frames
+            )
+            interest_is(selectors.EVENT_READ)
+            assert server.endpoints["A"].fanout.dropped == 0
+        finally:
+            _reset([inject, sniff])
+
+    def test_a_sniff_client_that_speaks_stays_attached(self):
+        """A sniff client has nothing to say: octets it sends are read and
+        dropped, as is a wake with nothing to read, and it keeps getting
+        records."""
+        _world, server = _logged_world()
+        fanout = server.endpoints["A"].fanout
+        client = _attach_sniff(server, "A")
+        (served,) = fanout._offsets
+        try:
+            server._sniff_ready(fanout, served, selectors.EVENT_READ)  # nothing there
+            client.sendall(b"hello")
+            assert select.select([served], [], [], 5.0)[0] == [served]
+            server._sniff_ready(fanout, served, selectors.EVENT_READ)
+            assert list(fanout._offsets) == [served]
+            fanout.publish(b"one record")
+            fanout.flush()
+            assert client.recv(64) == b"one record"
+        finally:
+            _reset([client])
+            server.stop()
 
     def test_connect_bursts_are_accepted_at_once(self, served_world):
         """Back-to-back connects to one inject port each complete well
@@ -914,6 +995,29 @@ class _FakeController:
             sock.close()
 
 
+class _ResetSocket:
+    """A connected socket whose peer has reset it: every send fails, and
+    with ``close_fails`` so does its close."""
+
+    def __init__(self, close_fails: bool = False) -> None:
+        self.closed = False
+        self._close_fails = close_fails
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def sendall(self, _data: bytes) -> None:
+        raise ConnectionResetError(errno.ECONNRESET, "Connection reset by peer")
+
+    def close(self) -> None:
+        if self._close_fails:
+            raise OSError(errno.EBADF, "Bad file descriptor")
+        self.closed = True
+
+
 class TestAttach:
     def test_lost_first_probe_costs_milliseconds(self):
         fake = _FakeController(b"", lost_probes=1)
@@ -951,6 +1055,83 @@ class TestAttach:
         assert status == 1 and elapsed < 2.0, (status, elapsed)
         assert capsys.readouterr().err == "cannot attach to controller: sniff stream disconnected\n"
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_a_failed_attach_writes_nothing_to_out(self):
+        """A sniff listener that accepts and hangs up fails the attach; the
+        SessionError says why, and no line about commands that never ran
+        reaches ``out``."""
+        with socket.create_server(("127.0.0.1", 0)) as inject, \
+                socket.create_server(("127.0.0.1", 0)) as sniff:
+            dropper = threading.Thread(target=lambda: sniff.accept()[0].close())
+            dropper.start()
+            out = io.StringIO()
+            with pytest.raises(SessionError, match="^sniff stream disconnected$"):
+                SocketSession(inject.getsockname(), sniff.getsockname(), color=False, out=out)
+            dropper.join(timeout=5.0)
+        assert not dropper.is_alive()
+        assert out.getvalue() == ""
+
+    def test_an_attach_probe_never_echoed_fails_at_the_deadline(self, monkeypatch):
+        """Listeners that never answer: the probes go unechoed until the
+        5 s deadline, on a clock that runs a second per reading."""
+        clock = iter(range(1_000))
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+        with socket.create_server(("127.0.0.1", 0)) as inject, \
+                socket.create_server(("127.0.0.1", 0)) as sniff:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(SessionError, match="never echoed the attach probe"):
+                    SocketSession(inject.getsockname(), sniff.getsockname(), color=False,
+                                  out=io.StringIO())
+                gc.collect()
+        assert next(clock) < 10
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_a_probe_that_cannot_be_sent_fails_the_attach(self, monkeypatch):
+        """An inject stream reset before the first probe: the attach fails
+        with the reason and closes both sockets."""
+        made: list[_ResetSocket] = []
+        monkeypatch.setattr(socket, "create_connection",
+                            lambda *_args, **_kwargs: made.append(_ResetSocket()) or made[-1])
+        with pytest.raises(SessionError, match="inject stream lost during attach: .*reset"):
+            SocketSession(("127.0.0.1", 1), ("127.0.0.1", 2), color=False, out=io.StringIO())
+        assert len(made) == 2 and all(sock.closed for sock in made)
+
+    def test_a_reset_sniff_stream_fails_the_wait_with_its_reason(self):
+        fake = _FakeController(b"")
+        inject, sniff = fake.endpoints
+        out = io.StringIO()
+        session = SocketSession(inject, sniff, color=False, out=out)
+        try:
+            fake.send_garbage.set()
+            fake.thread.join(timeout=5.0)
+            _reset(fake.conns[1:])  # the sniff connection, closed with a reset
+            with pytest.raises(SessionError, match="^sniff stream disconnected$"):
+                session.wait_frame(lambda _f: False, 2.0)
+            assert out.getvalue() == (
+                "sniff stream disconnected; commands that wait for an answer now fail\n"
+            )
+        finally:
+            session.close()
+            fake.close()
+
+    def test_a_socket_that_fails_to_close_does_not_stop_the_close(self, tmp_path):
+        fake = _FakeController(b"")
+        inject, sniff = fake.endpoints
+        session = SocketSession(inject, sniff, color=False, out=io.StringIO())
+        real = session._inject_sock
+        try:
+            assert session.execute(f"capture start {tmp_path / 'x.pcapng'}")[0]
+            spool = session.capture_records
+            session._inject_sock = _ResetSocket(close_fails=True)
+            session.close()
+            assert session._sniff_sock.fileno() == -1
+            assert spool._file.closed and session.capture_records is None
+        finally:
+            real.close()
+            fake.send_garbage.set()
+            fake.thread.join(timeout=5.0)
+            fake.close()
 
     @pytest.mark.parametrize("port", ["65536", "99999"])
     def test_a_port_past_65535_is_refused(self, capsys, port):

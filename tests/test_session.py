@@ -6,6 +6,7 @@ On an operator's line: any command with edge-value arguments, and any
 
 import errno
 import gc
+import os
 import re
 import tempfile
 import time
@@ -199,6 +200,56 @@ def test_a_spool_that_cannot_grow_loses_records_not_commands(tmp_path):
     )
     _interfaces, packets = read_pcapng(str(path))
     assert [timestamp for _iface, timestamp, _data in packets] == [tick * TICK_US for tick in range(4)]
+
+
+@pytest.mark.parametrize("damage, reason", [
+    ("count", "capture spool damaged: 2 whole records of 3, 0 octets over"),
+    ("stray octet", "unknown direction octet 0x05"),  # as a write cut short leaves
+])
+@pytest.mark.parametrize("fmt", ["pcap", "btsnoop"])
+def test_a_damaged_spool_ends_the_capture_with_one_line(tmp_path, fmt, damage, reason):
+    """A spool that holds fewer records than it counts, or octets that
+    are no record, cannot be read back: the stop fails with one line,
+    closes the spool's file and leaves no partial file at the path."""
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    path = tmp_path / "x.cap"
+    assert session.execute(f"capture start {path} {fmt}")[0]
+    assert session.execute("version")[0]
+    spool = session.capture_records
+    if damage == "count":
+        spool.count += 1
+    else:
+        spool.write(b"\x05")
+        assert session.execute("version")[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        ok, lines = session.execute("capture stop")
+        file = spool._file
+        del spool
+        gc.collect()
+    assert not ok and len(lines) == 1 and reason in lines[0], lines
+    assert file.closed and session.capture_records is None
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert not path.exists()
+    assert session.execute("capture stop") == (False, ["no capture running"])
+
+
+def test_a_damaged_spool_ends_the_capture_when_its_file_cannot_be_removed(tmp_path, monkeypatch):
+    """A partial file that cannot be removed stays, and the stop still
+    reports the damage, not the removal, and ends the capture."""
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    path = tmp_path / "x.pcapng"
+    assert session.execute(f"capture start {path}")[0]
+    assert session.execute("version")[0]
+    session.capture_records.count += 1
+
+    def refuse(_path):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "remove", refuse)
+    ok, lines = session.execute("capture stop")
+    assert (ok, lines) == (False, ["capture spool damaged: 2 whole records of 3, 0 octets over"])
+    assert session.capture_records is None and path.exists()
 
 
 @pytest.mark.parametrize("line", [
