@@ -27,7 +27,9 @@ from bcmdiag.diag import (
 from bcmdiag.emulator import Controller, Phase, Role, attach_air_link
 from bcmdiag.emulator.controller import CLASSIC_LINK, LE_LINK, LOG_FRAMES_MAX
 from bcmdiag.emulator.memory import ARM_BASE, BLUERF_BASE, BLUERF_SIZE, VERSION_STRING
-from bcmdiag.emulator.profiles import HandlerAction, patched_profile, vulnerable_profile
+from bcmdiag.emulator.profiles import (
+    PROFILE_FACTORIES, HandlerAction, patched_profile, vulnerable_profile,
+)
 from bcmdiag.errors import AlreadyLinked, InvariantViolation
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent, encode_frame
 
@@ -435,6 +437,162 @@ class TestHciParameterLengths:
         out = a.process_host_frame(HciCommand(opcode, params).to_frame())
         assert [encode_frame(f).hex() for f in out] == frames
         assert [note.split("] ", 1)[1] for note in list(a.audit)[seen:]] == notes
+
+
+# What a controller answers on the air, recorded on a linked pair with a
+# Classic (handle 0x000b) and an LE (0x000c) connection up, A the master:
+# every PDU name Controller._LINK_HANDLERS takes, one of each layer that no
+# handler takes, BPCS in and out of range, PDUs that cannot be dissected,
+# and PDUs refused to an unconnected and to a firewalled peer.  Rows:
+# (case, sender, allowlist, PDUs as (kind, hex), then under the patched and
+# the vulnerable profile: (air units A sends as "kind hex", audit notes,
+# frames to A's host as H4 hex)).  _SAME: as under the patched profile.
+_SAME = "as patched"
+_LINK_ANSWERS = [
+    ("LCP Enable BCS Timeline", MAC_B, None, [("lcp", "ff03")],
+     ([], ["ignored LCP Enable BCS Timeline on handle 0x000c"], []), _SAME),
+    ("LCP Random Address Change", MAC_B, None, [("lcp", "ff04")],
+     ([], ["ignored LCP Random Address Change on handle 0x000c"], []), _SAME),
+    ("LCP Vendor Feature Request", MAC_B, None, [("lcp", "ff01")],
+     ([], ["ignored LCP Vendor Feature Request on handle 0x000c"], []), _SAME),
+    ("LCP Vendor Feature Response", MAC_B, None, [("lcp", "ff02")],
+     ([], ["ignored LCP Vendor Feature Response on handle 0x000c"], []), _SAME),
+    ("LL_FEATURE_REQ", MAC_B, None, [("lcp", "080000000000000000")],
+     (["lcp 091f00000000000000"], [], []), _SAME),
+    ("LL_FEATURE_RSP", MAC_B, None, [("lcp", "090000000000000000")],
+     ([], ["ignored LL_FEATURE_RSP on handle 0x000c"], []), _SAME),
+    ("LL_PING_REQ", MAC_B, None, [("lcp", "12")],
+     (["lcp 13"], [], []), _SAME),
+    ("LL_PING_RSP", MAC_B, None, [("lcp", "13")],
+     ([], ["ignored LL_PING_RSP on handle 0x000c"], []), _SAME),
+    ("LL_REJECT_EXT_IND", MAC_B, None, [("lcp", "110000")],
+     ([], ["ignored LL_REJECT_EXT_IND on handle 0x000c"], []), _SAME),
+    ("LL_REJECT_IND", MAC_B, None, [("lcp", "0d00")],
+     ([], ["ignored LL_REJECT_IND on handle 0x000c"], []), _SAME),
+    ("LL_TERMINATE_IND", MAC_B, None, [("lcp", "0200")],
+     ([], [], ["040504000c0000"]), _SAME),
+    ("LL_UNKNOWN_RSP", MAC_B, None, [("lcp", "0700")],
+     ([], ["ignored LL_UNKNOWN_RSP on handle 0x000c"], []), _SAME),
+    ("LL_VERSION_IND", MAC_B, None, [("lcp", "0c0000000000")],
+     ([], ["ignored LL_VERSION_IND on handle 0x000c"], []), _SAME),
+    ("LMP_DHkey_Check", MAC_B, None, [("lmp", "8300000000000000000000000000000000")],
+     (["lmp 0741"], [], []), _SAME),
+    ("LMP_IO_capability_req", MAC_B, None, [("lmp", "ff19000000")],
+     (["lmp ff1a010003"], [], []), _SAME),
+    ("LMP_IO_capability_res", MAC_B, None, [("lmp", "ff1a000000")],
+     ([], ["ignored LMP_IO_capability_res on handle 0x000b"], []), _SAME),
+    ("LMP_accepted", MAC_B, None, [("lmp", "0700")],
+     ([], [], []), _SAME),
+    ("LMP_accepted_ext", MAC_B, None, [("lmp", "ff010000")],
+     ([], ["ignored LMP_accepted_ext on handle 0x000b"], []), _SAME),
+    ("LMP_detach", MAC_B, None, [("lmp", "0f00")],
+     ([], [], ["040504000b0000"]), _SAME),
+    ("LMP_features_req", MAC_B, None, [("lmp", "4f0000000000000000")],
+     (["lmp 51bffecffedbff7b87"], [], []), _SAME),
+    ("LMP_features_res", MAC_B, None, [("lmp", "510000000000000000")],
+     ([], ["ignored LMP_features_res on handle 0x000b"], []), _SAME),
+    ("LMP_not_accepted", MAC_B, None, [("lmp", "090000")],
+     ([], ["ignored LMP_not_accepted on handle 0x000b"], []), _SAME),
+    ("LMP_not_accepted_ext", MAC_B, None, [("lmp", "ff02000000")],
+     ([], ["ignored LMP_not_accepted_ext on handle 0x000b"], []), _SAME),
+    ("LMP_setup_complete", MAC_B, None, [("lmp", "63")],
+     ([], ["ignored LMP_setup_complete on handle 0x000b"], []), _SAME),
+    ("LMP_start_encryption_req", MAC_B, None, [("lmp", "2300000000000000000000000000000000")],
+     (["lmp 081124"], [], []), _SAME),
+    ("LMP_version_req", MAC_B, None, [("lmp", "4b0000000000")],
+     (["lmp 4d090f000922"], [], []), _SAME),
+    ("LMP_version_res", MAC_B, None, [("lmp", "4d0000000000")],
+     ([], ["ignored LMP_version_res on handle 0x000b"], []), _SAME),
+    ("LMP no handler", MAC_B, None, [("lmp", "0300")],
+     (["lmp 080124"], [], []), _SAME),
+    ("LL no handler", MAC_B, None, [("lcp", "140000000000000000")],
+     (["lcp 0714"], [], []), _SAME),
+    ("BPCS Features Request", MAC_B, None, [("lmp", "0100")],
+     (["lmp 0101"], [], []), _SAME),
+    ("BPCS BFC Suspend", MAC_B, None, [("lmp", "0103")],
+     (["lmp 0105"], [], []), _SAME),
+    ("BPCS BFC Resume", MAC_B, None, [("lmp", "0104")],
+     (["lmp 0105"], [], []), _SAME),
+    ("BPCS Accept", MAC_B, None, [("lmp", "0105")],
+     ([], [], []), _SAME),
+    ("BPCS 0x06", MAC_B, None, [("lmp", "0106")],
+     (["lmp 010206"], [], []),
+     (["reset"], ["BPCS subtype 0x06 overflowed handler table -> crash",
+                  "crash: BPCS handler overflow (subtype 0x06)"], ["0410015a"])),
+    ("BPCS 0x95", MAC_B, None, [("lmp", "0195")],
+     (["lmp 010295"], [], []),
+     ([], ["BPCS subtype 0x95 overflowed handler table -> dut_mode"], ["04ff0444555401"])),
+    ("LMP undissectable", MAC_B, None, [("lmp", "fd")],
+     (["lmp 087e24"], ["undissectable LMP from 00:11:22:33:44:02: "
+                       "LMP_escape_3 requires an extended opcode octet"], []),
+     _SAME),
+    ("LL undissectable", MAC_B, None, [("lcp", "ff09")],
+     ([], ["undissectable LCP from 00:11:22:33:44:02: unknown vendor LCP subtype 0x09"], []),
+     _SAME),
+    ("LMP setup opener, unconnected", MAC_EVIL, None, [("lmp", "4e0000000000000000")],
+     (["lmp 51bffecffedbff7b87"], [], []), _SAME),
+    ("LL setup opener, unconnected", MAC_EVIL, None, [("lcp", "080000000000000000")],
+     (["lcp 091f00000000000000"], [], []), _SAME),
+    ("LMP from unconnected", MAC_EVIL, None, [("lmp", "4b0000000000")],
+     (["lmp 082524"], [], []), _SAME),
+    ("LL from unconnected", MAC_EVIL, None, [("lcp", "12")],
+     (["lcp 0d24"], [], []), _SAME),
+    ("LMP rejection from unconnected", MAC_EVIL, None, [("lmp", "090000")],
+     ([], ["LMP_not_accepted from unconnected 66:55:44:33:22:11"], []), _SAME),
+    ("LMP undissectable from unconnected", MAC_EVIL, None, [("lmp", "fd")],
+     (["lmp 087e24"], ["undissectable LMP from 66:55:44:33:22:11: "
+                       "LMP_escape_3 requires an extended opcode octet"], []),
+     _SAME),
+    ("LMP firewalled", MAC_B, {MAC_EVIL}, [("lmp", "4b0000000000")],
+     (["lmp 082524"], ["firewall rejected LMP from 00:11:22:33:44:02"], []), _SAME),
+    ("LL firewalled", MAC_B, {MAC_EVIL}, [("lcp", "12")],
+     (["lcp 0d24"], ["firewall rejected LCP from 00:11:22:33:44:02"], []), _SAME),
+    ("LMP rejection firewalled", MAC_B, {MAC_EVIL}, [("lmp", "090000")],
+     ([], ["firewall rejected LMP from 00:11:22:33:44:02"], []), _SAME),
+    ("LMP undissectable firewalled", MAC_B, {MAC_EVIL}, [("lmp", "fd")],
+     (["lmp 087e24"], ["firewall rejected LMP from 00:11:22:33:44:02"], []), _SAME),
+    ("LL undissectable firewalled", MAC_B, {MAC_EVIL}, [("lcp", "ff09")],
+     ([], ["firewall rejected LCP from 00:11:22:33:44:02"], []), _SAME),
+    ("start encryption, pairing pending", MAC_B, None,
+     [("lmp", "ff19000000"), ("lmp", "2300000000000000000000000000000000")],
+     (["lmp ff1a010003", "lmp 081124"], [], []),
+     (["lmp ff1a010003", "reset"], ["crash: encryption start during pending pairing"],
+      ["0410015a"])),
+    ("start encryption, pairing confirmed", MAC_B, None,
+     [("lmp", "ff19000000"), ("lmp", "8300000000000000000000000000000000"),
+      ("lmp", "2300000000000000000000000000000000")],
+     (["lmp ff1a010003", "lmp 0741", "lmp 0711"], [], []), _SAME),
+]
+
+
+class TestLinkLayerAnswers:
+    def test_every_handled_name_is_tried(self):
+        assert set(Controller._LINK_HANDLERS) <= {row[0] for row in _LINK_ANSWERS}
+
+    @pytest.mark.parametrize("profile", ["patched", "vulnerable"])
+    @pytest.mark.parametrize(
+        "case, sender, allowlist, pdus, patched, vulnerable",
+        _LINK_ANSWERS,
+        ids=[row[0] for row in _LINK_ANSWERS],
+    )
+    def test_answer(self, case, sender, allowlist, pdus, patched, vulnerable, profile):
+        a = Controller(MAC_A, profile=PROFILE_FACTORIES[profile]())
+        b = Controller(MAC_B)
+        attach_air_link(a, b)
+        connect_pair(a, b)
+        connect_pair(a, b, transport="le")
+        a.profile.firewall_allowlist = allowlist
+        sent = []
+        a.link.transmit = lambda _src, kind, data: sent.append(
+            kind if data is None else f"{kind} {data.hex()}"
+        )
+        host = HostRecorder(a)
+        seen = len(a.audit)
+        for kind, raw in pdus:
+            a.deliver_air(sender, kind, bytes.fromhex(raw))
+        notes = [note.split("] ", 1)[1] for note in list(a.audit)[seen:]]
+        expected = vulnerable if profile == "vulnerable" and vulnerable != _SAME else patched
+        assert (sent, notes, [encode_frame(f).hex() for f in host.take()]) == expected
 
 
 class TestHostFrameEntry:
