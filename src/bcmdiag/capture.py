@@ -174,8 +174,8 @@ class CaptureSpool:
     and the records so far, appended in arrival order to an anonymous
     temporary file as sniff-stream records, so a capture holds a fixed
     amount of memory however long it runs.  A record is appended with C
-    calls only (``write`` of ``SNIFF_PREFIX[direction][h4_type] + payload``,
-    then ``count += 1``, or ``lost += 1`` when the write fails); iterating
+    calls only: ``end += write(SNIFF_PREFIX[direction][h4_type] + payload)``,
+    then ``count += 1``, or ``lose()`` when the write fails.  Iterating
     reads them back as CaptureRecords stamped with their positions, the
     live view's ticks until a record is lost and that many behind after."""
 
@@ -190,10 +190,20 @@ class CaptureSpool:
         self.format = fmt
         self.count = 0
         self.lost = 0  # records the file could not take
+        self.end = 0  # where the last whole record ends
         self.write = self._file.write
 
     def __len__(self) -> int:
         return self.count
+
+    def lose(self) -> None:
+        """Count a record the file could not take and cut off what of it
+        was written; records still in the write buffer wait for a flush."""
+        self.lost += 1
+        fd = self._file.fileno()
+        if os.fstat(fd).st_size > self.end:
+            os.ftruncate(fd, self.end)
+            self._file.seek(self.end)  # the buffer is empty: it went out before the record
 
     def __iter__(self) -> Iterator[CaptureRecord]:
         """The records in arrival order, read a block at a time with

@@ -38,7 +38,7 @@ from .linklayer import (
     lmp_not_accepted,
 )
 from .memory import MemoryImage
-from .profiles import FIREWALL_ALLOWLIST_MAX, HandlerAction, SecurityProfile, patched_profile
+from .profiles import HandlerAction, SecurityProfile, patched_profile
 
 FIRST_HANDLE = 0x000B
 MAX_HANDLE = 0x0EFF
@@ -63,6 +63,8 @@ _NO_CALL: deque[H4Frame] = deque(maxlen=0)
 _LOCAL_VERSION_COMPLETE = HciEvent(hci.EVT_COMMAND_COMPLETE, hci.command_complete(
     hci.OPCODE_READ_LOCAL_VERSION, hci.local_version_params())).to_frame()
 READ_RAM_MAX = 255 - 4  # RAM octets in one Command Complete: 255 less header and status
+_SUCCESS = bytes([hci.ERR_SUCCESS])
+_INVALID_PARAMETERS = bytes([hci.ERR_INVALID_PARAMETERS])
 
 # Commands whose outcome follows in an event of its own: they answer with
 # a Command Status, every other command with a Command Complete.
@@ -215,21 +217,27 @@ class Controller:
                 except BcmDiagError as exc:
                     self._note(f"undecodable diagnostic frame: {exc}")
                 else:
-                    handler = self._DIAG_HANDLERS.get(msg.__class__, Controller._diag_unhandled)
-                    for response in handler(self, msg):
-                        self._emit(response.to_frame())
+                    handler = self._DIAG_HANDLERS.get(msg.__class__)
+                    if handler is None:
+                        self._note(f"host sent controller->host diag code 0x{msg.code:02x}")
+                    else:
+                        for response in handler(self, msg):
+                            self._emit(response.to_frame())
             elif h4_type is _HCI_COMMAND:
                 opcode, params = payload[0] | payload[1] << 8, payload[3:]
                 entry = self._HCI_HANDLERS.get(opcode)
+                ret = None
                 if entry is None:
                     self._note(f"unknown HCI opcode 0x{opcode:04x}")
                     self._status(opcode, hci.ERR_UNKNOWN_COMMAND)
                 elif len(params) in entry[1]:
-                    entry[0](self, tuple.__new__(HciCommand, (opcode, params)))
+                    ret = entry[0](self, tuple.__new__(HciCommand, (opcode, params)))
                 elif opcode in _ANSWERED_BY_STATUS:
                     self._status(opcode, hci.ERR_INVALID_PARAMETERS)
                 else:
-                    self._complete(opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
+                    ret = _INVALID_PARAMETERS
+                if ret is not None:
+                    self._emit_event(hci.EVT_COMMAND_COMPLETE, hci.command_complete(opcode, ret))
             elif h4_type is _ACL_DATA:
                 self._handle_host_acl(payload)
             elif h4_type in _OPAQUE:
@@ -246,22 +254,19 @@ class Controller:
 
     # ----- HCI surface ----------------------------------------------------
 
-    def _complete(self, opcode: int, return_params: bytes = b"") -> None:
-        self._emit_event(hci.EVT_COMMAND_COMPLETE, hci.command_complete(opcode, return_params))
-
     def _status(self, opcode: int, status: int = hci.ERR_SUCCESS) -> None:
         self._emit_event(hci.EVT_COMMAND_STATUS, hci.command_status(status, opcode))
 
     def _cmd_read_local_version(self, cmd: HciCommand) -> None:
         self._emit(_LOCAL_VERSION_COMPLETE)
 
-    def _cmd_reset(self, cmd: HciCommand) -> None:
+    def _cmd_reset(self, cmd: HciCommand) -> bytes:
         self.reset()
-        self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
+        return _SUCCESS
 
-    def _cmd_enable_dut(self, cmd: HciCommand) -> None:
+    def _cmd_enable_dut(self, cmd: HciCommand) -> bytes:
         self._enter_dut_mode()
-        self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
+        return _SUCCESS
 
     def _cmd_create_connection(self, cmd: HciCommand) -> None:
         """Create Connection and LE Create Connection."""
@@ -284,43 +289,36 @@ class Controller:
     def _cmd_disconnect(self, cmd: HciCommand) -> None:
         handle, reason = struct.unpack_from("<HB", cmd.params)
         conn = self.connections.get(handle)
-        if conn is None:
-            self._status(cmd.opcode, hci.ERR_UNKNOWN_CONNECTION)
-            return
-        self._status(cmd.opcode, hci.ERR_SUCCESS)
-        self._send_pdu(conn, conn.layer.detach, 0, bytes([reason]))
-        self._drop_connection(conn, reason)
+        self._status(cmd.opcode, hci.ERR_UNKNOWN_CONNECTION if conn is None else hci.ERR_SUCCESS)
+        if conn is not None:
+            layer = conn.layer
+            self._send_raw(layer, conn.peer_mac, layer.octets(layer.detach, 0, bytes([reason])))
+            self._drop_connection(conn, reason)
 
-    def _cmd_send_lmp_pdu(self, cmd: HciCommand) -> None:
+    def _cmd_send_lmp_pdu(self, cmd: HciCommand) -> bytes:
         (handle,) = struct.unpack_from("<H", cmd.params)
         raw = cmd.params[2:]
         conn = self.connections.get(handle)
         if conn is None or conn.layer is not CLASSIC_LINK:
-            self._complete(cmd.opcode, bytes([hci.ERR_UNKNOWN_CONNECTION]))
-            return
+            return bytes([hci.ERR_UNKNOWN_CONNECTION])
         if not lmp_injectable(raw):
-            self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
-            return
-        self._send(conn, raw)
-        self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
+            return _INVALID_PARAMETERS
+        self._send_raw(CLASSIC_LINK, conn.peer_mac, raw)
+        return _SUCCESS
 
-    def _cmd_read_ram(self, cmd: HciCommand) -> None:
+    def _cmd_read_ram(self, cmd: HciCommand) -> bytes:
         address, length = struct.unpack("<IB", cmd.params)
         data = self.memory.read_block(MemAccessType.ARM, address, length)
         if data is None or length > READ_RAM_MAX:
-            self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
-            return
-        self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]) + data)
+            return _INVALID_PARAMETERS
+        return _SUCCESS + data
 
-    def _cmd_write_ram(self, cmd: HciCommand) -> None:
+    def _cmd_write_ram(self, cmd: HciCommand) -> bytes:
         (address,) = struct.unpack_from("<I", cmd.params)
         ok = self.memory.write_block(MemAccessType.ARM, address, cmd.params[4:])
-        self._complete(
-            cmd.opcode,
-            bytes([hci.ERR_SUCCESS if ok else hci.ERR_INVALID_PARAMETERS]),
-        )
+        return _SUCCESS if ok else _INVALID_PARAMETERS
 
-    def _cmd_super_duper_peek_poke(self, cmd: HciCommand) -> None:
+    def _cmd_super_duper_peek_poke(self, cmd: HciCommand) -> bytes:
         # Layout (toolkit convention): mode octet (0 peek / 1 poke),
         # 32-bit address, one value octet for poke.  BlueRF space only.
         mode = cmd.params[0]
@@ -328,47 +326,40 @@ class Controller:
         if mode == 0:
             value = self.memory.read(MemAccessType.BLUERF, address)
             if value is None:
-                self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS, 0]))
-            else:
-                self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS, value]))
-        elif mode == 1 and len(cmd.params) >= 6:
+                return bytes([hci.ERR_INVALID_PARAMETERS, 0])
+            return bytes([hci.ERR_SUCCESS, value])
+        if mode == 1 and len(cmd.params) >= 6:
             ok = self.memory.write(MemAccessType.BLUERF, address, cmd.params[5])
-            self._complete(
-                cmd.opcode,
-                bytes([hci.ERR_SUCCESS if ok else hci.ERR_INVALID_PARAMETERS]),
-            )
-        else:
-            self._complete(cmd.opcode, bytes([hci.ERR_INVALID_PARAMETERS]))
+            return _SUCCESS if ok else _INVALID_PARAMETERS
+        return _INVALID_PARAMETERS
 
-    def _cmd_firewall_add(self, cmd: HciCommand) -> None:
+    def _cmd_firewall_add(self, cmd: HciCommand) -> bytes:
         mac = hci.mac_from_wire(cmd.params)
         allow = self.profile.firewall_allowlist
         if allow is None:
             allow = self.profile.firewall_allowlist = set()
-        if mac not in allow and len(allow) >= FIREWALL_ALLOWLIST_MAX:
-            self._complete(cmd.opcode, bytes([hci.ERR_MEMORY_CAPACITY_EXCEEDED]))
-            return
+        if mac not in allow and len(allow) >= hci.FIREWALL_ALLOWLIST_MAX:
+            return bytes([hci.ERR_MEMORY_CAPACITY_EXCEEDED])
         allow.add(mac)
-        self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
+        return _SUCCESS
 
-    def _cmd_firewall_del(self, cmd: HciCommand) -> None:
+    def _cmd_firewall_del(self, cmd: HciCommand) -> bytes:
         mac = hci.mac_from_wire(cmd.params)
         if self.profile.firewall_allowlist is not None:
             self.profile.firewall_allowlist.discard(mac)
-        self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS]))
+        return _SUCCESS
 
-    def _cmd_firewall_show(self, cmd: HciCommand) -> None:
-        allow = self.profile.firewall_allowlist
-        if allow is None:
-            self._complete(cmd.opcode, bytes([hci.ERR_SUCCESS, 0, 0]))
-            return
-        body = bytes([hci.ERR_SUCCESS, 1, len(allow)])
-        for mac in sorted(allow):
-            body += hci.mac_to_wire(mac)
-        self._complete(cmd.opcode, body)
+    def _cmd_firewall_show(self, cmd: HciCommand) -> bytes:
+        return hci.firewall_show_params(self.profile.firewall_allowlist)
 
     # opcode -> (handler, the parameter lengths it takes), built once with
-    # the class; process_host_frame refuses every other length.
+    # the class; process_host_frame refuses every other length.  Every
+    # handler table keeps one contract: a handler returns its answer and the
+    # caller sends it, as it sends every refusal; here the answer is the
+    # Command Complete's return parameters, or None.  Handlers send only
+    # Create Connection's and Disconnect's Command Status, which their own
+    # Complete event must follow, Read Local Version's prebuilt Complete, so
+    # the busiest command builds no event, and the setup script's steps.
     _HCI_HANDLERS = {
         hci.OPCODE_READ_LOCAL_VERSION: (_cmd_read_local_version, _ANY_LENGTH),
         hci.OPCODE_RESET: (_cmd_reset, _ANY_LENGTH),
@@ -406,10 +397,6 @@ class Controller:
         self._emit_event(hci.EVT_NUM_COMPLETED_PACKETS, hci.num_completed_packets(handle))
 
     # ----- diagnostic surface ------------------------------------------------
-
-    def _diag_unhandled(self, msg: DiagMessage) -> list[DiagMessage]:
-        self._note(f"host sent controller->host diag code 0x{msg.code:02x}")
-        return []
 
     def _diag_toggle_logging(self, msg: diag.ToggleLmpLogging) -> list[DiagMessage]:
         self.diag_log_enabled = msg.enable
@@ -463,7 +450,8 @@ class Controller:
         return [diag.TestCompleted(status=0x00, tx_count=count, rx_count=rx_count)]
 
     # Host-to-controller message class -> handler, built once with the
-    # class; the host may not send the other classes.
+    # class; the host may not send the other classes.  A handler returns
+    # its answers and process_host_frame sends them: see _HCI_HANDLERS.
     _DIAG_HANDLERS = {
         diag.ToggleLmpLogging: _diag_toggle_logging,
         diag.MemoryPeek: _diag_peek,
@@ -476,9 +464,11 @@ class Controller:
     # ----- air link ------------------------------------------------------------
 
     def deliver_air(self, from_mac: bytes, kind: str, data: object) -> None:
+        """Take one air unit from the peer at ``from_mac``; send its answer, if any."""
         self.clock += 1
-        if kind == KIND_RESET:
-            self._peer_vanished(from_mac)
+        if kind == KIND_RESET:  # the peer dropped off the air
+            for conn in [c for c in self.connections.values() if c.peer_mac == from_mac]:
+                self._drop_connection(conn, hci.ERR_CONNECTION_TIMEOUT)
             return
         if self.test_mode_active:
             # Device under test occupies its test frequencies; normal
@@ -497,45 +487,38 @@ class Controller:
             self._note(f"firewall rejected {layer.kind.upper()} from {hci.format_mac(from_mac)}")
         try:  # a constant's octets are dissected already
             pdu = layer.pdus.get(raw) or layer.dissect(raw)
+            name = pdu.name
         except BcmDiagError as exc:
             if not firewalled:
                 self._note(f"undissectable {layer.kind.upper()} from {hci.format_mac(from_mac)}: {exc}")
-            if layer.refuse_undissectable:
-                self._refuse(layer, from_mac, raw)
-            return
-        name = pdu.name
-        conn = None if firewalled else self._find_connection(from_mac, layer)
+            pdu = name = None
+        conn = None if firewalled or pdu is None else self._find_connection(from_mac, layer)
+        script = layer.script
+        if conn is None and not firewalled and name == script[0].pdu_name:
+            # A setup opener from an allowed peer creates the inbound (slave) side.
+            conn = self._new_connection(from_mac, Role.SLAVE, layer)
         if conn is None:
-            # A setup opener from an allowed peer creates the inbound (slave)
-            # side; anything else has no connection to live on.
-            if firewalled or name != layer.script[0].pdu_name:
-                if name not in REJECTIONS:
-                    self._refuse(layer, from_mac, raw)
-                elif not firewalled:
+            # Nothing to live on: refused, but a rejection is never answered (see REJECTIONS).
+            if name in REJECTIONS:
+                if not firewalled:
                     self._note(f"{name} from unconnected {hci.format_mac(from_mac)}")
                 return
-            conn = self._new_connection(from_mac, Role.SLAVE, layer)
-
-        if isinstance(pdu, ll.BpcsPdu):
-            self._handle_bpcs(conn, pdu)
-            return
-
-        script = layer.script
-        if conn.script_cursor < len(script) and script[conn.script_cursor].pdu_name == name:
+            answer = layer.reject(raw) if pdu is not None or layer.refuse_undissectable else None
+        elif isinstance(pdu, ll.BpcsPdu):
+            answer = self._handle_bpcs(pdu)
+        elif conn.script_cursor < len(script) and script[conn.script_cursor].pdu_name == name:
             # The peer's next setup step.
             conn.script_cursor += 1
             self._advance_script(conn)
             return
-
-        handler = self._LINK_HANDLERS.get(name)
-        if handler is None:
-            self._send(conn, layer.unhandled(pdu.opcode, conn.tid))
-            return
-        handler(self, conn, pdu)
-
-    def _peer_vanished(self, from_mac: bytes) -> None:
-        for conn in [c for c in self.connections.values() if c.peer_mac == from_mac]:
-            self._drop_connection(conn, hci.ERR_CONNECTION_TIMEOUT)
+        else:
+            handler = self._LINK_HANDLERS.get(name)
+            if handler is None:
+                answer = layer.unhandled(pdu.opcode, conn.tid)
+            else:
+                answer = handler(self, conn, pdu)
+        if answer is not None:
+            self._send_raw(layer, from_mac, answer)
 
     def _deliver_air_acl(self, from_mac: bytes, data: object) -> None:
         layer, flags, payload = data  # type: ignore[misc]
@@ -566,20 +549,6 @@ class Controller:
         self._log(layer, True, peer_mac, raw)
         if self.link is not None:
             self.link.transmit(self, layer.kind, raw)
-
-    def _send(self, conn: Connection, raw: bytes) -> None:
-        self._send_raw(conn.layer, conn.peer_mac, raw)
-
-    def _send_pdu(self, conn: Connection, name: str, tid: int, params: bytes | None = None) -> None:
-        """Send the standard PDU ``name`` on ``conn``, by default with
-        its _PDU_PARAMS body."""
-        layer = conn.layer
-        self._send_raw(layer, conn.peer_mac, layer.octets(name, tid, params))
-
-    def _refuse(self, layer: LinkLayer, peer_mac: bytes, raw: bytes) -> None:
-        reject = layer.reject(raw)
-        if reject is not None:
-            self._send_raw(layer, peer_mac, reject)
 
     # ----- connection bookkeeping ---------------------------------------------
 
@@ -617,7 +586,7 @@ class Controller:
         while conn.script_cursor < len(script) and script[conn.script_cursor].role is conn.role:
             step = script[conn.script_cursor]
             conn.script_cursor += 1
-            self._send_pdu(conn, step.pdu_name, conn.tid, step.params)
+            self._send_raw(layer, conn.peer_mac, layer.octets(step.pdu_name, conn.tid, step.params))
         if conn.script_cursor >= len(script):
             conn.phase = Phase.CONNECTED
             self._emit_event(*layer.connection_complete(
@@ -633,45 +602,45 @@ class Controller:
         reason = pdu.params[0] if pdu.params else hci.ERR_REMOTE_TERMINATED
         self._drop_connection(conn, reason)
 
-    def _reply(self, conn: Connection, pdu: ll.LinkPdu) -> None:
+    def _reply(self, conn: Connection, pdu: ll.LinkPdu) -> bytes:
         # An LMP reply carries the request's transaction ID; an LCP PDU has none.
-        self._send_pdu(conn, REPLIES[pdu.name], getattr(pdu, "tid", 0))
+        return conn.layer.octets(REPLIES[pdu.name], getattr(pdu, "tid", 0))
 
-    def _lmp_io_capability_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
+    def _lmp_io_capability_req(self, conn: Connection, pdu: ll.LmpPdu) -> bytes:
         # Pairing starts: the connection waits for a user decision it
         # can never get here, which is exactly the window the
         # out-of-order encryption bug needs.
         if conn.phase is Phase.CONNECTED:
             conn.phase = Phase.SSP_PENDING
             conn.ssp_confirmed = False
-        self._send(conn, ll.build_lmp(ll.LmpPdu(
+        return ll.build_lmp(ll.LmpPdu(
             ll.LMP_ESCAPE_4, pdu.tid, IO_CAPABILITY_PARAMS,
             extended_opcode=ll.LMP_EXT_NAME_TO_OPCODE["LMP_IO_capability_res"],
-        )))
+        ))
 
-    def _lmp_dhkey_check(self, conn: Connection, pdu: ll.LmpPdu) -> None:
+    def _lmp_dhkey_check(self, conn: Connection, pdu: ll.LmpPdu) -> bytes:
         if conn.phase is Phase.SSP_PENDING:
             conn.ssp_confirmed = True
-        self._send_pdu(conn, "LMP_accepted", pdu.tid, DHKEY_CHECK)
+        return CLASSIC_LINK.octets("LMP_accepted", pdu.tid, DHKEY_CHECK)
 
-    def _lmp_start_encryption_req(self, conn: Connection, pdu: ll.LmpPdu) -> None:
+    def _lmp_start_encryption_req(self, conn: Connection, pdu: ll.LmpPdu) -> bytes | None:
         if conn.phase is Phase.SSP_PENDING and conn.ssp_confirmed:
             conn.phase = Phase.ENCRYPTED
-            self._send_pdu(conn, "LMP_accepted", pdu.tid, START_ENCRYPTION)
-            return
-        if conn.phase is Phase.SSP_PENDING and not self.profile.encryption_order_check:
+            return CLASSIC_LINK.octets("LMP_accepted", pdu.tid, START_ENCRYPTION)
+        if conn.phase is Phase.SSP_PENDING and not self.profile.patched:
             # Out-of-order encryption setup: the key calculation runs on
             # uninitialized pairing state and the firmware dies.
             self.crash("encryption start during pending pairing")
-            return
-        self._send(conn, lmp_not_accepted(START_ENCRYPTION[0], conn.tid))
+            return None
+        return lmp_not_accepted(START_ENCRYPTION[0], conn.tid)
 
     def _lmp_accepted(self, conn: Connection, pdu: ll.LmpPdu) -> None:
         if pdu.params[:1] == START_ENCRYPTION:
             conn.phase = Phase.ENCRYPTED
 
-    # PDU name -> handler, for both link layers (their names never
-    # collide); a PDU without one gets its layer's ``unhandled`` answer.
+    # PDU name -> handler, for both link layers (their names never collide).
+    # A handler returns the octets that answer the PDU, or None; deliver_air
+    # sends them, as it sends BPCS answers, refusals and the unhandled answer.
     _LINK_HANDLERS = {
         # Replies, rejections and vendor LCPs need no answer; only an
         # accepted one changes state and only a terminate ends the link.
@@ -690,12 +659,10 @@ class Controller:
         "LL_TERMINATE_IND": _detach,
     }
 
-    def _handle_bpcs(self, conn: Connection, pdu: ll.BpcsPdu) -> None:
+    def _handle_bpcs(self, pdu: ll.BpcsPdu) -> bytes | None:
         if pdu.subtype > ll.BPCS_MAX_SUBTYPE:
-            if self.profile.bpcs_bounds_check:
-                self._send(conn, ll.build_lmp(
-                    ll.BpcsPdu(ll.BPCS_NOT_ACCEPT, pdu.tid, bytes([pdu.subtype]))))
-                return
+            if self.profile.patched:
+                return ll.build_lmp(ll.BpcsPdu(ll.BPCS_NOT_ACCEPT, pdu.tid, bytes([pdu.subtype])))
             # No range check: the subtype indexes past the handler table
             # into whatever the linker put next.
             action = self.profile.bpcs_overflow_map.get(pdu.subtype, HandlerAction.CRASH)
@@ -706,10 +673,9 @@ class Controller:
                 self._enter_dut_mode()
             elif action is HandlerAction.CRASH:
                 self.crash(f"BPCS handler overflow (subtype 0x{pdu.subtype:02x})")
-            return
-        reply = BPCS_REPLIES.get(pdu.subtype)
-        if reply is not None:  # responses (Features Response, Not Accept, Accept) need none
-            self._send(conn, ll.build_lmp(ll.BpcsPdu(reply, pdu.tid)))
+            return None
+        reply = BPCS_REPLIES.get(pdu.subtype)  # responses (Features Response, ...) need none
+        return None if reply is None else ll.build_lmp(ll.BpcsPdu(reply, pdu.tid))
 
     def _enter_dut_mode(self) -> None:
         self.test_mode_active = True

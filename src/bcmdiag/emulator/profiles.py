@@ -1,7 +1,7 @@
 """Security profiles: which firmware-generation bugs a controller
 instance reproduces, and the optional MAC firewall.
 
-Two published regressions are switchable:
+Two published regressions are switched together, by one flag:
 
 * CVE-2018-19860 -- the BPCS subtype handler table is indexed without a
   range check, so subtypes above 0x05 fall through into adjacent
@@ -29,15 +29,10 @@ class HandlerAction(Enum):
 
 BPCS_DUT_SUBTYPE = 0x95
 
-# MACs the firewall holds: `firewall show` answers 3 + 3 + 6n octets of
-# event parameters, and an HCI event carries at most 255.
-FIREWALL_ALLOWLIST_MAX = 41
-
 
 class SecurityProfile:
-    def __init__(self, bpcs_bounds_check: bool = True, encryption_order_check: bool = True) -> None:
-        self.bpcs_bounds_check = bpcs_bounds_check
-        self.encryption_order_check = encryption_order_check
+    def __init__(self, patched: bool = True) -> None:
+        self.patched = patched  # False: both regressions above fire
         self.firewall_allowlist: set[bytes] | None = None  # None: the firewall is off
         # A fresh map per profile, so one profile's edits reach no other;
         # an unmapped subtype crashes.
@@ -46,11 +41,11 @@ class SecurityProfile:
 
 def vulnerable_profile() -> SecurityProfile:
     """Both checks missing, as on the affected firmware builds."""
-    return SecurityProfile(bpcs_bounds_check=False, encryption_order_check=False)
+    return SecurityProfile(patched=False)
 
 
 def patched_profile() -> SecurityProfile:
-    return SecurityProfile(bpcs_bounds_check=True, encryption_order_check=True)
+    return SecurityProfile(patched=True)
 
 
 PROFILE_FACTORIES = {

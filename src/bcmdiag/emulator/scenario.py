@@ -28,7 +28,7 @@ from ..errors import AlreadyLinked, ScenarioError, scenario_lines
 from .controller import Controller
 from .link import attach_air_link
 from .memory import MemoryImage
-from .profiles import FIREWALL_ALLOWLIST_MAX, PROFILE_FACTORIES
+from .profiles import PROFILE_FACTORIES
 
 
 class World:
@@ -70,9 +70,9 @@ def build_controller(name: str, opts: dict[str, str], lineno: int = 0) -> Contro
             profile.firewall_allowlist = {
                 hci.parse_mac(m) for m in opts.pop("allowlist").split(",") if m
             }
-            if len(profile.firewall_allowlist) > FIREWALL_ALLOWLIST_MAX:
+            if len(profile.firewall_allowlist) > hci.FIREWALL_ALLOWLIST_MAX:
                 raise ScenarioError(
-                    lineno, f"allowlist holds at most {FIREWALL_ALLOWLIST_MAX} MACs"
+                    lineno, f"allowlist holds at most {hci.FIREWALL_ALLOWLIST_MAX} MACs"
                 )
         memory = None
         if "memory" in opts:

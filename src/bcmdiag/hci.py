@@ -157,6 +157,27 @@ def parse_local_version(params: bytes) -> dict[str, int]:
     return dict(zip(keys, struct.unpack("<BBHBHH", params[:9])))
 
 
+# MACs the firewall holds: an event's 255 parameter octets take the Command
+# Complete's 3, then Firewall Show's status, enabled, count and 6 per MAC.
+FIREWALL_ALLOWLIST_MAX = (255 - 3 - 3) // 6
+
+
+def firewall_show_params(allowlist: set[bytes] | None) -> bytes:
+    """Firewall Show's answer: success, whether the firewall is on (None
+    is off), and each allowed MAC, in order, on the wire."""
+    macs = sorted(allowlist or ())
+    return bytes([ERR_SUCCESS, allowlist is not None, len(macs)]) + b"".join(map(mac_to_wire, macs))
+
+
+def parse_firewall_show(params: bytes) -> list[bytes] | None:
+    """The allowlist a Firewall Show answer holds, None when the firewall
+    is off; struct.error when it is shorter than its count says."""
+    _status, enabled, count = struct.unpack_from("<BBB", params)
+    if not enabled:
+        return None
+    return [mac_from_wire(wire) for wire in struct.unpack_from("6s" * count, params, 3)]
+
+
 def mac_to_wire(mac: bytes) -> bytes:
     """Display order (NAP first) to HCI wire order (LAP first)."""
     return bytes(reversed(mac))

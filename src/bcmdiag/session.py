@@ -229,10 +229,10 @@ class Session:
         spool = self.capture_records
         if spool is not None:
             try:
-                spool.write(SNIFF_PREFIX[direction][frame[0]] + frame[1])
+                spool.end += spool.write(SNIFF_PREFIX[direction][frame[0]] + frame[1])
                 spool.count += 1
             except OSError:  # its file cannot grow; the stop reports the loss
-                spool.lost += 1
+                spool.lose()
 
     # ------------------------------------------------------------------
     def execute(self, line: str) -> Reply:
@@ -429,15 +429,11 @@ class Session:
         if action == "show":
             if len(args) != 1:
                 raise CommandError("expected show")
-            ret = self._hci(hci.OPCODE_VSC_FIREWALL_SHOW)
-            enabled, count = ret[1], ret[2]
-            if not enabled:
+            macs = hci.parse_firewall_show(self._hci(hci.OPCODE_VSC_FIREWALL_SHOW))
+            if macs is None:
                 return True, ["firewall disabled (all peers allowed)"]
-            macs = [  # unpacked, so an allowlist shorter than its count cannot be read
-                hci.format_mac(hci.mac_from_wire(struct.unpack_from("6s", ret, 3 + 6 * i)[0]))
-                for i in range(count)
-            ]
-            return True, [f"firewall allowlist ({count}):"] + [f"  {m}" for m in macs]
+            return True, [f"firewall allowlist ({len(macs)}):"] + [
+                f"  {hci.format_mac(mac)}" for mac in macs]
         if action not in ("add", "del") or len(args) != 2:
             raise CommandError("expected add|del <mac>")
         opcode = (

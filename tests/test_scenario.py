@@ -137,7 +137,7 @@ class TestWorldBuilding:
         world = build_world(TOPOLOGY)
         assert list(world.controllers) == ["A", "B"]
         assert world["A"].mac == MAC_A
-        assert world["B"].profile.bpcs_bounds_check is False
+        assert world["B"].profile.patched is False
         assert world["B"].test_packet_count == 25
         assert world["A"].link is world["B"].link is not None
 

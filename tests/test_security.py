@@ -7,12 +7,7 @@ import struct
 from bcmdiag import hci, ll
 from bcmdiag.diag import DiagCode, parse_diag
 from bcmdiag.emulator import Controller, Phase, attach_air_link
-from bcmdiag.emulator.profiles import (
-    FIREWALL_ALLOWLIST_MAX,
-    HandlerAction,
-    patched_profile,
-    vulnerable_profile,
-)
+from bcmdiag.emulator.profiles import HandlerAction, patched_profile, vulnerable_profile
 from bcmdiag.emulator.scenario import build_world
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent
 from bcmdiag.session import LocalSession
@@ -316,7 +311,7 @@ class TestFirewallCapacity:
 
     def test_add_past_the_cap_is_refused_and_show_still_answers(self):
         session = LocalSession(build_world("controller A mac=00:11:22:33:44:01\n"), "A")
-        macs = [f"02:00:00:00:00:{i:02x}" for i in range(FIREWALL_ALLOWLIST_MAX + 1)]
+        macs = [f"02:00:00:00:00:{i:02x}" for i in range(hci.FIREWALL_ALLOWLIST_MAX + 1)]
         for mac in macs[:-1]:
             assert session.execute(f"firewall add {mac}") == (True, [f"firewall add {mac}"])
         assert session.execute(f"firewall add {macs[-1]}") == (
@@ -325,7 +320,7 @@ class TestFirewallCapacity:
         )
         assert session.execute(f"firewall add {macs[0]}")[0]  # already held: no new entry
         ok, lines = session.execute("firewall show")
-        assert ok and lines == [f"firewall allowlist ({FIREWALL_ALLOWLIST_MAX}):"] + [
+        assert ok and lines == [f"firewall allowlist ({hci.FIREWALL_ALLOWLIST_MAX}):"] + [
             f"  {mac}" for mac in macs[:-1]
         ]
         assert session.execute("version")[0]

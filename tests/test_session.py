@@ -8,10 +8,14 @@ import errno
 import gc
 import os
 import re
+import struct
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,7 +28,7 @@ from bcmdiag.emulator.scenario import build_world
 from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciEvent
 from bcmdiag.session import USAGE, LocalSession, Session
 
-from helpers import read_pcapng
+from helpers import read_btsnoop, read_pcapng
 
 
 class StubSession(Session):
@@ -200,6 +204,73 @@ def test_a_spool_that_cannot_grow_loses_records_not_commands(tmp_path):
     )
     _interfaces, packets = read_pcapng(str(path))
     assert [timestamp for _iface, timestamp, _data in packets] == [tick * TICK_US for tick in range(4)]
+
+
+def test_a_part_written_record_is_cut_off(tmp_path):
+    """A write that fails part-way through a record (the buffered file
+    put some of its octets on disk) loses that record only: the spool is
+    cut back to the end of the record before it, and the records after
+    it follow on."""
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    path = tmp_path / "x.pcapng"
+    assert session.execute(f"capture start {path}")[0]
+    assert session.execute("version")[0]
+    spool = session.capture_records
+    write = spool.write
+
+    def part(octets):
+        write(octets[:3])
+        spool._file.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    spool.write = part
+    assert session.execute("version")[0]
+    spool.write = write
+    assert session.execute("version")[0]
+    assert session.execute("capture stop") == (
+        True, [f"wrote 4 records to {path}; 2 records lost, the spool could not grow"]
+    )
+    assert len(read_pcapng(str(path))[1]) == 4
+
+
+# A child interpreter, so the file-size limit binds no other test: two
+# 60,004-octet ACL records under a 100,000-octet limit, then the limit lifted.
+_TWO_RECORDS_PAST_THE_LIMIT = """
+import resource, struct, sys, threading
+from bcmdiag.h4 import Direction, H4Frame, H4Type
+from bcmdiag.session import Session
+session = Session(threading.Lock())
+assert session.execute(f"capture start {sys.argv[1]} {sys.argv[2]}")[0]
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, hard))
+frame = H4Frame(H4Type.ACL_DATA, struct.pack("<HH", 0x000B, 60_000) + bytes(60_000))
+for _ in range(2):
+    session.record_frame(Direction.CONTROLLER_TO_HOST, frame)
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+print(session.execute("capture stop"))
+"""
+
+
+@pytest.mark.parametrize("fmt", ["pcap", "btsnoop"])
+def test_a_file_size_limit_loses_the_record_it_cuts_not_the_capture(tmp_path, fmt):
+    """The second record meets the limit part-way (CPython ignores
+    SIGXFSZ, so the write fails with EFBIG): the stop writes the first
+    and reports the second lost."""
+    path = tmp_path / f"x.{fmt}"
+    out = subprocess.run(
+        [sys.executable, "-c", _TWO_RECORDS_PAST_THE_LIMIT, str(path), fmt],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    lost = "1 records lost, the spool could not grow"
+    if fmt == "pcap":
+        assert out == repr((True, [f"wrote 1 records to {path}; {lost}"])) + "\n"
+        datas = [data for _iface, _ts, data in read_pcapng(str(path))[1]]
+    else:
+        assert out == repr((True, [f"wrote 1 HCI records to {path} (skipped 0 non-HCI); {lost}"])) + "\n"
+        datas = [data for _flags, _ts, data in read_btsnoop(str(path))[1]]
+    (data,) = datas
+    assert data.endswith(struct.pack("<HH", 0x000B, 60_000) + bytes(60_000))
 
 
 @pytest.mark.parametrize("damage, reason", [
