@@ -63,8 +63,6 @@ _NO_CALL: deque[H4Frame] = deque(maxlen=0)
 _LOCAL_VERSION_COMPLETE = HciEvent(hci.EVT_COMMAND_COMPLETE, hci.command_complete(
     hci.OPCODE_READ_LOCAL_VERSION, hci.local_version_params())).to_frame()
 READ_RAM_MAX = 255 - 4  # RAM octets in one Command Complete: 255 less header and status
-_SUCCESS = bytes([hci.ERR_SUCCESS])
-_INVALID_PARAMETERS = bytes([hci.ERR_INVALID_PARAMETERS])
 
 # Commands whose outcome follows in an event of its own: they answer with
 # a Command Status, every other command with a Command Complete.
@@ -235,7 +233,7 @@ class Controller:
                 elif opcode in _ANSWERED_BY_STATUS:
                     self._status(opcode, hci.ERR_INVALID_PARAMETERS)
                 else:
-                    ret = _INVALID_PARAMETERS
+                    ret = bytes([hci.ERR_INVALID_PARAMETERS])
                 if ret is not None:
                     self._emit_event(hci.EVT_COMMAND_COMPLETE, hci.command_complete(opcode, ret))
             elif h4_type is _ACL_DATA:
@@ -262,11 +260,11 @@ class Controller:
 
     def _cmd_reset(self, cmd: HciCommand) -> bytes:
         self.reset()
-        return _SUCCESS
+        return bytes([hci.ERR_SUCCESS])
 
     def _cmd_enable_dut(self, cmd: HciCommand) -> bytes:
         self._enter_dut_mode()
-        return _SUCCESS
+        return bytes([hci.ERR_SUCCESS])
 
     def _cmd_create_connection(self, cmd: HciCommand) -> None:
         """Create Connection and LE Create Connection."""
@@ -302,21 +300,21 @@ class Controller:
         if conn is None or conn.layer is not CLASSIC_LINK:
             return bytes([hci.ERR_UNKNOWN_CONNECTION])
         if not lmp_injectable(raw):
-            return _INVALID_PARAMETERS
+            return bytes([hci.ERR_INVALID_PARAMETERS])
         self._send_raw(CLASSIC_LINK, conn.peer_mac, raw)
-        return _SUCCESS
+        return bytes([hci.ERR_SUCCESS])
 
     def _cmd_read_ram(self, cmd: HciCommand) -> bytes:
         address, length = struct.unpack("<IB", cmd.params)
         data = self.memory.read_block(MemAccessType.ARM, address, length)
         if data is None or length > READ_RAM_MAX:
-            return _INVALID_PARAMETERS
-        return _SUCCESS + data
+            return bytes([hci.ERR_INVALID_PARAMETERS])
+        return bytes([hci.ERR_SUCCESS]) + data
 
     def _cmd_write_ram(self, cmd: HciCommand) -> bytes:
         (address,) = struct.unpack_from("<I", cmd.params)
         ok = self.memory.write_block(MemAccessType.ARM, address, cmd.params[4:])
-        return _SUCCESS if ok else _INVALID_PARAMETERS
+        return bytes([hci.ERR_SUCCESS if ok else hci.ERR_INVALID_PARAMETERS])
 
     def _cmd_super_duper_peek_poke(self, cmd: HciCommand) -> bytes:
         # Layout (toolkit convention): mode octet (0 peek / 1 poke),
@@ -330,8 +328,8 @@ class Controller:
             return bytes([hci.ERR_SUCCESS, value])
         if mode == 1 and len(cmd.params) >= 6:
             ok = self.memory.write(MemAccessType.BLUERF, address, cmd.params[5])
-            return _SUCCESS if ok else _INVALID_PARAMETERS
-        return _INVALID_PARAMETERS
+            return bytes([hci.ERR_SUCCESS if ok else hci.ERR_INVALID_PARAMETERS])
+        return bytes([hci.ERR_INVALID_PARAMETERS])
 
     def _cmd_firewall_add(self, cmd: HciCommand) -> bytes:
         mac = hci.mac_from_wire(cmd.params)
@@ -341,13 +339,13 @@ class Controller:
         if mac not in allow and len(allow) >= hci.FIREWALL_ALLOWLIST_MAX:
             return bytes([hci.ERR_MEMORY_CAPACITY_EXCEEDED])
         allow.add(mac)
-        return _SUCCESS
+        return bytes([hci.ERR_SUCCESS])
 
     def _cmd_firewall_del(self, cmd: HciCommand) -> bytes:
         mac = hci.mac_from_wire(cmd.params)
         if self.profile.firewall_allowlist is not None:
             self.profile.firewall_allowlist.discard(mac)
-        return _SUCCESS
+        return bytes([hci.ERR_SUCCESS])
 
     def _cmd_firewall_show(self, cmd: HciCommand) -> bytes:
         return hci.firewall_show_params(self.profile.firewall_allowlist)

@@ -11,6 +11,7 @@ to its power-on octets: the version string, or the file's contents.
 
 from __future__ import annotations
 
+import mmap
 from contextlib import suppress
 
 from ..diag import MemAccessType
@@ -48,7 +49,8 @@ class MemoryImage:
 
     @classmethod
     def default(cls) -> "MemoryImage":
-        arm = bytearray(ARM_SIZE)
+        # Mapped, not a bytearray: a page takes memory only once it is written.
+        arm = mmap.mmap(-1, ARM_SIZE, flags=mmap.MAP_PRIVATE)
         arm[: len(VERSION_STRING)] = VERSION_STRING
         return cls([Region(ARM_BASE, KIND_ARM, arm, VERSION_STRING),
                     Region(BLUERF_BASE, KIND_BLUERF, bytearray(BLUERF_SIZE))])

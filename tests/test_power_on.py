@@ -3,6 +3,7 @@ or a firmware crash) returns to -- memory, the handle allocator, and the
 cost of building one image."""
 
 import json
+import mmap
 import struct
 import tracemalloc
 
@@ -98,12 +99,18 @@ class TestPowerOnIsOnePath:
         reset(victim, attacker)  # the allocator stood at 0x000c
         assert connect_pair(victim, attacker) == 0x000B
 
-    def test_construction_builds_one_image(self):
+    def test_construction_builds_one_image(self, monkeypatch):
+        """One ARM image is mapped per construction, and none is copied
+        onto the heap."""
         Controller(MAC_A)  # anything built once per process is built now
+        mapped = []
+        real = mmap.mmap
+        monkeypatch.setattr(mmap, "mmap", lambda *args, **kw: mapped.append(args) or real(*args, **kw))
         tracemalloc.start()
         try:
             Controller(MAC_A)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ARM_SIZE <= peak < 2 * ARM_SIZE
+        assert mapped == [(-1, ARM_SIZE)]
+        assert peak < ARM_SIZE
