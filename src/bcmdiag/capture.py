@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from typing import Collection, Iterator
+from collections.abc import Collection, Iterator
 
 from . import diag, hci, ll
 from .diag import DiagCode, code_direction, parse_diag
@@ -225,14 +225,24 @@ class CaptureSpool:
 
     def export(self) -> str:
         """Write the records to the path in the format; returns the line
-        that reports it.  An OSError leaves the spool as it was, so the
-        export can be retried."""
+        that reports it.  A failure leaves the spool as it was, so the
+        export can be retried, and removes the file the writer opened, so
+        no partial file is left at the path; a file the open failed on
+        was not the writer's and stays."""
         lost = f"; {self.lost} records lost, the spool could not grow" if self.lost else ""
-        if self.format == "btsnoop":
-            skipped = write_btsnoop(self, self.path)
-            return (f"wrote {self.count - skipped} HCI records to {self.path} "
-                    f"(skipped {skipped} non-HCI){lost}")
-        return f"wrote {write_pcap(self, self.path)} records to {self.path}{lost}"
+        try:
+            if self.format == "btsnoop":
+                skipped = write_btsnoop(self, self.path)
+                return (f"wrote {self.count - skipped} HCI records to {self.path} "
+                        f"(skipped {skipped} non-HCI){lost}")
+            return f"wrote {write_pcap(self, self.path)} records to {self.path}{lost}"
+        except (OSError, BcmDiagError) as exc:
+            if getattr(exc, "filename", None) != self.path:  # only the open's error names it
+                try:
+                    os.remove(self.path)
+                except OSError:  # gone already, or not ours to remove: the export still fails
+                    pass
+            raise
 
     def close(self) -> None:
         """Drop the records and free their file."""

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 import struct
+from collections.abc import Callable
 from enum import IntEnum
-from typing import Callable
 
 from .errors import InvariantViolation, MalformedBody, UnknownDiagCode
 from .h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, value_class

@@ -6,10 +6,10 @@ there is no hopping, loss or timing model.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
 
 from ..errors import AlreadyLinked
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
     from .controller import Controller
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 import struct
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable
 
 from .. import diag, hci, ll
 from ..diag import LMP_RECORD_PAYLOAD_LEN, DiagMessage

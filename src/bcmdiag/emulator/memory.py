@@ -134,10 +134,15 @@ class MemoryImage:
         return False
 
     def reset(self) -> None:
-        """Rewrite every region, in place, with its power-on octets."""
+        """Rewrite every region, in place, with its power-on octets.  A
+        mapped region drops its pages instead of being written with zeros,
+        so it takes memory again only where it is written."""
         for r in self.regions:
             n = len(r.initial)
-            r.data[n:] = bytes(len(r.data) - n)  # calloc'd zeros: no RSS of their own
+            if isinstance(r.data, mmap.mmap):
+                r.data.madvise(mmap.MADV_DONTNEED)  # private anonymous: reads zeros again
+            else:
+                r.data[n:] = bytes(len(r.data) - n)  # calloc'd zeros: no RSS of their own
             r.data[:n] = r.initial
 
     def snapshot(self) -> list[tuple[int, str, bytes]]:

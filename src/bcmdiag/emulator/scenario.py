@@ -21,7 +21,7 @@ addressed to its one controller and skipping topology directives.
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from collections.abc import Callable
 
 from .. import hci
 from ..errors import AlreadyLinked, ScenarioError, scenario_lines

@@ -16,7 +16,7 @@ import selectors
 import socket
 import sys
 import threading
-from typing import Callable
+from collections.abc import Callable
 
 from ..errors import BcmDiagError, ScenarioError
 from ..h4 import Direction, H4Frame, H4StreamDecoder, encode_sniff_record
@@ -252,7 +252,7 @@ class EmulatorServer:
             try:
                 controller.process_host_frame(frame)
             except Exception as exc:  # must not end the loop that serves every client
-                controller._note(f"host frame failed: {exc} ({exc.__class__.__name__})")
+                controller.note(f"host frame failed: {exc} ({exc.__class__.__name__})")
 
     def _close(self, client: socket.socket) -> None:
         self._selector.unregister(client)

@@ -1,7 +1,7 @@
 """Exception types shared by the codecs and the emulator, and the one
 scenario-line grammar, which the emulator and the client both read."""
 
-from typing import Iterator
+from collections.abc import Iterator
 
 
 class BcmDiagError(Exception):

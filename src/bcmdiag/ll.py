@@ -17,7 +17,7 @@ are handled here:
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .errors import (
     BcmDiagError,
@@ -45,7 +45,8 @@ class OpcodeEntry:
 
 def _load_table(filename: str, with_escape: bool) -> dict[int, OpcodeEntry]:
     table: dict[int, OpcodeEntry] = {}
-    text = resources.files("bcmdiag.tables").joinpath(filename).read_text("utf-8")
+    with open(os.path.join(os.path.dirname(__file__), "tables", filename), encoding="utf-8") as fh:
+        text = fh.read()
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):

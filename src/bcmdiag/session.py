@@ -10,12 +10,11 @@ colon-separated hex, test parameters are decimal.
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from collections import deque
+from collections.abc import Callable
 from functools import partialmethod
-from typing import Callable
 
 from . import capture, hci
 from .diag import (
@@ -474,12 +473,6 @@ class Session:
                 # path is writable.
                 self.capture_records = spool
                 return False, [f"{exc} (capture still running)"]
-            except BcmDiagError:  # the read-back failed, after the writer opened the path
-                try:
-                    os.remove(spool.path)
-                except OSError:  # gone already, or not ours to remove: the stop still fails
-                    pass
-                raise
             finally:
                 if self.capture_records is None:  # written, or the spool was damaged
                     spool.close()

@@ -120,9 +120,9 @@ class TestCompleteness:
     def test_every_request_parses_to_a_class_the_controller_handles(self, code):
         """The controller notes any class without a handler as one the host
         may not send: that holds only while every request class has one."""
-        from bcmdiag.emulator import Controller
+        from bcmdiag.emulator.handlers import DIAG_HANDLERS
 
-        assert type(parse_diag(build_diag(_sample_message(code)))) in Controller._DIAG_HANDLERS
+        assert type(parse_diag(build_diag(_sample_message(code)))) in DIAG_HANDLERS
 
 
 def _sample_message(code: DiagCode):

@@ -26,6 +26,7 @@ from bcmdiag.diag import (
 )
 from bcmdiag.emulator import Controller, Phase, Role, attach_air_link
 from bcmdiag.emulator.controller import CLASSIC_LINK, LE_LINK, LOG_FRAMES_MAX
+from bcmdiag.emulator.handlers import HCI_HANDLERS, LINK_HANDLERS
 from bcmdiag.emulator.memory import ARM_BASE, BLUERF_BASE, BLUERF_SIZE, VERSION_STRING
 from bcmdiag.emulator.profiles import (
     PROFILE_FACTORIES, HandlerAction, patched_profile, vulnerable_profile,
@@ -421,7 +422,7 @@ _HCI_ANSWERS = [
 class TestHciParameterLengths:
     def test_every_handled_opcode_is_tried(self):
         tried = {row[0] for row in _HCI_ANSWERS}
-        assert tried == set(Controller._HCI_HANDLERS) | {_UNKNOWN_OPCODE}
+        assert tried == set(HCI_HANDLERS) | {_UNKNOWN_OPCODE}
 
     @pytest.mark.parametrize(
         "opcode, length, frames, notes",
@@ -441,7 +442,7 @@ class TestHciParameterLengths:
 
 # What a controller answers on the air, recorded on a linked pair with a
 # Classic (handle 0x000b) and an LE (0x000c) connection up, A the master:
-# every PDU name Controller._LINK_HANDLERS takes, one of each layer that no
+# every PDU name LINK_HANDLERS takes, one of each layer that no
 # handler takes, BPCS in and out of range, PDUs that cannot be dissected,
 # and PDUs refused to an unconnected and to a firewalled peer.  Rows:
 # (case, sender, allowlist, PDUs as (kind, hex), then under the patched and
@@ -567,7 +568,7 @@ _LINK_ANSWERS = [
 
 class TestLinkLayerAnswers:
     def test_every_handled_name_is_tried(self):
-        assert set(Controller._LINK_HANDLERS) <= {row[0] for row in _LINK_ANSWERS}
+        assert set(LINK_HANDLERS) <= {row[0] for row in _LINK_ANSWERS}
 
     @pytest.mark.parametrize("profile", ["patched", "vulnerable"])
     @pytest.mark.parametrize(
@@ -642,7 +643,7 @@ _HOST_STEPS = st.one_of(
     # parameters the opcode's _HCI_HEADS or random octets, cut or padded.
     st.tuples(
         st.just("hci"),
-        st.sampled_from(sorted(Controller._HCI_HANDLERS) + [_UNKNOWN_OPCODE]),
+        st.sampled_from(sorted(HCI_HANDLERS) + [_UNKNOWN_OPCODE]),
         st.sampled_from(_EDGE_LENGTHS),
         st.booleans(),
         st.binary(max_size=255),

@@ -251,7 +251,8 @@ def test_emulator_and_client_load_each_other_only_lazily():
 # The transient heap one module's compile() may take, when the emulator
 # loads it at start-up: every start compiles the sources again (no
 # bytecode is written), so the largest compile sets the emulator's peak.
-COMPILE_PEAK_MAX = int(2.1 * 2**20)
+# The largest are diag.py and controller.py, about 1.05 MiB each.
+COMPILE_PEAK_MAX = int(1.2 * 2**20)
 # The same for the client's start.  Its largest module, session.py, takes
 # about 1.5 MiB; past 4,096 parser tokens the parser's token array doubles
 # and it takes 1.73 MiB, 235 KiB more on every client's start-up peak.
@@ -301,3 +302,22 @@ def test_no_module_of_the_client_start_compiles_above_the_bound():
     peaks = compile_peaks("bcmdiag.cli")
     assert "bcmdiag.session" in peaks
     assert {name: peak for name, peak in peaks.items() if peak > CLIENT_COMPILE_PEAK_MAX} == {}
+
+
+# Standard-library modules neither start needs: each costs start-up time
+# and memory, and the table files, annotations and spool do without them.
+NOT_LOADED_AT_START = (
+    "importlib.resources", "pathlib", "zipfile", "typing", "tempfile", "json", "dataclasses",
+)
+
+
+@pytest.mark.parametrize("module", ["bcmdiag.emulator.server", "bcmdiag.cli"])
+def test_a_start_loads_no_module_it_does_not_need(module):
+    """In a fresh interpreter without ``site`` (which may preload any of
+    them), importing either start loads none of NOT_LOADED_AT_START."""
+    code = f"import sys, {module}; print(*(m for m in {NOT_LOADED_AT_START!r} if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []

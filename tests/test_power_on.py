@@ -4,7 +4,10 @@ cost of building one image."""
 
 import json
 import mmap
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -85,6 +88,33 @@ class TestResetRestoresMemory:
             assert ask(ctrl, MemoryHexdump(0x1000)).data == contents.ljust(HEXDUMP_DATA_LEN, b"\x00")
             assert ask(ctrl, MemoryPeek(MemAccessType.BLUERF, 7)).value == 0
             assert [len(r.data) for r in ctrl.memory.regions] == [64, 16]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc")
+    def test_a_reset_leaves_the_default_image_unresident(self):
+        """A reset drops the mapped ARM image's pages instead of writing
+        zeros over them: in a fresh interpreter VmRSS grows by under
+        64 KiB across one, and the image reads its power-on octets."""
+        code = (
+            "from bcmdiag.diag import MemAccessType\n"
+            "from bcmdiag.emulator import Controller\n"
+            "def rss():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmRSS:'))\n"
+            "ctrl = Controller(bytes(6))\n"
+            f"ctrl.memory.write(MemAccessType.ARM, {ARM_BASE + ARM_SIZE - 1}, 0xA5)\n"
+            "before = rss()\n"
+            "ctrl.reset()\n"
+            "grown = rss() - before\n"
+            f"print(grown, ctrl.memory.read_block(MemAccessType.ARM, {ARM_BASE}, {ARM_SIZE}).hex())\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        grown_kib, image = out.split()
+        assert int(grown_kib) < 64
+        assert bytes.fromhex(image) == VERSION_STRING.ljust(ARM_SIZE, b"\x00")
 
 
 class TestPowerOnIsOnePath:

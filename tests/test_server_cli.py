@@ -25,7 +25,7 @@ from bcmdiag.capture import SniffStreamDecoder
 from bcmdiag.cli import SocketSession, _parse_hostport, run_batch
 from bcmdiag.cli import main as client_main
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, parse_diag
-from bcmdiag.emulator import Controller
+from bcmdiag.emulator.handlers import DIAG_HANDLERS, HCI_HANDLERS
 from bcmdiag.emulator.memory import ARM_BASE
 from bcmdiag.emulator.scenario import build_world
 from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout, main
@@ -885,7 +885,7 @@ class TestServerLoop:
     def test_a_failing_frame_is_noted_and_serving_goes_on(self, served_world, monkeypatch):
         world, server = served_world
         calls = []
-        original, lengths = Controller._HCI_HANDLERS[hci.OPCODE_READ_LOCAL_VERSION]
+        original, lengths = HCI_HANDLERS[hci.OPCODE_READ_LOCAL_VERSION]
 
         def fail_once(controller, cmd):
             calls.append(controller.name)
@@ -894,7 +894,7 @@ class TestServerLoop:
             original(controller, cmd)
 
         monkeypatch.setitem(
-            Controller._HCI_HANDLERS, hci.OPCODE_READ_LOCAL_VERSION, (fail_once, lengths)
+            HCI_HANDLERS, hci.OPCODE_READ_LOCAL_VERSION, (fail_once, lengths)
         )
         sessions = {name: _session(server, name) for name in ("A", "B")}
         try:
@@ -920,7 +920,7 @@ class TestServerLoop:
         def fail(controller, msg):
             raise ValueError("handler bug")
 
-        monkeypatch.setitem(Controller._DIAG_HANDLERS, MemoryPeek, fail)
+        monkeypatch.setitem(DIAG_HANDLERS, MemoryPeek, fail)
         sessions = {name: _session(server, name) for name in ("A", "B")}
         try:
             sessions["A"].default_timeout = 0.3

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bcmdiag import hci
+from bcmdiag import capture, hci
 from bcmdiag.capture import TICK_US
 from bcmdiag.cli import SocketSession
 from bcmdiag.diag import DiagCode
@@ -321,6 +321,48 @@ def test_a_damaged_spool_ends_the_capture_when_its_file_cannot_be_removed(tmp_pa
     ok, lines = session.execute("capture stop")
     assert (ok, lines) == (False, ["capture spool damaged: 2 whole records of 3, 0 octets over"])
     assert session.capture_records is None and path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["pcap", "btsnoop"])
+def test_a_stop_that_fails_past_the_open_leaves_no_file(tmp_path, monkeypatch, fmt):
+    """An OSError after the writer opened the path (a full disk, a
+    file-size limit) removes the partial file; the capture keeps running,
+    and a retry writes all of it."""
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    path = tmp_path / "x.cap"
+    assert session.execute(f"capture start {path} {fmt}")[0]
+    assert session.execute("version")[0]
+
+    def full(_frame):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(capture, "encode_frame", full)
+        ok, lines = session.execute("capture stop")
+    assert (ok, lines) == (False, ["[Errno 28] No space left on device (capture still running)"])
+    assert not path.exists()
+    assert session.execute("version")[0]
+    ok, lines = session.execute("capture stop")
+    assert ok and "wrote 4" in lines[0], lines
+    read = read_pcapng if fmt == "pcap" else read_btsnoop
+    assert len(read(str(path))[1]) == 4
+
+
+def test_a_stop_whose_open_fails_leaves_the_file_there(tmp_path, monkeypatch):
+    """A file already at the path that the writer cannot open is not the
+    writer's: the stop fails and leaves it as it was."""
+    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    path = tmp_path / "x.pcapng"
+    path.write_bytes(b"not ours")
+    assert session.execute(f"capture start {path}")[0]
+
+    def refuse(name, _mode):
+        raise PermissionError(errno.EACCES, "Permission denied", name)
+
+    monkeypatch.setattr(capture, "open", refuse, raising=False)
+    ok, lines = session.execute("capture stop")
+    assert not ok and lines == [f"[Errno 13] Permission denied: '{path}' (capture still running)"]
+    assert path.read_bytes() == b"not ours"
 
 
 @pytest.mark.parametrize("line", [
