@@ -19,9 +19,10 @@ import sys
 import time
 
 from .capture import SniffStreamDecoder, render_live
+from .commands import USAGE
 from .errors import BcmDiagError, SessionError
 from .h4 import H4Frame, H4Type, encode_frame
-from .session import USAGE, Session
+from .session import Session
 
 _GREEN = "\x1b[32m"
 _CYAN = "\x1b[36m"

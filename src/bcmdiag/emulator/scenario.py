@@ -12,10 +12,13 @@ holds the line rule):
 
 Operator command lines use exactly the interactive client vocabulary
 and are executed through an in-process session, so a scenario run
-produces the same frames an operator would; the client's session code
-loads only for a scenario that has such lines.  The client's
-``scenario run`` consumes the same files, executing the command lines
-addressed to its one controller and skipping topology directives.
+produces the same frames an operator would.  The client's session
+(``bcmdiag.session``, with ``bcmdiag.commands`` and ``bcmdiag.capture``)
+loads only for a scenario that has such lines; each of those modules
+compiles within the transient heap bound of the emulator's own.  The
+client's ``scenario run`` consumes the same files, executing the
+command lines addressed to its one controller and skipping topology
+directives.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ further controller instance offset by two ports.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
+import getopt
 import selectors
 import socket
 import sys
@@ -264,37 +264,63 @@ controller main mac=00:11:22:33:44:55 profile=default
 """
 
 
+# getopt, not argparse: argparse and its parser stay resident under
+# every later peak of the emulator, about 316 KiB against getopt's 56.
+_OPTIONS = ("help", "scenario=", "host=", "base-port=")
+_USAGE = "usage: bcmdiag-emu [-h] [--scenario SCENARIO] [--host HOST] [--base-port BASE_PORT]\n"
+_HELP = _USAGE + f"""
+Serve emulated Bluetooth controllers over sniff/inject stream ports.
+
+options:
+  -h, --help            show this help message and exit
+  --scenario SCENARIO   scenario file (topology + startup commands)
+  --host HOST           address to listen on (default 127.0.0.1)
+  --base-port BASE_PORT
+                        sniff port of the first controller; inject is +1,
+                        later controllers +2 each (default {SNIFF_PORT_BASE})
+"""
+
+
+def _usage_error(message: str) -> int:
+    print(f"{_USAGE}bcmdiag-emu: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bcmdiag-emu",
-        description="Serve emulated Bluetooth controllers over sniff/inject stream ports.",
-    )
-    parser.add_argument("--scenario", help="scenario file (topology + startup commands)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--base-port",
-        type=int,
-        default=SNIFF_PORT_BASE,
-        help="sniff port of the first controller; inject is +1, later controllers +2 each",
-    )
-    args = parser.parse_args(argv)
+    """``bcmdiag-emu``: long options, each also taken as ``--opt=value``
+    or by a unique prefix; a bad command line exits 2."""
+    try:
+        opts, stray = getopt.gnu_getopt(sys.argv[1:] if argv is None else argv, "h", _OPTIONS)
+    except getopt.GetoptError as exc:
+        return _usage_error(str(exc))
+    if stray:
+        return _usage_error(f"unrecognized arguments: {' '.join(stray)}")
+    options = dict(opts)  # a repeated option: the last one counts
+    if "-h" in options or "--help" in options:
+        print(_HELP, end="")
+        return 0
+    scenario, host = options.get("--scenario"), options.get("--host", "127.0.0.1")
+    try:
+        base_port = int(options.get("--base-port", SNIFF_PORT_BASE))
+    except ValueError:
+        return _usage_error(f"argument --base-port: invalid int value: {options['--base-port']!r}")
 
     text = _DEFAULT_SCENARIO
     try:  # a bad scenario file or a port taken or out of range ends the start with one line
-        if args.scenario:
-            with open(args.scenario, "r", encoding="utf-8") as fh:
+        if scenario:
+            with open(scenario, "r", encoding="utf-8") as fh:
                 text = fh.read()
         ok, world, _transcript = run_scenario(text, on_line=lambda line: print(line, flush=True))
-        server = EmulatorServer(world, host=args.host, base_port=args.base_port)
+        server = EmulatorServer(world, host=host, base_port=base_port)
     except (OSError, ValueError, BcmDiagError) as exc:
         # A decode or scenario error names no file; name it as an OSError does.
         unnamed = isinstance(exc, (UnicodeDecodeError, ScenarioError))
-        where = f": {args.scenario!r}" if unnamed else ""
+        where = f": {scenario!r}" if unnamed else ""
         print(f"bcmdiag-emu: {exc}{where}", file=sys.stderr)
         return 2
     server.start()
     for name, (sniff, inject) in server.port_map().items():
-        print(f"{name}: sniff {args.host}:{sniff}  inject {args.host}:{inject}", flush=True)
+        print(f"{name}: sniff {host}:{sniff}  inject {host}:{inject}", flush=True)
     if not ok:
         print("warning: scenario startup commands reported errors", file=sys.stderr)
     try:

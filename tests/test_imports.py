@@ -170,7 +170,7 @@ def test_no_module_takes_another_modules_private_name(path):
 
 # The client's own modules.  The emulator loads none of them at start-up,
 # and they load no emulator module, so each side compiles only its code.
-CLIENT_MODULES = ("bcmdiag.session", "bcmdiag.capture", "bcmdiag.cli")
+CLIENT_MODULES = ("bcmdiag.session", "bcmdiag.commands", "bcmdiag.capture", "bcmdiag.cli")
 
 
 def loaded_at_import(source: str, package: str) -> set[str]:
@@ -251,16 +251,17 @@ def test_emulator_and_client_load_each_other_only_lazily():
 # The transient heap one module's compile() may take, when the emulator
 # loads it at start-up: every start compiles the sources again (no
 # bytecode is written), so the largest compile sets the emulator's peak.
-# The largest are diag.py and controller.py, about 1.05 MiB each.
+# The largest are diag.py, controller.py and commands.py (which a scenario
+# with command lines loads), 1.02-1.05 MiB each.
 COMPILE_PEAK_MAX = int(1.2 * 2**20)
-# The same for the client's start.  Its largest module, session.py, takes
-# about 1.5 MiB; past 4,096 parser tokens the parser's token array doubles
-# and it takes 1.73 MiB, 235 KiB more on every client's start-up peak.
+# The same for the client's start.  Its largest modules are diag.py and
+# commands.py; session.py took 1.41 MiB before the vocabulary moved out
+# of it, and past 4,096 parser tokens a module's token array doubles.
 CLIENT_COMPILE_PEAK_MAX = int(1.6 * 2**20)
 
 _COMPILE_PEAKS = """
 import sys, tracemalloc
-import {module}
+import {modules}
 for name, module in sorted(sys.modules.items()):
     if name.partition(".")[0] != "bcmdiag" or module.__file__ is None:
         continue  # another package's, or a data folder's: no source
@@ -276,13 +277,13 @@ for name, module in sorted(sys.modules.items()):
 """
 
 
-def compile_peaks(module: str) -> dict[str, int]:
-    """Each bcmdiag module that importing ``module`` loads in a fresh
+def compile_peaks(*modules: str) -> dict[str, int]:
+    """Each bcmdiag module that importing ``modules`` loads in a fresh
     interpreter, with the tracemalloc peak of compiling its source (the
     least of three compiles)."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
-        [sys.executable, "-c", _COMPILE_PEAKS.format(module=module)],
+        [sys.executable, "-c", _COMPILE_PEAKS.format(modules=", ".join(modules))],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     return {name: int(peak) for name, peak in map(str.split, out.splitlines())}
@@ -296,6 +297,14 @@ def test_no_module_of_the_emulator_start_compiles_above_the_bound():
     assert {name: peak for name, peak in peaks.items() if peak > COMPILE_PEAK_MAX} == {}
 
 
+def test_no_module_of_a_start_with_command_lines_compiles_above_the_bound():
+    """The same for a start whose scenario has command lines, which also
+    loads the session that ``run_scenario`` imports to run them."""
+    peaks = compile_peaks("bcmdiag.emulator.server", "bcmdiag.session")
+    assert "bcmdiag.session" in peaks
+    assert {name: peak for name, peak in peaks.items() if peak > COMPILE_PEAK_MAX} == {}
+
+
 def test_no_module_of_the_client_start_compiles_above_the_bound():
     """Every bcmdiag module ``import bcmdiag.cli`` loads compiles within
     CLIENT_COMPILE_PEAK_MAX."""
@@ -304,18 +313,25 @@ def test_no_module_of_the_client_start_compiles_above_the_bound():
     assert {name: peak for name, peak in peaks.items() if peak > CLIENT_COMPILE_PEAK_MAX} == {}
 
 
-# Standard-library modules neither start needs: each costs start-up time
-# and memory, and the table files, annotations and spool do without them.
+# Standard-library modules a start does not need: each costs start-up
+# time and memory, and the table files, annotations and spool do without
+# them.  The emulator also parses its command line without argparse,
+# which with its parser stays resident under every later peak.
 NOT_LOADED_AT_START = (
     "importlib.resources", "pathlib", "zipfile", "typing", "tempfile", "json", "dataclasses",
 )
+NOT_LOADED_BY = {
+    "bcmdiag.emulator.server": NOT_LOADED_AT_START + ("argparse",),
+    "bcmdiag.cli": NOT_LOADED_AT_START,
+}
 
 
-@pytest.mark.parametrize("module", ["bcmdiag.emulator.server", "bcmdiag.cli"])
+@pytest.mark.parametrize("module", list(NOT_LOADED_BY))
 def test_a_start_loads_no_module_it_does_not_need(module):
     """In a fresh interpreter without ``site`` (which may preload any of
-    them), importing either start loads none of NOT_LOADED_AT_START."""
-    code = f"import sys, {module}; print(*(m for m in {NOT_LOADED_AT_START!r} if m in sys.modules))"
+    them), importing a start loads none of the modules in its
+    NOT_LOADED_BY list."""
+    code = f"import sys, {module}; print(*(m for m in {NOT_LOADED_BY[module]!r} if m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
         capture_output=True, text=True, check=True,

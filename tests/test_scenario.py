@@ -9,7 +9,8 @@ from bcmdiag.emulator.scenario import (
 )
 from bcmdiag.errors import ScenarioError
 from bcmdiag.h4 import Direction, encode_frame
-from bcmdiag.session import USAGE, LocalSession, Session
+from bcmdiag.commands import USAGE
+from bcmdiag.session import LocalSession, Session
 
 from helpers import MAC_A, MAC_B, HostRecorder, read_pcapng
 
@@ -268,7 +269,7 @@ class TestRunning:
     def test_scenario_run_of_itself_is_bounded(self, tmp_path):
         """A file that runs itself nests SCENARIO_DEPTH_MAX deep, then
         answers usage."""
-        from bcmdiag.session import SCENARIO_DEPTH_MAX
+        from bcmdiag.commands import SCENARIO_DEPTH_MAX
 
         path = tmp_path / "self.scenario"
         path.write_text(f"A: version\nA: scenario run {path}\n")

@@ -27,6 +27,7 @@ from bcmdiag.cli import main as client_main
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, parse_diag
 from bcmdiag.emulator.handlers import DIAG_HANDLERS, HCI_HANDLERS
 from bcmdiag.emulator.memory import ARM_BASE
+from bcmdiag.emulator import server as emulator_server
 from bcmdiag.emulator.scenario import build_world
 from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout, main
 from bcmdiag.errors import InvariantViolation, SessionError
@@ -1492,6 +1493,80 @@ class TestEmulatorStartFailures:
         assert err.count("\n") == 1 and "utf-8" in err and str(path) in err
 
 
+class _RefusedServer:
+    """Stands in for EmulatorServer: records the world, host and base
+    port ``main`` asks it to serve, then fails as a taken port does, so
+    the start ends without binding anything."""
+
+    def __init__(self, calls: list) -> None:
+        self.calls = calls
+
+    def __call__(self, world, host, base_port):
+        self.calls.append((list(world.controllers), host, base_port))
+        raise OSError("refused")
+
+
+class TestEmulatorCommandLine:
+    """``bcmdiag-emu`` takes each long option as ``--opt value``, as
+    ``--opt=value`` and by a unique prefix; ``-h`` or ``--help`` prints
+    the usage, and a bad command line ends with the usage and one
+    ``bcmdiag-emu: error:`` line, status 2, before anything is built."""
+
+    @pytest.fixture
+    def served(self, monkeypatch) -> list:
+        calls: list = []
+        monkeypatch.setattr(emulator_server, "EmulatorServer", _RefusedServer(calls))
+        return calls
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["--base-port", "1", "-h"]])
+    def test_help(self, served, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: bcmdiag-emu ") and err == ""
+        assert all(option in out for option in ("--scenario", "--host", "--base-port"))
+        assert served == []
+
+    def test_options_in_every_form(self, served, capsys, tmp_path):
+        path = tmp_path / "start.scenario"
+        path.write_text("controller A mac=00:11:22:33:44:01\ncontroller B mac=00:11:22:33:44:02\n")
+        for argv in (
+            ["--scenario", str(path), "--host", "127.0.0.2", "--base-port", "20000"],
+            [f"--scenario={path}", "--host=127.0.0.2", "--base-port=20000"],
+            [f"--sc={path}", "--ho", "127.0.0.2", "--base=20000"],
+            ["--base-port=1", f"--scenario={path}", "--host=127.0.0.2", "--base-port=20000"],
+        ):
+            assert main(argv) == 2
+        assert served == [(["A", "B"], "127.0.0.2", 20000)] * 4
+        assert capsys.readouterr().err == "bcmdiag-emu: refused\n" * 4
+
+    def test_defaults(self, served, capsys):
+        assert main([]) == 2
+        assert served == [(["main"], "127.0.0.1", emulator_server.SNIFF_PORT_BASE)]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--base-port", "x"], "argument --base-port: invalid int value: 'x'"),
+        (["--base-port=8872.5"], "argument --base-port: invalid int value: '8872.5'"),
+        (["--bogus"], "option --bogus not recognized"),
+        (["-x"], "option -x not recognized"),
+        (["--h"], "option --h not a unique prefix"),
+        (["--base-port"], "option --base-port requires argument"),
+        (["--help=yes"], "option --help must not have an argument"),
+        (["stray"], "unrecognized arguments: stray"),
+        (["--host", "127.0.0.1", "one", "two"], "unrecognized arguments: one two"),
+    ], ids=[
+        "non-integer-port", "fractional-port", "unknown-option", "unknown-short-option",
+        "ambiguous-prefix", "missing-value", "value-for-help", "stray-positional",
+        "two-stray-positionals",
+    ])
+    def test_bad_command_line(self, served, capsys, argv, message):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        usage, error = err.splitlines()
+        assert out == "" and usage.startswith("usage: bcmdiag-emu ")
+        assert error == f"bcmdiag-emu: error: {message}"
+        assert served == []
+
+
 class TestStartUp:
     @staticmethod
     def _fresh(code: str) -> list[str]:
@@ -1523,7 +1598,8 @@ class TestStartUp:
             "import sys\n"
             "from bcmdiag.emulator import server\n"
             "ok, _world, _lines = server.run_scenario(server._DEFAULT_SCENARIO)\n"
-            "print(ok, *sorted({'bcmdiag.session', 'bcmdiag.capture', 'bcmdiag.cli'} & set(sys.modules)))\n"
+            "client = {'bcmdiag.session', 'bcmdiag.commands', 'bcmdiag.capture', 'bcmdiag.cli'}\n"
+            "print(ok, *sorted(client & set(sys.modules)))\n"
         )
         assert self._fresh(emulator) == ["True"]
         client = (

@@ -26,7 +26,8 @@ from bcmdiag.cli import SocketSession
 from bcmdiag.diag import DiagCode
 from bcmdiag.emulator.scenario import build_world
 from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciEvent
-from bcmdiag.session import USAGE, LocalSession, Session
+from bcmdiag.commands import USAGE
+from bcmdiag.session import LocalSession, Session
 
 from helpers import read_btsnoop, read_pcapng
 
