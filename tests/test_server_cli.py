@@ -25,9 +25,9 @@ from bcmdiag.capture import SniffStreamDecoder
 from bcmdiag.cli import SocketSession, _parse_hostport, run_batch
 from bcmdiag.cli import main as client_main
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, parse_diag
+from bcmdiag.emulator import server as emulator_server
 from bcmdiag.emulator.handlers import DIAG_HANDLERS, HCI_HANDLERS
 from bcmdiag.emulator.memory import ARM_BASE
-from bcmdiag.emulator import server as emulator_server
 from bcmdiag.emulator.scenario import build_world
 from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout, main
 from bcmdiag.errors import InvariantViolation, SessionError
@@ -1493,19 +1493,6 @@ class TestEmulatorStartFailures:
         assert err.count("\n") == 1 and "utf-8" in err and str(path) in err
 
 
-class _RefusedServer:
-    """Stands in for EmulatorServer: records the world, host and base
-    port ``main`` asks it to serve, then fails as a taken port does, so
-    the start ends without binding anything."""
-
-    def __init__(self, calls: list) -> None:
-        self.calls = calls
-
-    def __call__(self, world, host, base_port):
-        self.calls.append((list(world.controllers), host, base_port))
-        raise OSError("refused")
-
-
 class TestEmulatorCommandLine:
     """``bcmdiag-emu`` takes each long option as ``--opt value``, as
     ``--opt=value`` and by a unique prefix; ``-h`` or ``--help`` prints
@@ -1514,8 +1501,16 @@ class TestEmulatorCommandLine:
 
     @pytest.fixture
     def served(self, monkeypatch) -> list:
+        """The (controllers, host, base port) of each EmulatorServer that
+        ``main`` asks for.  Each is refused as a taken port is, so the
+        start ends with status 2 and nothing is bound."""
         calls: list = []
-        monkeypatch.setattr(emulator_server, "EmulatorServer", _RefusedServer(calls))
+
+        def refuse(world, host, base_port):
+            calls.append((list(world.controllers), host, base_port))
+            raise OSError("refused")
+
+        monkeypatch.setattr(emulator_server, "EmulatorServer", refuse)
         return calls
 
     @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["--base-port", "1", "-h"]])
