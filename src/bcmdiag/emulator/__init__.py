@@ -2,7 +2,7 @@
 security profiles, scenario runner and stream servers."""
 
 from .controller import Connection, Controller, Phase, Role
-from .link import VirtualLink, attach_air_link
+from .link import VirtualLink
 from .memory import MemoryImage
 from .profiles import (
     HandlerAction,
@@ -20,7 +20,6 @@ __all__ = [
     "Role",
     "SecurityProfile",
     "VirtualLink",
-    "attach_air_link",
     "patched_profile",
     "vulnerable_profile",
 ]

@@ -26,7 +26,7 @@ from ..h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciCommand, HciEv
 from .handlers import DIAG_HANDLERS, HCI_HANDLERS, LINK_HANDLERS, handle_bpcs
 from .link import KIND_ACL, KIND_RESET, VirtualLink
 from .linklayer import (
-    CLASSIC_LINK, CREATE_LINK, LE_LINK, LINK_BY_KIND, REJECTIONS, Connection, LinkLayer, Phase,
+    CLASSIC_LINK, CREATE_LINK, LINK_BY_KIND, REJECTIONS, Connection, LinkLayer, Phase,
     Role,
 )
 from .memory import MemoryImage
@@ -38,7 +38,7 @@ MAX_HANDLE = 0x0EFF
 AUDIT_MAX = 1024
 LOG_FRAMES_MAX = 64  # log-record frames a controller keeps built; then it starts over
 
-TapFn = Callable[[Direction, H4Frame, int], None]
+TapFn = Callable[[Direction, H4Frame], None]
 
 # Members read per frame, as plain names: a read through the enum class
 # takes the enum metaclass's __getattr__ hook, about 0.15 us on 3.11.
@@ -93,7 +93,7 @@ class Controller:
 
     def add_tap(self, fn: TapFn) -> None:
         """Subscribe to every frame crossing this controller's host
-        boundary, both directions, with its logical tick."""
+        boundary, both directions."""
         self._taps.append(fn)
 
     def remove_tap(self, fn: TapFn) -> None:
@@ -103,7 +103,7 @@ class Controller:
     def emit(self, frame: H4Frame) -> None:
         self._out.append(frame)
         for fn in self._taps:
-            fn(_TO_HOST, frame, self.clock)
+            fn(_TO_HOST, frame)
 
     def emit_event(self, code: int, params: bytes) -> None:
         self.emit(tuple.__new__(HciEvent, (code, params)).to_frame())  # no Python __new__
@@ -144,36 +144,6 @@ class Controller:
             self.link.transmit(self, KIND_RESET, None)
         self.reset()
 
-    def snapshot(self) -> dict:
-        """Observable state for before/after comparisons.  The tick
-        counter and audit trail are excluded: they advance on any
-        processed input, even one that must not change state."""
-        profile, allow = self.profile, self.profile.firewall_allowlist
-        return {
-            "mac": self.mac,
-            # Copies, so a later edit cannot reach an earlier snapshot.
-            "profile": {
-                **vars(profile),
-                "firewall_allowlist": None if allow is None else set(allow),
-                "bpcs_overflow_map": dict(profile.bpcs_overflow_map),
-            },
-            "connections": tuple(
-                (
-                    c.handle,
-                    c.peer_mac,
-                    c.role,
-                    c.layer.kind,
-                    c.phase,
-                    c.ssp_confirmed,
-                )
-                for c in sorted(self.connections.values(), key=lambda c: c.handle)
-            ),
-            "diag_log_enabled": self.diag_log_enabled,
-            "test_mode_active": self.test_mode_active,
-            "stats": tuple((kind, tuple(values)) for kind, values in self.stats.items()),
-            "memory": tuple(self.memory.snapshot()),
-        }
-
     # ----- host input ---------------------------------------------------
 
     def process_host_frame(self, frame: H4Frame) -> list[H4Frame]:
@@ -186,9 +156,9 @@ class Controller:
         h4_type, payload = frame
         if h4_type is not _DIAG or len(payload) != DIAG_PAYLOAD_LEN:
             frame.validate()  # a full diag envelope is valid by its length alone
-        self.clock = clock = self.clock + 1
+        self.clock += 1
         for fn in self._taps:
-            fn(_TO_CONTROLLER, frame, clock)
+            fn(_TO_CONTROLLER, frame)
         self._out = out = []
         try:
             if h4_type is _DIAG:
@@ -383,19 +353,3 @@ class Controller:
     def enter_dut_mode(self) -> None:
         self.test_mode_active = True
         self.emit_event(hci.EVT_VENDOR, hci.DUT_EVENT_PARAMS)
-
-    # ----- raw injection (attack tooling / harnesses) ---------------------------
-
-    def inject_lmp(self, raw: bytes) -> None:
-        """Transmit raw Classic PDU octets over the link, bypassing any
-        connection.  This is the radio-level attacker primitive."""
-        self._inject(CLASSIC_LINK, raw)
-
-    def inject_lcp(self, raw: bytes) -> None:
-        self._inject(LE_LINK, raw)
-
-    def _inject(self, layer: LinkLayer, raw: bytes) -> None:
-        peer_mac = self.link.peer_of(self).mac if self.link is not None else bytes(6)
-        self.send_raw(layer, peer_mac, bytes(raw))
-        if self.link is not None:
-            self.link.pump()

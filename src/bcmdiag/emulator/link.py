@@ -61,9 +61,3 @@ class VirtualLink:
                 dst.deliver_air(src.mac, kind, data)
         finally:
             self._pumping = False
-
-
-def attach_air_link(a: "Controller", b: "Controller") -> VirtualLink:
-    """Wire two controllers together; the connection initiator will take
-    the master role."""
-    return VirtualLink(a, b)

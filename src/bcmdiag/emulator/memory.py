@@ -144,6 +144,3 @@ class MemoryImage:
             else:
                 r.data[n:] = bytes(len(r.data) - n)  # calloc'd zeros: no RSS of their own
             r.data[:n] = r.initial
-
-    def snapshot(self) -> list[tuple[int, str, bytes]]:
-        return [(r.base, r.kind, bytes(r.data)) for r in self.regions]

@@ -29,7 +29,7 @@ from collections.abc import Callable
 from .. import hci
 from ..errors import AlreadyLinked, ScenarioError, scenario_lines
 from .controller import Controller
-from .link import attach_air_link
+from .link import VirtualLink
 from .memory import MemoryImage
 from .profiles import PROFILE_FACTORIES
 
@@ -108,11 +108,6 @@ def parse_scenario(text: str) -> tuple[list[tuple[int, str, list[str]]], list[tu
     return directives, commands
 
 
-def build_world(text: str) -> World:
-    """Create controllers and links from a scenario's directives."""
-    return _world_from(parse_scenario(text)[0])
-
-
 def _world_from(directives: list[tuple[int, str, list[str]]]) -> World:
     world = World()
     for lineno, directive, args in directives:
@@ -130,7 +125,7 @@ def _world_from(directives: list[tuple[int, str, list[str]]]) -> World:
                 if name not in world.controllers:
                     raise ScenarioError(lineno, f"unknown controller {name!r}")
             try:  # the same controller twice, a shared MAC, or one already linked
-                attach_air_link(world[args[0]], world[args[1]])
+                VirtualLink(world[args[0]], world[args[1]])
             except (ValueError, AlreadyLinked) as exc:
                 raise ScenarioError(lineno, str(exc)) from None
     return world

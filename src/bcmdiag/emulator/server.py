@@ -120,7 +120,7 @@ class ControllerEndpoint:
             raise
         fanout = self.fanout
 
-        def tap(direction: Direction, frame: H4Frame, _tick: int) -> None:
+        def tap(direction: Direction, frame: H4Frame) -> None:
             fanout.publish(encode_sniff_record(direction, frame))
             if not server._in_pass:  # an in-process session, not the loop
                 server._wake()

@@ -208,7 +208,7 @@ class LocalSession(Session):
         self._on_line = on_line
         self._controller.add_tap(self._tap)
 
-    def _tap(self, direction: Direction, frame: H4Frame, tick: int) -> None:
+    def _tap(self, direction: Direction, frame: H4Frame) -> None:
         self.record_frame(direction, frame)
         with self._lock:
             self._queue_records([(direction, frame)])

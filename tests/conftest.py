@@ -8,9 +8,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bcmdiag import hci
-from bcmdiag.emulator import Controller, attach_air_link
+from bcmdiag.emulator import Controller, VirtualLink
 from bcmdiag.emulator.profiles import patched_profile, vulnerable_profile
-from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.scenario import run_scenario
 from bcmdiag.emulator.server import EmulatorServer
 
 from helpers import MAC_A, MAC_B
@@ -21,7 +21,7 @@ def linked_pair():
     """Two freshly linked controllers, default (patched) profiles."""
     a = Controller(MAC_A, name="A")
     b = Controller(MAC_B, name="B")
-    attach_air_link(a, b)
+    VirtualLink(a, b)
     return a, b
 
 
@@ -29,7 +29,7 @@ def linked_pair():
 def linked_pair_vulnerable():
     a = Controller(MAC_A, profile=patched_profile(), name="A")
     b = Controller(MAC_B, profile=vulnerable_profile(), name="B")
-    attach_air_link(a, b)
+    VirtualLink(a, b)
     return a, b
 
 
@@ -82,7 +82,7 @@ def unstarted_server(world) -> EmulatorServer:
 def served_world():
     """SERVED_TOPOLOGY behind an EmulatorServer on a free loopback port
     window; yields (world, server)."""
-    world = build_world(SERVED_TOPOLOGY)
+    world = run_scenario(SERVED_TOPOLOGY)[1]
     server = unstarted_server(world)
     server.start()
     try:

@@ -1,6 +1,6 @@
 """Shared test plumbing: seeded random frame/message/PDU generators, a
-recorder of one direction of a controller's frames and independent
-capture-file readers.
+recorder of one direction of a controller's frames, raw air injection,
+a state snapshot and independent capture-file readers.
 
 The readers are deliberately written from the file-format definitions,
 not from the writer code, so export tests check two separate routes.
@@ -49,13 +49,51 @@ class HostRecorder:
         self._direction = direction
         controller.add_tap(self)
 
-    def __call__(self, direction: Direction, frame: H4Frame, _tick: int) -> None:
+    def __call__(self, direction: Direction, frame: H4Frame) -> None:
         if direction is self._direction:
             self.frames.append(frame)
 
     def take(self) -> list[H4Frame]:
         out, self.frames = self.frames, []
         return out
+
+
+def inject(controller, layer, raw: bytes) -> None:
+    """Send raw link-layer octets from ``controller`` to its linked peer,
+    bypassing any connection: the radio-level attacker."""
+    controller.send_raw(layer, controller.link.peer_of(controller).mac, bytes(raw))
+    controller.link.pump()
+
+
+def snapshot(controller) -> dict:
+    """Observable state for before/after comparisons.  The tick
+    counter and audit trail are excluded: they advance on any
+    processed input, even one that must not change state."""
+    profile, allow = controller.profile, controller.profile.firewall_allowlist
+    return {
+        "mac": controller.mac,
+        # Copies, so a later edit cannot reach an earlier snapshot.
+        "profile": {
+            **vars(profile),
+            "firewall_allowlist": None if allow is None else set(allow),
+            "bpcs_overflow_map": dict(profile.bpcs_overflow_map),
+        },
+        "connections": tuple(
+            (
+                c.handle,
+                c.peer_mac,
+                c.role,
+                c.layer.kind,
+                c.phase,
+                c.ssp_confirmed,
+            )
+            for c in sorted(controller.connections.values(), key=lambda c: c.handle)
+        ),
+        "diag_log_enabled": controller.diag_log_enabled,
+        "test_mode_active": controller.test_mode_active,
+        "stats": tuple((kind, tuple(values)) for kind, values in controller.stats.items()),
+        "memory": tuple((r.base, r.kind, bytes(r.data)) for r in controller.memory.regions),
+    }
 
 
 def diag_messages(frames) -> list:

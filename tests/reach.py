@@ -1,10 +1,12 @@
 """Line reach of tier-1 over ``src/bcmdiag``.
 
-Runs the tier-1 suite in this process under ``sys.settrace`` (and
-``threading.settrace``, for the server and reader threads), then compares
-the lines that ran against each function's ``co_lines()``.  Prints the
-unreached lines per function and exits 1 when any lie outside
-``SUBPROCESS_ONLY``, or when the suite itself fails.
+Runs the tier-1 suite in this process with line events on, then
+compares the lines that ran against each function's ``co_lines()``.
+On Python 3.12 and later the events come from ``sys.monitoring``, each
+location turned off after its first event; before 3.12, from
+``sys.settrace`` (and ``threading.settrace``, for the server and reader
+threads).  Prints the unreached lines per function and exits 1 when any
+lie outside ``SUBPROCESS_ONLY``, or when the suite itself fails.
 
     PYTHONPATH=src python tests/reach.py [pytest args...]
 
@@ -12,7 +14,9 @@ Module and class bodies are left out: they run at import, which may come
 before the tracer starts.  The functions in ``SUBPROCESS_ONLY`` are the
 console entry points; tier-1 runs them only in child interpreters, which
 this tracer cannot see.  This is a tool, not a tier-1 gate: pytest does
-not collect it, and tracing makes the suite several times slower.
+not collect it, and ``settrace`` makes the suite several times slower.
+The two back ends count different totals, since ``co_lines()`` differs
+between versions; compare their unreached sets.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import defaultdict
+from contextlib import contextmanager
 from inspect import CO_OPTIMIZED
 from pathlib import Path
 
@@ -66,14 +71,10 @@ def executable_lines() -> dict[str, dict[str, set[int]]]:
     return table
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest under the tracer; return its exit code and the lines run
-    per file under SRC."""
-    import pytest
-
-    prefix = str(SRC)
-    ran: dict[str, set[int]] = defaultdict(set)
-
+@contextmanager
+def settrace_lines(prefix: str, ran: dict[str, set[int]]):
+    """Record into ``ran`` each line run in a file under ``prefix``, in
+    every thread, through a trace function per call."""
     def on_call(frame, event, _arg):
         filename = frame.f_code.co_filename
         if not filename.startswith(prefix):
@@ -90,10 +91,51 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(TESTS), *pytest_args])
+        yield
     finally:
         sys.settrace(None)
         threading.settrace(None)
+
+
+@contextmanager
+def monitoring_lines(prefix: str, ran: dict[str, set[int]]):
+    """``settrace_lines`` through ``sys.monitoring`` (3.12 and later).
+    Line events are turned on only for code under ``prefix``, at its
+    first start, and each location reports its first line event only."""
+    monitoring = sys.monitoring
+    tool, events = monitoring.COVERAGE_ID, monitoring.events
+
+    def on_start(code, _offset):
+        if code.co_filename.startswith(prefix):
+            monitoring.set_local_events(tool, code, events.LINE)
+        return monitoring.DISABLE
+
+    def on_line(code, line):
+        ran[code.co_filename].add(line)
+        return monitoring.DISABLE
+
+    monitoring.use_tool_id(tool, "reach")
+    try:
+        monitoring.register_callback(tool, events.PY_START, on_start)
+        monitoring.register_callback(tool, events.LINE, on_line)
+        monitoring.set_events(tool, events.PY_START)
+        yield
+    finally:
+        monitoring.set_events(tool, events.NO_EVENTS)
+        monitoring.register_callback(tool, events.PY_START, None)
+        monitoring.register_callback(tool, events.LINE, None)
+        monitoring.free_tool_id(tool)
+
+
+def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest with line events on; return its exit code and the lines
+    run per file under SRC."""
+    import pytest
+
+    ran: dict[str, set[int]] = defaultdict(set)
+    lines = monitoring_lines if sys.version_info >= (3, 12) else settrace_lines
+    with lines(str(SRC), ran):
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(TESTS), *pytest_args])
     return int(status), ran
 
 

@@ -34,8 +34,8 @@ from bcmdiag.diag import (
     build_diag,
     parse_diag,
 )
-from bcmdiag.emulator import Controller, Phase, attach_air_link
-from bcmdiag.emulator.linklayer import CLASSIC_SETUP, LE_SETUP
+from bcmdiag.emulator import Controller, Phase, VirtualLink
+from bcmdiag.emulator.linklayer import CLASSIC_LINK, CLASSIC_SETUP, LE_SETUP
 from bcmdiag.emulator.profiles import patched_profile, vulnerable_profile
 from bcmdiag.h4 import (
     Direction,
@@ -54,12 +54,14 @@ from helpers import (
     MAC_EVIL,
     HostRecorder,
     diag_answers,
+    inject,
     random_diag_message,
     random_h4_frame,
     random_lcp_pdu,
     random_lmp_pdu,
     read_btsnoop,
     read_pcapng,
+    snapshot,
 )
 
 
@@ -185,13 +187,13 @@ def test_criterion_04_end_to_end_logging():
     with criterion(4, "end-to-end logging: setup sequence, 17-octet RX, MAC widths"):
         a = Controller(MAC_A, name="A")
         b = Controller(MAC_B, name="B")
-        link = attach_air_link(a, b)
+        link = VirtualLink(a, b)
 
         # Sniff-stream view per side, plus an independent harness tally
         # of PDUs crossing the air.
         streams = {"A": [], "B": []}
-        a.add_tap(lambda d, f, t: streams["A"].append((d, f)))
-        b.add_tap(lambda d, f, t: streams["B"].append((d, f)))
+        a.add_tap(lambda d, f: streams["A"].append((d, f)))
+        b.add_tap(lambda d, f: streams["B"].append((d, f)))
         tally = {"lmp": 0, "lcp": 0}
         original_transmit = link.transmit
 
@@ -250,7 +252,7 @@ def test_criterion_05_bpcs_overflow_regression():
 
         attacker = Controller(MAC_A)
         victim = Controller(MAC_B, profile=vulnerable_profile())
-        attach_air_link(attacker, victim)
+        VirtualLink(attacker, victim)
         handle, _ = connect(attacker, victim)
         host = HostRecorder(victim)
         send_lmp(attacker, handle, attack)
@@ -260,11 +262,11 @@ def test_criterion_05_bpcs_overflow_regression():
 
         attacker2 = Controller(MAC_A)
         victim2 = Controller(MAC_B, profile=patched_profile())
-        attach_air_link(attacker2, victim2)
+        VirtualLink(attacker2, victim2)
         handle2, _ = connect(attacker2, victim2)
-        before = victim2.snapshot()
+        before = snapshot(victim2)
         out = send_lmp(attacker2, handle2, attack)
-        assert victim2.snapshot() == before
+        assert snapshot(victim2) == before
         assert not victim2.test_mode_active
         # Attacker observed BPCS Not Accept (visible via its own log).
         attacker2.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
@@ -295,7 +297,7 @@ def test_criterion_06_encryption_order_regression():
 
         attacker = Controller(MAC_A)
         victim = Controller(MAC_B, profile=vulnerable_profile())
-        attach_air_link(attacker, victim)
+        VirtualLink(attacker, victim)
         handle, _ = connect(attacker, victim)
         send_lmp(attacker, handle, io_cap)
         (conn,) = victim.connections.values()
@@ -313,7 +315,7 @@ def test_criterion_06_encryption_order_regression():
 
         attacker2 = Controller(MAC_A)
         victim2 = Controller(MAC_B, profile=patched_profile())
-        attach_air_link(attacker2, victim2)
+        VirtualLink(attacker2, victim2)
         handle2, _ = connect(attacker2, victim2)
         host2 = HostRecorder(victim2)
         send_lmp(attacker2, handle2, io_cap)
@@ -339,7 +341,7 @@ def test_criterion_07_firewall_property():
         attacker = Controller(MAC_EVIL)
         victim = Controller(MAC_B)
         victim.profile.firewall_allowlist = {MAC_A}
-        attach_air_link(attacker, victim)
+        VirtualLink(attacker, victim)
 
         replies: list[bytes] = []
         original = attacker.deliver_air
@@ -368,7 +370,7 @@ def test_criterion_07_firewall_property():
                     )
                 if first_request is None and raw[0] >> 1 != not_accepted:
                     first_request = raw
-                attacker.inject_lmp(raw)
+                inject(attacker, CLASSIC_LINK, raw)
             assert victim.connections == {}
             assert not victim.test_mode_active
             if first_request is not None:
@@ -379,7 +381,7 @@ def test_criterion_08_statistics_consistency():
     with criterion(8, "statistics: tx/rx equal the scripted exchange, reset zeroes"):
         a = Controller(MAC_A)
         b = Controller(MAC_B)
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         handle, _ = connect(a, b)
         sent = 0
         for i in range(37):
@@ -404,7 +406,7 @@ def test_criterion_09_test_mode():
     with criterion(9, "test mode: linked loopback 100/100, unlinked rx=0"):
         a = Controller(MAC_A, test_packet_count=100)
         b = Controller(MAC_B)
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         out = a.process_host_frame(H4Frame.diag(build_diag(RunTest(TestParams()))))
         (msg,) = [parse_diag(f.payload) for f in out if f.h4_type is H4Type.DIAG]
         assert (msg.status, msg.tx_count, msg.rx_count, msg.reserved) == (0, 100, 100, 0)
@@ -419,9 +421,9 @@ def test_criterion_10_capture_fidelity(tmp_path):
     with criterion(10, "capture fidelity: pcap byte-exact re-parse, btsnoop skip count"):
         a = Controller(MAC_A)
         b = Controller(MAC_B)
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         records = []
-        a.add_tap(lambda d, f, t: records.append(CaptureRecord.at_tick(t, d, f)))
+        a.add_tap(lambda d, f: records.append(CaptureRecord.at_tick(a.clock, d, f)))
         a.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
         connect(a, b)
         a.process_host_frame(HciCommand(hci.OPCODE_READ_LOCAL_VERSION).to_frame())

@@ -18,7 +18,7 @@ from pathlib import Path
 from bcmdiag import capture, cli, hci
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag
 from bcmdiag.emulator import controller, server
-from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.scenario import run_scenario
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, encode_frame
 
 from conftest import SERVED_TOPOLOGY, unstarted_server
@@ -118,7 +118,7 @@ def test_emulator_hooks_count_every_record():
     hooks.install()
     emulator = None
     try:
-        emulator = unstarted_server(build_world(SERVED_TOPOLOGY))
+        emulator = unstarted_server(run_scenario(SERVED_TOPOLOGY)[1])
         emulator.start()
         sniff_port, inject_port = emulator.port_map()["A"]
         with socket.create_connection(("127.0.0.1", inject_port), timeout=5.0) as inject, \

@@ -6,7 +6,7 @@ import struct
 import tracemalloc
 
 from bcmdiag import hci
-from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.scenario import run_scenario
 from bcmdiag.h4 import HciCommand
 from bcmdiag.session import LocalSession
 
@@ -34,7 +34,7 @@ def test_a_long_capture_holds_flat_memory(tmp_path):
     """Traced memory after 50 and after 250 logged cycles with a capture
     running differs by under 32 KiB (about 600 KiB more when the records
     were kept in a list), and the stop writes every record."""
-    world = build_world(SERVED_TOPOLOGY)
+    world = run_scenario(SERVED_TOPOLOGY)[1]
     world["B"].diag_log_enabled = True
     session = LocalSession(world, "A")
     path = tmp_path / "long.pcapng"

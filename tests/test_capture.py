@@ -42,7 +42,7 @@ def _mixed_records(a, b):
     initiator's taps."""
     records = []
     a.add_tap(
-        lambda d, f, t: records.append(CaptureRecord.at_tick(t, d, f))
+        lambda d, f: records.append(CaptureRecord.at_tick(a.clock, d, f))
     )
     a.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
     connect_pair(a, b)

@@ -24,9 +24,10 @@ from bcmdiag.diag import (
     build_diag,
     parse_diag,
 )
-from bcmdiag.emulator import Controller, Phase, Role, attach_air_link
-from bcmdiag.emulator.controller import CLASSIC_LINK, LE_LINK, LOG_FRAMES_MAX
+from bcmdiag.emulator import Controller, Phase, Role, VirtualLink
+from bcmdiag.emulator.controller import LOG_FRAMES_MAX
 from bcmdiag.emulator.handlers import HCI_HANDLERS, LINK_HANDLERS
+from bcmdiag.emulator.linklayer import CLASSIC_LINK, LE_LINK
 from bcmdiag.emulator.memory import ARM_BASE, BLUERF_BASE, BLUERF_SIZE, VERSION_STRING
 from bcmdiag.emulator.profiles import (
     PROFILE_FACTORIES, HandlerAction, patched_profile, vulnerable_profile,
@@ -36,8 +37,8 @@ from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent, encode_frame
 
 from conftest import connect_pair
 from helpers import (
-    MAC_A, MAC_B, MAC_EVIL, HostRecorder, diag_answers, diag_messages, random_diag_message,
-    random_lmp_pdu,
+    MAC_A, MAC_B, MAC_EVIL, HostRecorder, diag_answers, diag_messages, inject, random_diag_message,
+    random_lmp_pdu, snapshot,
 )
 
 
@@ -133,11 +134,11 @@ class TestHciSurface:
         and makes no other, so it never holds more than one per layer."""
         a, b = linked_pair
         handle = connect_pair(a, b, transport)
-        before = a.snapshot()["connections"]
+        before = snapshot(a)["connections"]
         b.process_host_frame(HciCommand(hci.OPCODE_RESET).to_frame())
         assert not b.connections
         connect_pair(b, a, transport)
-        assert a.snapshot()["connections"] == before
+        assert snapshot(a)["connections"] == before
         assert list(a.connections) == [handle]
 
     def test_a_mac_that_is_not_6_octets_is_refused(self):
@@ -431,7 +432,7 @@ class TestHciParameterLengths:
     )
     def test_answer(self, opcode, length, frames, notes):
         a, b = Controller(MAC_A), Controller(MAC_B)
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         connect_pair(a, b)
         seen = len(a.audit)
         params = (_HCI_HEADS.get(opcode, b"") + bytes(length))[:length]
@@ -579,7 +580,7 @@ class TestLinkLayerAnswers:
     def test_answer(self, case, sender, allowlist, pdus, patched, vulnerable, profile):
         a = Controller(MAC_A, profile=PROFILE_FACTORIES[profile]())
         b = Controller(MAC_B)
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         connect_pair(a, b)
         connect_pair(a, b, transport="le")
         a.profile.firewall_allowlist = allowlist
@@ -616,11 +617,11 @@ class TestHostFrameEntry:
         ctrl = Controller(MAC_A)
         records = []
         if tapped:
-            ctrl.add_tap(lambda d, f, _tick: records.append(encode_sniff_record(d, f)))
-        before = ctrl.snapshot(), ctrl.clock, list(ctrl.audit)
+            ctrl.add_tap(lambda d, f: records.append(encode_sniff_record(d, f)))
+        before = snapshot(ctrl), ctrl.clock, list(ctrl.audit)
         with pytest.raises(InvariantViolation):
             ctrl.process_host_frame(frame)
-        assert (ctrl.snapshot(), ctrl.clock, list(ctrl.audit)) == before
+        assert (snapshot(ctrl), ctrl.clock, list(ctrl.audit)) == before
         assert records == []
         # The same peek in its envelope is answered.
         (answer,) = ctrl.process_host_frame(H4Frame.diag(bytes.fromhex("f10200012000")))
@@ -673,10 +674,10 @@ class TestEmittedFramesAreValid:
     def test_every_tapped_frame_is_valid(self, steps):
         a = Controller(MAC_A, profile=patched_profile(), name="A")
         b = Controller(MAC_B, profile=vulnerable_profile(), name="B")
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         tapped = []
         for ctrl in (a, b):
-            ctrl.add_tap(lambda _d, frame, _tick: tapped.append(frame))
+            ctrl.add_tap(lambda _d, frame: tapped.append(frame))
             ctrl.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
         connect_pair(a, b)
         for on_a, step in steps:
@@ -700,9 +701,9 @@ class TestEmittedFramesAreValid:
                 ctrl.process_host_frame(H4Frame(H4Type.ACL_DATA, header + data))
             elif kind == "inject":
                 _kind, layer, raw = step
-                (ctrl.inject_lmp if layer == "lmp" else ctrl.inject_lcp)(raw)
+                inject(ctrl, CLASSIC_LINK if layer == "lmp" else LE_LINK, raw)
             else:
-                ctrl.inject_lmp(ll.build_lmp(random_lmp_pdu(step[1])))
+                inject(ctrl, CLASSIC_LINK, ll.build_lmp(random_lmp_pdu(step[1])))
         assert tapped
         for frame in tapped:
             frame.validate()
@@ -711,10 +712,10 @@ class TestEmittedFramesAreValid:
 class TestDiagSurface:
     def test_opaque_vendor_channels_logged_only(self):
         ctrl = Controller(MAC_A)
-        before = ctrl.snapshot()
+        before = snapshot(ctrl)
         out = ctrl.process_host_frame(H4Frame.diag(b"\x01\x02", h4_type=H4Type.WICED))
         assert out == []
-        assert ctrl.snapshot() == before
+        assert snapshot(ctrl) == before
         assert any("WICED" in note for note in ctrl.audit)
 
     def test_audit_keeps_the_newest_notes(self):
@@ -794,9 +795,9 @@ class TestDiagSurface:
     ], ids=["event", "sco"])
     def test_an_event_or_sco_frame_from_the_host_is_noted_only(self, frame):
         ctrl = Controller(MAC_A)
-        before = ctrl.snapshot()
+        before = snapshot(ctrl)
         assert ctrl.process_host_frame(frame) == []
-        assert ctrl.snapshot() == before
+        assert snapshot(ctrl) == before
         assert ctrl.audit[-1].endswith(f"host sent {frame.h4_type.name}; ignored")
 
     def test_connection_stats_include_cpu_load(self, linked_pair):
@@ -954,7 +955,7 @@ class TestAirLink:
         a, _b = linked_pair
         c = Controller(MAC_EVIL)
         with pytest.raises(AlreadyLinked):
-            attach_air_link(a, c)
+            VirtualLink(a, c)
 
     def test_a_delivery_that_transmits_extends_the_running_pump(self, linked_pair):
         """B's host disconnects from a tap, while A's pump is delivering
@@ -963,7 +964,7 @@ class TestAirLink:
         a, b = linked_pair
         nested = []
 
-        def disconnect_on_connect(_direction, frame, _tick):
+        def disconnect_on_connect(_direction, frame):
             if not nested and frame.h4_type is H4Type.HCI_EVENT \
                     and frame.payload[0] == hci.EVT_CONNECTION_COMPLETE:
                 handle = struct.unpack_from("<H", frame.payload, 3)[0]
@@ -984,7 +985,7 @@ class TestAirLink:
 
     def test_same_mac_rejected(self):
         with pytest.raises(ValueError):
-            attach_air_link(Controller(MAC_A), Controller(MAC_A))
+            VirtualLink(Controller(MAC_A), Controller(MAC_A))
 
     def test_classic_records_carry_low_mac(self, linked_pair):
         a, b = linked_pair
@@ -1030,17 +1031,17 @@ class TestReplyLoopSafety:
         b = Controller(MAC_B)
         a.profile.firewall_allowlist = set()
         b.profile.firewall_allowlist = set()
-        attach_air_link(a, b)
-        a.inject_lmp(bytes([0x4E]) + bytes(8))  # features_req
+        VirtualLink(a, b)
+        inject(a, CLASSIC_LINK, bytes([0x4E]) + bytes(8))  # features_req
         assert a.connections == {} and b.connections == {}
 
     def test_unconnected_reject_not_answered(self):
         a = Controller(MAC_A)
         b = Controller(MAC_B)
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         # A non-opener PDU with no connection draws one not-accepted,
         # which the sender must swallow.
-        a.inject_lmp(bytes([(11 << 1)]) + bytes(16))  # au_rand
+        inject(a, CLASSIC_LINK, bytes([(11 << 1)]) + bytes(16))  # au_rand
         assert a.connections == {} and b.connections == {}
         assert any("LMP_not_accepted from unconnected" in note for note in a.audit)
 
@@ -1049,7 +1050,7 @@ class TestReplyLoopSafety:
         connect_pair(a, b, transport="le")
         # An unhandled standard opcode draws LL_UNKNOWN_RSP, which must
         # terminate there.
-        a.inject_lcp(bytes([0x03]) + bytes(22))  # enc_req
+        inject(a, LE_LINK, bytes([0x03]) + bytes(22))  # enc_req
         assert any("ignored LL_UNKNOWN_RSP" in note for note in a.audit)
 
     @pytest.mark.parametrize("firewall", [False, True], ids=["open", "firewalled"])
@@ -1057,13 +1058,13 @@ class TestReplyLoopSafety:
     def test_empty_lmp_is_noted_not_answered(self, profile, firewall):
         """An empty LMP PDU names no opcode to refuse."""
         a, b = Controller(MAC_A), Controller(MAC_B, profile=profile())
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         for ctrl in (a, b):
             ctrl.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
         if firewall:
             b.profile.firewall_allowlist = set()
         host_a, host_b = HostRecorder(a), HostRecorder(b)
-        a.inject_lmp(b"")
+        inject(a, CLASSIC_LINK, b"")
         assert [m.sent for m in diag_messages(host_a.take())] == [True]
         assert [m.sent for m in diag_messages(host_b.take())] == [False]
         mac = hci.format_mac(MAC_A)
@@ -1079,7 +1080,7 @@ class TestReplyLoopSafety:
         attacker, victim = linked_pair_vulnerable
         handle = connect_pair(attacker, victim)
         ticks = []
-        victim.add_tap(lambda d, f, t: ticks.append(t))
+        victim.add_tap(lambda d, f: ticks.append(victim.clock))
         crasher = ll.build_lmp(ll.BpcsPdu(subtype=0x33), allow_nonconformant=True)
         attacker.process_host_frame(
             HciCommand(
@@ -1232,7 +1233,7 @@ class TestLinkLayerBranches:
     )
     def test_branch(self, transport, connected, firewall, raw, log_a, notes_a, log_b, notes_b):
         a, b = Controller(MAC_A), Controller(MAC_B)
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         for ctrl in (a, b):
             ctrl.process_host_frame(H4Frame.diag(build_diag(ToggleLmpLogging(True))))
         handle = connect_pair(a, b, transport) if connected else None
@@ -1245,9 +1246,9 @@ class TestLinkLayerBranches:
                 HciCommand(hci.OPCODE_DISCONNECT, struct.pack("<HB", handle, 0x13)).to_frame()
             )
         elif transport == "classic":
-            a.inject_lmp(raw)
+            inject(a, CLASSIC_LINK, raw)
         else:
-            a.inject_lcp(raw)
+            inject(a, LE_LINK, raw)
 
         def log(host):
             return [("tx " if m.sent else "rx ") + m.payload.hex() for m in diag_messages(host.take())]
@@ -1290,14 +1291,14 @@ class TestOneAdmissionRule:
         """What B sends A for each of _air_pdus(), and the names B notes
         as coming from an unconnected peer.  A answers nothing."""
         a, b = Controller(MAC_A), Controller(MAC_B)
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         b.profile.firewall_allowlist = allowlist
         sent = []
         a.deliver_air = lambda _mac, kind, data: sent.append(f"{kind} {data.hex()}")
         answers, noted, suffix = {}, set(), f" from unconnected {_MAC_A}"
         for label, layer, raw in _air_pdus():
             seen = len(b.audit)
-            (a.inject_lmp if layer is CLASSIC_LINK else a.inject_lcp)(raw)
+            inject(a, layer, raw)
             answers[label], sent[:] = sent[:], []
             notes = [note.split("] ", 1)[1] for note in list(b.audit)[seen:]]
             noted.update(n.removesuffix(suffix) for n in notes if n.endswith(suffix))
@@ -1319,8 +1320,8 @@ class TestSnapshot:
         """Edits made after a snapshot reach no earlier snapshot; a new
         one differs in exactly the keys they touch."""
         a, b = Controller(MAC_A, profile=vulnerable_profile()), Controller(MAC_B)
-        attach_air_link(a, b)
-        before = a.snapshot()
+        VirtualLink(a, b)
+        before = snapshot(a)
         a.process_host_frame(
             HciCommand(hci.OPCODE_VSC_FIREWALL_ADD, hci.mac_to_wire(MAC_B)).to_frame()
         )
@@ -1329,8 +1330,8 @@ class TestSnapshot:
             H4Frame.diag(build_diag(MemoryPoke(MemAccessType.ARM, ARM_BASE + 0x100, 0x5A)))
         )
         connect_pair(a, b)
-        assert before == Controller(MAC_A, profile=vulnerable_profile()).snapshot()
-        after = a.snapshot()
+        assert before == snapshot(Controller(MAC_A, profile=vulnerable_profile()))
+        after = snapshot(a)
         assert {key for key in after if after[key] != before[key]} == {
             "profile", "memory", "connections"
         }
@@ -1340,12 +1341,12 @@ class TestDeterminism:
     def _run_once(self):
         a = Controller(MAC_A, name="A")
         b = Controller(MAC_B, name="B")
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         stream: list[bytes] = []
         from bcmdiag.h4 import encode_sniff_record
 
-        a.add_tap(lambda d, f, t: stream.append(bytes([t & 0xFF]) + encode_sniff_record(d, f)))
-        b.add_tap(lambda d, f, t: stream.append(bytes([t & 0xFF]) + encode_sniff_record(d, f)))
+        a.add_tap(lambda d, f: stream.append(bytes([a.clock & 0xFF]) + encode_sniff_record(d, f)))
+        b.add_tap(lambda d, f: stream.append(bytes([b.clock & 0xFF]) + encode_sniff_record(d, f)))
         a.process_host_frame(H4Frame.diag(bytes([0xF0, 0x01])))
         b.process_host_frame(H4Frame.diag(bytes([0xF0, 0x01])))
         connect_pair(a, b)
@@ -1390,18 +1391,18 @@ class TestConstantPdus:
         tap: each controller's log-record memo stays within its bound and
         the constant tables do not grow."""
         a, b = Controller(MAC_A), Controller(MAC_B)
-        attach_air_link(a, b)
+        VirtualLink(a, b)
         for ctrl in (a, b):
             ctrl.diag_log_enabled = True
-            ctrl.add_tap(lambda _d, _f, _t: None)
+            ctrl.add_tap(lambda _d, _f: None)
         handle = connect_pair(a, b)
         sizes = [(len(layer.constants), len(layer.pdus)) for layer, _d, _b in _LAYER_CODECS]
         for i in range(10_000):
             body = i.to_bytes(2, "big")
             if i % 3 == 0:
-                a.inject_lmp(bytes([i % 256]) + body)
+                inject(a, CLASSIC_LINK, bytes([i % 256]) + body)
             elif i % 3 == 1:
-                a.inject_lcp(bytes([i % 256]) + body)
+                inject(a, LE_LINK, bytes([i % 256]) + body)
             else:  # a BPCS PDU: sendlmp takes any subtype, and no reply ends the link
                 a.process_host_frame(HciCommand(
                     hci.OPCODE_VSC_SEND_LMP_PDU, struct.pack("<H", handle) + b"\x00\x06" + body

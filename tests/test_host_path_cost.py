@@ -22,7 +22,7 @@ from bcmdiag import hci
 from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag
 from bcmdiag.emulator import Controller
 from bcmdiag.emulator.memory import ARM_BASE, ARM_SIZE
-from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.scenario import run_scenario
 from bcmdiag.h4 import H4Frame, HciCommand, encode_frame
 
 from conftest import unstarted_server
@@ -63,7 +63,7 @@ def _count_calls(seed: int) -> tuple[int, int]:
     """(Python calls inside process_host_frame, frames) for the bursts
     of ``seed``, sent over loopback to a fresh, unstarted server whose
     handlers this thread calls as the server loop's pass would."""
-    world = build_world("controller A mac=00:11:22:33:44:01 profile=patched\n")
+    world = run_scenario("controller A mac=00:11:22:33:44:01 profile=patched\n")[1]
     server = unstarted_server(world)
     endpoint = server.endpoints["A"]
     endpoint.fanout.attach(_StubSniffClient())

@@ -2,7 +2,8 @@
 defines at module level, is used in it: an ``ast`` scan, since no linter
 is installed.  A name counts as used where the module reads it, names it
 in a quoted annotation, or lists it in ``__all__``.  No module takes
-another module's private (``_``-prefixed) name."""
+another module's private (``_``-prefixed) name, and each function and
+class is named by code in bcmdiag or perfbench."""
 
 import ast
 import os
@@ -166,6 +167,74 @@ def test_the_private_import_scan_sees_what_it_must():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_module_takes_another_modules_private_name(path):
     assert private_imports(path.read_text("utf-8")) == []
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def unreferenced_definitions(
+    sources: dict[str, str], readers: list[str], exempt: set[str]
+) -> list[str]:
+    """Functions and classes, at any depth of ``sources`` (label ->
+    source), that no source and no reader names: as a name, an attribute
+    or an import alias.  Comments and strings do not count.  Dunders,
+    ``_cmd_*`` methods (reached through ``getattr``) and ``exempt`` names
+    are left out."""
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    defined: dict[str, str] = {}
+    for label, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{node.name} ({label}:{node.lineno})")
+    referenced: set[str] = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update(node.name.split("."))
+    return sorted(
+        where for name, where in defined.items()
+        if name not in referenced and name not in exempt
+        and not (name.startswith("__") and name.endswith("__")) and not name.startswith("_cmd_")
+    )
+
+
+def test_the_reference_scan_sees_what_it_must():
+    sources = {
+        "a.py": (
+            "from .b import imported\n"
+            "class Shell:\n"
+            "    def __init__(self): pass\n"
+            "    def _cmd_version(self): pass\n"
+            "    def run(self): return self.helper()\n"
+            "    def helper(self): pass\n"
+            "    def dead_method(self): pass  # dead_method\n"
+            "def outer():\n"
+            "    def inner(): pass\n"
+            "    return 'inner'\n"
+            "def Public(): pass\n"
+        ),
+        "b.py": "def imported(): pass\ndef by_reader(): pass\ndef dead(): pass\n",
+    }
+    readers = ["from a import outer\nShell().run(by_reader)\n"]
+    assert unreferenced_definitions(sources, readers, {"Public"}) == [
+        "dead (b.py:3)", "dead_method (a.py:7)", "inner (a.py:9)",
+    ]
+
+
+def test_every_definition_is_referenced_by_the_tools():
+    """What ``src/bcmdiag`` defines is run by ``src/bcmdiag`` or by
+    ``perfbench``: the public names aside, none is there for tests."""
+    import bcmdiag
+    import bcmdiag.emulator
+
+    sources = {str(p.relative_to(SRC)): p.read_text("utf-8") for p in MODULES}
+    readers = [p.read_text("utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    exempt = {*bcmdiag.__all__, *bcmdiag.emulator.__all__}
+    assert unreferenced_definitions(sources, readers, exempt) == []
 
 
 # The client's own modules.  The emulator loads none of them at start-up,

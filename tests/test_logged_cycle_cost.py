@@ -34,7 +34,7 @@ from bcmdiag import hci
 from bcmdiag.capture import CaptureRecord, SniffStreamDecoder, _live_text, render_live
 from bcmdiag.cli import SocketSession
 from bcmdiag.emulator import Controller
-from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.scenario import run_scenario
 from bcmdiag.h4 import HciCommand, Value
 from bcmdiag.session import LocalSession, Session
 
@@ -85,7 +85,7 @@ def _profiled(code, run, callees=None) -> int:
 
 def _logged_world():
     """(server, A's fan-out, a function running CYCLES logged cycles)."""
-    world = build_world(SERVED_TOPOLOGY)
+    world = run_scenario(SERVED_TOPOLOGY)[1]
     a, b = world["A"], world["B"]
     a.diag_log_enabled = b.diag_log_enabled = True
     server = unstarted_server(world)
@@ -130,7 +130,7 @@ def _client_calls(stream: bytes, capture_path: str) -> tuple[int, int, str]:
     records captured, live text written).  The session attaches to a
     served world as a client does, then reads the pair in place of its
     sniff socket."""
-    world = build_world(SERVED_TOPOLOGY)
+    world = run_scenario(SERVED_TOPOLOGY)[1]
     server = unstarted_server(world)
     server.start()
     sniff, inject = server.port_map()["A"]
@@ -193,7 +193,7 @@ def test_client_matches_echoes_without_value_comparisons():
     """A client matches each echo against its sends as plain tuples, in
     C: ``Value.__eq__``/``__ne__`` are Python code (2 calls per echo here,
     160 over the cycles, when the frames were compared as Values)."""
-    world = build_world(SERVED_TOPOLOGY)
+    world = run_scenario(SERVED_TOPOLOGY)[1]
     world["B"].diag_log_enabled = True
     session = LocalSession(world, "A")
     assert session.execute("diag on")[0]

@@ -3,7 +3,6 @@
 import pytest
 
 from bcmdiag.emulator.scenario import (
-    build_world,
     parse_scenario,
     run_scenario,
 )
@@ -38,19 +37,19 @@ class TestParsing:
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ScenarioError):
-            build_world("controller A mac=00:11:22:33:44:01 profile=bogus\n")
+            run_scenario("controller A mac=00:11:22:33:44:01 profile=bogus\n")
 
     def test_missing_mac_rejected(self):
         with pytest.raises(ScenarioError):
-            build_world("controller A profile=patched\n")
+            run_scenario("controller A profile=patched\n")
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ScenarioError):
-            build_world("controller A mac=00:11:22:33:44:01 color=red\n")
+            run_scenario("controller A mac=00:11:22:33:44:01 color=red\n")
 
     def test_link_unknown_controller_rejected(self):
         with pytest.raises(ScenarioError):
-            build_world("controller A mac=00:11:22:33:44:01\nlink A B\n")
+            run_scenario("controller A mac=00:11:22:33:44:01\nlink A B\n")
 
     @pytest.mark.parametrize("text, lineno, reason", [
         ("controller a mac=00:11:22:33:44:01\ncontroller a mac=00:11:22:33:44:02\n",
@@ -128,14 +127,14 @@ class TestGrammar:
     def test_runner_and_client_classify_alike(self, tmp_path, line, expected):
         """parse_scenario and ``scenario run`` read one grammar; a session
         named B skips what is addressed to A and runs bare lines."""
-        session = LocalSession(build_world("controller B mac=00:11:22:33:44:02\n"), "B")
+        session = LocalSession(run_scenario("controller B mac=00:11:22:33:44:02\n")[1], "B")
         path = tmp_path / "one.scenario"
         assert _runner_reads(line) == _client_reads(session, path, line) == expected
 
 
 class TestWorldBuilding:
     def test_topology(self):
-        world = build_world(TOPOLOGY)
+        world = run_scenario(TOPOLOGY)[1]
         assert list(world.controllers) == ["A", "B"]
         assert world["A"].mac == MAC_A
         assert world["B"].profile.patched is False
@@ -143,16 +142,16 @@ class TestWorldBuilding:
         assert world["A"].link is world["B"].link is not None
 
     def test_allowlist_option(self):
-        world = build_world(
+        world = run_scenario(
             "controller A mac=00:11:22:33:44:01 allowlist=00:11:22:33:44:02\n"
-        )
+        )[1]
         assert world["A"].profile.firewall_allowlist == {MAC_B}
 
     def test_allowlist_past_the_firewall_cap_is_refused(self):
         macs = ",".join(f"02:00:00:00:00:{i:02x}" for i in range(42))
         with pytest.raises(ScenarioError, match="at most 41"):
-            build_world(f"controller A mac=00:11:22:33:44:01 allowlist={macs}\n")
-        build_world(f"controller A mac=00:11:22:33:44:01 allowlist={macs.rsplit(',', 1)[0]}\n")
+            run_scenario(f"controller A mac=00:11:22:33:44:01 allowlist={macs}\n")
+        run_scenario(f"controller A mac=00:11:22:33:44:01 allowlist={macs.rsplit(',', 1)[0]}\n")
 
     @pytest.mark.parametrize(
         "option",
@@ -167,7 +166,7 @@ class TestWorldBuilding:
     def test_bad_controller_option_is_a_scenario_error(self, tmp_path, option):
         option = option.replace("<tmp>", str(tmp_path))
         with pytest.raises(ScenarioError, match="scenario line 1: "):
-            build_world(f"controller A mac=00:11:22:33:44:01 {option}\n")
+            run_scenario(f"controller A mac=00:11:22:33:44:01 {option}\n")
 
     @pytest.mark.parametrize(
         ("layout", "field"),
@@ -189,11 +188,11 @@ class TestWorldBuilding:
         image = tmp_path / "image.json"
         image.write_text(layout)
         with pytest.raises(ScenarioError, match=f"scenario line 1: .*{field}"):
-            build_world(f"controller A mac=00:11:22:33:44:01 memory={image}\n")
+            run_scenario(f"controller A mac=00:11:22:33:44:01 memory={image}\n")
 
     def test_test_packets_at_the_counter_width(self):
         for count in (0, 65535):
-            world = build_world(f"controller A mac=00:11:22:33:44:01 test-packets={count}\n")
+            world = run_scenario(f"controller A mac=00:11:22:33:44:01 test-packets={count}\n")[1]
             assert world["A"].test_packet_count == count
 
     def test_memory_option_loads_json_image(self, tmp_path):
@@ -212,9 +211,9 @@ class TestWorldBuilding:
                 }
             )
         )
-        world = build_world(
+        world = run_scenario(
             f"controller A mac=00:11:22:33:44:01 memory={image}\n"
-        )
+        )[1]
         assert world["A"].memory.read(MemAccessType.ARM, 0x00200000) == 0xC0
         assert world["A"].memory.read(MemAccessType.ARM, 0x00200002) == 0xEE
         assert world["A"].memory.read(MemAccessType.ARM, 0x00200040) is None
@@ -260,7 +259,7 @@ class TestRunning:
     def test_scenario_run_command_nests(self, tmp_path):
         inner = tmp_path / "inner.scenario"
         inner.write_text("A: version\n")
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         ok, lines = session.execute(f"scenario run {inner}")
         assert ok
@@ -273,7 +272,7 @@ class TestRunning:
 
         path = tmp_path / "self.scenario"
         path.write_text(f"A: version\nA: scenario run {path}\n")
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         ok, lines = session.execute(f"scenario run {path}")
         assert not ok
@@ -287,7 +286,7 @@ class TestRunning:
     def test_scenario_run_of_an_undecodable_file_fails_with_one_line(self, tmp_path):
         path = tmp_path / "latin1.scenario"
         path.write_bytes(b"A: version\nA: peek arm 0x200000 # \xe9t\xe9\n")
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         ok, lines = session.execute(f"scenario run {path}")
         assert not ok and len(lines) == 1 and "utf-8" in lines[0]
@@ -318,7 +317,7 @@ class TestRunning:
         )
         from bcmdiag.h4 import H4Frame, HciCommand
 
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         sent = HostRecorder(world["A"], Direction.HOST_TO_CONTROLLER)
         expectations = [
@@ -332,7 +331,7 @@ class TestRunning:
             assert [encode_frame(f) for f in sent.take()] == [encode_frame(expected)], line
 
     def test_diag_on_emits_padded_toggle(self):
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         sent = HostRecorder(world["A"], Direction.HOST_TO_CONTROLLER)
         session.execute("diag on")
@@ -342,7 +341,7 @@ class TestRunning:
         assert len(wire) == 64
 
     def test_usage_errors_echo_usage(self):
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         ok, lines = session.execute("peek sideways 0x0")
         assert not ok
@@ -383,7 +382,7 @@ class TestRunning:
     def test_out_of_range_operand_echoes_usage(self, line):
         """An operand too wide for its field, one too many, or one of the
         wrong form is a usage error, caught before anything is sent."""
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         sent = HostRecorder(world["A"], Direction.HOST_TO_CONTROLLER)
         ok, lines = session.execute(line)
@@ -394,7 +393,7 @@ class TestRunning:
     def test_live_line_carries_the_capture_timestamp(self, tmp_path):
         """An in-process live view stamps a frame with the tick its
         capture gives it, not with the controller's clock."""
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         lines: list[str] = []
         session = LocalSession(world, "A", on_line=lines.append)
         for _ in range(20):
@@ -410,7 +409,7 @@ class TestRunning:
     def test_unwritable_capture_path_fails_the_stop(self, tmp_path, fmt):
         """The stop answers with the reason and keeps the records, so it
         can be retried once the path is writable."""
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         path = tmp_path / "missing" / "x.cap"
         assert session.execute(f"capture start {path} {fmt}")[0]
@@ -426,7 +425,7 @@ class TestRunning:
     def test_capture_path_with_a_nul_is_refused_at_the_start(self, tmp_path):
         """No stop could write such a path, so no stop could end the
         capture: the start refuses it, and a capture elsewhere still runs."""
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         ok, lines = session.execute(f"capture start {tmp_path}/a\x00b")
         assert not ok and len(lines) == 1 and "NUL" in lines[0]
@@ -438,7 +437,7 @@ class TestRunning:
         assert ok and "wrote 2" in lines[0] and path.stat().st_size > 0
 
     def test_one_capture_sink_per_session(self, tmp_path):
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         first = str(tmp_path / "one.pcapng")
         ok, _ = session.execute(f"capture start {first}")
@@ -457,7 +456,7 @@ class TestVocabulary:
         argument with that entry, and every handler has an entry."""
         handlers = {name[len("_cmd_") :] for name in dir(Session) if name.startswith("_cmd_")}
         assert handlers == set(USAGE)
-        session = LocalSession(build_world("controller A mac=00:11:22:33:44:01\n"), "A")
+        session = LocalSession(run_scenario("controller A mac=00:11:22:33:44:01\n")[1], "A")
         for name, usage in USAGE.items():
             ok, lines = session.execute(f"{name} !")
             assert not ok and lines[0].startswith(f"usage: {usage}  ("), (name, lines)
@@ -470,7 +469,7 @@ class TestSessionMatching:
     )
 
     def test_refused_connect_answers_with_its_status(self):
-        world = build_world(self.PAIR)
+        world = run_scenario(self.PAIR)[1]
         session = LocalSession(world, "A")
         for command in ("connect", "leconnect"):
             ok, lines = session.execute(f"{command} 00:11:22:33:44:02")
@@ -493,7 +492,7 @@ class TestSessionMatching:
     def test_connect_output(self, command, case, expected):
         """Success; refusal of a peer already connected; nobody on the
         air answering the page."""
-        session = LocalSession(build_world(self.PAIR), "A")
+        session = LocalSession(run_scenario(self.PAIR)[1], "A")
         mac = "00:11:22:33:44:03" if case == "page-timeout" else "00:11:22:33:44:02"
         if case == "refused":
             assert session.execute(f"{command} {mac}")[0]
@@ -505,7 +504,7 @@ class TestSessionMatching:
         from bcmdiag.diag import MemAccessType, MemoryPeek, build_diag
         from bcmdiag.h4 import H4Frame
 
-        world = build_world("controller A mac=00:11:22:33:44:01\n")
+        world = run_scenario("controller A mac=00:11:22:33:44:01\n")[1]
         session = LocalSession(world, "A")
         assert session.execute("poke arm 0x200000 11")[0]
         assert session.execute("poke arm 0x200001 22")[0]
@@ -586,7 +585,7 @@ class TestSessionMatching:
         from bcmdiag.h4 import HciCommand
         from bcmdiag.session import PENDING_MAX
 
-        world = build_world(self.PAIR)
+        world = run_scenario(self.PAIR)[1]
         operator = LocalSession(world, "A")
         peer = LocalSession(world, "B")
         assert operator.execute("diag on")[0] and peer.execute("diag on")[0]

@@ -6,14 +6,15 @@ import struct
 
 from bcmdiag import hci, ll
 from bcmdiag.diag import DiagCode, parse_diag
-from bcmdiag.emulator import Controller, Phase, attach_air_link
+from bcmdiag.emulator import Controller, Phase, VirtualLink
+from bcmdiag.emulator.linklayer import CLASSIC_LINK
 from bcmdiag.emulator.profiles import HandlerAction, patched_profile, vulnerable_profile
-from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.scenario import run_scenario
 from bcmdiag.h4 import H4Frame, H4Type, HciCommand, HciEvent
 from bcmdiag.session import LocalSession
 
 from conftest import connect_pair
-from helpers import MAC_A, MAC_B, MAC_EVIL, HostRecorder
+from helpers import MAC_A, MAC_B, MAC_EVIL, HostRecorder, inject, snapshot
 
 
 def events_of(frames, code):
@@ -76,17 +77,17 @@ class TestBpcsBoundsCheck:
         handle = connect_pair(attacker, victim)
         send_lmp(attacker, handle, bpcs_0x95())
         host = HostRecorder(victim)
-        before = victim.snapshot()
+        before = snapshot(victim)
         send_lmp(attacker, handle, ll.build_lmp(ll.LmpPdu(39, params=bytes(8))))
         assert host.take() == []  # nothing processed, no reply
-        assert victim.snapshot() == before
+        assert snapshot(victim) == before
 
     def test_patched_replies_not_accept_and_state_unchanged(self, linked_pair):
         attacker, victim = linked_pair
         handle = connect_pair(attacker, victim)
-        before = victim.snapshot()
+        before = snapshot(victim)
         send_lmp(attacker, handle, bpcs_0x95())
-        after = victim.snapshot()
+        after = snapshot(victim)
         assert after == before
         assert not victim.test_mode_active
         # The attacker's side of the air saw the BPCS Not Accept answer.
@@ -119,11 +120,11 @@ class TestBpcsBoundsCheck:
         profile.bpcs_overflow_map[0x33] = HandlerAction.NOP
         attacker = Controller(MAC_A)
         victim = Controller(MAC_B, profile=profile)
-        attach_air_link(attacker, victim)
+        VirtualLink(attacker, victim)
         handle = connect_pair(attacker, victim)
-        before = victim.snapshot()
+        before = snapshot(victim)
         send_lmp(attacker, handle, ll.build_lmp(ll.BpcsPdu(subtype=0x33), allow_nonconformant=True))
-        assert victim.snapshot() == before
+        assert snapshot(victim) == before
 
 
 class TestEncryptionOrder:
@@ -155,8 +156,8 @@ class TestEncryptionOrder:
         assert victim.connections == {}
         assert victim.diag_log_enabled is False
         fresh = Controller(MAC_B, profile=vulnerable_profile())
-        victim_snap = victim.snapshot()
-        fresh_snap = fresh.snapshot()
+        victim_snap = snapshot(victim)
+        fresh_snap = snapshot(fresh)
         assert victim_snap == fresh_snap
         assert old_handles
 
@@ -164,7 +165,7 @@ class TestEncryptionOrder:
         attacker, victim = linked_pair
         handle, host = self._pair_pending(attacker, victim)
         attacker.process_host_frame(H4Frame.diag(bytes([0xF0, 0x01])))
-        before = victim.snapshot()
+        before = snapshot(victim)
         out = send_lmp(attacker, handle, start_encryption_req())
         assert events_of(host.take(), hci.EVT_HARDWARE_ERROR) == []
         (conn,) = victim.connections.values()
@@ -183,7 +184,7 @@ class TestEncryptionOrder:
         )
         # Phase never advanced to encrypted; only the pairing flag gate
         # can do that.
-        assert victim.snapshot()["connections"] == before["connections"]
+        assert snapshot(victim)["connections"] == before["connections"]
 
     def test_legal_path_reaches_encrypted(self, linked_pair):
         attacker, victim = linked_pair
@@ -210,7 +211,7 @@ class TestCrashSafety:
         ctrl.process_host_frame(H4Frame.diag(bytes([0xF0, 0x01])))
         ctrl.process_host_frame(HciCommand(hci.OPCODE_RESET).to_frame())
         fresh = Controller(MAC_A, profile=vulnerable_profile())
-        assert ctrl.snapshot() == fresh.snapshot()
+        assert snapshot(ctrl) == snapshot(fresh)
 
 
 class TestFirewall:
@@ -218,7 +219,7 @@ class TestFirewall:
         attacker = Controller(MAC_EVIL, name="evil")
         victim = Controller(MAC_B, name="victim")
         victim.profile.firewall_allowlist = {MAC_A}  # attacker not in it
-        attach_air_link(attacker, victim)
+        VirtualLink(attacker, victim)
         return attacker, victim
 
     def test_connection_attempt_blocked(self):
@@ -239,7 +240,7 @@ class TestFirewall:
         attacker, victim = self._firewalled_victim()
         replies = []
         attacker.add_tap(
-            lambda d, f, t: None
+            lambda d, f: None
         )  # taps exist; replies observed via deliver hook below
         original = attacker.deliver_air
 
@@ -249,7 +250,7 @@ class TestFirewall:
             return original(from_mac, kind, data)
 
         attacker.deliver_air = spy
-        attacker.inject_lmp(ll.build_lmp(ll.LmpPdu(39, params=bytes(8))))
+        inject(attacker, CLASSIC_LINK, ll.build_lmp(ll.LmpPdu(39, params=bytes(8))))
         assert len(replies) == 1
         pdu = ll.dissect_lmp(replies[0])
         assert pdu.name == "LMP_not_accepted"
@@ -287,7 +288,7 @@ class TestFirewall:
                     )
                 if first_request is None and not raw[0] >> 1 == not_accepted_opcode:
                     first_request = raw
-                attacker.inject_lmp(raw)
+                inject(attacker, CLASSIC_LINK, raw)
             assert victim.connections == {}, "firewalled peer advanced past paging"
             assert not victim.test_mode_active
             if first_request is not None:
@@ -299,7 +300,7 @@ class TestFirewall:
         a = Controller(MAC_A)
         victim = Controller(MAC_B)
         victim.profile.firewall_allowlist = {MAC_A}
-        attach_air_link(a, victim)
+        VirtualLink(a, victim)
         handle = connect_pair(a, victim)
         assert victim.connections
         assert a.connections[handle].phase is Phase.CONNECTED
@@ -310,7 +311,7 @@ class TestFirewallCapacity:
     octets hold 41 MACs, so the allowlist stops there."""
 
     def test_add_past_the_cap_is_refused_and_show_still_answers(self):
-        session = LocalSession(build_world("controller A mac=00:11:22:33:44:01\n"), "A")
+        session = LocalSession(run_scenario("controller A mac=00:11:22:33:44:01\n")[1], "A")
         macs = [f"02:00:00:00:00:{i:02x}" for i in range(hci.FIREWALL_ALLOWLIST_MAX + 1)]
         for mac in macs[:-1]:
             assert session.execute(f"firewall add {mac}") == (True, [f"firewall add {mac}"])
@@ -331,7 +332,7 @@ class TestProfileMonotonicity:
         rng = random.Random(0x9A7C)
         attacker = Controller(MAC_A)
         victim = Controller(MAC_B, profile=patched_profile())
-        attach_air_link(attacker, victim)
+        VirtualLink(attacker, victim)
         handle = connect_pair(attacker, victim)
         send_lmp(attacker, handle, io_capability_req())
         opcodes = [e for e in ll.LMP_OPCODES.values() if not e.escape]
@@ -345,7 +346,7 @@ class TestProfileMonotonicity:
                 raw = ll.build_lmp(
                     ll.LmpPdu(entry.value, rng.getrandbits(1), rng.randbytes(entry.param_len))
                 )
-            attacker.inject_lmp(raw)
+            inject(attacker, CLASSIC_LINK, raw)
             assert not victim.test_mode_active
         # Only the explicit HCI route may enter device-under-test mode.
         victim.process_host_frame(HciCommand(hci.OPCODE_ENABLE_DUT_MODE).to_frame())

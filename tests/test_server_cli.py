@@ -28,7 +28,7 @@ from bcmdiag.diag import MemAccessType, MemoryHexdump, MemoryPeek, build_diag, p
 from bcmdiag.emulator import server as emulator_server
 from bcmdiag.emulator.handlers import DIAG_HANDLERS, HCI_HANDLERS
 from bcmdiag.emulator.memory import ARM_BASE
-from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.scenario import run_scenario
 from bcmdiag.emulator.server import SNIFF_BACKLOG_MAX, EmulatorServer, _SniffFanout, main
 from bcmdiag.errors import InvariantViolation, SessionError
 from bcmdiag.h4 import (
@@ -303,7 +303,7 @@ class TestEndpointBinding:
     def test_failed_bind_releases_everything(self, taken):
         """With port base+taken in use, building the server fails and
         leaves every port free and no controller tapped."""
-        world = build_world(TOPOLOGY)
+        world = run_scenario(TOPOLOGY)[1]
         base = free_base_port(taken + 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -542,7 +542,7 @@ class TestSniffFanout:
 def _logged_world() -> tuple:
     """TOPOLOGY with link-layer logging on at both ends, behind an
     unstarted server whose handlers this thread calls as the loop would."""
-    world = build_world(TOPOLOGY)
+    world = run_scenario(TOPOLOGY)[1]
     for name in world.controllers:
         world[name].diag_log_enabled = True
     return world, unstarted_server(world)
@@ -675,7 +675,7 @@ class TestTapFollowsSniffClients:
 
 class TestServerLoop:
     def test_one_thread_serves_every_client(self):
-        server = unstarted_server(build_world(TOPOLOGY))
+        server = unstarted_server(run_scenario(TOPOLOGY)[1])
         before = threading.active_count()
         server.start()
         socks = []
@@ -786,7 +786,7 @@ class TestServerLoop:
         100 connects, so the kernel's listen backlog of 128 overflows
         unless one wake accepts every queued connection; with the loop
         thread running instead, when it wakes depends on the scheduler."""
-        server = unstarted_server(build_world(TOPOLOGY))
+        server = unstarted_server(run_scenario(TOPOLOGY)[1])
         listener = server.endpoints["A"]._inject_sock
         wake = server._selector.get_key(listener).data
         try:

@@ -24,7 +24,7 @@ from bcmdiag import capture, hci
 from bcmdiag.capture import TICK_US
 from bcmdiag.cli import SocketSession
 from bcmdiag.diag import DiagCode
-from bcmdiag.emulator.scenario import build_world
+from bcmdiag.emulator.scenario import run_scenario
 from bcmdiag.h4 import DIAG_PAYLOAD_LEN, Direction, H4Frame, H4Type, HciEvent
 from bcmdiag.commands import USAGE
 from bcmdiag.session import LocalSession, Session
@@ -128,7 +128,7 @@ def test_no_command_line_raises(tmp_path, monkeypatch, data):
         ))
         with open(path, "wb") as fh:
             fh.write(body)
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     for line in [f"scenario run {path}" for path in files] + data.draw(st.lists(lines, max_size=6)):
         ok, out = session.execute(line)
         assert ok in (True, False) and isinstance(out, list)
@@ -138,7 +138,7 @@ def test_no_command_line_raises(tmp_path, monkeypatch, data):
 def test_a_local_wait_returns_at_once_on_a_miss():
     """An in-process controller has answered before ``_send`` returns,
     so a wait that finds no match ends without waiting for its timeout."""
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     t0 = time.monotonic()
     assert session.wait_frame(lambda _f: False, 5.0) is None
     assert time.monotonic() - t0 < 0.5
@@ -148,7 +148,7 @@ def test_a_capture_that_cannot_spool_fails_its_start(tmp_path, monkeypatch):
     """With no temporary directory to spool to, the start fails with one
     line and leaves no capture running."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     ok, lines = session.execute(f"capture start {tmp_path / 'x.pcapng'}")
     assert not ok and len(lines) == 1 and "missing" in lines[0], lines
     assert session.capture_records is None
@@ -186,7 +186,7 @@ def test_a_spool_that_cannot_grow_loses_records_not_commands(tmp_path):
     the stop writes the records the spool holds and names the loss.  Each
     record is stamped with its position, so those after the loss follow
     on without a gap."""
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     path = tmp_path / "x.pcapng"
     assert session.execute(f"capture start {path}")[0]
     assert session.execute("version")[0]
@@ -212,7 +212,7 @@ def test_a_part_written_record_is_cut_off(tmp_path):
     put some of its octets on disk) loses that record only: the spool is
     cut back to the end of the record before it, and the records after
     it follow on."""
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     path = tmp_path / "x.pcapng"
     assert session.execute(f"capture start {path}")[0]
     assert session.execute("version")[0]
@@ -283,7 +283,7 @@ def test_a_damaged_spool_ends_the_capture_with_one_line(tmp_path, fmt, damage, r
     """A spool that holds fewer records than it counts, or octets that
     are no record, cannot be read back: the stop fails with one line,
     closes the spool's file and leaves no partial file at the path."""
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     path = tmp_path / "x.cap"
     assert session.execute(f"capture start {path} {fmt}")[0]
     assert session.execute("version")[0]
@@ -309,7 +309,7 @@ def test_a_damaged_spool_ends_the_capture_with_one_line(tmp_path, fmt, damage, r
 def test_a_damaged_spool_ends_the_capture_when_its_file_cannot_be_removed(tmp_path, monkeypatch):
     """A partial file that cannot be removed stays, and the stop still
     reports the damage, not the removal, and ends the capture."""
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     path = tmp_path / "x.pcapng"
     assert session.execute(f"capture start {path}")[0]
     assert session.execute("version")[0]
@@ -329,7 +329,7 @@ def test_a_stop_that_fails_past_the_open_leaves_no_file(tmp_path, monkeypatch, f
     """An OSError after the writer opened the path (a full disk, a
     file-size limit) removes the partial file; the capture keeps running,
     and a retry writes all of it."""
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     path = tmp_path / "x.cap"
     assert session.execute(f"capture start {path} {fmt}")[0]
     assert session.execute("version")[0]
@@ -352,18 +352,22 @@ def test_a_stop_that_fails_past_the_open_leaves_no_file(tmp_path, monkeypatch, f
 def test_a_stop_whose_open_fails_leaves_the_file_there(tmp_path, monkeypatch):
     """A file already at the path that the writer cannot open is not the
     writer's: the stop fails and leaves it as it was."""
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     path = tmp_path / "x.pcapng"
     path.write_bytes(b"not ours")
-    assert session.execute(f"capture start {path}")[0]
+    try:
+        assert session.execute(f"capture start {path}")[0]
 
-    def refuse(name, _mode):
-        raise PermissionError(errno.EACCES, "Permission denied", name)
+        def refuse(name, _mode):
+            raise PermissionError(errno.EACCES, "Permission denied", name)
 
-    monkeypatch.setattr(capture, "open", refuse, raising=False)
-    ok, lines = session.execute("capture stop")
-    assert not ok and lines == [f"[Errno 13] Permission denied: '{path}' (capture still running)"]
-    assert path.read_bytes() == b"not ours"
+        monkeypatch.setattr(capture, "open", refuse, raising=False)
+        ok, lines = session.execute("capture stop")
+        assert not ok
+        assert lines == [f"[Errno 13] Permission denied: '{path}' (capture still running)"]
+        assert path.read_bytes() == b"not ours"
+    finally:
+        session.close()  # the capture still runs: closing frees its spool
 
 
 @pytest.mark.parametrize("line", [
@@ -375,7 +379,7 @@ def test_a_stop_whose_open_fails_leaves_the_file_there(tmp_path, monkeypatch):
 def test_a_trailing_word_is_refused_with_the_usage_line(tmp_path, line):
     """A command that takes a fixed number of words refuses one more and
     does nothing: no reset, no capture started, no file written."""
-    session = LocalSession(build_world(_TWO_CHIPS), "A")
+    session = LocalSession(run_scenario(_TWO_CHIPS)[1], "A")
     path = tmp_path / "x.pcapng"
     try:
         if line == "capture stop junk":
